@@ -64,10 +64,6 @@ class TwoTermComplex:
                     f"block ({t},{s}) has {len(coeffs)} coefficients, expected {want}"
                 )
 
-    def block(self, t: int, s: int) -> tuple[Fraction, ...]:
-        dim = self.algebra.hom_dim(self.neg[s], self.pos[t])
-        return self.blocks.get((t, s), tuple(Fraction(0) for _ in range(dim)))
-
 
 def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int]]:
     return [
@@ -78,75 +74,66 @@ def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int
     ]
 
 
-def _compose_vector(alg, i, j, l, a_idx: int, b_coeffs) -> dict[int, Fraction]:
-    """Compose the a_idx-th basis map of Hom(i,j) with a vector in Hom(j,l)."""
-    out: dict[int, Fraction] = {}
-    for b_idx, b_coeff in enumerate(b_coeffs):
-        if b_coeff == 0:
-            continue
-        for c_idx, c_coeff in alg.compose(i, j, l, a_idx, b_idx):
-            out[c_idx] = out.get(c_idx, Fraction(0)) + b_coeff * c_coeff
-    return out
-
-
-def _compose_vector_right(alg, i, j, l, a_coeffs, b_idx: int) -> dict[int, Fraction]:
-    """Compose a vector in Hom(i,j) with the b_idx-th basis map of Hom(j,l)."""
-    out: dict[int, Fraction] = {}
-    for a_idx, a_coeff in enumerate(a_coeffs):
-        if a_coeff == 0:
-            continue
-        for c_idx, c_coeff in alg.compose(i, j, l, a_idx, b_idx):
-            out[c_idx] = out.get(c_idx, Fraction(0)) + a_coeff * c_coeff
-    return out
-
-
 def _homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
-    """Matrix of (u, v) -> g∘u + v∘f into Hom(F_-1, G_0), plus its row count."""
+    """Sparse columns of (u, v) -> g∘u + v∘f into Hom(F_-1, G_0), plus the row count.
+
+    Row (s, t, c) is the c-th basis map of Hom(F_-1[s], G_0[t]); `start`
+    holds the first row of each (s, t) block.
+    """
     alg = f.algebra
-    x_coords = _hom_coordinates(alg, f.neg, g.pos)
-    x_pos = {coord: idx for idx, coord in enumerate(x_coords)}
-    u_coords = _hom_coordinates(alg, f.neg, g.neg)
-    v_coords = _hom_coordinates(alg, f.pos, g.pos)
-    rows = len(x_coords)
+    start, rows = {}, 0
+    for s, sn in enumerate(f.neg):
+        for t, tp in enumerate(g.pos):
+            start[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
+    f_blocks, g_blocks = (
+        {key: {b: x for b, x in enumerate(coeffs) if x} for key, coeffs in h.blocks.items()}
+        for h in (f, g)
+    )
     cols = []
 
-    for s, r, c in u_coords:
+    for s, r, c in _hom_coordinates(alg, f.neg, g.neg):
         col: dict[int, Fraction] = {}
-        for t in range(len(g.pos)):
-            composed = _compose_vector(
-                alg, f.neg[s], g.neg[r], g.pos[t], c, g.block(t, r)
-            )
-            for idx, coeff in composed.items():
-                if coeff:
-                    col[x_pos[(s, t, idx)]] = col.get(x_pos[(s, t, idx)], Fraction(0)) + coeff
+        for t, tp in enumerate(g.pos):
+            block = g_blocks.get((t, r))
+            if block:
+                composed = alg.compose_vectors(f.neg[s], g.neg[r], tp, {c: 1}, block)
+                col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
         cols.append(col)
 
-    for u, t, c in v_coords:
+    for u, t, c in _hom_coordinates(alg, f.pos, g.pos):
         col = {}
-        for s in range(len(f.neg)):
-            composed = _compose_vector_right(
-                alg, f.neg[s], f.pos[u], g.pos[t], f.block(u, s), c
-            )
-            for idx, coeff in composed.items():
-                if coeff:
-                    key = x_pos[(s, t, idx)]
-                    col[key] = col.get(key, Fraction(0)) + coeff
+        for s, sn in enumerate(f.neg):
+            block = f_blocks.get((u, s))
+            if block:
+                composed = alg.compose_vectors(sn, f.pos[u], g.pos[t], block, {c: 1})
+                col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
         cols.append(col)
 
     return rows, cols
 
 
 def _rank(rows: int, cols, field: str) -> int:
+    """Rank of the sparse columns, densified once over the integers or F_p."""
     if rows == 0 or not cols:
         return 0
     dense = []
-    for col in cols:
-        scale = lcm(*(c.denominator for c in col.values())) if col else 1
-        dense.append([int(col.get(r, 0) * scale) for r in range(rows)])
     if field == RATIONAL:
+        for col in cols:
+            scale = lcm(*(x.denominator for x in col.values()))
+            column = [0] * rows
+            for r, x in col.items():
+                column[r] = x.numerator * (scale // x.denominator)
+            dense.append(column)
         return rank_int(dense)
-    matrix = np.array(dense, dtype=np.int64).T % modp.PRIME
-    return modp.rank_mod_p(matrix)
+    p = modp.PRIME
+    for col in cols:
+        column = [0] * rows
+        for r, x in col.items():
+            # Reduced in Python ints, so no int64 overflow; a denominator
+            # divisible by p raises ValueError instead of zeroing the entry.
+            column[r] = x.numerator * pow(x.denominator, -1, p) % p
+        dense.append(column)
+    return modp.rank_mod_p(np.array(dense, dtype=np.int64).T)
 
 
 def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -234,6 +221,40 @@ def _stream(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, *path])
 
 
+def _sampled_minimum(
+    algebra: Algebra,
+    streams: dict[int, tuple[tuple[str, ...], tuple[str, ...]]],
+    evaluate,
+    samples: int,
+    field: str,
+    master_seed: int | None,
+) -> EValueReport:
+    """Minimum of `evaluate` over random complexes, stopping at the first zero.
+
+    Sample idx draws one complex per (neg, pos) in `streams`, from the stream
+    (master seed, idx, stream id); the first complex is the witness.
+    """
+    if samples <= 0:
+        raise BadParameters("sample count must be positive")
+    if master_seed is None:
+        master_seed = master_seed_from_env()
+    best: int | None = None
+    witness = None
+    used = 0
+    for idx in range(samples):
+        drawn = [
+            random_complex(algebra, neg, pos, _stream(master_seed, idx, sid), field)
+            for sid, (neg, pos) in streams.items()
+        ]
+        value = evaluate(*drawn)
+        used += 1
+        if best is None or value < best:
+            best, witness = value, drawn[0]
+        if best == 0:
+            break
+    return EValueReport(best, best == 0, used, field, witness)
+
+
 def generic_e_parts(
     algebra: Algebra,
     neg: tuple[str, ...],
@@ -243,22 +264,9 @@ def generic_e_parts(
     master_seed: int | None = None,
 ) -> EValueReport:
     """Sampled generic self-E-invariant for explicit summand lists."""
-    if samples <= 0:
-        raise BadParameters("sample count must be positive")
-    if master_seed is None:
-        master_seed = master_seed_from_env()
-    best: int | None = None
-    witness = None
-    used = 0
-    for idx in range(samples):
-        f = random_complex(algebra, neg, pos, _stream(master_seed, idx, 0), field)
-        value = e_pair(f, f, field)
-        used += 1
-        if best is None or value < best:
-            best, witness = value, f
-        if best == 0:
-            break
-    return EValueReport(best, best == 0, used, field, witness)
+    return _sampled_minimum(
+        algebra, {0: (neg, pos)}, lambda f: e_pair(f, f, field), samples, field, master_seed
+    )
 
 
 def generic_e(
@@ -282,25 +290,12 @@ def generic_e_pair_parts(
     master_seed: int | None = None,
 ) -> EValueReport:
     """Sampled generic symmetrized E-invariant for explicit summand lists."""
-    if samples <= 0:
-        raise BadParameters("sample count must be positive")
-    if master_seed is None:
-        master_seed = master_seed_from_env()
     # Canonical argument order keeps the sampled streams symmetric.
-    (neg1, pos1), (neg2, pos2) = sorted((parts1, parts2))
-    best: int | None = None
-    witness = None
-    used = 0
-    for idx in range(samples):
-        f1 = random_complex(algebra, neg1, pos1, _stream(master_seed, idx, 1), field)
-        f2 = random_complex(algebra, neg2, pos2, _stream(master_seed, idx, 2), field)
-        value = ee_symmetrized(f1, f2, field)
-        used += 1
-        if best is None or value < best:
-            best, witness = value, f1
-        if best == 0:
-            break
-    return EValueReport(best, best == 0, used, field, witness)
+    first, second = sorted((parts1, parts2))
+    return _sampled_minimum(
+        algebra, {1: first, 2: second}, lambda f1, f2: ee_symmetrized(f1, f2, field),
+        samples, field, master_seed,
+    )
 
 
 def generic_e_pair(

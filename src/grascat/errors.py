@@ -37,10 +37,6 @@ class IncomparableExchange(GrascatError):
     """The two exchange-monomial unions are not dominance comparable."""
 
 
-class BudgetExceeded(GrascatError):
-    """An exploration budget was exhausted before closure."""
-
-
 class NoIntegerSolution(GrascatError):
     """An exact linear system has no integral solution."""
 

@@ -7,16 +7,13 @@ positive ones the quotient term of the presenting short exact sequence.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import tableaux as tb
 from .cluster import Seed, grassmannian_initial_seed
 from .cmcat import KSubset
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotAFactor, NotSemistandard
 from .linalg import ExactSolver
 from .tableaux import Tableau
 
@@ -40,9 +37,6 @@ class GVector:
     @property
     def mutable(self) -> tuple[int, ...]:
         return self.coords[: self.seed.n_mut]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.int64)
 
     def scale(self, t: int) -> "GVector":
         return GVector(self.seed, tuple(t * c for c in self.coords))
@@ -72,15 +66,9 @@ def _grassmannian_solver(k: int, n: int) -> _SeedSolver:
     return _SeedSolver(grassmannian_initial_seed(k, n))
 
 
-_ad_hoc_solvers: dict[Seed, _SeedSolver] = {}
-
-
+@lru_cache(maxsize=64)
 def _solver_for(seed: Seed) -> _SeedSolver:
-    if seed not in _ad_hoc_solvers:
-        if len(_ad_hoc_solvers) > 64:
-            _ad_hoc_solvers.clear()
-        _ad_hoc_solvers[seed] = _SeedSolver(seed)
-    return _ad_hoc_solvers[seed]
+    return _SeedSolver(seed)
 
 
 def g_vector(t: Tableau, seed: Seed) -> GVector:
@@ -126,15 +114,6 @@ def check_cone_roundtrip(t: Tableau, g: GVector) -> bool:
     )
     try:
         return tb.quotient(pos, neg) == tb.reduce(t)
-    except Exception:
+    except (DimensionMismatch, NotAFactor, NotSemistandard):
         return False
 
-
-def presentation_sizes(g: GVector) -> tuple[int, int]:
-    """(sub, quot) summand counts, multiplicities included."""
-    cp = cone_presentation(g)
-    return len(cp.sub), len(cp.quot)
-
-
-def subset_multiset(subsets) -> Counter:
-    return Counter(subsets)

@@ -7,6 +7,7 @@ zero-certificates, so a wrong pivot decision is a wrong theorem.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import NoIntegerSolution, NonUniqueSolution
@@ -122,12 +123,8 @@ class ExactSolver:
             )
         # E·A = [I; 0] with E integral after clearing one common denominator.
         e_rows = [r[self.ncols :] for r in red]
-        denom = 1
-        for r in e_rows:
-            for x in r:
-                denom = denom * x.denominator // _gcd(denom, x.denominator)
-        self.denom = denom
-        self.transform = [[int(x * denom) for x in r] for r in e_rows]
+        self.denom = lcm(*(x.denominator for r in e_rows for x in r))
+        self.transform = [[int(x * self.denom) for x in r] for r in e_rows]
 
     def solve_rational(self, b: Sequence[int]) -> list[Fraction] | None:
         """Unique rational x with A x = b, or None if b is outside the span."""
@@ -147,8 +144,3 @@ class ExactSolver:
             raise NoIntegerSolution("solution exists but is not integral")
         return [int(v) for v in x]
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -1,34 +1,24 @@
 """Matrix rank over the prime field F_p, p = 2^31 - 1.
 
-This is the hot kernel of the E-invariant sampler: every sampled map costs
-one rank of a few-hundred-entry int64 matrix, and rigidity sweeps take
-thousands of them.  The default implementation is a numba @njit routine; a
-pure-numpy elimination is kept as a fallback and can be forced with
-``GRASCAT_NO_NUMBA=1`` (see benchmarks/bench_modp.py for a comparison).
-
-All entries fit int64 arithmetic without overflow: products are < p^2 < 2^63.
+One kernel: row-vectorised Gaussian elimination in numpy int64.  Every
+entry is reduced into [0, p) first, so products stay below p^2 < 2^63.
+The F_p E-invariant sampler takes one rank per sampled map; the traced
+`einv` benchmark (perfbench/README.md) puts it at about a quarter of
+`e_pair` self time, which is mostly homotopy assembly.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 PRIME = 2**31 - 1
 
-_USE_NUMBA = os.environ.get("GRASCAT_NO_NUMBA", "") not in ("1", "true", "yes")
 
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _USE_NUMBA = False
-
-
-def _rank_mod_p_numpy(a: np.ndarray, p: int = PRIME) -> int:
-    """Row-vectorised Gaussian elimination mod p."""
-    m = np.mod(a.astype(np.int64), p)
+def rank_mod_p(a: np.ndarray, p: int = PRIME) -> int:
+    """Rank of an integer matrix over F_p."""
+    if a.size == 0:
+        return 0
+    m = np.mod(np.ascontiguousarray(a, dtype=np.int64), p)
     nrows, ncols = m.shape
     rank = 0
     for col in range(ncols):
@@ -49,64 +39,6 @@ def _rank_mod_p_numpy(a: np.ndarray, p: int = PRIME) -> int:
     return rank
 
 
-if _USE_NUMBA:
-
-    @njit(cache=True)
-    def _rank_mod_p_jit(a: np.ndarray, p: int) -> int:  # pragma: no cover - jitted
-        nrows, ncols = a.shape
-        m = np.empty((nrows, ncols), dtype=np.int64)
-        for i in range(nrows):
-            for j in range(ncols):
-                v = a[i, j] % p
-                if v < 0:
-                    v += p
-                m[i, j] = v
-        rank = 0
-        for col in range(ncols):
-            if rank == nrows:
-                break
-            piv = -1
-            for r in range(rank, nrows):
-                if m[r, col] != 0:
-                    piv = r
-                    break
-            if piv < 0:
-                continue
-            if piv != rank:
-                for c in range(col, ncols):
-                    tmp = m[rank, c]
-                    m[rank, c] = m[piv, c]
-                    m[piv, c] = tmp
-            # modular inverse by binary exponentiation
-            base = m[rank, col]
-            exp = p - 2
-            inv = 1
-            while exp > 0:
-                if exp & 1:
-                    inv = (inv * base) % p
-                base = (base * base) % p
-                exp >>= 1
-            for c in range(col, ncols):
-                m[rank, c] = (m[rank, c] * inv) % p
-            for r in range(rank + 1, nrows):
-                f = m[r, col]
-                if f != 0:
-                    for c in range(col, ncols):
-                        m[r, c] = (m[r, c] - f * m[rank, c]) % p
-            rank += 1
-        return rank
-
-
-def rank_mod_p(a: np.ndarray, p: int = PRIME) -> int:
-    """Rank of an integer matrix over F_p."""
-    if a.size == 0:
-        return 0
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    if _USE_NUMBA:
-        return int(_rank_mod_p_jit(a, p))
-    return _rank_mod_p_numpy(a, p)
-
-
 def backend() -> str:
-    """Which elimination path is active ('numba' or 'numpy')."""
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the elimination kernel; there is one, in numpy."""
+    return "numpy"

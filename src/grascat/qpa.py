@@ -129,47 +129,39 @@ class Algebra:
             ]
         return cls(tuple(vertices), dict(dims), comp, name=name)
 
+    def compose_vectors(self, i: str, j: str, l: str, x: dict, y: dict) -> dict[int, Fraction]:
+        """x in Hom(P(i), P(j)) followed by y in Hom(P(j), P(l)), as a sparse vector.
+
+        x, y and the result map basis indices to coefficients; zero
+        coefficients are dropped from the result.
+        """
+        table = self._comp.get((i, j, l))
+        if not table:
+            return {}
+        out: dict[int, Fraction] = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                for c, coeff in table.get((a, b), ()):
+                    out[c] = out.get(c, 0) + xa * yb * coeff
+        return {c: v for c, v in out.items() if v}
+
     def check_associative(self) -> bool:
         """Composition associativity on every basis triple (exact)."""
         vs = self.vertices
         for i in vs:
             for j in vs:
-                if not self.hom_dim(i, j):
-                    continue
                 for l in vs:
-                    if not self.hom_dim(j, l):
-                        continue
                     for m in vs:
-                        if not self.hom_dim(l, m):
-                            continue
                         for a in range(self.hom_dim(i, j)):
                             for b in range(self.hom_dim(j, l)):
+                                ab = self.compose_vectors(i, j, l, {a: 1}, {b: 1})
                                 for c in range(self.hom_dim(l, m)):
-                                    left = _compose_linear(
-                                        self, i, l, m, self.compose(i, j, l, a, b), c
-                                    )
-                                    right = _compose_first(
-                                        self, i, j, m, a, self.compose(j, l, m, b, c)
-                                    )
+                                    bc = self.compose_vectors(j, l, m, {b: 1}, {c: 1})
+                                    left = self.compose_vectors(i, l, m, ab, {c: 1})
+                                    right = self.compose_vectors(i, j, m, {a: 1}, bc)
                                     if left != right:
                                         return False
         return True
-
-
-def _compose_linear(alg, i, l, m, terms, c):
-    out: dict[int, Fraction] = {}
-    for idx, coeff in terms:
-        for idx2, coeff2 in alg.compose(i, l, m, idx, c):
-            out[idx2] = out.get(idx2, Fraction(0)) + coeff * coeff2
-    return {k: v for k, v in out.items() if v}
-
-
-def _compose_first(alg, i, j, m, a, terms):
-    out: dict[int, Fraction] = {}
-    for idx, coeff in terms:
-        for idx2, coeff2 in alg.compose(i, j, m, a, idx):
-            out[idx2] = out.get(idx2, Fraction(0)) + coeff * coeff2
-    return {k: v for k, v in out.items() if v}
 
 
 def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:

@@ -19,6 +19,7 @@ from .cmcat import KSubset
 from .errors import (
     DimensionMismatch,
     NoDecomposition,
+    NoIntegerSolution,
     NotAFactor,
     NotSemistandard,
     OutOfRange,
@@ -32,7 +33,6 @@ __all__ = [
     "union",
     "union_all",
     "quotient",
-    "is_factor",
     "trivial_column",
     "reduce",
     "equivalent",
@@ -127,13 +127,25 @@ class Tableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tableau":
-        return cls.make(int(data["k"]), int(data["n"]), data["rows"])
+        k, n, rows = data["k"], data["n"], data["rows"]
+        if not (
+            _is_int(k)
+            and _is_int(n)
+            and isinstance(rows, list)
+            and all(isinstance(r, list) and all(map(_is_int, r)) for r in rows)
+        ):
+            raise NotSemistandard("k, n and every row entry must be integers")
+        return cls.make(k, n, rows)
 
     def __str__(self) -> str:
         if self.is_empty():
             return f"(empty {self.k}x0 tableau)"
         w = len(str(self.n))
         return "\n".join(" ".join(str(v).rjust(w) for v in r) for r in self.rows)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def content_grid(t: Tableau) -> np.ndarray:
@@ -178,13 +190,6 @@ def quotient(t: Tableau, s: Tableau) -> Tableau:
                 raise NotAFactor(f"row {row_s} is not contained in {row_t}") from None
         new_rows.append(tuple(remaining))
     return Tableau(t.k, t.n, tuple(new_rows))
-
-
-def is_factor(s: Tableau, t: Tableau) -> bool:
-    """True iff every row of s is a sub-multiset of the matching row of t."""
-    _check_shapes(s, t)
-    grid = t.content() - s.content()
-    return bool(np.all(grid >= 0))
 
 
 def trivial_column(a: int, k: int, n: int) -> Tableau:
@@ -374,7 +379,7 @@ def tableau_to_monomial(t: Tableau) -> DominantMonomial:
     solver, fundamentals, _ = _dictionary_basis(t.k, t.n)
     try:
         sol = solver.solve_integer(t.content().ravel().tolist())
-    except Exception as exc:
+    except NoIntegerSolution as exc:
         raise NoDecomposition(str(exc)) from exc
     exps = sol[: len(fundamentals)]
     if any(u < 0 for u in exps):

@@ -123,6 +123,15 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert payload["error"] == "NotAFactor"
 
+    def test_non_integer_entry_is_structured(self, capsys):
+        code, out, err = run(
+            capsys, "tableau", "reduce", "--in", '{"k":3,"n":6,"rows":[["a",2],[3,4],[5,6]]}'
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "NotSemistandard"
+
     def test_missing_file_is_structured(self, capsys):
         code, _, err = run(capsys, "tableau", "reduce", "--in", "/no/such/file.json")
         assert code == 1 and json.loads(err)["error"] == "FileNotFoundError"

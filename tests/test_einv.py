@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grascat import hl, modp
 from grascat.cluster import grassmannian_initial_seed
 from grascat.einv import (
     TwoTermComplex,
@@ -32,6 +33,16 @@ def witness(alg, neg, pos, mat):
         for s in range(len(neg)):
             if mat[t][s]:
                 blocks[(t, s)] = (Fraction(mat[t][s]),)
+    return TwoTermComplex(alg, neg, pos, blocks)
+
+
+def t1_with_first_coefficient(alg, seed39, coeff):
+    """A random F_p complex on the T1 stratum with one coefficient replaced."""
+    neg, pos = complex_from_gvector(nonreal_g39(seed39), alg)
+    f = random_complex(alg, neg, pos, np.random.default_rng(54), "fp")
+    key = min(f.blocks)
+    blocks = dict(f.blocks)
+    blocks[key] = (coeff,) + f.blocks[key][1:]
     return TwoTermComplex(alg, neg, pos, blocks)
 
 
@@ -71,6 +82,18 @@ class TestEPair:
         g = g_vector(seed36.labels[0], seed36)
         with pytest.raises(AlgebraMismatch):
             complex_from_gvector(g, alg39)
+
+    def test_huge_fp_coefficient_reduced_before_int64(self, alg39, seed39):
+        # entries are reduced mod p as Python ints, so 2^63 neither overflows
+        # nor differs from its residue
+        huge = t1_with_first_coefficient(alg39, seed39, Fraction(2**63))
+        reduced = t1_with_first_coefficient(alg39, seed39, Fraction(2**63 % modp.PRIME))
+        assert e_pair(huge, huge, "fp") == e_pair(reduced, reduced, "fp")
+
+    def test_fp_denominator_divisible_by_p_is_an_error(self, alg39, seed39):
+        f = t1_with_first_coefficient(alg39, seed39, Fraction(1, modp.PRIME))
+        with pytest.raises(ValueError):
+            e_pair(f, f, "fp")
 
     def test_symmetrized_definition(self, alg39, seed39):
         g = nonreal_g39(seed39)
@@ -161,6 +184,48 @@ class TestGenericValues:
             generic_e(g, alg39, samples=s, master_seed=3).value for s in (1, 5, 20)
         ]
         assert values == sorted(values, reverse=True)
+
+
+def blocks_of(report):
+    return {key: tuple(int(c) for c in coeffs) for key, coeffs in report.witness.blocks.items()}
+
+
+class TestSampledStreams:
+    """Pinned reports: the (master seed, index, stream) layout is a reproducibility contract."""
+
+    def test_nonreal_t1_gr39(self, alg39, seed39):
+        g = nonreal_g39(seed39)
+        fp = generic_e(g, alg39, samples=4, field="fp", master_seed=2)
+        assert (fp.value, fp.samples, fp.certified) == (1, 4, False)
+        assert blocks_of(fp) == {
+            (0, 0): (1798679647,), (0, 1): (561807779,), (1, 0): (234731697,),
+            (1, 1): (641004849,), (1, 2): (888658062,), (2, 0): (1748536462,),
+            (2, 1): (969095166,), (2, 2): (197387982,),
+        }
+        rational = generic_e(g, alg39, samples=4, field="rational", master_seed=2)
+        assert (rational.value, rational.samples, rational.certified) == (1, 4, False)
+        assert blocks_of(rational) == {
+            (0, 0): (7,), (0, 1): (-5,), (1, 0): (-8,), (1, 1): (-4,), (1, 2): (-2,),
+            (2, 0): (7,), (2, 1): (-1,), (2, 2): (-9,),
+        }
+
+    def test_nonreal_stratum_gr48(self, alg48, seed48):
+        g = g_vector(Tableau.make(4, 8, [[1, 2], [3, 4], [5, 6], [7, 8]]), seed48)
+        report = generic_e(g, alg48, samples=4, field="fp", master_seed=2)
+        assert (report.value, report.samples, report.certified) == (1, 4, False)
+        assert blocks_of(report) == {
+            (0, 0): (1798679647,), (0, 1): (561807779,), (1, 0): (234731697,),
+            (1, 1): (641004849,),
+        }
+
+    def test_gamma_pair(self):
+        # labels (i, m, v) = (1, -4, 1) and (2, -1, 1) over Gamma(4, -8)
+        verdict = hl.kr_compatible_gamma(1, -4, 1, 1, -1, 2, 4, 3, samples=4, field="fp",
+                                         master_seed=2)
+        report = verdict.report
+        assert (report.value, report.samples, report.certified) == (1, 4, False)
+        assert (report.witness.neg, report.witness.pos) == (("1,-6",), ("1,-4",))
+        assert blocks_of(report) == {(0, 0): (904358331,)}
 
 
 class TestPredicates:

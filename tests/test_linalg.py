@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -38,20 +35,6 @@ class TestRank:
             r = int(rng.integers(0, 6))
             m = known_rank_matrix(rng, 9, 7, r)
             assert modp.rank_mod_p(m) == rank_int(m.tolist())
-
-    def test_numpy_fallback_agrees(self):
-        rng = np.random.default_rng(203)
-        for _ in range(20):
-            m = known_rank_matrix(rng, 8, 8, int(rng.integers(0, 8)))
-            assert modp._rank_mod_p_numpy(m) == modp.rank_mod_p(m)
-
-    def test_env_flag_selects_backend(self):
-        script = (
-            "from grascat import modp; import sys; "
-            "sys.exit(0 if modp.backend() == 'numpy' else 1)"
-        )
-        env = dict(os.environ, GRASCAT_NO_NUMBA="1")
-        assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
 class TestDetRref:
