@@ -1,20 +1,32 @@
 """Braid-group action on consecutively generic vector tuples.
 
-All arithmetic is exact (Fractions or F_p-like exact rationals are not
-needed: plain Fractions suffice), because the checked relations are
-polynomial identities that floats would blur.
+All arithmetic is exact, with plain Fractions, because the checked
+relations are polynomial identities that floats would blur.  Each tuple
+computes its n cyclic window minors once, when it is built; the genericity
+checks and the denominators of ``sigma`` read them from there, and
+``twisted_shift`` hands them on rotated instead of recomputing them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import numpy as np
 
-from .errors import BadParameters, DegenerateDenominator, DimensionMismatch, NotGeneric
+from .errors import (
+    BadParameters,
+    DegenerateDenominator,
+    DimensionMismatch,
+    MalformedInput,
+    NotGeneric,
+    is_int,
+    is_str,
+    json_fields,
+    list_of,
+)
 from .linalg import det
 
 __all__ = [
@@ -38,14 +50,27 @@ class VectorTuple:
     k: int
     n: int
     vectors: tuple[Vector, ...]
+    # det(v_i, ..., v_{i+k-1}) for i = 1..n, cyclic indices.  Computed from the
+    # vectors on construction, so that repeated checks of one tuple do the same
+    # work; only a caller that derives them exactly passes them in.
+    window_minors: tuple[Fraction, ...] | None = field(
+        default=None, compare=False, repr=False, kw_only=True
+    )
 
     def __post_init__(self):
         if len(self.vectors) != self.n:
             raise DimensionMismatch(f"expected {self.n} vectors, got {len(self.vectors)}")
-        vecs = tuple(tuple(Fraction(x) for x in v) for v in self.vectors)
+        vecs = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in self.vectors
+        )
         object.__setattr__(self, "vectors", vecs)
         if any(len(v) != self.k for v in vecs):
             raise DimensionMismatch("all vectors must have length k")
+        if self.window_minors is None:
+            minors = tuple(
+                det([self.vec(i + t) for t in range(self.k)]) for i in range(1, self.n + 1)
+            )
+            object.__setattr__(self, "window_minors", minors)
 
     @property
     def d(self) -> int:
@@ -57,7 +82,7 @@ class VectorTuple:
 
     def window_minor(self, start: int) -> Fraction:
         """det(v_start, ..., v_{start+k-1}) with cyclic indices."""
-        return det([self.vec(start + t) for t in range(self.k)])
+        return self.window_minors[(start - 1) % self.n]
 
     def to_json(self) -> dict:
         return {
@@ -69,23 +94,32 @@ class VectorTuple:
 
     @classmethod
     def from_json(cls, data: dict) -> "VectorTuple":
-        return cls(
-            int(data["k"]),
-            int(data["n"]),
-            tuple(tuple(Fraction(x) for x in v) for v in data["vectors"]),
+        """Entries are integers or rational strings such as "-3/4"."""
+        k, n, vectors = json_fields(
+            data, "vector tuple", k=is_int, n=is_int,
+            vectors=list_of(list_of(lambda x: is_int(x) or is_str(x))),
         )
+        try:
+            vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInput(f"vector tuple entry: {exc}") from None
+        return cls(k, n, vecs)
 
 
 def is_consecutively_generic(t: VectorTuple) -> bool:
     """All n cyclic k x k minors are nonzero."""
-    return all(t.window_minor(i) != 0 for i in range(1, t.n + 1))
+    return all(t.window_minors)
 
 
 def twisted_shift(t: VectorTuple) -> VectorTuple:
     """rho: rotate left, the wrapped vector picking up the sign (-1)^(k-1)."""
     sign = (-1) ** (t.k - 1)
     rotated = t.vectors[1:] + (tuple(sign * x for x in t.vectors[0]),)
-    return VectorTuple(t.k, t.n, rotated)
+    # Window i of the image is window i+1 of t, with v_1 scaled by the sign
+    # in the last k windows, the ones that wrap past position n.
+    w = t.window_minors
+    minors = tuple(w[(i + 1) % t.n] * (sign if i >= t.n - t.k else 1) for i in range(t.n))
+    return VectorTuple(t.k, t.n, rotated, window_minors=minors)
 
 
 def sigma(i: int, t: VectorTuple) -> VectorTuple:

@@ -11,8 +11,13 @@ from . import tableaux as tb
 from .cmcat import KSubset
 from .errors import (
     BadParameters,
+    DimensionMismatch,
     FrozenVertex,
     IncomparableExchange,
+    MalformedInput,
+    is_int,
+    json_fields,
+    list_of,
 )
 from .tableaux import Dominance, Tableau
 
@@ -43,6 +48,8 @@ class Quiver:
     coords: tuple | None = None
 
     def __post_init__(self):
+        if not 0 <= self.n_mut <= self.m:
+            raise BadParameters(f"need 0 <= n_mut <= m, got n_mut={self.n_mut}, m={self.m}")
         object.__setattr__(self, "arrows", tuple(sorted(tuple(a) for a in self.arrows)))
         for s, t in self.arrows:
             if s == t:
@@ -84,11 +91,19 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data: dict) -> "Quiver":
+        def is_pair(x) -> bool:
+            return list_of(is_int)(x) and len(x) == 2
+
+        m, n_mut, arrows = json_fields(
+            data, "quiver", m=is_int, n_mut=is_int, arrows=list_of(is_pair)
+        )
         coords = data.get("coords")
+        if coords is not None and not list_of(is_pair)(coords):
+            raise MalformedInput("quiver field 'coords' has the wrong kind")
         return cls(
-            int(data["m"]),
-            int(data["n_mut"]),
-            tuple((int(s), int(t)) for s, t in data["arrows"]),
+            m,
+            n_mut,
+            tuple((s, t) for s, t in arrows),
             tuple(tuple(c) for c in coords) if coords else None,
         )
 
@@ -161,10 +176,11 @@ class Seed:
 
     @classmethod
     def from_json(cls, data: dict) -> "Seed":
-        return cls(
-            Quiver.from_json(data["quiver"]),
-            tuple(Tableau.from_json(t) for t in data["labels"]),
-        )
+        quiver, labels = json_fields(data, "seed", quiver=None, labels=list_of())
+        seed = cls(Quiver.from_json(quiver), tuple(Tableau.from_json(t) for t in labels))
+        if len({(t.k, t.n) for t in seed.labels}) != 1:
+            raise DimensionMismatch("seed labels must be nonempty and share one (k, n)")
+        return seed
 
 
 def mutate_seed(seed: Seed, r: int) -> Seed:

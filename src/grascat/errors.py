@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all grascat modules."""
+"""Exception hierarchy shared by all grascat modules, and the JSON input checks."""
+
+from typing import Callable
 
 
 class GrascatError(Exception):
@@ -63,3 +65,39 @@ class DegenerateDenominator(GrascatError):
 
 class NotGeneric(GrascatError):
     """A vector tuple violates consecutive genericity."""
+
+
+class MalformedInput(GrascatError):
+    """A JSON payload is not an object whose fields have the expected kinds."""
+
+
+def is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def list_of(kind: Callable[[object], bool] | None = None) -> Callable[[object], bool]:
+    """The kind of a JSON array whose items all have ``kind`` (any, if None)."""
+    return lambda x: isinstance(x, list) and (kind is None or all(map(kind, x)))
+
+
+def json_fields(data, what: str, **kinds: Callable[[object], bool]) -> tuple:
+    """The named fields of a JSON object, in order, each checked by its kind.
+
+    A kind is a predicate on the field's value; None accepts any value.
+
+    Raises MalformedInput when ``data`` is not an object, or a field is
+    missing or has the wrong kind.
+    """
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{what} must be a JSON object, got {type(data).__name__}")
+    for name, kind in kinds.items():
+        if name not in data:
+            raise MalformedInput(f"{what} has no field {name!r}")
+        if kind is not None and not kind(data[name]):
+            raise MalformedInput(f"{what} field {name!r} has the wrong kind")
+    return tuple(data[name] for name in kinds)

@@ -9,6 +9,7 @@ cyclically: [7, 1] inside [9] means {7, 8, 9, 1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cluster import Quiver, mutate_quiver
 from .cmcat import KSubset, cyclic_interval
@@ -364,6 +365,12 @@ def kr_compatible(
 
 def _gamma_algebra(k: int, ell: int, m1: int, v1: int, m2: int, v2: int) -> Algebra:
     s = min(m1 - 2 * v1 - 2, m2 - 2 * v2 - 2, -2 * ell - 2)
+    return _gamma_algebra_at(k, s)
+
+
+@lru_cache(maxsize=16)
+def _gamma_algebra_at(k: int, s: int) -> Algebra:
+    """Jacobian algebra of Gamma(k, s), built once per (k, s); Algebra is immutable."""
     return build_algebra(gamma_qp(k, s))
 
 

@@ -3,9 +3,9 @@
 Paths compose left to right: the word ``a b`` means "arrow a, then arrow b".
 Projectives are right modules P(v) = e_v A, so Hom(P(i), P(j)) is spanned by
 path classes from j to i.  The quotient by the cyclic-derivative ideal is
-computed degree by degree with exact rational row reduction; a homogeneous
-potential (all cycles the same length) guarantees termination as soon as one
-degree dies.
+computed degree by degree with exact fraction-free row reduction of the
+integer relation rows; a homogeneous potential (all cycles the same length)
+guarantees termination as soon as one degree dies.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameters, NotFiniteDimensional
+from .errors import BadParameters, NotFiniteDimensional, is_int, is_str, json_fields, list_of
 from .linalg import rref
 
 __all__ = ["QuiverWithPotential", "Algebra", "potential_relations", "build_algebra"]
@@ -41,6 +41,8 @@ class QuiverWithPotential:
         for sign, cycle in self.potential:
             if sign not in (1, -1) or not cycle:
                 raise BadParameters("potential terms need sign +-1 and a nonempty cycle")
+            if not set(cycle) <= ends.keys():
+                raise BadParameters(f"potential term {cycle} uses an unknown arrow")
             for x, y in zip(cycle, cycle[1:] + cycle[:1]):
                 if ends[x][1] != ends[y][0]:
                     raise BadParameters(f"potential term {cycle} is not a cycle")
@@ -57,10 +59,17 @@ class QuiverWithPotential:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuiverWithPotential":
+        vertices, arrows, potential = json_fields(
+            data, "quiver with potential",
+            vertices=list_of(is_str), arrows=list_of(), potential=list_of(),
+        )
+        ends = {"id": is_str, "from": is_str, "to": is_str}
+        terms = [json_fields(t, "potential term", sign=is_int, cycle=list_of(is_str))
+                 for t in potential]
         return cls(
-            tuple(data["vertices"]),
-            tuple((a["id"], a["from"], a["to"]) for a in data["arrows"]),
-            tuple((int(t["sign"]), tuple(t["cycle"])) for t in data["potential"]),
+            tuple(vertices),
+            tuple(json_fields(a, "arrow", **ends) for a in arrows),
+            tuple((sign, tuple(cycle)) for sign, cycle in terms),
         )
 
 
@@ -230,7 +239,7 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
                             for sign, mid in terms:
                                 row[pos[lp + mid + rp]] += sign
                             if any(row):
-                                rows.append([Fraction(x) for x in row])
+                                rows.append(row)
             if rows:
                 red, pivots = rref(rows)
             else:

@@ -23,6 +23,9 @@ from .errors import (
     NotAFactor,
     NotSemistandard,
     OutOfRange,
+    is_int,
+    json_fields,
+    list_of,
 )
 from .linalg import ExactSolver
 
@@ -127,14 +130,9 @@ class Tableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tableau":
-        k, n, rows = data["k"], data["n"], data["rows"]
-        if not (
-            _is_int(k)
-            and _is_int(n)
-            and isinstance(rows, list)
-            and all(isinstance(r, list) and all(map(_is_int, r)) for r in rows)
-        ):
-            raise NotSemistandard("k, n and every row entry must be integers")
+        k, n, rows = json_fields(data, "tableau", k=is_int, n=is_int, rows=list_of())
+        if not all(map(list_of(is_int), rows)):
+            raise NotSemistandard("every row must be a list of integers")
         return cls.make(k, n, rows)
 
     def __str__(self) -> str:
@@ -142,10 +140,6 @@ class Tableau:
             return f"(empty {self.k}x0 tableau)"
         w = len(str(self.n))
         return "\n".join(" ".join(str(v).rjust(w) for v in r) for r in self.rows)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def content_grid(t: Tableau) -> np.ndarray:
@@ -322,7 +316,13 @@ class DominantMonomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "DominantMonomial":
-        return cls(int(data["k"]), int(data["ell"]), tuple(tuple(f) for f in data["factors"]))
+        def is_factor(f) -> bool:
+            return list_of(is_int)(f) and len(f) == 3
+
+        k, ell, factors = json_fields(
+            data, "monomial", k=is_int, ell=is_int, factors=list_of(is_factor)
+        )
+        return cls(k, ell, tuple(tuple(f) for f in factors))
 
     def __str__(self) -> str:
         if not self.factors:

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from grascat import fixtures
 from grascat.cluster import grassmannian_initial_seed
 from grascat.tableaux import Tableau, union_all
+
+# Property tests run the same examples every time and are never timed out:
+# wall time on a shared 2-vCPU host can double within a second.
+settings.register_profile("grascat", deadline=None, derandomize=True, database=None)
+settings.load_profile("grascat")
 
 
 @pytest.fixture(scope="session")

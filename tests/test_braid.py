@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ from grascat.braid import (
 )
 from grascat.errors import BadParameters, DimensionMismatch, NotGeneric
 from grascat.linalg import det
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
 
 
 def frac_tuple(k, n, rows):
@@ -45,6 +56,16 @@ class TestGenericity:
             )
             hits += is_consecutively_generic(VectorTuple(3, 9, vecs))
         assert hits > 180
+
+    def test_window_minors_match_leibniz(self):
+        for k, n in [(2, 6), (3, 9), (4, 8)]:
+            t = random_tuple(k, n, np.random.default_rng([7, k, n]))
+            for x in (t, sigma(1, t), twisted_shift(t)):  # sigma images have Fraction entries
+                want = tuple(
+                    leibniz_det([x.vec(i + s) for s in range(k)]) for i in range(1, n + 1)
+                )
+                assert x.window_minors == want
+                assert [x.window_minor(i) for i in range(1, n + 1)] == list(want)
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatch):

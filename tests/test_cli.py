@@ -1,9 +1,36 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grascat import fixtures
+from grascat.braid import VectorTuple
 from grascat.cli import main
+from grascat.cluster import Quiver, Seed
+from grascat.errors import GrascatError
+from grascat.qpa import QuiverWithPotential
+from grascat.tableaux import DominantMonomial, Tableau
+
+T39 = '{"k":3,"n":9,"rows":[[1,2,3],[4,5,6],[7,8,9]]}'
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-12, 12) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# Objects that carry the expected field names, so that validation past the
+# top level is reached as well.
+TABLEAU_LIKE = st.fixed_dictionaries({"k": JSON_VALUES, "n": JSON_VALUES, "rows": JSON_VALUES})
+QUIVER_LIKE = st.fixed_dictionaries(
+    {"m": st.integers(-1, 4), "n_mut": st.integers(-1, 4), "arrows": JSON_VALUES}
+)
+SEED_LIKE = st.fixed_dictionaries(
+    {"quiver": QUIVER_LIKE | JSON_VALUES, "labels": st.lists(TABLEAU_LIKE | JSON_VALUES, max_size=3)}
+)
 
 
 def run(capsys, *argv):
@@ -131,6 +158,53 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert set(payload) == {"error", "message"}
         assert payload["error"] == "NotSemistandard"
+
+    @pytest.mark.parametrize("argv", [
+        ("tableau", "reduce", "--in", "[1]"),
+        ("gvec", "--tableau", T39, "--seed", '{"quiver":1}'),
+    ])
+    def test_wrong_json_kind_is_structured(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "MalformedInput"
+
+    @pytest.mark.parametrize("cls, data", [
+        (Tableau, [1]),
+        (Tableau, {"k": "3", "n": 6, "rows": [[1], [2], [3]]}),
+        (Quiver, {"m": 2, "n_mut": 1, "arrows": [[0]]}),
+        (Quiver, {"m": 2, "n_mut": 3, "arrows": []}),
+        (Seed, {"quiver": {"m": 0, "n_mut": 0, "arrows": []}, "labels": []}),
+        (DominantMonomial, {"k": 3, "ell": 2, "factors": [[1, -2]]}),
+        (QuiverWithPotential, {"vertices": ["a"], "arrows": [], "potential": [{"sign": 1}]}),
+        (QuiverWithPotential, {"vertices": ["a"], "arrows": [], "potential": [
+            {"sign": 1, "cycle": ["x"]}]}),
+        (VectorTuple, {"k": 1, "n": 1, "vectors": [["1/0"]]}),
+        (VectorTuple, {"k": 1, "n": 1, "vectors": [[1.5]]}),
+    ])
+    def test_from_json_rejects_malformed(self, cls, data):
+        with pytest.raises(GrascatError):
+            cls.from_json(data)
+
+    @given(JSON_VALUES | TABLEAU_LIKE)
+    def test_fuzz_tableau_input(self, data):
+        self._assert_structured(("tableau", "reduce", "--in", json.dumps(data)))
+
+    @given(JSON_VALUES | SEED_LIKE)
+    def test_fuzz_seed_input(self, data):
+        self._assert_structured(("gvec", "--tableau", T39, "--seed", json.dumps(data)))
+
+    @staticmethod
+    def _assert_structured(argv):
+        # capsys is not reset between hypothesis examples, so capture here
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 1)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert set(json.loads(err.getvalue())) == {"error", "message"}
 
     def test_missing_file_is_structured(self, capsys):
         code, _, err = run(capsys, "tableau", "reduce", "--in", "/no/such/file.json")

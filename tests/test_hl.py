@@ -2,12 +2,15 @@ from itertools import combinations
 
 import pytest
 
+from grascat import hl
 from grascat.cmcat import KSubset, tau_two_interval
+from grascat.einv import generic_e_pair_parts
 from grascat.errors import BadParameters, OutOfRange
 from grascat.hl import (
     XI,
     XI_PRIME,
     apply_mutation_sequence,
+    gamma_qp,
     gamma_quiver,
     gamma_vertices,
     hl_mutation_sequence,
@@ -19,6 +22,7 @@ from grascat.hl import (
     quivers_isomorphic,
     tau_kernel_subset,
 )
+from grascat.qpa import build_algebra
 
 KR_GRID_53 = {
     (1, -2): (1, 2, 3, 4, 6), (2, -1): (1, 2, 3, 5, 6),
@@ -233,3 +237,35 @@ class TestCompatibility:
                 via_grass.report,
                 via_gamma.report,
             )
+
+    def test_gamma_algebra_built_once_per_k_s(self, monkeypatch):
+        # two label pairs over the same truncation Gamma(4, -8)
+        pairs = [(1, -4, 1, 1, -1, 2), (1, -2, 1, 1, -4, 1)]
+        fresh = build_algebra(gamma_qp(4, -8))
+        want = []
+        for v1, m1, i1, v2, m2, i2 in pairs:
+            parts1 = ((f"{i1},{m1 - 2 * v1}",), (f"{i1},{m1}",))
+            parts2 = ((f"{i2},{m2 - 2 * v2}",), (f"{i2},{m2}",))
+            want.append(generic_e_pair_parts(fresh, parts1, parts2, 4, "fp", 2))
+
+        builds = []
+
+        def counting_build(qp):
+            builds.append(qp)
+            return build_algebra(qp)
+
+        hl._gamma_algebra_at.cache_clear()
+        monkeypatch.setattr(hl, "build_algebra", counting_build)
+        got = [
+            kr_compatible_gamma(*pair, 4, 3, samples=4, field="fp", master_seed=2).report
+            for pair in pairs
+        ]
+        assert len(builds) == 1
+        for g, w in zip(got, want):
+            assert (g.value, g.samples, g.certified, g.field) == (
+                w.value, w.samples, w.certified, w.field
+            )
+            assert (g.witness.neg, g.witness.pos, g.witness.blocks) == (
+                w.witness.neg, w.witness.pos, w.witness.blocks
+            )
+        hl._gamma_algebra_at.cache_clear()

@@ -1,11 +1,98 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grascat import modp
 from grascat.errors import NoIntegerSolution, NonUniqueSolution
 from grascat.linalg import ExactSolver, det, rank_int, rref
+
+
+# --- oracles: the rational Gaussian elimination the kernels replaced ---------
+
+
+def fraction_det(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] / pivot
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return sign * result
+
+
+def fraction_rref(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = Fraction(1) / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots
+
+
+def fraction_solver(columns):
+    """(denom, transform) as ExactSolver computed them with the oracle rref."""
+    ncols, nrows = len(columns), len(columns[0])
+    aug = [
+        [Fraction(columns[j][i]) for j in range(ncols)]
+        + [Fraction(1 if t == i else 0) for t in range(nrows)]
+        for i in range(nrows)
+    ]
+    red, _ = fraction_rref(aug)
+    e_rows = [r[ncols:] for r in red]
+    denom = lcm(*(x.denominator for r in e_rows for x in r))
+    return denom, [[int(x * denom) for x in r] for r in e_rows]
+
+
+ENTRIES = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def rational_matrices(draw, nrows, ncols):
+    """int/Fraction matrices, some rows replaced by zero rows or multiples of others."""
+    ncols = draw(ncols)
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(draw(nrows))]
+    for i in range(len(rows)):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "copy" and i:
+            scale = draw(ENTRIES)
+            rows[i] = [scale * x for x in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+def square_matrices():
+    return st.integers(0, 6).flatmap(lambda n: rational_matrices(st.just(n), st.just(n)))
 
 
 def known_rank_matrix(rng, rows, cols, rank, bound=4):
@@ -54,6 +141,34 @@ class TestDetRref:
         red, pivots = rref(m)
         assert pivots == [0, 2]
         assert red[0][:2] == [Fraction(1), Fraction(2)]
+
+
+class TestAgainstFractionOracle:
+    @given(square_matrices())
+    def test_det(self, m):
+        got = det(m)
+        assert type(got) is Fraction
+        assert got == fraction_det(m)
+
+    @given(rational_matrices(st.integers(0, 6), st.integers(1, 7)))
+    def test_rref(self, m):
+        red, pivots = rref(m)
+        want_red, want_pivots = fraction_rref(m)
+        assert pivots == want_pivots
+        assert red == want_red
+        assert all(type(x) is Fraction for row in red for x in row)
+
+    @given(rational_matrices(st.integers(0, 6), st.integers(1, 7)))
+    def test_rank_int_of_cleared_rows(self, m):
+        cleared = [[x * lcm(*(Fraction(y).denominator for y in r)) for x in r] for r in m]
+        assert rank_int(cleared) == len(fraction_rref(m)[1])
+
+    @pytest.mark.parametrize("key", ["seed39", "seed48"])
+    def test_initial_seed_solvers(self, request, key):
+        seed = request.getfixturevalue(key)
+        columns = [t.content().ravel().tolist() for t in seed.labels]
+        solver = ExactSolver(columns)
+        assert (solver.denom, solver.transform) == fraction_solver(columns)
 
 
 class TestExactSolver:
