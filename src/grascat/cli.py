@@ -17,7 +17,7 @@ from . import braid as braid_mod
 from . import cluster, einv, fixtures, gvec, hl
 from . import tableaux as tb
 from .cmcat import KSubset, Profile, cyclic_shift_profile, profile_balance_check
-from .errors import GrascatError
+from .errors import GrascatError, is_int, json_fields, list_of
 
 SEED_NAMES = {"gr3_9": (3, 9), "gr4_8": (4, 8), "gr3_6": (3, 6), "gr2_4": (2, 4)}
 
@@ -187,7 +187,9 @@ def _cmd_einv(args) -> None:
 
     def to_gvector(path: str) -> gvec.GVector:
         data = _load_json_arg(path)
-        coords = data["coords"] if isinstance(data, dict) else data
+        if isinstance(data, list):
+            data = {"coords": data}
+        (coords,) = json_fields(data, "g-vector", coords=list_of(is_int))
         return gvec.GVector(seed, tuple(coords))
 
     g = to_gvector(args.g)
@@ -268,13 +270,15 @@ def _cmd_braid(args) -> None:
 
 
 def _cmd_profile(args) -> None:
-    data = _load_json_arg(args.profile)
-    n = int(data["n"])
-    prof = Profile(tuple(KSubset(n, tuple(f)) for f in data["factors"]))
+    k, n, factors = json_fields(
+        _load_json_arg(args.profile), "profile",
+        k=is_int, n=is_int, factors=list_of(list_of(is_int)),
+    )
+    prof = Profile(tuple(KSubset(n, tuple(f)) for f in factors))
     if args.op == "shift":
         shifted = cyclic_shift_profile(prof, args.a)
         _emit(
-            {"k": data["k"], "n": n, "factors": [list(f.elems) for f in shifted.factors]},
+            {"k": k, "n": n, "factors": [list(f.elems) for f in shifted.factors]},
             args.format,
         )
         return

@@ -9,14 +9,24 @@ and ``det`` then share one Bareiss elimination (Bareiss 1968, Math. Comp.
 22), whose exact divisions keep every entry a minor of the input, and
 ``rref`` runs Gauss-Jordan on primitive integer rows.  ``Fraction`` appears
 only at the boundary: in the inputs, and in what ``det`` and ``rref`` return.
+
+``rank_int`` dispatches on size.  A matrix with a side below 40, or with
+max|entry| * min(shape) >= 2^31, goes to Bareiss.  A larger one gets a
+certified modular rank: the rank r mod p = 2^31 - 1 from the one F_p
+elimination in ``modp`` is a lower bound, and exact relations among the
+rows, lifted p-adically from F_p and checked over Z, prove the upper bound.
+If the check fails (p is a bad prime for the matrix), Bareiss decides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
+import numpy as np
+
+from . import modp
 from .errors import NoIntegerSolution, NonUniqueSolution
 
 __all__ = [
@@ -79,9 +89,118 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
     return rank, sign, prev
 
 
+# Below this side length Bareiss is faster: 3.7 ms against 5.9 ms at 36x36,
+# but 15.4 against 8.3 ms at 48x80 and 211 against 35 ms at 112x168.
+_MODULAR_MIN = 40
+# max|entry| * min(shape) below this keeps every lifting product in int64.
+_LIFT_LIMIT = 2**31
+
+
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via fraction-free Bareiss elimination."""
-    return _bareiss([list(map(int, r)) for r in rows])[0]
+    """Rank over Q of an integer matrix.
+
+    A matrix with both sides at least 40 and max|entry| * min(shape) < 2^31
+    gets the certified modular rank of `_certified_rank`, on the orientation
+    with fewer rows, so that few relations need lifting.  Any other matrix,
+    and any whose certificate fails (a bad prime), gets Bareiss elimination.
+    """
+    m = [list(map(int, r)) for r in rows]
+    short = min(len(m), len(m[0]) if m else 0)
+    if short >= _MODULAR_MIN and max(max(max(r), -min(r)) for r in m) * short < _LIFT_LIMIT:
+        rank = _certified_rank(m if len(m) == short else [list(c) for c in zip(*m)])
+        if rank is not None:
+            return rank
+    return _bareiss(m)[0]
+
+
+def _certified_rank(b: list[list[int]]) -> int | None:
+    """Rank over Q of ``b`` (no more rows than columns), or None for a bad prime.
+
+    One elimination mod p gives the rank r, pivot rows R and pivot columns C.
+    The minor b[R, C] is nonzero mod p, so it is nonzero over Z: rank >= r.
+    For each other row i, Dixon lifting (Dixon 1982, Numer. Math. 40) solves
+    y b[R, C] = b[i, C] p-adically and rational reconstruction turns y into
+    integers d, d*y; the exact check d*b[i] = (d*y) b[R] over every column
+    puts row i in the span of rows R.  These len(b) - r relations are
+    independent, so rank <= r.  Lifting stops at the Hadamard bound: past it
+    a failing check means rank > r.
+    """
+    p = modp.PRIME
+    full = np.array(b, dtype=np.int64)
+    _, cols, order = modp.echelon_mod_p(full)
+    r = len(cols)
+    if r == len(b):
+        return r
+    piv, rest = order[:r], order[r:]
+    a = full[np.ix_(piv, cols)]
+    residual = full[np.ix_(rest, cols)]
+    inv = modp.inverse_mod_p(a)
+    inv_hi, inv_lo = inv >> 16, inv & 0xFFFF
+    # By Cramer each y_j is a ratio of two determinants of rows of a and
+    # b[i, C], and by Hadamard each is at most H = the product of those row
+    # norms; reconstruction is sure once the modulus exceeds 2 H^2.  Entries
+    # are below 2^31 / min(shape), so these sums of squares fit int64.
+    norms = (a * a).sum(axis=1).tolist() + [int((residual * residual).sum(axis=1).max())]
+    limit = 2 * prod(max(1, x) for x in norms)
+    lifted = [[0] * r for _ in rest]  # y mod `modulus`, one row per relation
+    pending = list(range(len(rest)))
+    modulus = 1
+    while pending:
+        # x = residual a^-1 mod p, with a^-1 split in 16-bit halves so that
+        # no int64 sum of products overflows; then residual <- (residual - x a) / p.
+        low = residual % p
+        x = ((low @ inv_hi) % p * 65536 + low @ inv_lo) % p
+        residual = (residual - x @ a) // p
+        for i, row in enumerate(x.tolist()):
+            lifted[i] = [u + v * modulus for u, v in zip(lifted[i], row)]
+        modulus *= p
+        pending = [i for i in pending if not _exact_relation(b, piv, rest[i], lifted[i], modulus)]
+        if pending and modulus > limit:
+            return None
+    return r
+
+
+def _exact_relation(b, piv, i, y, modulus) -> bool:
+    """Whether ``y`` mod ``modulus`` reconstructs to rationals with y b[piv] = b[i].
+
+    The coordinates are reconstructed under one running common denominator
+    d, then d*b[i] - sum (d*y_j) b[piv_j] must vanish in every column.
+    """
+    half = modulus // 2
+    bound = isqrt(half)
+    d = 1
+    for u in y:
+        v = d * u % modulus
+        if min(v, modulus - v) <= bound:
+            continue
+        q = _denominator(v, modulus, bound)
+        if q is None:
+            return False
+        d *= q
+        if d > bound:
+            return False
+    acc = [d * x for x in b[i]]
+    for j, u in zip(piv, y):
+        c = d * u % modulus
+        if c > half:
+            c -= modulus
+        if c:
+            acc = [s - c * x for s, x in zip(acc, b[j])]
+    return not any(acc)
+
+
+def _denominator(v: int, modulus: int, bound: int) -> int | None:
+    """The q <= bound of a fraction n/q = v mod ``modulus`` with |n| <= bound.
+
+    Rational reconstruction by the extended Euclidean algorithm; None when
+    no such fraction exists.
+    """
+    r0, r1, t0, t1 = modulus, v, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    t1 = abs(t1)
+    return t1 if 0 < t1 <= bound else None
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

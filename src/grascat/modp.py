@@ -1,10 +1,12 @@
-"""Matrix rank over the prime field F_p, p = 2^31 - 1.
+"""Elimination over the prime field F_p, p = 2^31 - 1.
 
 One kernel: row-vectorised Gaussian elimination in numpy int64.  Every
 entry is reduced into [0, p) first, so products stay below p^2 < 2^63.
-The F_p E-invariant sampler takes one rank per sampled map; the traced
-`einv` benchmark (perfbench/README.md) puts it at about a quarter of
-`e_pair` self time, which is mostly homotopy assembly.
+It serves both fields of the E-invariants.  Over F_p, `rank_mod_p` is the
+number of pivots it finds.  Over Q, `linalg.rank_int` runs it once on a
+large integer matrix for the rank mod p, its pivot rows and columns, and
+(with ``jordan``) the inverse of the pivot block, which the lifted kernel
+certificate needs.
 """
 
 from __future__ import annotations
@@ -14,14 +16,22 @@ import numpy as np
 PRIME = 2**31 - 1
 
 
-def rank_mod_p(a: np.ndarray, p: int = PRIME) -> int:
-    """Rank of an integer matrix over F_p."""
-    if a.size == 0:
-        return 0
+def echelon_mod_p(
+    a: np.ndarray, p: int = PRIME, jordan: bool = False
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Row echelon form of an integer matrix over F_p, pivots scaled to 1.
+
+    Returns (reduced matrix, pivot columns, original row of each result row).
+    The first len(pivot columns) rows are the pivot rows; the minor of the
+    input on those rows and columns is nonzero mod p.  With ``jordan`` the
+    entries above each pivot are cleared too (reduced row echelon form).
+    """
     m = np.mod(np.ascontiguousarray(a, dtype=np.int64), p)
     nrows, ncols = m.shape
-    rank = 0
+    order = list(range(nrows))
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         nz = np.nonzero(m[rank:, col])[0]
@@ -30,13 +40,31 @@ def rank_mod_p(a: np.ndarray, p: int = PRIME) -> int:
         piv = rank + nz[0]
         if piv != rank:
             m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
+            order[rank], order[piv] = order[piv], order[rank]
+        inv = pow(int(m[rank, col]), -1, p)
         m[rank, col:] = (m[rank, col:] * inv) % p
-        rows = np.nonzero(m[rank + 1 :, col])[0] + rank + 1
+        start = 0 if jordan else rank + 1
+        rows = np.nonzero(m[start:, col])[0] + start
+        if jordan:
+            rows = rows[rows != rank]
         if rows.size:
             m[rows, col:] = (m[rows, col:] - np.outer(m[rows, col], m[rank, col:])) % p
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots, order
+
+
+def rank_mod_p(a: np.ndarray, p: int = PRIME) -> int:
+    """Rank of an integer matrix over F_p."""
+    if a.size == 0:
+        return 0
+    return len(echelon_mod_p(a, p)[1])
+
+
+def inverse_mod_p(a: np.ndarray, p: int = PRIME) -> np.ndarray:
+    """Inverse over F_p of a square integer matrix that is invertible mod p."""
+    n = len(a)
+    reduced = echelon_mod_p(np.hstack([a, np.eye(n, dtype=np.int64)]), p, jordan=True)[0]
+    return reduced[:, n:]
 
 
 def backend() -> str:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cmcat import KSubset
 from .errors import (
+    BadParameters,
     DimensionMismatch,
     NoDecomposition,
     NoIntegerSolution,
@@ -58,6 +59,8 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not 1 <= self.k <= self.n:
+            raise BadParameters(f"a tableau needs 1 <= k <= n, got k={self.k}, n={self.n}")
         if len(self.rows) != self.k:
             raise NotSemistandard(f"expected {self.k} rows, got {len(self.rows)}")
         object.__setattr__(self, "rows", tuple(tuple(sorted(r)) for r in self.rows))

@@ -31,6 +31,12 @@ QUIVER_LIKE = st.fixed_dictionaries(
 SEED_LIKE = st.fixed_dictionaries(
     {"quiver": QUIVER_LIKE | JSON_VALUES, "labels": st.lists(TABLEAU_LIKE | JSON_VALUES, max_size=3)}
 )
+GVECTOR_LIKE = st.fixed_dictionaries({"coords": JSON_VALUES})
+PROFILE_LIKE = st.fixed_dictionaries({
+    "k": st.integers(-1, 4) | JSON_VALUES,
+    "n": st.integers(-1, 7) | JSON_VALUES,
+    "factors": st.lists(st.lists(st.integers(-1, 8), max_size=4), max_size=3) | JSON_VALUES,
+})
 
 
 def run(capsys, *argv):
@@ -162,6 +168,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ("tableau", "reduce", "--in", "[1]"),
         ("gvec", "--tableau", T39, "--seed", '{"quiver":1}'),
+        ("einv", "--g", "[[1]]", "--algebra", "qp_gr39"),
+        ("profile", "shift", "--profile", "[1]"),
     ])
     def test_wrong_json_kind_is_structured(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -169,6 +177,14 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert set(payload) == {"error", "message"}
         assert payload["error"] == "MalformedInput"
+
+    @pytest.mark.parametrize("shape", ['"k":0,"n":0,"rows":[]', '"k":3,"n":2,"rows":[[],[],[]]'])
+    def test_tableau_shape_out_of_range_is_structured(self, capsys, shape):
+        code, out, err = run(capsys, "tableau", "reduce", "--in", "{" + shape + "}")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "BadParameters"
+        assert "k=" in payload["message"] and "n=" in payload["message"]
 
     @pytest.mark.parametrize("cls, data", [
         (Tableau, [1]),
@@ -194,6 +210,14 @@ class TestErrorPaths:
     @given(JSON_VALUES | SEED_LIKE)
     def test_fuzz_seed_input(self, data):
         self._assert_structured(("gvec", "--tableau", T39, "--seed", json.dumps(data)))
+
+    @given(JSON_VALUES | GVECTOR_LIKE)
+    def test_fuzz_einv_g_input(self, data):
+        self._assert_structured(("einv", f"--g={json.dumps(data)}", "--algebra", "qp_gr39"))
+
+    @given(JSON_VALUES | PROFILE_LIKE)
+    def test_fuzz_profile_input(self, data):
+        self._assert_structured(("profile", "shift", f"--profile={json.dumps(data)}"))
 
     @staticmethod
     def _assert_structured(argv):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grascat import modp
 from grascat.errors import NoIntegerSolution, NonUniqueSolution
-from grascat.linalg import ExactSolver, det, rank_int, rref
+from grascat.linalg import ExactSolver, _bareiss, _certified_rank, det, rank_int, rref
 
 
 # --- oracles: the rational Gaussian elimination the kernels replaced ---------
@@ -122,6 +122,61 @@ class TestRank:
             r = int(rng.integers(0, 6))
             m = known_rank_matrix(rng, 9, 7, r)
             assert modp.rank_mod_p(m) == rank_int(m.tolist())
+
+
+def bareiss_rank(m):
+    return _bareiss([list(map(int, r)) for r in m])[0]
+
+
+class TestModularRank:
+    """The certified modular path of rank_int, with Bareiss as the reference."""
+
+    @pytest.mark.parametrize("rows, cols", [(40, 40), (40, 57), (64, 96), (80, 120)])
+    def test_known_rank_products(self, rows, cols):
+        rng = np.random.default_rng([203, rows, cols])
+        for deficiency in range(5):
+            m = known_rank_matrix(rng, rows, cols, rows - deficiency, bound=1)
+            want = bareiss_rank(m.tolist())
+            assert want == rows - deficiency
+            assert _certified_rank(m.tolist()) == want
+            assert rank_int(m.tolist()) == rank_int(m.T.tolist()) == want
+
+    def test_entries_at_the_int64_guard(self):
+        # max|entry| * min(shape) just below 2^31, the largest the lifting takes.
+        rng = np.random.default_rng(206)
+        half = (2**31 // 40 - 1) // 2
+        m = rng.integers(-half, half + 1, size=(40, 60))
+        m[37:] = m[:3] - m[3:6]
+        assert np.abs(m).max() * 40 < 2**31
+        assert _certified_rank(m.tolist()) == bareiss_rank(m.tolist()) == 37
+        assert rank_int(m.tolist()) == rank_int(m.T.tolist()) == 37
+
+    def test_bad_prime_falls_back(self):
+        # The top-left block has determinant 2^31 - 1 = p, so the matrix has
+        # rank 44 mod p but 45 over Q; only the certificate can tell.
+        m = np.eye(45, dtype=np.int64)
+        m[:2, :2] = [[46341, 14], [331, 46341]]
+        assert 46341 * 46341 - 14 * 331 == modp.PRIME
+        assert modp.rank_mod_p(m) == 44
+        assert _certified_rank(m.tolist()) is None
+        assert rank_int(m.tolist()) == 45
+
+    def test_huge_entry_takes_bareiss(self):
+        m = np.eye(45, dtype=object)
+        m[0, 1] = 2**63
+        m[1] = 3 * m[0]
+        assert rank_int(m.tolist()) == 44
+
+    @pytest.mark.parametrize("rows, cols", [(3, 4), (40, 55), (55, 40)])
+    def test_zero_matrices(self, rows, cols):
+        assert rank_int([[0] * cols for _ in range(rows)]) == 0
+
+    def test_inverse_mod_p(self):
+        rng = np.random.default_rng(207)
+        a = rng.integers(-10, 11, size=(30, 30))
+        assert modp.rank_mod_p(a) == 30
+        inv = modp.inverse_mod_p(a).astype(object)
+        assert ((inv @ a.astype(object)) % modp.PRIME == np.eye(30, dtype=object)).all()
 
 
 class TestDetRref:
