@@ -60,10 +60,14 @@ def rank_mod_p(a: np.ndarray, p: int = PRIME) -> int:
     return len(echelon_mod_p(a, p)[1])
 
 
-def inverse_mod_p(a: np.ndarray, p: int = PRIME) -> np.ndarray:
-    """Inverse over F_p of a square integer matrix that is invertible mod p."""
+def inverse_mod_p(a: np.ndarray) -> np.ndarray:
+    """Inverse over F_p, p = PRIME, of a square integer matrix invertible mod p.
+
+    The prime is fixed: the lifting in `linalg` splits these entries into
+    16-bit halves and guards its int64 sums assuming p < 2^31.
+    """
     n = len(a)
-    reduced = echelon_mod_p(np.hstack([a, np.eye(n, dtype=np.int64)]), p, jordan=True)[0]
+    reduced = echelon_mod_p(np.hstack([a, np.eye(n, dtype=np.int64)]), PRIME, jordan=True)[0]
     return reduced[:, n:]
 
 
