@@ -238,9 +238,20 @@ def braid_property_check(t: VectorTuple) -> BraidCheckReport:
     return BraidCheckReport(d, generic_ok, periodicity, commutation, braid_tuple, braid_pluck)
 
 
+# Draws before random_tuple gives up, so that a request no draw can meet
+# ends in an error instead of an endless loop.
+RANDOM_TUPLE_ATTEMPTS = 1000
+
+
 def random_tuple(k: int, n: int, rng: np.random.Generator, bound: int = 9) -> VectorTuple:
-    """Random integer tuple, re-sampled until consecutively generic."""
-    while True:
+    """Random integer tuple, re-sampled until consecutively generic.
+
+    Needs 1 <= k <= n: with k > n every window repeats a vector.  Raises
+    NotGeneric if RANDOM_TUPLE_ATTEMPTS draws all have a vanishing window.
+    """
+    if not 1 <= k <= n:
+        raise BadParameters(f"random tuples need 1 <= k <= n, got k={k}, n={n}")
+    for _ in range(RANDOM_TUPLE_ATTEMPTS):
         vecs = tuple(
             tuple(Fraction(int(x)) for x in rng.integers(-bound, bound + 1, size=k))
             for _ in range(n)
@@ -248,3 +259,7 @@ def random_tuple(k: int, n: int, rng: np.random.Generator, bound: int = 9) -> Ve
         t = VectorTuple(k, n, vecs)
         if is_consecutively_generic(t):
             return t
+    raise NotGeneric(
+        f"no consecutively generic ({k},{n}) tuple with entries in [-{bound}, {bound}] "
+        f"in {RANDOM_TUPLE_ATTEMPTS} draws"
+    )

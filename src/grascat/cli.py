@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 import numpy as np
@@ -17,9 +19,7 @@ from . import braid as braid_mod
 from . import cluster, einv, fixtures, gvec, hl
 from . import tableaux as tb
 from .cmcat import KSubset, Profile, cyclic_shift_profile, profile_balance_check
-from .errors import GrascatError, is_int, json_fields, list_of
-
-SEED_NAMES = {"gr3_9": (3, 9), "gr4_8": (4, 8), "gr3_6": (3, 6), "gr2_4": (2, 4)}
+from .errors import BadParameters, DimensionMismatch, GrascatError, is_int, json_fields, list_of
 
 
 def _load_json_arg(value: str) -> dict:
@@ -30,12 +30,16 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _resolve_seed(name: str) -> cluster.Seed:
-    if name in SEED_NAMES:
-        return cluster.grassmannian_initial_seed(*SEED_NAMES[name])
-    if name.startswith("gr") and "_" in name:
-        k, n = name[2:].split("_", 1)
-        return cluster.grassmannian_initial_seed(int(k), int(n))
-    return cluster.Seed.from_json(_load_json_arg(name))
+    """The initial seed of Gr(K, N) named grK_N, a seed JSON literal, or its file."""
+    match = re.fullmatch(r"gr(\d+)_(\d+)", name)
+    if match:
+        return cluster.grassmannian_initial_seed(int(match[1]), int(match[2]))
+    if name.strip()[:1] in "{[" or os.path.isfile(name):
+        return cluster.Seed.from_json(_load_json_arg(name))
+    raise BadParameters(
+        f"--seed {name!r} is not a seed: give grK_N with 2 <= K <= N-2 (such as gr3_9), "
+        "a seed JSON object, or the path of a seed JSON file"
+    )
 
 
 def _resolve_algebra(name: str):
@@ -245,6 +249,8 @@ def _cmd_hl(args) -> None:
 
 
 def _cmd_braid(args) -> None:
+    if args.trials < 0:
+        raise BadParameters(f"--trials must be >= 0, got {args.trials}")
     master = args.master_seed if args.master_seed is not None else einv.master_seed_from_env()
     aggregate = {
         "trials": args.trials,
@@ -274,6 +280,10 @@ def _cmd_profile(args) -> None:
         _load_json_arg(args.profile), "profile",
         k=is_int, n=is_int, factors=list_of(list_of(is_int)),
     )
+    if not 1 <= k <= n:
+        raise BadParameters(f"a profile needs 1 <= k <= n, got k={k}, n={n}")
+    if any(len(f) != k for f in factors):
+        raise DimensionMismatch(f"every profile factor needs k={k} entries")
     prof = Profile(tuple(KSubset(n, tuple(f)) for f in factors))
     if args.op == "shift":
         shifted = cyclic_shift_profile(prof, args.a)
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("seed", help="seed construction, mutation, exploration")
     p.add_argument("op", choices=["init", "mutate", "explore"])
-    p.add_argument("--seed", default="gr3_9", help="builtin name (gr3_9) or seed JSON file")
+    p.add_argument("--seed", default="gr3_9", help="grK_N (such as gr3_9), seed JSON, or its file")
     p.add_argument("--at", type=int, nargs="+", default=[], help="mutation vertices, in order")
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--max-seeds", type=int, default=10000)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +52,18 @@ class Quiver:
     def __post_init__(self):
         if not 0 <= self.n_mut <= self.m:
             raise BadParameters(f"need 0 <= n_mut <= m, got n_mut={self.n_mut}, m={self.m}")
-        object.__setattr__(self, "arrows", tuple(sorted(tuple(a) for a in self.arrows)))
+        object.__setattr__(self, "arrows", tuple(sorted(map(tuple, self.arrows))))
         for s, t in self.arrows:
             if s == t:
                 raise BadParameters(f"loop at vertex {s}")
             if not (0 <= s < self.m and 0 <= t < self.m):
                 raise BadParameters(f"arrow ({s},{t}) outside vertex range")
+
+    @cached_property
+    def _has_two_cycle(self) -> bool:
+        # Built once per quiver and only when it is mutated: a mutation of a
+        # quiver without 2-cycles has none either.
+        return bool(_two_cycles(self.arrows))
 
     def is_mutable(self, v: int) -> bool:
         return 0 <= v < self.n_mut
@@ -108,38 +116,53 @@ class Quiver:
         )
 
 
+def _two_cycles(arrows) -> list[tuple[int, int]]:
+    """Pairs s < t with arrows both ways."""
+    if not arrows:
+        return []
+    sources, targets = zip(*arrows)
+    return [(s, t) for s, t in set(arrows) & set(zip(targets, sources)) if s < t]
+
+
+def _add_arrow(arrows: list[tuple[int, int]], s: int, t: int) -> None:
+    """Add s->t to a sorted arrow list, cancelling one opposite arrow t->s."""
+    k = bisect_left(arrows, (t, s))
+    if s != t and k < len(arrows) and arrows[k] == (t, s):
+        del arrows[k]
+    else:
+        insort(arrows, (s, t))
+
+
 def mutate_quiver(q: Quiver, r: int) -> Quiver:
     """Fomin-Zelevinsky quiver mutation at a mutable vertex r.
 
-    (i) add i->j for every path i->r->j (unless both ends frozen),
-    (ii) reverse every arrow at r, (iii) cancel 2-cycles.
+    Edits a copy of the sorted arrow list of q instead of rebuilding it:
+    the arrows at r are taken out, (i) every path i->r->j adds i->j (unless
+    both ends are frozen) or cancels one opposite arrow j->i, (ii) every
+    arrow at r comes back reversed, (iii) every 2-cycle left cancels.  Only
+    a q that has a 2-cycle already, which a hand-built quiver can, leaves
+    any for step (iii).  Parallel arrows repeat, and arrows between frozen
+    vertices pass through unchanged.
     """
     if not q.is_mutable(r):
         raise FrozenVertex(f"vertex {r} is frozen")
-    counts: Counter[tuple[int, int]] = Counter()
-    into, outof = [], []
-    for s, t in q.arrows:
-        if t == r:
-            into.append(s)
-        elif s == r:
-            outof.append(t)
-        else:
-            counts[(s, t)] += 1
+    into = [s for s, t in q.arrows if t == r]
+    outof = [t for s, t in q.arrows if s == r]
+    arrows = [a for a in q.arrows if r not in a]
     for i in into:
         for j in outof:
             if i < q.n_mut or j < q.n_mut:
-                counts[(i, j)] += 1
+                _add_arrow(arrows, i, j)
     for i in into:
-        counts[(r, i)] += 1
+        insort(arrows, (r, i))
     for j in outof:
-        counts[(j, r)] += 1
-    for s, t in list(counts):
-        if (t, s) in counts and s < t:
-            c = min(counts[(s, t)], counts[(t, s)])
-            counts[(s, t)] -= c
-            counts[(t, s)] -= c
-    arrows = tuple(a for a, c in counts.items() for _ in range(c))
-    return Quiver(q.m, q.n_mut, arrows, q.coords)
+        insort(arrows, (j, r))
+    if q._has_two_cycle:
+        for s, t in _two_cycles(arrows):
+            for _ in range(min(arrows.count((s, t)), arrows.count((t, s)))):
+                arrows.remove((s, t))
+                arrows.remove((t, s))
+    return Quiver(q.m, q.n_mut, tuple(arrows), q.coords)
 
 
 @dataclass(frozen=True)
@@ -276,10 +299,14 @@ class ExploreResult:
 def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     """Breadth-first mutation closure with deduplication by cluster.
 
-    Returns every distinct reduced mutable label encountered together with
-    its g-vector over the starting seed.  If either budget is exhausted the
-    result is flagged incomplete instead of raising, so partial sweeps stay
-    usable.
+    Returns every distinct reduced mutable label encountered, in the order
+    first met, together with its g-vector over the starting seed.  If either
+    budget is exhausted the result is flagged incomplete instead of raising,
+    so partial sweeps stay usable.
+
+    Each queued seed carries the tuple of its reduced mutable labels.  A
+    mutation at r changes label r only, so a neighbour costs one ``reduce``;
+    its cluster key is the ``Seed.cluster_key`` multiset of that tuple.
     """
     from .gvec import g_vector  # local import: gvec depends on cluster types
 
@@ -287,21 +314,22 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
         raise BadParameters("budgets must be positive")
     result = ExploreResult()
 
-    def record(s: Seed) -> None:
-        for t in s.mutable_labels():
-            red = tb.reduce(t)
+    def record(reduced: tuple[Tableau, ...]) -> None:
+        for red in reduced:
             if red not in result.variables:
                 result.variables[red] = g_vector(red, seed).coords
 
+    start = tuple(tb.reduce(t) for t in seed.mutable_labels())
     seen = {seed.cluster_key()}
-    queue = deque([(seed, 0)])
-    record(seed)
+    queue = deque([(seed, start, 0)])
+    record(start)
     result.seeds_seen = 1
     while queue:
-        current, depth = queue.popleft()
+        current, reduced, depth = queue.popleft()
         for r in range(current.n_mut):
             neighbour = mutate_seed(current, r)
-            key = neighbour.cluster_key()
+            labels = reduced[:r] + (tb.reduce(neighbour.labels[r]),) + reduced[r + 1 :]
+            key = frozenset(Counter(labels).items())
             if key in seen:
                 continue
             if depth == max_depth:
@@ -312,6 +340,6 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
                 return result
             seen.add(key)
             result.seeds_seen += 1
-            record(neighbour)
-            queue.append((neighbour, depth + 1))
+            record(labels)
+            queue.append((neighbour, labels, depth + 1))
     return result

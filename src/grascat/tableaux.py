@@ -10,6 +10,7 @@ monomials and equivalence classes of tableaux.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,8 +64,16 @@ class Tableau:
             raise BadParameters(f"a tableau needs 1 <= k <= n, got k={self.k}, n={self.n}")
         if len(self.rows) != self.k:
             raise NotSemistandard(f"expected {self.k} rows, got {len(self.rows)}")
-        object.__setattr__(self, "rows", tuple(tuple(sorted(r)) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, map(sorted, self.rows))))
         self.validate()
+
+    def __hash__(self) -> int:
+        # Cached: exploration hashes every label of every cluster it meets.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.k, self.n, self.rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def validate(self) -> None:
         width = len(self.rows[0]) if self.rows else 0
@@ -168,10 +177,13 @@ def union_all(tableaux, k: int | None = None, n: int | None = None) -> Tableau:
         if k is None or n is None:
             raise DimensionMismatch("union of empty family needs explicit (k, n)")
         return Tableau.empty(k, n)
-    out = items[0]
+    first = items[0]
+    if len(items) == 1:
+        return first
     for t in items[1:]:
-        out = union(out, t)
-    return out
+        _check_shapes(first, t)
+    rows = tuple(sum(row, ()) for row in zip(*(t.rows for t in items)))
+    return Tableau(first.k, first.n, rows)
 
 
 def quotient(t: Tableau, s: Tableau) -> Tableau:
@@ -197,14 +209,28 @@ def trivial_column(a: int, k: int, n: int) -> Tableau:
 
 
 def reduce(t: Tableau) -> Tableau:
-    """Remove the maximal trivial factor; canonical ~-class representative."""
-    counts = t.content()
-    out = t
-    for a in range(1, t.n - t.k + 2):
-        mult = min(int(counts[r, a + r - 1]) for r in range(t.k))
-        for _ in range(mult):
-            out = quotient(out, trivial_column(a, t.k, t.n))
-    return out
+    """Remove the maximal trivial factor; canonical ~-class representative.
+
+    The trivial column starting at a has a + r in row r, so it can only
+    start at a value of the first row, and its multiplicity is the least
+    count of a + r in row r.  Columns with different starts use disjoint
+    (row, value) cells: all of them come off in one pass, and the rest is
+    built, and checked semistandard, once.
+    """
+    rows = None
+    for a in sorted(set(t.rows[0])):
+        if a > t.n - t.k + 1:
+            break
+        mult = min(row.count(a + r) for r, row in enumerate(t.rows))
+        if mult:
+            if rows is None:
+                rows = [list(row) for row in t.rows]
+            for r, row in enumerate(rows):
+                for _ in range(mult):
+                    row.remove(a + r)
+    if rows is None:
+        return t
+    return Tableau(t.k, t.n, tuple(map(tuple, rows)))
 
 
 def equivalent(s: Tableau, t: Tableau) -> bool:
@@ -221,41 +247,33 @@ class Dominance(enum.Enum):
     DIFFERENT_CONTENT = "DifferentContent"
 
 
-def _dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """Partition dominance: partial sums of lam weakly exceed those of mu."""
-    s_l = s_m = 0
-    for a, b in zip(lam, mu):
-        s_l += a
-        s_m += b
-        if s_l < s_m:
-            return False
-    return True
-
-
 def dominance_compare(s: Tableau, t: Tableau) -> Dominance:
-    """Compare two tableaux in the dominance order on restriction shapes."""
+    """Compare two tableaux in the dominance order on restriction shapes.
+
+    sh(T[i]) lists, per row, the number of entries <= i, and S >= T when
+    every partial row sum of sh(S[i]) weakly exceeds that of sh(T[i]), for
+    every i.  The partial sum up to row p counts the entries <= i in rows
+    0..p, so for equal contents the condition reads: the sorted entries of
+    rows 0..p of S are, one by one, at most those of T, for every p.
+    """
     _check_shapes(s, t)
-    cs, ct = s.content(), t.content()
-    if not np.array_equal(cs.sum(axis=0), ct.sum(axis=0)):
+    below = above = True  # entries of s are <= (>=) those of t
+    acc_s: list[int] = []
+    acc_t: list[int] = []
+    for row_s, row_t in zip(s.rows, t.rows):
+        acc_s += row_s
+        acc_s.sort()
+        acc_t += row_t
+        acc_t.sort()
+        below = below and all(map(operator.le, acc_s, acc_t))
+        above = above and all(map(operator.ge, acc_s, acc_t))
+    if acc_s != acc_t:
         return Dominance.DIFFERENT_CONTENT
-    # sh(T[i])_r = number of entries <= i in row r.
-    shapes_s = np.cumsum(cs, axis=1)
-    shapes_t = np.cumsum(ct, axis=1)
-    ge = le = True
-    for i in range(s.n):
-        lam = tuple(int(x) for x in shapes_s[:, i])
-        mu = tuple(int(x) for x in shapes_t[:, i])
-        if lam == mu:
-            continue
-        if not _dominates(lam, mu):
-            ge = False
-        if not _dominates(mu, lam):
-            le = False
-        if not ge and not le:
-            return Dominance.INCOMPARABLE
-    if ge and le:
+    if below and above:
         return Dominance.EQ
-    return Dominance.GT if ge else Dominance.LT
+    if below:
+        return Dominance.GT
+    return Dominance.LT if above else Dominance.INCOMPARABLE
 
 
 # --- the dictionary between dominant monomials and tableaux -----------------

@@ -166,7 +166,7 @@ def test_criterion_04_e_invariants(alg39, alg48, seed39, seed48):
 
 
 def test_criterion_05_rigidity_of_listed_variables(alg39, alg48, seed39, seed48):
-    with Budget(5, "rigidity of listed variables", 600.0):
+    with Budget(5, "rigidity of listed variables", 5.0):
         sweeps = [
             ("gr39_rank4", seed39, alg39, 34),
             ("gr48_rank3", seed48, alg48, 25),
@@ -219,7 +219,7 @@ def test_criterion_06_hl_formulas():
 
 
 def test_criterion_07_mutation_sequence_theorem():
-    with Budget(7, "mutation sequence to the truncated quiver", 30.0):
+    with Budget(7, "mutation sequence to the truncated quiver", 1.0):
         for k, ell in [(4, 3), (5, 3), (3, 5)]:
             mutated = apply_mutation_sequence(
                 q_ell_quiver(k, ell), hl_mutation_sequence(k, ell)
@@ -280,7 +280,7 @@ def test_criterion_09_braid_relations():
 
 
 def test_criterion_10_property_suites(seed36, alg39, seed39):
-    with Budget(10, "algebraic property suites", 60.0):
+    with Budget(10, "algebraic property suites", 3.0):
         rng = np.random.default_rng(100)
 
         # Bender-Knuth involution on 1000 random tableaux

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grascat.braid import (
+    RANDOM_TUPLE_ATTEMPTS,
     VectorTuple,
     braid_property_check,
     is_consecutively_generic,
@@ -45,6 +46,16 @@ class TestGenericity:
         rng = np.random.default_rng(61)
         for _ in range(50):
             assert is_consecutively_generic(random_tuple(3, 9, rng))
+
+    @pytest.mark.parametrize("k, n", [(3, 2), (0, 3), (-1, 3), (3, 0)])
+    def test_random_tuple_rejects_shapes_without_generic_tuples(self, k, n):
+        with pytest.raises(BadParameters):
+            random_tuple(k, n, np.random.default_rng(0))
+
+    def test_random_tuple_gives_up_after_its_attempt_bound(self):
+        # bound 0 draws only zero vectors, so no draw is generic
+        with pytest.raises(NotGeneric, match=f"{RANDOM_TUPLE_ATTEMPTS} draws"):
+            random_tuple(2, 4, np.random.default_rng(0), bound=0)
 
     def test_raw_integer_tuples_generic_with_high_frequency(self):
         rng = np.random.default_rng(76)

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import fixtures
@@ -202,6 +202,38 @@ class TestErrorPaths:
     def test_from_json_rejects_malformed(self, cls, data):
         with pytest.raises(GrascatError):
             cls.from_json(data)
+
+    @pytest.mark.parametrize("argv, error, names", [
+        (("braid", "check", "--k", "3", "--n", "2", "--trials", "1"), "BadParameters", ["k=3"]),
+        (("seed", "init", "--seed", "gr3_x"), "BadParameters", ["--seed", "grK_N", "JSON"]),
+        (("profile", "shift", "--profile", '{"k":0,"n":6,"factors":[[1,2,3]]}'),
+         "BadParameters", ["k=0"]),
+        (("profile", "shift", "--profile", '{"k":2,"n":6,"factors":[[1,2,3]]}'),
+         "DimensionMismatch", ["k=2"]),
+    ])
+    def test_bad_parameters_are_structured(self, capsys, argv, error, names):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == error
+        assert all(name in payload["message"] for name in names)
+
+    @settings(max_examples=40)
+    @given(st.integers(-1, 8), st.integers(-1, 9), st.integers(-1, 2))
+    def test_fuzz_braid_integers(self, k, n, trials):
+        self._assert_structured(
+            ("braid", "check", "--k", str(k), "--n", str(n), "--trials", str(trials),
+             "--master-seed", "0")
+        )
+
+    @settings(max_examples=40)
+    @given(st.integers(-1, 5), st.integers(-1, 9), st.integers(-1, 3), st.integers(-1, 30))
+    def test_fuzz_explore_integers(self, k, n, depth, max_seeds):
+        self._assert_structured(
+            ("seed", "explore", "--seed", f"gr{k}_{n}", "--depth", str(depth),
+             "--max-seeds", str(max_seeds))
+        )
 
     @given(JSON_VALUES | TABLEAU_LIKE)
     def test_fuzz_tableau_input(self, data):

@@ -1,7 +1,13 @@
+import time
+from collections import Counter, deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tableau
+from test_tableaux import grid_dominance_compare, grid_reduce, outcome
 from grascat.cluster import (
     ExploreResult,
     Quiver,
@@ -13,7 +19,12 @@ from grascat.cluster import (
     mutate_seed,
 )
 from grascat.errors import BadParameters, FrozenVertex, IncomparableExchange
-from grascat.tableaux import Tableau, reduce as treduce
+from grascat.gvec import g_vector
+from grascat.tableaux import Dominance, Tableau, quotient, reduce as treduce, union
+
+
+# Three times the Gr(3,8) closure's measured time (22 s) on a 2-vCPU VM.
+GR38_SECONDS = 66.0
 
 
 def random_quiver(rng, m=6, n_mut=4, density=0.4):
@@ -38,6 +49,175 @@ def matrix_mutation(b: np.ndarray, r: int) -> np.ndarray:
             else:
                 out[i, j] = b[i, j] + np.sign(b[i, r]) * max(b[i, r] * b[r, j], 0)
     return out
+
+
+# --- the rebuild-and-cancel code, kept as the oracle of the in-place one ------
+
+
+def counter_mutate_quiver(q: Quiver, r: int) -> Quiver:
+    """Quiver mutation through a fresh Counter, cancelling over every pair."""
+    if not q.is_mutable(r):
+        raise FrozenVertex(f"vertex {r} is frozen")
+    counts = Counter()
+    into, outof = [], []
+    for s, t in q.arrows:
+        if t == r:
+            into.append(s)
+        elif s == r:
+            outof.append(t)
+        else:
+            counts[(s, t)] += 1
+    for i in into:
+        for j in outof:
+            if i < q.n_mut or j < q.n_mut:
+                counts[(i, j)] += 1
+    for i in into:
+        counts[(r, i)] += 1
+    for j in outof:
+        counts[(j, r)] += 1
+    for s, t in list(counts):
+        if (t, s) in counts and s < t:
+            c = min(counts[(s, t)], counts[(t, s)])
+            counts[(s, t)] -= c
+            counts[(t, s)] -= c
+    arrows = tuple(a for a, c in counts.items() for _ in range(c))
+    return Quiver(q.m, q.n_mut, arrows, q.coords)
+
+
+def oracle_mutate_seed(seed: Seed, r: int) -> Seed:
+    """Seed mutation from pairwise unions, grid dominance and the Counter quiver."""
+    q = seed.quiver
+    k, n = seed.labels[0].k, seed.labels[0].n
+
+    def union_of(vertices):
+        out = Tableau.empty(k, n)
+        for v in vertices:
+            out = union(out, seed.labels[v])
+        return out
+
+    in_union, out_union = union_of(q.arrows_into(r)), union_of(q.arrows_out_of(r))
+    cmp = grid_dominance_compare(in_union, out_union)
+    if cmp in (Dominance.INCOMPARABLE, Dominance.DIFFERENT_CONTENT):
+        raise IncomparableExchange(cmp.value)
+    bigger = in_union if cmp in (Dominance.GT, Dominance.EQ) else out_union
+    labels = list(seed.labels)
+    labels[r] = quotient(bigger, seed.labels[r])
+    return Seed(counter_mutate_quiver(q, r), tuple(labels))
+
+
+def oracle_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
+    """Breadth-first closure that re-reduces every label of every neighbour."""
+
+    def key(s: Seed) -> frozenset:
+        return frozenset(Counter(grid_reduce(t) for t in s.mutable_labels()).items())
+
+    result = ExploreResult()
+
+    def record(s: Seed) -> None:
+        for t in s.mutable_labels():
+            red = grid_reduce(t)
+            if red not in result.variables:
+                result.variables[red] = g_vector(red, seed).coords
+
+    seen = {key(seed)}
+    queue = deque([(seed, 0)])
+    record(seed)
+    result.seeds_seen = 1
+    while queue:
+        current, depth = queue.popleft()
+        for r in range(current.n_mut):
+            neighbour = oracle_mutate_seed(current, r)
+            if key(neighbour) in seen:
+                continue
+            if depth == max_depth:
+                result.complete = False
+                continue
+            if result.seeds_seen >= max_seeds:
+                result.complete = False
+                return result
+            seen.add(key(neighbour))
+            result.seeds_seen += 1
+            record(neighbour)
+            queue.append((neighbour, depth + 1))
+    return result
+
+
+def explore_answer(result: ExploreResult):
+    return list(result.variables.items()), result.seeds_seen, result.complete
+
+
+@st.composite
+def hand_built_quivers(draw):
+    """Quivers with parallel arrows, frozen-frozen arrows and 2-cycles."""
+    m = draw(st.integers(1, 6))
+    n_mut = draw(st.integers(1, m))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda a: a[0] != a[1])
+    arrows = draw(st.lists(pair, max_size=14))
+    if arrows:
+        # repeat some arrows and reverse others
+        arrows += draw(st.lists(st.sampled_from(arrows), max_size=4))
+        arrows += [(t, s) for s, t in draw(st.lists(st.sampled_from(arrows), max_size=3))]
+    return Quiver(m, n_mut, tuple(arrows))
+
+
+class TestAgainstRebuildOracle:
+    @settings(max_examples=300)
+    @given(hand_built_quivers())
+    def test_quiver_mutation_matches(self, q):
+        for r in range(q.m):
+            assert outcome(mutate_quiver, q, r) == outcome(counter_mutate_quiver, q, r)
+
+    def test_quiver_cases_are_reached(self):
+        # 2-cycles away from r cancel, mutable-frozen and frozen-frozen alike;
+        # parallel arrows multiply paths
+        q = Quiver(4, 2, ((1, 2), (2, 1), (2, 1), (2, 3), (2, 3), (3, 2), (0, 3), (0, 3), (1, 0)))
+        assert mutate_quiver(q, 0) == counter_mutate_quiver(q, 0)
+        assert mutate_quiver(q, 0).arrows == (
+            (0, 1), (1, 3), (1, 3), (2, 1), (2, 3), (3, 0), (3, 0),
+        )
+        # a 2-cycle through r between mutable vertices makes a loop
+        q = Quiver(2, 2, ((0, 1), (1, 0)))
+        assert outcome(mutate_quiver, q, 0) == outcome(counter_mutate_quiver, q, 0)
+        assert outcome(mutate_quiver, q, 0)[0] is BadParameters
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from([(3, 6), (3, 9), (4, 8)]),
+        st.lists(st.integers(0, 9), max_size=8),
+        st.integers(0, 2),
+        st.integers(1, 40),
+    )
+    def test_walks_and_explorations_match(self, kn, walk, depth, max_seeds):
+        seed = oracle = grassmannian_initial_seed(*kn)
+        for step in walk:
+            r = step % seed.n_mut
+            seed, oracle = mutate_seed(seed, r), oracle_mutate_seed(oracle, r)
+            assert seed == oracle
+            assert [treduce(t) for t in seed.labels] == [grid_reduce(t) for t in seed.labels]
+        want = explore_answer(oracle_explore(seed, depth, max_seeds))
+        assert explore_answer(explore(seed, depth, max_seeds)) == want
+
+    def test_labels_with_trivial_factors_are_reduced(self):
+        # Mutation from a Grassmannian seed never leaves a trivial column in a
+        # label; here one frozen label on each side of the exchange carries an
+        # extra one, so the mutated label does too.
+        seed = grassmannian_initial_seed(2, 4)
+        assert 3 in seed.quiver.arrows_into(0) and 2 in seed.quiver.arrows_out_of(0)
+        extra = Tableau.from_column((1, 2), 4)
+        labels = list(seed.labels)
+        for v in (3, 2):  # labels 34 and 23
+            labels[v] = union(labels[v], extra)
+        seed = Seed(seed.quiver, tuple(labels))
+        assert mutate_seed(seed, 0).labels[0].width == 2
+        result = explore(seed, 100, 10)
+        assert explore_answer(result) == explore_answer(oracle_explore(seed, 100, 10))
+        assert [t.rows for t in result.variables] == [((1,), (3,)), ((2,), (4,))]
+
+    @pytest.mark.parametrize("kn", [(2, 7), (3, 6)])
+    def test_closures_match(self, kn):
+        seed = grassmannian_initial_seed(*kn)
+        want = explore_answer(oracle_explore(seed, 100, 10**6))
+        assert explore_answer(explore(seed, 100, 10**6)) == want
 
 
 class TestQuiverMutation:
@@ -237,6 +417,25 @@ class TestExplore:
         assert len(variables) == 16
         widths = sorted(t.width for t in variables)
         assert widths == [1] * 14 + [2, 2]
+
+    @pytest.mark.parametrize("k, n, clusters, variables", [
+        (2, 4, 2, 2), (2, 5, 5, 5), (2, 6, 14, 9), (2, 7, 42, 14), (2, 8, 132, 20),
+        (3, 7, 833, 42),
+    ])
+    def test_finite_type_closure_counts(self, k, n, clusters, variables):
+        # type A_{n-3} for k = 2: Catalan(n-2) clusters, n(n-3)/2 variables;
+        # Gr(3,7) is E6 (Scott 2006); Gr(3,6) is checked above
+        result = explore(grassmannian_initial_seed(k, n), 100, 10**6)
+        assert result.complete
+        assert (result.seeds_seen, result.variable_count()) == (clusters, variables)
+
+    def test_gr38_e8_closure(self):
+        start = time.perf_counter()
+        result = explore(grassmannian_initial_seed(3, 8), 100, 10**6)
+        elapsed = time.perf_counter() - start
+        assert result.complete
+        assert (result.seeds_seen, result.variable_count()) == (25_080, 128)
+        assert elapsed < GR38_SECONDS, f"Gr(3,8) closure took {elapsed:.1f} s"
 
     def test_deterministic(self, seed36):
         a = explore(seed36, 4, 1000)

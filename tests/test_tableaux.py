@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tableau
 from grascat.errors import (
     DimensionMismatch,
+    GrascatError,
     NotAFactor,
     NotSemistandard,
     OutOfRange,
@@ -264,3 +265,134 @@ class TestJson:
             Tableau.make(2, 4, [[1, 2], [1, 3]])
         with pytest.raises(NotSemistandard):
             Tableau.make(2, 4, [[1, 2], [2]])
+
+
+# --- the numpy-grid exchange rule, kept as the oracle of the count-based one --
+
+
+def grid_reduce(t):
+    """Reduction one trivial column at a time, read off the content grid."""
+    counts = t.content()
+    out = t
+    for a in range(1, t.n - t.k + 2):
+        mult = min(int(counts[r, a + r - 1]) for r in range(t.k))
+        for _ in range(mult):
+            out = quotient(out, trivial_column(a, t.k, t.n))
+    return out
+
+
+def _grid_dominates(lam, mu):
+    s_l = s_m = 0
+    for a, b in zip(lam, mu):
+        s_l += a
+        s_m += b
+        if s_l < s_m:
+            return False
+    return True
+
+
+def grid_dominance_compare(s, t):
+    """Dominance of restriction shapes from cumulative numpy content grids."""
+    cs, ct = s.content(), t.content()
+    if not np.array_equal(cs.sum(axis=0), ct.sum(axis=0)):
+        return Dominance.DIFFERENT_CONTENT
+    shapes_s = np.cumsum(cs, axis=1)
+    shapes_t = np.cumsum(ct, axis=1)
+    ge = le = True
+    for i in range(s.n):
+        lam = tuple(int(x) for x in shapes_s[:, i])
+        mu = tuple(int(x) for x in shapes_t[:, i])
+        if lam == mu:
+            continue
+        if not _grid_dominates(lam, mu):
+            ge = False
+        if not _grid_dominates(mu, lam):
+            le = False
+        if not ge and not le:
+            return Dominance.INCOMPARABLE
+    if ge and le:
+        return Dominance.EQ
+    return Dominance.GT if ge else Dominance.LT
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of its GrascatError."""
+    try:
+        return fn(*args)
+    except GrascatError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def shaped_columns(draw, max_cols=4):
+    """(k, n, columns): strictly increasing k-subsets of [n]."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 9))
+    column = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True).map(sorted)
+    return k, n, draw(st.lists(column, max_size=max_cols))
+
+
+def from_columns(k, n, columns):
+    return union_all([col(c, n) for c in columns], k=k, n=n)
+
+
+@st.composite
+def same_content_pairs(draw):
+    """Two tableaux whose entries are one multiset, regrouped into columns."""
+    k, n, columns = draw(shaped_columns())
+    entries = draw(st.permutations([v for c in columns for v in c]))
+    regrouped = [sorted(entries[i : i + k]) for i in range(0, len(entries), k)]
+    assume(all(len(set(c)) == k for c in regrouped))
+    return from_columns(k, n, columns), from_columns(k, n, regrouped)
+
+
+class TestAgainstGridOracle:
+    @given(shaped_columns(max_cols=5), st.lists(st.integers(1, 9), max_size=3))
+    def test_reduce_matches(self, shaped, starts):
+        k, n, columns = shaped
+        # mix in trivial columns, so that there is something to remove
+        trivial = [list(range(a, a + k)) for a in starts if a + k - 1 <= n]
+        t = from_columns(k, n, columns + trivial)
+        assert outcome(reduce, t) == outcome(grid_reduce, t)
+
+    @given(same_content_pairs())
+    def test_dominance_matches_on_equal_content(self, pair):
+        s, t = pair
+        assert dominance_compare(s, t) == grid_dominance_compare(s, t)
+        assert dominance_compare(t, s) == grid_dominance_compare(t, s)
+
+    @given(shaped_columns(), st.data())
+    def test_dominance_matches_on_any_pair(self, shaped, data):
+        k, n, columns = shaped
+        other = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True).map(sorted),
+            max_size=4,
+        ))
+        s, t = from_columns(k, n, columns), from_columns(k, n, other)
+        assert dominance_compare(s, t) == grid_dominance_compare(s, t)
+
+    def test_every_verdict_is_reached(self):
+        rng = np.random.default_rng(31)
+        by_content: dict = {}
+        for _ in range(3000):
+            t = random_tableau(rng, 3, 6, max_cols=3)
+            by_content.setdefault(tuple(sorted(v for r in t.rows for v in r)), []).append(t)
+        seen = set()
+        for group in by_content.values():
+            for s in group[:6]:
+                for t in group[:6]:
+                    got = dominance_compare(s, t)
+                    assert got == grid_dominance_compare(s, t)
+                    seen.add(got)
+        assert seen == {Dominance.EQ, Dominance.GT, Dominance.LT, Dominance.INCOMPARABLE}
+
+    @given(shaped_columns(), st.integers(1, 4))
+    def test_union_all_matches_pairwise_union(self, shaped, copies):
+        k, n, columns = shaped
+        parts = [col(c, n) for c in columns] * copies
+        if not parts:
+            return
+        folded = parts[0]
+        for t in parts[1:]:
+            folded = union(folded, t)
+        assert union_all(parts) == folded
