@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import det
 
 __all__ = [
+    "check_shape",
     "VectorTuple",
     "is_consecutively_generic",
     "twisted_shift",
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 Vector = tuple[Fraction, ...]
+
+
+def check_shape(k: int, n: int) -> None:
+    """Vector tuples need 1 <= k <= n: with k > n every window repeats a vector."""
+    if not 1 <= k <= n:
+        raise BadParameters(f"vector tuples need 1 <= k <= n, got k={k}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,7 @@ class VectorTuple:
     )
 
     def __post_init__(self):
+        check_shape(self.k, self.n)
         if len(self.vectors) != self.n:
             raise DimensionMismatch(f"expected {self.n} vectors, got {len(self.vectors)}")
         vecs = tuple(
@@ -246,11 +254,10 @@ RANDOM_TUPLE_ATTEMPTS = 1000
 def random_tuple(k: int, n: int, rng: np.random.Generator, bound: int = 9) -> VectorTuple:
     """Random integer tuple, re-sampled until consecutively generic.
 
-    Needs 1 <= k <= n: with k > n every window repeats a vector.  Raises
-    NotGeneric if RANDOM_TUPLE_ATTEMPTS draws all have a vanishing window.
+    Needs 1 <= k <= n (`check_shape`).  Raises NotGeneric if
+    RANDOM_TUPLE_ATTEMPTS draws all have a vanishing window.
     """
-    if not 1 <= k <= n:
-        raise BadParameters(f"random tuples need 1 <= k <= n, got k={k}, n={n}")
+    check_shape(k, n)
     for _ in range(RANDOM_TUPLE_ATTEMPTS):
         vecs = tuple(
             tuple(Fraction(int(x)) for x in rng.integers(-bound, bound + 1, size=k))

@@ -251,6 +251,7 @@ def _cmd_hl(args) -> None:
 def _cmd_braid(args) -> None:
     if args.trials < 0:
         raise BadParameters(f"--trials must be >= 0, got {args.trials}")
+    braid_mod.check_shape(args.k, args.n)
     master = args.master_seed if args.master_seed is not None else einv.master_seed_from_env()
     aggregate = {
         "trials": args.trials,

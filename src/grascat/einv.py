@@ -4,14 +4,16 @@ E(f, g) counts homotopy classes of maps f -> shift(g): the dimension of
 Hom(F_-1, G_0) minus the rank of (u, v) |-> g∘u + v∘f.  The generic value
 over a g-vector stratum is the minimum over all maps, so a sampled zero is
 an exact certificate while positive sampled minima are only high-confidence
-estimates (the paper's positivity arguments are symbolic).
+estimates (the paper's positivity arguments are symbolic).  The homotopy
+matrix is assembled in ints, from the algebra's int structure constants and
+the complexes' coefficients cleared of denominators (over Q) or mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
+from numbers import Rational
 
 import numpy as np
 
@@ -48,13 +50,14 @@ class TwoTermComplex:
     """A map between sums of projectives, P(neg_0)+... -> P(pos_0)+...
 
     blocks[(t, s)] holds the coefficients of the (s -> t) component over the
-    hom basis of (neg[s], pos[t]); missing entries mean zero.
+    hom basis of (neg[s], pos[t]); missing entries mean zero.  Coefficients
+    are ints or Fractions; a float is rejected, so none reaches a certificate.
     """
 
     algebra: Algebra
     neg: tuple[str, ...]
     pos: tuple[str, ...]
-    blocks: dict[tuple[int, int], tuple[Fraction, ...]] = field(default_factory=dict)
+    blocks: dict[tuple[int, int], tuple[Rational, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         for (t, s), coeffs in self.blocks.items():
@@ -63,6 +66,8 @@ class TwoTermComplex:
                 raise BadParameters(
                     f"block ({t},{s}) has {len(coeffs)} coefficients, expected {want}"
                 )
+            if not all(isinstance(x, Rational) for x in coeffs):
+                raise BadParameters(f"block ({t},{s}) has a non-rational coefficient: {coeffs}")
 
 
 def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int]]:
@@ -74,74 +79,66 @@ def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int
     ]
 
 
-def _homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
-    """Sparse columns of (u, v) -> g∘u + v∘f into Hom(F_-1, G_0), plus the row count.
+def _int_blocks(h: TwoTermComplex, field: str) -> dict[tuple[int, int], dict[int, int]]:
+    """h's nonzero block coefficients as ints, keyed like h.blocks.
 
+    Over Q they are multiplied by h's one common denominator, which scales
+    whole columns of the homotopy matrix and so keeps its rank.  Over F_p
+    each is its numerator times its inverse denominator, for the caller to
+    reduce in Python ints; a denominator divisible by p raises ValueError.
+    """
+    dens = {int(x.denominator) for coeffs in h.blocks.values() for x in coeffs}
+    scale = lcm(*dens)
+    factor = {d: scale // d if field == RATIONAL else pow(d, -1, modp.PRIME) for d in dens}
+    return {
+        key: {b: int(x.numerator) * factor[x.denominator] for b, x in enumerate(coeffs) if x}
+        for key, coeffs in h.blocks.items()
+    }
+
+
+def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
+    """dim Hom(F_-1, G_0) minus the rank of (u, v) -> g∘u + v∘f.
+
+    The map is assembled as dense int columns, one per basis map u or v.
     Row (s, t, c) is the c-th basis map of Hom(F_-1[s], G_0[t]); `start`
     holds the first row of each (s, t) block.
     """
+    if f.algebra is not g.algebra:
+        raise AlgebraMismatch("complexes live over different algebras")
     alg = f.algebra
     start, rows = {}, 0
     for s, sn in enumerate(f.neg):
         for t, tp in enumerate(g.pos):
             start[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
-    f_blocks, g_blocks = (
-        {key: {b: x for b, x in enumerate(coeffs) if x} for key, coeffs in h.blocks.items()}
-        for h in (f, g)
-    )
+    f_blocks, g_blocks = _int_blocks(f, field), _int_blocks(g, field)
+    p = None if field == RATIONAL else modp.PRIME
     cols = []
 
+    def put(col: list[int], s: int, t: int, composed: dict[int, int]) -> None:
+        for idx, x in composed.items():
+            col[start[(s, t)] + idx] = x if p is None else x % p
+
     for s, r, c in _hom_coordinates(alg, f.neg, g.neg):
-        col: dict[int, Fraction] = {}
+        col = [0] * rows
         for t, tp in enumerate(g.pos):
             block = g_blocks.get((t, r))
             if block:
-                composed = alg.compose_vectors(f.neg[s], g.neg[r], tp, {c: 1}, block)
-                col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
+                put(col, s, t, alg.compose_vectors(f.neg[s], g.neg[r], tp, {c: 1}, block))
         cols.append(col)
 
     for u, t, c in _hom_coordinates(alg, f.pos, g.pos):
-        col = {}
+        col = [0] * rows
         for s, sn in enumerate(f.neg):
             block = f_blocks.get((u, s))
             if block:
-                composed = alg.compose_vectors(sn, f.pos[u], g.pos[t], block, {c: 1})
-                col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
+                put(col, s, t, alg.compose_vectors(sn, f.pos[u], g.pos[t], block, {c: 1}))
         cols.append(col)
 
-    return rows, cols
-
-
-def _rank(rows: int, cols, field: str) -> int:
-    """Rank of the sparse columns, densified once over the integers or F_p."""
     if rows == 0 or not cols:
-        return 0
-    dense = []
-    if field == RATIONAL:
-        for col in cols:
-            scale = lcm(*(x.denominator for x in col.values()))
-            column = [0] * rows
-            for r, x in col.items():
-                column[r] = x.numerator * (scale // x.denominator)
-            dense.append(column)
-        return rank_int(dense)
-    p = modp.PRIME
-    for col in cols:
-        column = [0] * rows
-        for r, x in col.items():
-            # Reduced in Python ints, so no int64 overflow; a denominator
-            # divisible by p raises ValueError instead of zeroing the entry.
-            column[r] = x.numerator * pow(x.denominator, -1, p) % p
-        dense.append(column)
-    return modp.rank_mod_p(np.array(dense, dtype=np.int64).T)
-
-
-def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
-    """dim Hom(F_-1, G_0) minus the rank of the homotopy map."""
-    if f.algebra is not g.algebra:
-        raise AlgebraMismatch("complexes live over different algebras")
-    rows, cols = _homotopy_matrix(f, g)
-    return rows - _rank(rows, cols, field)
+        return rows
+    if p is None:
+        return rows - rank_int(cols)
+    return rows - modp.rank_mod_p(np.array(cols, dtype=np.int64).T)
 
 
 def ee_symmetrized(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -207,7 +204,7 @@ def random_complex(
                 coeffs = rng.integers(-10, 11, size=dim)
             else:
                 coeffs = rng.integers(0, modp.PRIME, size=dim)
-            blocks[(t, s)] = tuple(Fraction(int(c)) for c in coeffs)
+            blocks[(t, s)] = tuple(coeffs.tolist())
     return TwoTermComplex(algebra, neg, pos, blocks)
 
 

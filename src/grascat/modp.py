@@ -16,16 +16,15 @@ import numpy as np
 PRIME = 2**31 - 1
 
 
-def echelon_mod_p(
-    a: np.ndarray, p: int = PRIME, jordan: bool = False
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Row echelon form of an integer matrix over F_p, pivots scaled to 1.
+def echelon_mod_p(a: np.ndarray, jordan: bool = False) -> tuple[np.ndarray, list[int], list[int]]:
+    """Row echelon form of an integer matrix over F_p, p = PRIME, pivots scaled to 1.
 
     Returns (reduced matrix, pivot columns, original row of each result row).
     The first len(pivot columns) rows are the pivot rows; the minor of the
     input on those rows and columns is nonzero mod p.  With ``jordan`` the
     entries above each pivot are cleared too (reduced row echelon form).
     """
+    p = PRIME
     m = np.mod(np.ascontiguousarray(a, dtype=np.int64), p)
     nrows, ncols = m.shape
     order = list(range(nrows))
@@ -53,11 +52,11 @@ def echelon_mod_p(
     return m, pivots, order
 
 
-def rank_mod_p(a: np.ndarray, p: int = PRIME) -> int:
-    """Rank of an integer matrix over F_p."""
+def rank_mod_p(a: np.ndarray) -> int:
+    """Rank of an integer matrix over F_p, p = PRIME."""
     if a.size == 0:
         return 0
-    return len(echelon_mod_p(a, p)[1])
+    return len(echelon_mod_p(a)[1])
 
 
 def inverse_mod_p(a: np.ndarray) -> np.ndarray:
@@ -67,7 +66,7 @@ def inverse_mod_p(a: np.ndarray) -> np.ndarray:
     16-bit halves and guards its int64 sums assuming p < 2^31.
     """
     n = len(a)
-    reduced = echelon_mod_p(np.hstack([a, np.eye(n, dtype=np.int64)]), PRIME, jordan=True)[0]
+    reduced = echelon_mod_p(np.hstack([a, np.eye(n, dtype=np.int64)]), jordan=True)[0]
     return reduced[:, n:]
 
 

@@ -11,7 +11,7 @@ guarantees termination as soon as one degree dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 from .errors import BadParameters, NotFiniteDimensional, is_int, is_str, json_fields, list_of
 from .linalg import rref
@@ -98,7 +98,7 @@ class Algebra:
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self._dims: dict[tuple[str, str], int] = dict(dims)
-        # comp[(i,j,l)][a][b] = sparse list of (c, coeff) with coeff rational:
+        # comp[(i,j,l)][(a, b)] = sparse list of (c, coeff) with int coeff:
         # composing the a-th basis map P(i)->P(j) with the b-th map P(j)->P(l).
         self._comp: dict[tuple[str, str, str], dict] = dict(comp)
         self.basis_paths = basis_paths or {}
@@ -106,12 +106,6 @@ class Algebra:
 
     def hom_dim(self, i: str, j: str) -> int:
         return self._dims.get((i, j), 0)
-
-    def compose(self, i: str, j: str, l: str, a: int, b: int) -> list[tuple[int, Fraction]]:
-        table = self._comp.get((i, j, l))
-        if not table:
-            return []
-        return table.get((a, b), [])
 
     def total_dim(self) -> int:
         return sum(self._dims.values())
@@ -133,12 +127,10 @@ class Algebra:
         """
         comp: dict[tuple[str, str, str], dict] = {}
         for (i, j, l, a, b), terms in comp_entries.items():
-            comp.setdefault((i, j, l), {})[(a, b)] = [
-                (int(c), Fraction(x)) for c, x in terms
-            ]
+            comp.setdefault((i, j, l), {})[(a, b)] = _integral((i, j, l), terms)
         return cls(tuple(vertices), dict(dims), comp, name=name)
 
-    def compose_vectors(self, i: str, j: str, l: str, x: dict, y: dict) -> dict[int, Fraction]:
+    def compose_vectors(self, i: str, j: str, l: str, x: dict, y: dict) -> dict:
         """x in Hom(P(i), P(j)) followed by y in Hom(P(j), P(l)), as a sparse vector.
 
         x, y and the result map basis indices to coefficients; zero
@@ -147,7 +139,7 @@ class Algebra:
         table = self._comp.get((i, j, l))
         if not table:
             return {}
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for a, xa in x.items():
             for b, yb in y.items():
                 for c, coeff in table.get((a, b), ()):
@@ -171,6 +163,16 @@ class Algebra:
                                     if left != right:
                                         return False
         return True
+
+
+def _integral(key: tuple[str, str, str], terms) -> list[tuple[int, int]]:
+    """Composition terms (c, coeff) of the triple `key`, with int coefficients."""
+    out = []
+    for c, x in terms:
+        if not isinstance(x, Rational) or x.denominator != 1:
+            raise BadParameters(f"composition {key} has a non-integral structure constant {x}")
+        out.append((int(c), int(x)))
+    return out
 
 
 def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
@@ -203,10 +205,10 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
     basis: dict[tuple[str, str], list[tuple[int, Path]]] = {}
     # expansion of every enumerated path over the chosen basis of its pair;
     # degree-0 keys carry the pair because the empty word is shared
-    expand_by_pair: dict[tuple[tuple[str, str], int, Path], list[tuple[int, Fraction]]] = {}
+    expand_by_pair: dict[tuple[tuple[str, str], int, Path], list] = {}
     for v in qp.vertices:
         basis[(v, v)] = [(0, ())]
-        expand_by_pair[((v, v), 0, ())] = [(0, Fraction(1))]
+        expand_by_pair[((v, v), 0, ())] = [(0, 1)]
 
     degree = 0
     while True:
@@ -251,7 +253,7 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
             offset = len(basis[(u, v)]) - len(pair_basis)
             free_pos = {idx: offset + t for t, idx in enumerate(free)}
             for idx in free:
-                expand_by_pair[((u, v), degree, plist[idx])] = [(free_pos[idx], Fraction(1))]
+                expand_by_pair[((u, v), degree, plist[idx])] = [(free_pos[idx], 1)]
             for row, piv in zip(red, pivots):
                 terms = [
                     (free_pos[c], -row[c])
@@ -273,17 +275,6 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
             dims[(v, u)] = len(blist)
             hom_basis_paths[(v, u)] = list(blist)
 
-    max_deg = len(paths) - 1
-
-    def expand_path(u: str, v: str, p: Path) -> list[tuple[int, Fraction]]:
-        d = len(p)
-        if d > max_deg:
-            return []
-        key = ((u, v), d, p)
-        if key not in expand_by_pair:
-            return []
-        return expand_by_pair[key]
-
     comp: dict[tuple[str, str, str], dict] = {}
     pairs = list(dims)
     for i, j in pairs:
@@ -294,9 +285,9 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
             for a, (da, pa) in enumerate(hom_basis_paths[(i, j)]):
                 for b, (db, pb) in enumerate(hom_basis_paths[(j, l)]):
                     # b after a: path (l -> j) followed by (j -> i)
-                    terms = expand_path(l, i, pb + pa)
+                    terms = expand_by_pair.get(((l, i), da + db, pb + pa))
                     if terms:
-                        table[(a, b)] = [(c, x) for c, x in terms if x != 0]
+                        table[(a, b)] = _integral((i, j, l), terms)
             if table:
                 comp[(i, j, l)] = table
 

@@ -82,6 +82,18 @@ class TestGenericity:
         with pytest.raises(DimensionMismatch):
             frac_tuple(2, 3, [(1, 0), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "k, n, rows", [(3, 0, []), (0, 2, [(), ()]), (3, 2, [(1, 0, 0), (0, 1, 0)])]
+    )
+    def test_shape_validation(self, k, n, rows):
+        # an empty or overlong window used to pass construction and fail later
+        with pytest.raises(BadParameters, match=f"k={k}, n={n}"):
+            frac_tuple(k, n, rows)
+
+    def test_empty_tuple_never_reaches_the_braid_check(self):
+        with pytest.raises(BadParameters):
+            braid_property_check(VectorTuple(3, 0, ()))
+
 
 class TestTwistedShift:
     def test_rho_n_gives_global_sign(self):

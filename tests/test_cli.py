@@ -210,6 +210,11 @@ class TestErrorPaths:
          "BadParameters", ["k=0"]),
         (("profile", "shift", "--profile", '{"k":2,"n":6,"factors":[[1,2,3]]}'),
          "DimensionMismatch", ["k=2"]),
+        # the shape is checked before the trials loop, so zero trials fail too
+        (("braid", "check", "--k", "3", "--n", "2", "--trials", "0"), "BadParameters",
+         ["k=3", "n=2"]),
+        (("braid", "check", "--k", "0", "--n", "4", "--trials", "0"), "BadParameters",
+         ["k=0", "n=4"]),
     ])
     def test_bad_parameters_are_structured(self, capsys, argv, error, names):
         code, out, err = run(capsys, *argv)

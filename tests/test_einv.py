@@ -1,12 +1,16 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grascat import hl, modp
+from grascat import einv, fixtures, hl, modp
 from grascat.cluster import grassmannian_initial_seed
 from grascat.einv import (
     TwoTermComplex,
+    _hom_coordinates,
     are_compatible,
     complex_from_gvector,
     e_pair,
@@ -17,8 +21,9 @@ from grascat.einv import (
     is_real_g,
     random_complex,
 )
-from grascat.errors import AlgebraMismatch
+from grascat.errors import AlgebraMismatch, BadParameters
 from grascat.gvec import GVector, g_vector
+from grascat.linalg import rank_int
 from grascat.qpa import Algebra, QuiverWithPotential, build_algebra
 from grascat.tableaux import Tableau
 
@@ -94,6 +99,16 @@ class TestEPair:
         f = t1_with_first_coefficient(alg39, seed39, Fraction(1, modp.PRIME))
         with pytest.raises(ValueError):
             e_pair(f, f, "fp")
+
+    def test_float_coefficient_is_rejected(self, alg39, seed39):
+        with pytest.raises(BadParameters, match="0.5"):
+            t1_with_first_coefficient(alg39, seed39, 0.5)
+
+    def test_random_complexes_carry_ints(self, alg39, seed39):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        for fld in ("rational", "fp"):
+            f = random_complex(alg39, neg, pos, np.random.default_rng(55), fld)
+            assert all(type(x) is int for coeffs in f.blocks.values() for x in coeffs)
 
     def test_symmetrized_definition(self, alg39, seed39):
         g = nonreal_g39(seed39)
@@ -247,3 +262,150 @@ class TestPredicates:
         verdict = is_exchange_pair(g13, g24, alg, samples=5, master_seed=0)
         assert verdict and verdict.report.value == 1
         assert are_compatible(g13, g13, alg, samples=5, master_seed=0)
+
+
+# --- the sparse-Fraction assembly that e_pair replaced, kept as an oracle ----
+
+
+def oracle_homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
+    """Sparse Fraction columns of (u, v) -> g∘u + v∘f, plus the row count."""
+    alg = f.algebra
+    start, rows = {}, 0
+    for s, sn in enumerate(f.neg):
+        for t, tp in enumerate(g.pos):
+            start[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
+    f_blocks, g_blocks = (
+        {key: {b: Fraction(x) for b, x in enumerate(coeffs) if x}
+         for key, coeffs in h.blocks.items()}
+        for h in (f, g)
+    )
+    cols = []
+    for s, r, c in _hom_coordinates(alg, f.neg, g.neg):
+        col = {}
+        for t, tp in enumerate(g.pos):
+            block = g_blocks.get((t, r))
+            if block:
+                composed = alg.compose_vectors(f.neg[s], g.neg[r], tp, {c: 1}, block)
+                col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
+        cols.append(col)
+    for u, t, c in _hom_coordinates(alg, f.pos, g.pos):
+        col = {}
+        for s, sn in enumerate(f.neg):
+            block = f_blocks.get((u, s))
+            if block:
+                composed = alg.compose_vectors(sn, f.pos[u], g.pos[t], block, {c: 1})
+                col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
+        cols.append(col)
+    return rows, cols
+
+
+def oracle_dense(rows: int, cols, field: str):
+    """The sparse columns densified, each over Z by its own lcm, or over F_p."""
+    dense = []
+    for col in cols:
+        column = [0] * rows
+        if field == "rational":
+            scale = lcm(*(x.denominator for x in col.values()))
+            for r, x in col.items():
+                column[r] = x.numerator * (scale // x.denominator)
+        else:
+            for r, x in col.items():
+                column[r] = x.numerator * pow(x.denominator, -1, modp.PRIME) % modp.PRIME
+        dense.append(column)
+    return dense if field == "rational" else np.array(dense, dtype=np.int64).T
+
+
+def oracle_e(f: TwoTermComplex, g: TwoTermComplex, field: str) -> int:
+    rows, cols = oracle_homotopy_matrix(f, g)
+    if rows == 0 or not cols:
+        return rows
+    m = oracle_dense(rows, cols, field)
+    return rows - (rank_int(m) if field == "rational" else modp.rank_mod_p(m))
+
+
+@pytest.fixture(scope="module")
+def oracle_algebras(alg39, alg48):
+    return {"gr39": alg39, "gr48": alg48, "gamma": build_algebra(fixtures.load_qp("qp_hl_gamma"))}
+
+
+INTEGRAL = st.one_of(st.integers(-10, 10), st.sampled_from([2**63, -(2**63)]))
+COEFFS = st.one_of(INTEGRAL, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def draw_complex(data, alg, coeffs) -> TwoTermComplex:
+    summands = st.lists(st.sampled_from(alg.vertices), min_size=1, max_size=4).map(tuple)
+    neg, pos = data.draw(summands), data.draw(summands)
+    blocks = {}
+    for t, tp in enumerate(pos):
+        for s, sn in enumerate(neg):
+            dim = alg.hom_dim(sn, tp)
+            # a quarter of the blocks are left out, to cover missing ones
+            if dim and data.draw(st.integers(0, 3)):
+                blocks[(t, s)] = tuple(data.draw(st.lists(coeffs, min_size=dim, max_size=dim)))
+    return TwoTermComplex(alg, neg, pos, blocks)
+
+
+def draw_pair(data, algebras, coeffs):
+    alg = algebras[data.draw(st.sampled_from(sorted(algebras)))]
+    f = draw_complex(data, alg, coeffs)
+    # half the pairs are self pairs on one stratum, as in generic_e
+    g = f if data.draw(st.booleans()) else draw_complex(data, alg, coeffs)
+    return f, g
+
+
+class TestAgainstFractionOracle:
+    @settings(max_examples=80)
+    @given(data=st.data(), fld=st.sampled_from(["rational", "fp"]))
+    def test_e_pair_matches_oracle(self, oracle_algebras, data, fld):
+        f, g = draw_pair(data, oracle_algebras, COEFFS)
+        assert e_pair(f, g, fld) == oracle_e(f, g, fld)
+
+    @pytest.mark.parametrize("fld", ["rational", "fp"])
+    def test_value_depends_on_exact_ratio(self, alg39, seed39, fld):
+        # on the T1 stratum the all-ones map has E = 3; halving one
+        # coefficient gives 2: a wrong denominator or inverse shows here
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        ones = witness(alg39, neg, pos, [[1, 1, 0], [1, 1, 1], [1, 1, 1]])
+        halved = witness(alg39, neg, pos, [[1, 1, 0], [1, 1, 1], [1, 1, Fraction(1, 2)]])
+        assert e_pair(ones, ones, fld) == oracle_e(ones, ones, fld) == 3
+        assert e_pair(halved, halved, fld) == oracle_e(halved, halved, fld) == 2
+
+    @settings(max_examples=40)
+    @given(data=st.data(), fld=st.sampled_from(["rational", "fp"]))
+    def test_same_matrix_for_integral_blocks(self, oracle_algebras, data, fld):
+        f, g = draw_pair(data, oracle_algebras, INTEGRAL)
+        seen = []
+
+        def record(kernel):
+            def recorded(m):
+                seen.append(m)
+                return kernel(m)
+            return recorded
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(einv, "rank_int", record(rank_int))
+            mp.setattr(modp, "rank_mod_p", record(modp.rank_mod_p))
+            e_pair(f, g, fld)
+        rows, cols = oracle_homotopy_matrix(f, g)
+        if rows == 0 or not cols:
+            assert seen == []
+        elif fld == "rational":
+            assert seen == [oracle_dense(rows, cols, fld)]
+        else:
+            [m] = seen
+            want = oracle_dense(rows, cols, fld)
+            assert m.dtype == want.dtype and np.array_equal(m, want)
+
+    @pytest.mark.parametrize("fld", ["rational", "fp"])
+    def test_large_stratum_with_fractions(self, alg39, seed39, fld):
+        # g(T1) x3 gives a 72 x 72 matrix, past the size where rank_int
+        # switches to the certified modular rank
+        neg, pos = complex_from_gvector(nonreal_g39(seed39).scale(3), alg39)
+        rng = np.random.default_rng(56)
+        f = random_complex(alg39, neg, pos, rng, fld)
+        blocks = {
+            key: tuple(Fraction(int(x), int(rng.integers(1, 5))) for x in coeffs)
+            for key, coeffs in f.blocks.items()
+        }
+        f = TwoTermComplex(alg39, neg, pos, blocks)
+        assert e_pair(f, f, fld) == oracle_e(f, f, fld)

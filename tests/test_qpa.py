@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from grascat import fixtures
+from grascat import fixtures, hl
 from grascat.errors import BadParameters, NotFiniteDimensional
 from grascat.qpa import Algebra, QuiverWithPotential, build_algebra, potential_relations
 
@@ -108,8 +108,8 @@ class TestBuildAlgebra:
         assert alg48.check_associative()
         # identity composition laws on a sample pair
         for alg, i, j in [(alg39, "125", "156"), (alg48, "1236", "1267")]:
-            assert alg.compose(i, i, j, 0, 0) == [(0, Fraction(1))]
-            assert alg.compose(i, j, j, 0, 0) == [(0, Fraction(1))]
+            assert alg.compose_vectors(i, i, j, {0: 1}, {0: 1}) == {0: 1}
+            assert alg.compose_vectors(i, j, j, {0: 1}, {0: 1}) == {0: 1}
 
     def test_grading_additive(self, alg39):
         # composition adds path lengths whenever it does not vanish
@@ -120,7 +120,7 @@ class TestBuildAlgebra:
                     continue
                 for a, (da, _) in enumerate(basis_ij):
                     for b, (db, _) in enumerate(basis_jl):
-                        for idx, _ in alg39.compose(i, j, l, a, b):
+                        for idx in alg39.compose_vectors(i, j, l, {a: 1}, {b: 1}):
                             dc = paths[(i, l)][idx][0]
                             assert dc == da + db
 
@@ -148,13 +148,42 @@ class TestTableMode:
     def test_matches_path_engine_block(self, alg39):
         table_alg = self._table_algebra()
         assert table_alg.hom_table(TABLE1_NAMES) == alg39.hom_table(TABLE1_NAMES)
+        unit = ({0: 1}, {0: 1})
         for i in TABLE1_NAMES:
             for j in TABLE1_NAMES:
                 for l in TABLE1_NAMES:
-                    assert table_alg.compose(i, j, l, 0, 0) == alg39.compose(i, j, l, 0, 0)
+                    want = alg39.compose_vectors(i, j, l, *unit)
+                    assert table_alg.compose_vectors(i, j, l, *unit) == want
 
     def test_table_mode_associative(self):
         assert self._table_algebra().check_associative()
+
+    def test_structure_constants_must_be_integral(self):
+        dims = {("x", "x"): 1}
+        alg = Algebra.from_table(("x",), dims, {("x", "x", "x", 0, 0): [(0, Fraction(4, 2))]})
+        assert all_ints(alg) and alg.compose_vectors("x", "x", "x", {0: 1}, {0: 1}) == {0: 2}
+        with pytest.raises(BadParameters, match=r"\('x', 'x', 'x'\).*1/2"):
+            Algebra.from_table(("x",), dims, {("x", "x", "x", 0, 0): [(0, Fraction(1, 2))]})
+
+
+def all_ints(alg: Algebra) -> bool:
+    return all(
+        type(c) is int and type(x) is int
+        for table in alg._comp.values()
+        for terms in table.values()
+        for c, x in terms
+    )
+
+
+class TestIntegerStructureConstants:
+    def test_tame_algebras(self, alg39, alg48):
+        assert all_ints(alg39) and all_ints(alg48)
+
+    def test_gamma_algebras(self):
+        algs = [build_algebra(fixtures.load_qp("qp_hl_gamma"))]
+        algs += [hl._gamma_algebra_at(k, s) for k, s in [(3, -6), (4, -8), (5, -10)]]
+        for alg in algs:
+            assert alg._comp and all_ints(alg)
 
 
 class TestGammaFixture:
