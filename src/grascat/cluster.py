@@ -29,6 +29,7 @@ __all__ = [
     "ExploreResult",
     "mutate_quiver",
     "mutate_seed",
+    "exchange_label",
     "grassmannian_initial_seed",
     "grassmannian_vertex_subsets",
     "explore",
@@ -206,11 +207,11 @@ class Seed:
         return seed
 
 
-def mutate_seed(seed: Seed, r: int) -> Seed:
-    """Mutate a seed at mutable vertex r via the tableau exchange rule.
+def exchange_label(seed: Seed, r: int) -> Tableau:
+    """The label that mutation at mutable vertex r puts at r.
 
-    The new label is max{union of in-neighbours, union of out-neighbours}
-    divided by the old label; the max is taken in the dominance order and
+    It is max{union of in-neighbours, union of out-neighbours} divided by
+    the old label; the max is taken in the dominance order and
     incomparability is a hard error.
     """
     q = seed.quiver
@@ -226,10 +227,13 @@ def mutate_seed(seed: Seed, r: int) -> Seed:
             "the tableau mutation rule does not apply"
         )
     bigger = in_union if cmp in (Dominance.GT, Dominance.EQ) else out_union
-    new_label = tb.quotient(bigger, seed.labels[r])
-    labels = list(seed.labels)
-    labels[r] = new_label
-    return Seed(mutate_quiver(q, r), tuple(labels))
+    return tb.quotient(bigger, seed.labels[r])
+
+
+def mutate_seed(seed: Seed, r: int) -> Seed:
+    """Mutate a seed at mutable vertex r via the tableau exchange rule."""
+    label = exchange_label(seed, r)
+    return Seed(mutate_quiver(seed.quiver, r), seed.labels[:r] + (label,) + seed.labels[r + 1 :])
 
 
 def grassmannian_vertex_subsets(k: int, n: int) -> tuple[list[KSubset], list[KSubset]]:
@@ -305,8 +309,10 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     so partial sweeps stay usable.
 
     Each queued seed carries the tuple of its reduced mutable labels.  A
-    mutation at r changes label r only, so a neighbour costs one ``reduce``;
-    its cluster key is the ``Seed.cluster_key`` multiset of that tuple.
+    mutation at r changes label r only, so a neighbour costs one
+    ``exchange_label`` and one ``reduce``; its cluster key is the
+    ``Seed.cluster_key`` multiset of that tuple.  The neighbour's quiver and
+    ``Seed`` are built only when it is queued.
     """
     from .gvec import g_vector  # local import: gvec depends on cluster types
 
@@ -327,8 +333,8 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     while queue:
         current, reduced, depth = queue.popleft()
         for r in range(current.n_mut):
-            neighbour = mutate_seed(current, r)
-            labels = reduced[:r] + (tb.reduce(neighbour.labels[r]),) + reduced[r + 1 :]
+            label = exchange_label(current, r)
+            labels = reduced[:r] + (tb.reduce(label),) + reduced[r + 1 :]
             key = frozenset(Counter(labels).items())
             if key in seen:
                 continue
@@ -341,5 +347,6 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
             seen.add(key)
             result.seeds_seen += 1
             record(labels)
-            queue.append((neighbour, labels, depth + 1))
+            neighbour = current.labels[:r] + (label,) + current.labels[r + 1 :]
+            queue.append((Seed(mutate_quiver(current.quiver, r), neighbour), labels, depth + 1))
     return result

@@ -4,14 +4,19 @@ E(f, g) counts homotopy classes of maps f -> shift(g): the dimension of
 Hom(F_-1, G_0) minus the rank of (u, v) |-> g∘u + v∘f.  The generic value
 over a g-vector stratum is the minimum over all maps, so a sampled zero is
 an exact certificate while positive sampled minima are only high-confidence
-estimates (the paper's positivity arguments are symbolic).  The homotopy
-matrix is assembled in ints, from the algebra's int structure constants and
-the complexes' coefficients cleared of denominators (over Q) or mod p.
+estimates (the paper's positivity arguments are symbolic).
+
+The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos)
+into COO arrays over the algebra's int structure constants, and cached.  A
+sample writes the complexes' coefficients, cleared of denominators (over Q)
+or reduced mod p, into the operator's slot vector and scatters them into an
+int64 matrix, or into exact Python ints when an entry could reach 2^63.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lcm
 from numbers import Rational
 
@@ -79,66 +84,134 @@ def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int
     ]
 
 
-def _int_blocks(h: TwoTermComplex, field: str) -> dict[tuple[int, int], dict[int, int]]:
-    """h's nonzero block coefficients as ints, keyed like h.blocks.
+def _check_field(field: str) -> None:
+    if field not in (RATIONAL, FP):
+        raise BadParameters(f"field must be {RATIONAL!r} or {FP!r}, got {field!r}")
+
+
+def _int_blocks(h: TwoTermComplex, field: str) -> dict[tuple[int, int], list[int]]:
+    """h's block coefficients as ints, keyed like h.blocks.
 
     Over Q they are multiplied by h's one common denominator, which scales
     whole columns of the homotopy matrix and so keeps its rank.  Over F_p
     each is its numerator times its inverse denominator, for the caller to
-    reduce in Python ints; a denominator divisible by p raises ValueError.
+    reduce; a denominator divisible by p raises ValueError.
     """
     dens = {int(x.denominator) for coeffs in h.blocks.values() for x in coeffs}
     scale = lcm(*dens)
     factor = {d: scale // d if field == RATIONAL else pow(d, -1, modp.PRIME) for d in dens}
     return {
-        key: {b: int(x.numerator) * factor[x.denominator] for b, x in enumerate(coeffs) if x}
+        key: [int(x.numerator) * factor[x.denominator] for x in coeffs]
         for key, coeffs in h.blocks.items()
     }
+
+
+def _block_starts(alg: Algebra, neg, pos, offset: int) -> tuple[dict[tuple[int, int], int], int]:
+    """Start of each (t, s) block of a complex on (neg, pos) in a flat vector."""
+    start = {}
+    for t, tp in enumerate(pos):
+        for s, sn in enumerate(neg):
+            start[(t, s)], offset = offset, offset + alg.hom_dim(sn, tp)
+    return start, offset
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """The homotopy map (u, v) -> g∘u + v∘f, compiled for one pair of shapes.
+
+    A pair of complexes is one flat int vector x: g's block coefficients,
+    then f's, block (t, s) from g_start or f_start.  Entry flat[k] of the
+    row-major rows × cols matrix gets coeff[k] * x[slot[k]], summed over k;
+    coeff is an int structure constant of the algebra.  No entry takes more
+    than `bound` (the largest sum of |coeff| into one entry) times max|x|.
+    """
+
+    rows: int
+    cols: int
+    g_start: dict[tuple[int, int], int]
+    f_start: dict[tuple[int, int], int]
+    width: int
+    flat: np.ndarray
+    slot: np.ndarray
+    coeff: np.ndarray
+    bound: int
+
+
+@lru_cache(maxsize=256)
+def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
+    """Compile (u, v) -> g∘u + v∘f for f on (f_neg, f_pos) and g on (g_neg, g_pos).
+
+    Row (s, t, c) is the c-th basis map of Hom(F_-1[s], G_0[t]).  The columns
+    are the basis maps u of Hom(F_-1[s], G_-1[r]), then those v of
+    Hom(F_0[u], G_0[t]), in `_hom_coordinates` order.
+    """
+    row0, rows = {}, 0
+    for s, sn in enumerate(f_neg):
+        for t, tp in enumerate(g_pos):
+            row0[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
+    g_start, width = _block_starts(alg, g_neg, g_pos, 0)
+    f_start, width = _block_starts(alg, f_neg, f_pos, width)
+    terms = []  # (row, col, slot, coeff)
+    col = 0
+    for s, r, c in _hom_coordinates(alg, f_neg, g_neg):
+        for t, tp in enumerate(g_pos):
+            table = alg.comp_table(f_neg[s], g_neg[r], tp)
+            for b in range(alg.hom_dim(g_neg[r], tp)):
+                for out, coeff in table.get((c, b), ()):
+                    terms.append((row0[(s, t)] + out, col, g_start[(t, r)] + b, coeff))
+        col += 1
+    for u, t, c in _hom_coordinates(alg, f_pos, g_pos):
+        for s, sn in enumerate(f_neg):
+            table = alg.comp_table(sn, f_pos[u], g_pos[t])
+            for a in range(alg.hom_dim(sn, f_pos[u])):
+                for out, coeff in table.get((a, c), ()):
+                    terms.append((row0[(s, t)] + out, col, f_start[(u, s)] + a, coeff))
+        col += 1
+    coo = np.array(terms, dtype=np.int64).reshape(-1, 4)
+    flat, slot, coeff = coo[:, 0] * col + coo[:, 1], coo[:, 2].copy(), coo[:, 3].copy()
+    load = np.zeros(rows * col, dtype=np.int64)
+    np.add.at(load, flat, np.abs(coeff))
+    for arr in (flat, slot, coeff):
+        arr.flags.writeable = False  # every caller of the cache shares them
+    return _Operator(rows, col, g_start, f_start, width, flat, slot, coeff,
+                     int(load.max(initial=0)))
 
 
 def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     """dim Hom(F_-1, G_0) minus the rank of (u, v) -> g∘u + v∘f.
 
-    The map is assembled as dense int columns, one per basis map u or v.
-    Row (s, t, c) is the c-th basis map of Hom(F_-1[s], G_0[t]); `start`
-    holds the first row of each (s, t) block.
+    The map comes from `_operator`, an lru_cache keyed on the Algebra object
+    (by identity, so two algebras never share an operator) and the four
+    summand tuples.  The int block coefficients of g and then f fill its
+    slot vector x, and one np.add.at scatters coeff * x[slot] into a zeroed
+    rows × cols matrix.  The matrix is int64 when max|x| times the
+    operator's bound is below 2^63, and exact Python ints (dtype object)
+    otherwise, so nothing overflows.  Over F_p, x is reduced into [0, p)
+    and the matrix mod p goes to `modp.rank_mod_p`; over Q its columns go
+    to `rank_int`.
     """
+    _check_field(field)
     if f.algebra is not g.algebra:
         raise AlgebraMismatch("complexes live over different algebras")
-    alg = f.algebra
-    start, rows = {}, 0
-    for s, sn in enumerate(f.neg):
-        for t, tp in enumerate(g.pos):
-            start[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
-    f_blocks, g_blocks = _int_blocks(f, field), _int_blocks(g, field)
-    p = None if field == RATIONAL else modp.PRIME
-    cols = []
-
-    def put(col: list[int], s: int, t: int, composed: dict[int, int]) -> None:
-        for idx, x in composed.items():
-            col[start[(s, t)] + idx] = x if p is None else x % p
-
-    for s, r, c in _hom_coordinates(alg, f.neg, g.neg):
-        col = [0] * rows
-        for t, tp in enumerate(g.pos):
-            block = g_blocks.get((t, r))
-            if block:
-                put(col, s, t, alg.compose_vectors(f.neg[s], g.neg[r], tp, {c: 1}, block))
-        cols.append(col)
-
-    for u, t, c in _hom_coordinates(alg, f.pos, g.pos):
-        col = [0] * rows
-        for s, sn in enumerate(f.neg):
-            block = f_blocks.get((u, s))
-            if block:
-                put(col, s, t, alg.compose_vectors(sn, f.pos[u], g.pos[t], block, {c: 1}))
-        cols.append(col)
-
-    if rows == 0 or not cols:
-        return rows
-    if p is None:
-        return rows - rank_int(cols)
-    return rows - modp.rank_mod_p(np.array(cols, dtype=np.int64).T)
+    op = _operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
+    x = [0] * op.width
+    for h, start in ((g, op.g_start), (f, op.f_start)):
+        blocks = _int_blocks(h, field)
+        for key, base in start.items():
+            coeffs = blocks.get(key)
+            if coeffs:
+                x[base : base + len(coeffs)] = coeffs
+    if field == FP:
+        x = [v % modp.PRIME for v in x]
+    if op.rows == 0 or op.cols == 0:
+        return op.rows
+    dtype = np.int64 if max(map(abs, x), default=0) * op.bound < 2**63 else object
+    m = np.zeros(op.rows * op.cols, dtype=dtype)
+    np.add.at(m, op.flat, op.coeff * np.array(x, dtype=dtype)[op.slot])
+    m = m.reshape(op.rows, op.cols)
+    if field == RATIONAL:
+        return op.rows - rank_int(m.T.tolist())
+    return op.rows - modp.rank_mod_p((m % modp.PRIME).astype(np.int64, copy=False))
 
 
 def ee_symmetrized(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -194,6 +267,7 @@ def random_complex(
     field: str = RATIONAL,
 ) -> TwoTermComplex:
     """Random map with uniform coefficients ([-10, 10] or F_p)."""
+    _check_field(field)
     blocks = {}
     for t, pt in enumerate(pos):
         for s, sn in enumerate(neg):
@@ -233,6 +307,7 @@ def _sampled_minimum(
     """
     if samples <= 0:
         raise BadParameters("sample count must be positive")
+    _check_field(field)
     if master_seed is None:
         master_seed = master_seed_from_env()
     best: int | None = None

@@ -130,15 +130,17 @@ class Algebra:
             comp.setdefault((i, j, l), {})[(a, b)] = _integral((i, j, l), terms)
         return cls(tuple(vertices), dict(dims), comp, name=name)
 
+    def comp_table(self, i: str, j: str, l: str) -> dict:
+        """Composition of basis maps P(i)->P(j)->P(l): (a, b) -> [(c, int coeff)]."""
+        return self._comp.get((i, j, l), {})
+
     def compose_vectors(self, i: str, j: str, l: str, x: dict, y: dict) -> dict:
         """x in Hom(P(i), P(j)) followed by y in Hom(P(j), P(l)), as a sparse vector.
 
         x, y and the result map basis indices to coefficients; zero
         coefficients are dropped from the result.
         """
-        table = self._comp.get((i, j, l))
-        if not table:
-            return {}
+        table = self.comp_table(i, j, l)
         out: dict = {}
         for a, xa in x.items():
             for b, yb in y.items():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -17,6 +18,8 @@ from grascat.einv import (
     ee_symmetrized,
     generic_e,
     generic_e_pair,
+    generic_e_pair_parts,
+    generic_e_parts,
     is_exchange_pair,
     is_real_g,
     random_complex,
@@ -104,6 +107,15 @@ class TestEPair:
         with pytest.raises(BadParameters, match="0.5"):
             t1_with_first_coefficient(alg39, seed39, 0.5)
 
+    @pytest.mark.parametrize("fld", ["Q", "F_p", "", "RATIONAL"])
+    def test_unknown_field_is_an_error(self, alg39, seed39, fld):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        f = random_complex(alg39, neg, pos, np.random.default_rng(55))
+        with pytest.raises(BadParameters, match="field"):
+            e_pair(f, f, fld)
+        with pytest.raises(BadParameters, match="field"):
+            random_complex(alg39, neg, pos, np.random.default_rng(55), fld)
+
     def test_random_complexes_carry_ints(self, alg39, seed39):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
         for fld in ("rational", "fp"):
@@ -186,6 +198,25 @@ class TestGenericValues:
             rational = generic_e(g, alg, samples=10, field="rational", master_seed=0)
             modular = generic_e(g, alg, samples=10, field="fp", master_seed=0)
             assert rational.value == modular.value
+
+    @pytest.mark.parametrize("fld", ["Q", "F_p"])
+    def test_unknown_field_fails_before_sampling(self, alg39, seed39, fld, monkeypatch):
+        # "Q" used to rank over F_p while the report named the field "Q"
+        def no_stream(*path):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(einv, "_stream", no_stream)
+        g = nonreal_g39(seed39)
+        parts = complex_from_gvector(g, alg39)
+        calls = [
+            lambda: generic_e(g, alg39, samples=2, field=fld, master_seed=0),
+            lambda: generic_e_pair(g, g, alg39, samples=2, field=fld, master_seed=0),
+            lambda: generic_e_parts(alg39, *parts, samples=2, field=fld, master_seed=0),
+            lambda: generic_e_pair_parts(alg39, parts, parts, samples=2, field=fld, master_seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameters, match="field"):
+                call()
 
     def test_deterministic_for_fixed_seed(self, alg39, seed39):
         g = nonreal_g39(seed39)
@@ -323,13 +354,38 @@ def oracle_e(f: TwoTermComplex, g: TwoTermComplex, field: str) -> int:
     return rows - (rank_int(m) if field == "rational" else modp.rank_mod_p(m))
 
 
+def weighted_algebra(weights) -> Algebra:
+    """A table algebra on vertices x, y whose structure constants cycle
+    through `weights`: every product of two basis maps is a sum over the
+    whole target basis, so matrix entries sum several terms."""
+    dims = {("x", "x"): 2, ("x", "y"): 1, ("y", "x"): 2, ("y", "y"): 2}
+    entries = {}
+    for (i, j), dij in dims.items():
+        for (j2, l), djl in dims.items():
+            if j2 == j and (i, l) in dims:
+                for a in range(dij):
+                    for b in range(djl):
+                        entries[(i, j, l, a, b)] = [
+                            (c, weights[(a + b + c) % len(weights)]) for c in range(dims[(i, l)])
+                        ]
+    return Algebra.from_table(("x", "y"), dims, entries, name="weighted")
+
+
 @pytest.fixture(scope="module")
 def oracle_algebras(alg39, alg48):
-    return {"gr39": alg39, "gr48": alg48, "gamma": build_algebra(fixtures.load_qp("qp_hl_gamma"))}
+    return {
+        "gr39": alg39,
+        "gr48": alg48,
+        "gamma": build_algebra(fixtures.load_qp("qp_hl_gamma")),
+        "weighted": weighted_algebra((2, -3, 1)),
+    }
 
 
 INTEGRAL = st.one_of(st.integers(-10, 10), st.sampled_from([2**63, -(2**63)]))
-COEFFS = st.one_of(INTEGRAL, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+# a matrix entry takes at most a few terms, so these land on both sides of
+# the int64 guard max|x| * bound < 2^63
+WIDE = st.integers(-(2**63), 2**63)
+COEFFS = st.one_of(INTEGRAL, WIDE, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
 
 
 def draw_complex(data, alg, coeffs) -> TwoTermComplex:
@@ -351,6 +407,20 @@ def draw_pair(data, algebras, coeffs):
     # half the pairs are self pairs on one stratum, as in generic_e
     g = f if data.draw(st.booleans()) else draw_complex(data, alg, coeffs)
     return f, g
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Keys of the homotopy operators compiled from here on, by a fresh cache."""
+    keys = []
+    compile_operator = einv._operator.__wrapped__
+
+    def counted(*key):
+        keys.append(key)
+        return compile_operator(*key)
+
+    monkeypatch.setattr(einv, "_operator", lru_cache(maxsize=None)(counted))
+    return keys
 
 
 class TestAgainstFractionOracle:
@@ -409,3 +479,45 @@ class TestAgainstFractionOracle:
         }
         f = TwoTermComplex(alg39, neg, pos, blocks)
         assert e_pair(f, f, fld) == oracle_e(f, f, fld)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_int64_guard_boundary(self, above, monkeypatch):
+        # positive constants: with every coefficient c the largest entry is
+        # exactly c * bound, so c one past the guard overflows int64
+        alg = weighted_algebra((2, 3, 1))
+        neg, pos = ("x", "x"), ("y", "x", "y")
+        bound = einv._operator(alg, neg, pos, neg, pos).bound
+        c = (2**63 - 1) // bound + above
+        f = random_complex(alg, neg, pos, np.random.default_rng(57))
+        f = TwoTermComplex(alg, neg, pos, {key: (c,) * len(v) for key, v in f.blocks.items()})
+        rows, cols = oracle_homotopy_matrix(f, f)
+        want = oracle_dense(rows, cols, "rational")
+        assert (max(max(map(abs, col)) for col in want) >= 2**63) == above
+        seen = []
+
+        def recorded(m):
+            seen.append(m)
+            return rank_int(m)
+
+        monkeypatch.setattr(einv, "rank_int", recorded)
+        assert e_pair(f, f) == rows - rank_int(want)
+        assert seen == [want]
+
+    def test_generic_e_compiles_once(self, alg39, seed39, compiles):
+        # T1 is not rigid, so all five samples are drawn
+        report = generic_e(nonreal_g39(seed39), alg39, samples=5, field="fp", master_seed=0)
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        assert report.samples == 5
+        assert compiles == [(alg39, neg, pos, neg, pos)]
+
+    def test_distinct_algebras_never_share_an_operator(self, compiles):
+        # same vertex names, same Hom dimensions, different constants
+        weighted, unit = weighted_algebra((2, -3, 1)), weighted_algebra((1, 1, 1))
+        neg, pos = ("x", "y"), ("y", "x")
+        values = []
+        for alg in (weighted, unit, weighted):
+            f = random_complex(alg, neg, pos, np.random.default_rng(3))
+            values.append(e_pair(f, f))
+            assert values[-1] == oracle_e(f, f, "rational")
+        assert values == [0, 3, 0]
+        assert [key[0] for key in compiles] == [weighted, unit]
