@@ -5,6 +5,12 @@ relations are polynomial identities that floats would blur.  Each tuple
 computes its n cyclic window minors once, when it is built; the genericity
 checks and the denominators of ``sigma`` read them from there, and
 ``twisted_shift`` hands them on rotated instead of recomputing them.
+
+``braid_property_check`` computes each sigma_i(t) once and reuses it in all
+three relations.  Two sides of a braid relation are compared as points of
+the Grassmannian without their C(n, k) Plücker coordinates: equal tuples
+are equal points, and otherwise the two k x n matrices are brought to
+reduced row echelon form, the canonical form of a row space.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .errors import (
     json_fields,
     list_of,
 )
-from .linalg import det
+from .linalg import det, rref
 
 __all__ = [
     "check_shape",
@@ -168,15 +174,25 @@ def plucker_vector(t: VectorTuple) -> tuple[Fraction, ...]:
 
 
 def plucker_proportional(a: VectorTuple, b: VectorTuple) -> bool:
-    """Equality as points of the Grassmannian: proportional Plücker vectors."""
-    pa, pb = plucker_vector(a), plucker_vector(b)
-    pivot = next((idx for idx, x in enumerate(pa) if x != 0), None)
-    if pivot is None:
-        return all(x == 0 for x in pb)
-    if pb[pivot] == 0:
-        return False
-    ratio = pa[pivot] / pb[pivot]
-    return all(x == ratio * y for x, y in zip(pa, pb))
+    """Equality as points of the Grassmannian: proportional Plücker vectors.
+
+    Equal tuples are proportional at once.  Otherwise the Plücker vectors of
+    the k x n matrices A, B (the vectors as columns) are proportional exactly
+    when both vanish (rank < k) or both ranks are k and A, B have the same
+    row space, that is the same reduced row echelon form.  Tuples of
+    different shapes raise DimensionMismatch.
+    """
+    if (a.k, a.n) != (b.k, b.n):
+        raise DimensionMismatch(
+            f"Plücker vectors of Gr({a.k},{a.n}) and Gr({b.k},{b.n}) are not comparable"
+        )
+    if a.vectors == b.vectors:
+        return True
+    (ra, pa), (rb, pb) = (rref([list(r) for r in zip(*t.vectors)]) for t in (a, b))
+    full_a, full_b = len(pa) == a.k, len(pb) == b.k
+    if not (full_a and full_b):
+        return full_a == full_b  # both Plücker vectors zero, or just one
+    return ra == rb
 
 
 @dataclass(frozen=True)
@@ -217,26 +233,25 @@ def braid_property_check(t: VectorTuple) -> BraidCheckReport:
             x = twisted_shift(x)
         return x
 
+    # Every relation starts from some sigma_i(t): compute each one once.
+    once = {i: sigma(i, t) for i in range(1, d)}
+    shifted = rho_d(t)
     generic_ok = True
     periodicity = {}
     for i in range(1, d):
-        left = sigma(i, rho_d(t))
-        right = rho_d(sigma(i, t))
-        periodicity[i] = left.vectors == right.vectors
+        periodicity[i] = sigma(i, shifted).vectors == rho_d(once[i]).vectors
 
     commutation = {}
     for i in range(1, d):
         for j in range(i + 2, d):
-            commutation[(i, j)] = (
-                sigma(i, sigma(j, t)).vectors == sigma(j, sigma(i, t)).vectors
-            )
+            commutation[(i, j)] = sigma(i, once[j]).vectors == sigma(j, once[i]).vectors
 
     braid_tuple, braid_pluck = {}, {}
     for i in range(1, d - 1):
         j = i + 1
         try:
-            left = sigma(i, sigma(j, sigma(i, t)))
-            right = sigma(j, sigma(i, sigma(j, t)))
+            left = sigma(i, sigma(j, once[i]))
+            right = sigma(j, sigma(i, once[j]))
         except (NotGeneric, DegenerateDenominator):
             generic_ok = False
             continue

@@ -13,7 +13,13 @@ from functools import lru_cache
 
 from .cluster import Quiver, mutate_quiver
 from .cmcat import KSubset, cyclic_interval
-from .einv import ConjecturalBool, generic_e_pair, generic_e_pair_parts
+from .einv import (
+    ConjecturalBool,
+    EValueReport,
+    _check_field,
+    generic_e_pair,
+    generic_e_pair_parts,
+)
 from .errors import BadParameters, OutOfRange
 from .qpa import Algebra, QuiverWithPotential, build_algebra
 
@@ -344,10 +350,12 @@ def kr_compatible(
     from .gvec import g_vector
     from .tableaux import Tableau
 
-    from .einv import EValueReport
-
     s1 = kernel_subset(i1, m1, v1, k, ell)
     s2 = kernel_subset(i2, m2, v2, k, ell)
+    # the shortcut below must reject what the sampled paths reject
+    _check_field(field)
+    if samples <= 0:
+        raise BadParameters("sample count must be positive")
     if s1 == s2:
         # identical rank-one labels: the same cluster variable, rigid
         return ConjecturalBool(True, EValueReport(0, True, 0, field))

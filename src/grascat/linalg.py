@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from operator import index
 from typing import Sequence
 
 import numpy as np
 
 from . import modp
-from .errors import NoIntegerSolution, NonUniqueSolution
+from .errors import BadParameters, NoIntegerSolution, NonUniqueSolution
 
 __all__ = [
     "rank_int",
@@ -103,14 +104,30 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
     gets the certified modular rank of `_certified_rank`, on the orientation
     with fewer rows, so that few relations need lifting.  Any other matrix,
     and any whose certificate fails (a bad prime), gets Bareiss elimination.
+    Entries are ints, numpy integers or Fractions of denominator 1; any other
+    entry, a float or a non-integral Fraction, raises BadParameters rather
+    than being truncated.
     """
-    m = [list(map(int, r)) for r in rows]
+    try:
+        m = [list(map(index, r)) for r in rows]
+    except TypeError:
+        m = [list(map(_integral, r)) for r in rows]
     short = min(len(m), len(m[0]) if m else 0)
     if short >= _MODULAR_MIN and max(max(max(r), -min(r)) for r in m) * short < _LIFT_LIMIT:
         rank = _certified_rank(m if len(m) == short else [list(c) for c in zip(*m)])
         if rank is not None:
             return rank
     return _bareiss(m)[0]
+
+
+def _integral(x) -> int:
+    """The int an integral Fraction (or any ``index``-able value) stands for."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    try:
+        return index(x)
+    except TypeError:
+        raise BadParameters(f"rank_int needs integer entries, got {x!r}") from None
 
 
 def _certified_rank(b: list[list[int]]) -> int | None:

@@ -5,8 +5,10 @@ from math import prod
 import numpy as np
 import pytest
 
+from grascat import braid
 from grascat.braid import (
     RANDOM_TUPLE_ATTEMPTS,
+    BraidCheckReport,
     VectorTuple,
     braid_property_check,
     is_consecutively_generic,
@@ -16,7 +18,12 @@ from grascat.braid import (
     sigma,
     twisted_shift,
 )
-from grascat.errors import BadParameters, DimensionMismatch, NotGeneric
+from grascat.errors import (
+    BadParameters,
+    DegenerateDenominator,
+    DimensionMismatch,
+    NotGeneric,
+)
 from grascat.linalg import det
 
 
@@ -31,6 +38,76 @@ def leibniz_det(rows):
 
 def frac_tuple(k, n, rows):
     return VectorTuple(k, n, tuple(tuple(Fraction(x) for x in r) for r in rows))
+
+
+def minors_proportional(a, b):
+    """Proportionality of the two full Plücker vectors: the oracle."""
+    pa, pb = plucker_vector(a), plucker_vector(b)
+    pivot = next((idx for idx, x in enumerate(pa) if x != 0), None)
+    if pivot is None:
+        return all(x == 0 for x in pb)
+    if pb[pivot] == 0:
+        return False
+    ratio = pa[pivot] / pb[pivot]
+    return all(x == ratio * y for x, y in zip(pa, pb))
+
+
+def oracle_braid_check(t):
+    """braid_property_check as it was before sigma images were shared and
+    Plücker vectors compared by row space."""
+    d = t.d
+
+    def rho_d(x):
+        for _ in range(d):
+            x = twisted_shift(x)
+        return x
+
+    generic_ok = True
+    periodicity = {}
+    for i in range(1, d):
+        left = sigma(i, rho_d(t))
+        right = rho_d(sigma(i, t))
+        periodicity[i] = left.vectors == right.vectors
+    commutation = {}
+    for i in range(1, d):
+        for j in range(i + 2, d):
+            commutation[(i, j)] = (
+                sigma(i, sigma(j, t)).vectors == sigma(j, sigma(i, t)).vectors
+            )
+    braid_tuple, braid_pluck = {}, {}
+    for i in range(1, d - 1):
+        j = i + 1
+        try:
+            left = sigma(i, sigma(j, sigma(i, t)))
+            right = sigma(j, sigma(i, sigma(j, t)))
+        except (NotGeneric, DegenerateDenominator):
+            generic_ok = False
+            continue
+        braid_tuple[(i, j)] = left.vectors == right.vectors
+        braid_pluck[(i, j)] = minors_proportional(left, right)
+    return BraidCheckReport(d, generic_ok, periodicity, commutation, braid_tuple, braid_pluck)
+
+
+def int_tuple(k, n, rng, bound=5, rank=None):
+    """Random integer tuple, not checked for genericity; with `rank` < k all
+    vectors lie in one random subspace of that dimension."""
+    if rank is None:
+        vecs = rng.integers(-bound, bound + 1, size=(n, k))
+    else:
+        vecs = rng.integers(-bound, bound + 1, size=(n, rank)) @ rng.integers(
+            -bound, bound + 1, size=(rank, k)
+        )
+    return VectorTuple(k, n, tuple(tuple(int(x) for x in v) for v in vecs))
+
+
+def gl_image(t, rng):
+    """t under a random invertible integer k x k matrix: the same point."""
+    while True:
+        g = rng.integers(-4, 5, size=(t.k, t.k))
+        if det(g.tolist()) != 0:
+            break
+    vecs = tuple(tuple(int(x) for x in g @ np.array(v, dtype=object)) for v in t.vectors)
+    return VectorTuple(t.k, t.n, vecs)
 
 
 class TestGenericity:
@@ -212,6 +289,55 @@ class TestRelations:
         other = random_tuple(3, 6, rng)
         assert not plucker_proportional(t, other)
         assert len(plucker_vector(t)) == 20
+
+    def test_mixed_shapes_rejected(self):
+        # a Gr(2,4) and a Gr(3,4) tuple used to compare as proportional
+        a = VectorTuple(2, 4, ((1, 0), (0, 1), (1, 1), (1, 2)))
+        b = VectorTuple(3, 4, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, 1)))
+        with pytest.raises(DimensionMismatch):
+            plucker_proportional(a, b)
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 4), (2, 5), (3, 6), (3, 9), (4, 8)])
+    def test_row_space_comparison_matches_plucker_minors(self, k, n):
+        rng = np.random.default_rng([77, k, n])
+        cases = []
+        for _ in range(8):
+            t = int_tuple(k, n, rng)
+            cases.append((t, gl_image(t, rng), True))
+            cases.append((t, t, True))
+            cases.append((t, VectorTuple(k, n, t.vectors), True))  # equal, not identical
+            cases.append((t, int_tuple(k, n, rng), False))
+            # one vector scaled moves the point unless that vector is zero
+            scaled = VectorTuple(k, n, (tuple(2 * x for x in t.vectors[0]),) + t.vectors[1:])
+            cases.append((t, scaled, not any(t.vectors[0]) or None))
+            low = int_tuple(k, n, rng, rank=k - 1)
+            cases.append((low, int_tuple(k, n, rng, rank=max(k - 2, 0)), True))
+            cases.append((low, t, None))  # False unless t happens to be deficient
+            cases.append((t, low, None))
+        for a, b, want in cases:
+            got = plucker_proportional(a, b)
+            assert got == minors_proportional(a, b), (a, b)
+            if want is not None:
+                assert got == want, (a, b)
+
+    def test_one_sigma_per_generator_and_relation(self, monkeypatch):
+        calls = []
+
+        def counting(i, t):
+            calls.append(i)
+            return sigma(i, t)
+
+        monkeypatch.setattr(braid, "sigma", counting)
+        for (k, n), want in [((3, 9), 8), ((4, 8), 16)]:
+            calls.clear()
+            braid_property_check(random_tuple(k, n, np.random.default_rng([78, k, n])))
+            assert len(calls) == want, (k, n)
+
+    @pytest.mark.parametrize("k, n, trials", [(3, 9, 6), (4, 8, 6), (4, 12, 2)])
+    def test_reports_match_the_unshared_check(self, k, n, trials):
+        for trial in range(trials):
+            t = random_tuple(k, n, np.random.default_rng([79, k, n, trial]))
+            assert braid_property_check(t).to_json() == oracle_braid_check(t).to_json()
 
     def test_small_gcd_rejected(self):
         t = random_tuple(2, 5, np.random.default_rng(74))

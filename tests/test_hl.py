@@ -215,6 +215,16 @@ class TestCompatibility:
         assert a == b
         assert kr_compatible(1, -2, 1, 1, -2, 1, 3, 5, samples=3, master_seed=0)
 
+    def test_identical_labels_check_the_field(self):
+        # the identical-label shortcut used to certify any field name
+        with pytest.raises(BadParameters, match="field"):
+            kr_compatible(1, -4, 1, 1, -4, 1, 4, 3, samples=2, field="Q")
+
+    def test_identical_labels_check_the_sample_count(self):
+        # distinct labels raise on samples=0; the shortcut used to report it
+        with pytest.raises(BadParameters, match="sample count"):
+            kr_compatible(1, -4, 1, 1, -4, 1, 4, 3, samples=0)
+
     def test_cross_check_against_gamma_route(self):
         cases = [
             ((1, -2, 1), (2, -1, 1)),

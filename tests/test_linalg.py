@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grascat import modp
-from grascat.errors import NoIntegerSolution, NonUniqueSolution
+from grascat.errors import BadParameters, NoIntegerSolution, NonUniqueSolution
 from grascat.linalg import ExactSolver, _bareiss, _certified_rank, det, rank_int, rref
 
 
@@ -115,6 +115,19 @@ class TestRank:
     def test_empty(self):
         assert rank_int([]) == 0
         assert rank_int([[]]) == 0
+
+    # both used to come out as rank 0, each entry truncated by int()
+    def test_fraction_entry_rejected(self):
+        with pytest.raises(BadParameters, match="integer entries"):
+            rank_int([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(BadParameters, match="integer entries"):
+            rank_int([[0.5, 0], [0, 0.25]])
+
+    def test_integral_entries_of_any_integer_kind(self):
+        rows = [[Fraction(2), np.int64(1)], [4, Fraction(2)]]
+        assert rank_int(rows) == 1
 
     def test_rank_mod_p_matches_exact(self):
         rng = np.random.default_rng(202)
