@@ -1,10 +1,21 @@
 """Braid-group action on consecutively generic vector tuples.
 
 All arithmetic is exact, with plain Fractions, because the checked
-relations are polynomial identities that floats would blur.  Each tuple
-computes its n cyclic window minors once, when it is built; the genericity
-checks and the denominators of ``sigma`` read them from there, and
-``twisted_shift`` hands them on rotated instead of recomputing them.
+relations are polynomial identities that floats would blur.  A tuple built
+from raw vectors computes its n cyclic window minors once, when it is
+built; the genericity checks and the denominators of ``sigma`` read them
+from there.  ``twisted_shift`` hands them on rotated, and ``sigma`` derives
+its image's minors from its input's, so neither recomputes them.
+
+Write Delta_s for the minor of the window starting at s, and b for the
+first position of a pair that sigma moves.  An image window starting
+anywhere but b + 1 holds both vectors of each moved pair or neither, and
+(v_b, v_{b+1}) -> (v_{b+1}, r v_{b+1} - v_b) is a determinant-1 operation
+on two columns, so its minor is unchanged.  The window starting at b + 1
+holds r v_{b+1} - v_b, then v_{b+2}, ..., v_{b+k-1} up to such operations,
+then v_{b+k+1}; the three-term Plücker relation on those k - 2 middle
+vectors and b < b+1 < b+k < b+k+1 gives its minor as
+Delta_b Delta_{b+2} / Delta_{b+1}.
 
 ``braid_property_check`` computes each sigma_i(t) once and reuses it in all
 three relations.  Two sides of a braid relation are compared as points of
@@ -65,7 +76,8 @@ class VectorTuple:
     vectors: tuple[Vector, ...]
     # det(v_i, ..., v_{i+k-1}) for i = 1..n, cyclic indices.  Computed from the
     # vectors on construction, so that repeated checks of one tuple do the same
-    # work; only a caller that derives them exactly passes them in.
+    # work; only a caller that derives them exactly passes them in
+    # (``twisted_shift`` and ``sigma``), and then there must be n of them.
     window_minors: tuple[Fraction, ...] | None = field(
         default=None, compare=False, repr=False, kw_only=True
     )
@@ -85,6 +97,10 @@ class VectorTuple:
                 det([self.vec(i + t) for t in range(self.k)]) for i in range(1, self.n + 1)
             )
             object.__setattr__(self, "window_minors", minors)
+        elif len(self.window_minors) != self.n:
+            raise DimensionMismatch(
+                f"expected {self.n} window minors, got {len(self.window_minors)}"
+            )
 
     @property
     def d(self) -> int:
@@ -142,6 +158,10 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
     Window positions i, i+1 become v_{i+1}, w with
     w = (det(v_i, v_{i+2}, ..., v_{i+k}) / det(v_{i+1}, ..., v_{i+k})) v_{i+1} - v_i,
     everything computed from the input tuple; other positions are untouched.
+    The n/d numerators are the only determinants: for each moved pair at
+    b = i + j d, the image's window minor at b + 1 is
+    Delta_b Delta_{b+2} / Delta_{b+1} (the Plücker relation, see the module
+    docstring) and every other window minor is the input's.
     """
     d = t.d
     if d < 2 or not 1 <= i <= d - 1:
@@ -149,6 +169,7 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
     if not is_consecutively_generic(t):
         raise NotGeneric("sigma requires a consecutively generic tuple")
     new_vectors = list(t.vectors)
+    minors = list(t.window_minors)
     for j in range(t.n // d):
         base = i + j * d
         denominator = t.window_minor(base + 1)
@@ -159,7 +180,9 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
         w = tuple(ratio * a - b for a, b in zip(t.vec(base + 1), t.vec(base)))
         new_vectors[(base - 1) % t.n] = t.vec(base + 1)
         new_vectors[base % t.n] = w
-    out = VectorTuple(t.k, t.n, tuple(new_vectors))
+        # the window starting at base + 1; every other window keeps its minor
+        minors[base % t.n] = t.window_minor(base) * t.window_minor(base + 2) / denominator
+    out = VectorTuple(t.k, t.n, tuple(new_vectors), window_minors=tuple(minors))
     if not is_consecutively_generic(out):
         raise NotGeneric("sigma image lost consecutive genericity")
     return out

@@ -308,6 +308,16 @@ def _cmd_paper_tables(args) -> None:
         sys.stdout.write(text)
 
 
+# Options that only some ops of a verb need, so argparse cannot mark them
+# required: (verb, op) -> option dest.
+_OP_OPTIONS = {
+    ("tableau", "union"): "other",
+    ("tableau", "quotient"): "other",
+    ("tableau", "dominance"): "other",
+    ("profile", "check"): "tableau",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grascat",
@@ -396,6 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    needed = _OP_OPTIONS.get((args.verb, getattr(args, "op", None)))
+    if needed and getattr(args, needed) is None:
+        parser.error(f"{args.verb} {args.op} needs --{needed}")
     try:
         args.func(args)
     except (GrascatError, OSError, KeyError, ValueError) as exc:

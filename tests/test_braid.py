@@ -146,14 +146,32 @@ class TestGenericity:
         assert hits > 180
 
     def test_window_minors_match_leibniz(self):
-        for k, n in [(2, 6), (3, 9), (4, 8)]:
+        # d = k, then d < k, where a window holds whole moved pairs besides the
+        # one it cuts
+        for k, n in [(2, 6), (3, 9), (4, 8), (4, 12), (4, 6), (6, 8), (6, 9), (4, 10)]:
             t = random_tuple(k, n, np.random.default_rng([7, k, n]))
-            for x in (t, sigma(1, t), twisted_shift(t)):  # sigma images have Fraction entries
+            d = t.d
+            shifted = t
+            for _ in range(d):
+                shifted = twisted_shift(shifted)
+            images = [t, twisted_shift(t)]
+            for i in range(1, d):
+                once = sigma(i, t)
+                # derived minors of one image feed the derived minors of the next
+                images += [once, sigma(i, shifted)]
+                images += [sigma(i, sigma(j, once)) for j in range(1, d) if j != i]
+            for x in images:  # sigma images have Fraction entries
                 want = tuple(
                     leibniz_det([x.vec(i + s) for s in range(k)]) for i in range(1, n + 1)
                 )
-                assert x.window_minors == want
+                assert x.window_minors == want, (k, n)
                 assert [x.window_minor(i) for i in range(1, n + 1)] == list(want)
+
+    def test_window_minors_length_checked(self):
+        vecs = ((1, 0), (1, 0), (1, 1), (1, -1))  # true minors include 0
+        for minors in ((), (1, 1, 1), (1, 1, 1, 1, 1)):
+            with pytest.raises(DimensionMismatch, match="window minors"):
+                VectorTuple(2, 4, vecs, window_minors=minors)
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -234,6 +252,19 @@ class TestSigma:
         for pos in (2, 3):  # 0-based positions outside {0, 1} in each window
             assert out.vectors[pos] == t.vectors[pos]
             assert out.vectors[pos + 4] == t.vectors[pos + 4]
+
+    @pytest.mark.parametrize("k, n, want", [(3, 9, 3), (4, 8, 2)])
+    def test_only_the_numerators_are_determinants(self, monkeypatch, k, n, want):
+        t = random_tuple(k, n, np.random.default_rng([80, k, n]))
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return det(rows)
+
+        monkeypatch.setattr(braid, "det", counting)
+        sigma(1, t)
+        assert len(calls) == want == n // t.d
 
     def test_index_range_enforced(self):
         rng = np.random.default_rng(68)

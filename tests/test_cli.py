@@ -276,6 +276,20 @@ class TestErrorPaths:
             main(["tableau", "frobnicate", "--in", "{}"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, option", [
+        (("tableau", "union", "--in", T39), "--other"),
+        (("tableau", "quotient", "--in", T39), "--other"),
+        (("tableau", "dominance", "--in", T39), "--other"),
+        (("profile", "check", "--profile", '{"k":3,"n":6,"factors":[[1,2,3]]}'), "--tableau"),
+    ])
+    def test_missing_op_option_is_a_usage_error(self, capsys, argv, option):
+        # these ops used to end in an AttributeError traceback on None
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert option in captured.err
+
 
 class TestGoldenTables:
     @pytest.mark.parametrize("which", ["hom39", "hom48", "kr53", "gvecs39", "gvecs48"])
