@@ -9,11 +9,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import modp
 from . import tableaux as tb
 from .cmcat import KSubset
 from .errors import (
     BadParameters,
     DimensionMismatch,
+    FieldOverflow,
     FrozenVertex,
     IncomparableExchange,
     MalformedInput,
@@ -290,14 +292,25 @@ def grassmannian_initial_seed(k: int, n: int) -> Seed:
 
 @dataclass
 class ExploreResult:
-    """Closure of seed mutation within the given budgets."""
+    """Closure of seed mutation within the given budgets.
+
+    ``stopped_by`` names what left the closure incomplete: "max_seeds" when
+    the seed budget ended the call, "depth" when only the depth horizon
+    left clusters unseen, and None when the result is complete.
+    """
 
     variables: dict[Tableau, tuple[int, ...]] = field(default_factory=dict)
     seeds_seen: int = 0
     complete: bool = True
+    stopped_by: str | None = None
 
     def variable_count(self) -> int:
         return len(self.variables)
+
+
+# Field width of the first packing; `explore` doubles it whenever a count
+# could reach the guard bit of its field.
+_FIRST_BITS = 16
 
 
 def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
@@ -306,47 +319,151 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     Returns every distinct reduced mutable label encountered, in the order
     first met, together with its g-vector over the starting seed.  If either
     budget is exhausted the result is flagged incomplete instead of raising,
-    so partial sweeps stay usable.
+    so partial sweeps stay usable; ``stopped_by`` says which budget it was.
 
-    Each queued seed carries the tuple of its reduced mutable labels.  A
-    mutation at r changes label r only, so a neighbour costs one
-    ``exchange_label`` and one ``reduce``; its cluster key is the
-    ``Seed.cluster_key`` multiset of that tuple.  The neighbour's quiver and
-    ``Seed`` are built only when it is queued.
+    The exploration runs on packed count vectors (`tableaux.Packing`): a
+    mutation at r is the exchange rule of `exchange_label` on ints, a union
+    a sum and the quotient a difference, with the dominance, factor and
+    semistandard checks done field by field.  `Tableau` objects are built
+    only for the returned variables, and for the error of a failed check,
+    which `exchange_label` then raises with its own type and message.  A
+    cluster's key is the multiset of its reduced count grids, the same
+    equality as `Seed.cluster_key`.
+
+    g-vectors are carried, not solved: the start labels have independent
+    contents (else NonUniqueSolution), so label j of the start seed has
+    the unit vector e_j, and a g-vector is linear in the content.  A new
+    label gets the sum of the vectors of the bigger union's parts minus
+    that of the old label, and its reduction subtracts the vector of each
+    trivial column it loses.  In a seed reached from
+    `grassmannian_initial_seed` every trivial column is a frozen label, of
+    unit vector; a reduction that takes off any other is solved over the
+    start seed, as `gvec.g_vector` solves it.
     """
-    from .gvec import g_vector  # local import: gvec depends on cluster types
-
     if max_depth < 0 or max_seeds <= 0:
         raise BadParameters("budgets must be positive")
-    result = ExploreResult()
+    if seed.n_mut == 0:
+        return ExploreResult(seeds_seen=1)
+    k, n = seed.labels[0].k, seed.labels[0].n
+    if any((t.k, t.n) != (k, n) for t in seed.labels):
+        raise DimensionMismatch("seed labels must share one (k, n)")
+    contents = np.array([t.content().ravel() for t in seed.labels])
+    if modp.rank_mod_p(contents) < seed.m:
+        _seed_solver(seed)  # raises NonUniqueSolution unless independent over Q
+    bits = _FIRST_BITS
+    while True:
+        try:
+            return _explore_packed(seed, max_depth, max_seeds, tb.Packing.of(k, n, bits))
+        except FieldOverflow:
+            bits *= 2
 
-    def record(reduced: tuple[Tableau, ...]) -> None:
-        for red in reduced:
-            if red not in result.variables:
-                result.variables[red] = g_vector(red, seed).coords
 
-    start = tuple(tb.reduce(t) for t in seed.mutable_labels())
-    seen = {seed.cluster_key()}
-    queue = deque([(seed, start, 0)])
-    record(start)
-    result.seeds_seen = 1
+def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Packing) -> ExploreResult:
+    """`explore` in one packing; raises FieldOverflow if its fields are too narrow."""
+    n_mut, m = seed.n_mut, seed.m
+    units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
+    start = tuple(map(packing.pack, seed.labels))
+    start_index = {x: j for j, x in enumerate(start)}
+    reductions: dict[int, tuple[int, list[int]]] = {}
+    found: dict[int, tuple[int, ...]] = {}  # reduced C grid -> g-vector
+
+    def reduced(x: int) -> tuple[int, list[int]]:
+        """(C grid of reduce(x), multiplicity of each trivial column), cached."""
+        hit = reductions.get(x)
+        if hit is None:
+            red, mults = packing.reduce(x)
+            if red != x and not packing.semistandard(red):
+                tb.reduce(packing.tableau(x))  # raises the reduction's NotSemistandard
+                raise RuntimeError("packed reduction disagrees with tableaux.reduce")
+            hit = reductions[x] = (red & packing.grid, mults)
+        return hit
+
+    def record(x: int, g) -> None:
+        """Store reduce(x) with its g-vector: g less the vectors of its trivial columns."""
+        red, mults = reduced(x)
+        if red in found:
+            return
+        g = list(g)
+        for mult, column in zip(mults, packing.trivial):
+            if mult:
+                j = start_index.get(column)
+                if j is None:  # not a label: solve the reduced label, as g_vector does
+                    found[red] = tuple(_seed_solver(seed).solve(packing.tableau(red)))
+                    return
+                g[j] -= mult
+        found[red] = tuple(g)
+
+    def finish(result: ExploreResult) -> ExploreResult:
+        result.variables = {packing.tableau(red): g for red, g in found.items()}
+        return result
+
+    result = ExploreResult(seeds_seen=1)
+    for j in range(n_mut):
+        record(start[j], units[j])
+    keys = tuple(reduced(x)[0] for x in start[:n_mut])
+    seen = {tuple(sorted(keys))}
+    queue = deque([(seed.quiver, start, keys, tuple(units[:n_mut]), 0)])
+    dominance, quotient, semistandard = packing.dominance, packing.quotient, packing.semistandard
     while queue:
-        current, reduced, depth = queue.popleft()
-        for r in range(current.n_mut):
-            label = exchange_label(current, r)
-            labels = reduced[:r] + (tb.reduce(label),) + reduced[r + 1 :]
-            key = frozenset(Counter(labels).items())
+        quiver, labels, keys, gvecs, depth = queue.popleft()
+        arrows = quiver.arrows
+        # Every union is a sum of at most len(arrows) labels, and no field of
+        # a label exceeds its top one.
+        if (max(labels) >> packing.top) * len(arrows) >= packing.limit:
+            raise FieldOverflow(f"exchange unions could overflow {packing.bits}-bit fields")
+        ins, outs = [0] * n_mut, [0] * n_mut
+        for s, t in arrows:
+            if t < n_mut:
+                ins[t] += labels[s]
+            if s < n_mut:
+                outs[s] += labels[t]
+        for r in range(n_mut):
+            cmp = dominance(ins[r], outs[r])
+            into = cmp is Dominance.GT or cmp is Dominance.EQ
+            new = None
+            if into or cmp is Dominance.LT:
+                new = quotient(ins[r] if into else outs[r], labels[r])
+            if new is None or not semistandard(new):
+                _raise_exchange_error(packing, quiver, labels, r)
+            neighbour = keys[:r] + (reduced(new)[0],) + keys[r + 1 :]
+            key = tuple(sorted(neighbour))
             if key in seen:
                 continue
             if depth == max_depth:
                 result.complete = False  # unseen cluster beyond the horizon
+                result.stopped_by = "depth"
                 continue
             if result.seeds_seen >= max_seeds:
                 result.complete = False
-                return result
+                result.stopped_by = "max_seeds"
+                return finish(result)
             seen.add(key)
             result.seeds_seen += 1
-            record(labels)
-            neighbour = current.labels[:r] + (label,) + current.labels[r + 1 :]
-            queue.append((Seed(mutate_quiver(current.quiver, r), neighbour), labels, depth + 1))
-    return result
+            g = [-u for u in gvecs[r]]
+            for v in (quiver.arrows_into(r) if into else quiver.arrows_out_of(r)):
+                if v < n_mut:
+                    g = [a + b for a, b in zip(g, gvecs[v])]
+                else:
+                    g[v] += 1
+            record(new, g)
+            queue.append((
+                mutate_quiver(quiver, r),
+                labels[:r] + (new,) + labels[r + 1 :],
+                neighbour,
+                gvecs[:r] + (tuple(g),) + gvecs[r + 1 :],
+                depth + 1,
+            ))
+    return finish(result)
+
+
+def _seed_solver(seed: Seed):
+    """The cached exact solver over a seed's label contents."""
+    from .gvec import _solver_for  # local import: gvec depends on cluster types
+
+    return _solver_for(seed)
+
+
+def _raise_exchange_error(packing: tb.Packing, quiver: Quiver, labels, r: int):
+    """Raise the error `exchange_label` gives where a packed check failed."""
+    exchange_label(Seed(quiver, tuple(map(packing.tableau, labels))), r)
+    raise RuntimeError(f"packed exchange check at vertex {r} disagrees with exchange_label")

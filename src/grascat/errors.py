@@ -19,6 +19,10 @@ class NotAFactor(GrascatError):
     """Row-wise multiset division was requested for a non-factor."""
 
 
+class FieldOverflow(GrascatError):
+    """A packed tableau count could reach the guard bit of its field."""
+
+
 class OutOfRange(GrascatError):
     """An (i, s) / (i, m, v) parameter lies outside its admissible range."""
 

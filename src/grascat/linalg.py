@@ -95,6 +95,8 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
 _MODULAR_MIN = 40
 # max|entry| * min(shape) below this keeps every lifting product in int64.
 _LIFT_LIMIT = 2**31
+# A bound on |partial sums| below this keeps an int64 product exact.
+_INT64_LIMIT = 2**63
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
@@ -276,7 +278,9 @@ class ExactSolver:
     The inverse transform is precomputed once (row reduction of [A | I]),
     after which each solve is a single integer matrix-vector product.  Used
     for content-grid decompositions where the same basis is queried for
-    thousands of right-hand sides.
+    thousands of right-hand sides.  The product runs in int64 when
+    max row-|sum| of the transform times max|b| is below 2^63, which bounds
+    every partial sum; otherwise in Python ints.
     """
 
     def __init__(self, columns: Sequence[Sequence[int]]):
@@ -297,12 +301,24 @@ class ExactSolver:
         e_rows = [r[self.ncols :] for r in red]
         self.denom = lcm(*(x.denominator for r in e_rows for x in r))
         self.transform = [[x.numerator * (self.denom // x.denominator) for x in r] for r in e_rows]
+        self._row_bound = max((sum(map(abs, r)) for r in self.transform), default=0)
+        self._transform64 = (
+            np.array(self.transform, dtype=np.int64).reshape(self.nrows, self.nrows)
+            if self._row_bound < _INT64_LIMIT
+            else None
+        )
+
+    def _product(self, b: Sequence[int]) -> list[int]:
+        """transform @ b in exact integers."""
+        if self._transform64 is not None and self._row_bound * max(map(abs, b), default=0) < _INT64_LIMIT:
+            return (self._transform64 @ np.array(b, dtype=np.int64)).tolist()
+        return [sum(t * v for t, v in zip(row, b)) for row in self.transform]
 
     def solve_rational(self, b: Sequence[int]) -> list[Fraction] | None:
         """Unique rational x with A x = b, or None if b is outside the span."""
         if len(b) != self.nrows:
             raise NoIntegerSolution("right-hand side has wrong length")
-        eb = [sum(t * v for t, v in zip(row, b)) for row in self.transform]
+        eb = self._product(b)
         if any(x != 0 for x in eb[self.ncols :]):
             return None
         return [Fraction(x, self.denom) for x in eb[: self.ncols]]
@@ -315,4 +331,3 @@ class ExactSolver:
         if any(v.denominator != 1 for v in x):
             raise NoIntegerSolution("solution exists but is not integral")
         return [int(v) for v in x]
-

@@ -20,6 +20,7 @@ from .cmcat import KSubset
 from .errors import (
     BadParameters,
     DimensionMismatch,
+    FieldOverflow,
     NoDecomposition,
     NoIntegerSolution,
     NotAFactor,
@@ -42,6 +43,7 @@ __all__ = [
     "reduce",
     "equivalent",
     "dominance_compare",
+    "Packing",
     "fundamental_subset",
     "monomial_to_tableau",
     "tableau_to_monomial",
@@ -274,6 +276,147 @@ def dominance_compare(s: Tableau, t: Tableau) -> Dominance:
     if below:
         return Dominance.GT
     return Dominance.LT if above else Dominance.INCOMPARABLE
+
+
+# --- packed count vectors ---------------------------------------------------
+
+
+class Packing:
+    """Tableaux of one shape (k, n) as packed count vectors.
+
+    A rectangular SSYT is fixed by its per-row value counts.  One int holds
+    three k x n grids of ``bits``-bit fields, lowest first:
+
+    - C[r][v], the count of v in row r;
+    - R[r][v], the count of entries <= v in row r;
+    - P[r][v] = R[0][v] + ... + R[r][v].
+
+    Field (r, v) of a grid is field r n + v - 1 of its section.  All three
+    grids are linear in the tableau, so a union is the sum of the ints and
+    a quotient their difference.  Every field stays below its top bit, the
+    guard bit, so one subtraction compares two grids field by field:
+    ``((a | G) - b) & G == G`` exactly when every field of a is >= that of
+    b (Lamport 1975, "multiple byte processing with full-word
+    instructions").  The largest field of a tableau is its top one,
+    P[k-1][n] = k * width; `pack` raises FieldOverflow when that reaches
+    the guard bit, and a caller that adds packed tableaux keeps the sum
+    below it too.
+    """
+
+    def __init__(self, k: int, n: int, bits: int):
+        self.k, self.n, self.bits = k, n, bits
+        size = k * n
+        self.grid_bits = size * bits
+        self.fmask = (1 << bits) - 1
+        ones = sum(1 << (f * bits) for f in range(size))
+        self.grid = ones * self.fmask
+        self.guard = ones << (bits - 1)
+        self.limit = 1 << (bits - 1)
+        self.top = (3 * size - 1) * bits
+        # the last row of P counts the entries <= v of the whole tableau
+        self.content_shift = (2 * size + (k - 1) * n) * bits
+        self.last_ones = sum(1 << ((r * n + n - 1) * bits) for r in range(k))
+        self.last_column = self.last_ones * self.fmask
+
+        def field(section: int, r: int, v: int) -> int:
+            return 1 << ((section * size + r * n + v - 1) * bits)
+
+        # The packed value of one entry v in row r: it adds 1 to C[r][v], to
+        # R[r][u] for u >= v and to P[s][u] for s >= r, u >= v.
+        self.units = [
+            [0] + [
+                field(0, r, v)
+                + sum(field(1, r, u) for u in range(v, n + 1))
+                + sum(field(2, s, u) for s in range(r, k) for u in range(v, n + 1))
+                for v in range(1, n + 1)
+            ]
+            for r in range(k)
+        ]
+        # Cell (r, a + r) of the trivial column starting at a is field
+        # r (n + 1) + a - 1: shifting row r down by r (n + 1) fields lines
+        # the k cells of every trivial column up in the first n - k + 1 fields.
+        starts = n - k + 1
+        self.diagonal = [r * (n + 1) * bits for r in range(k)]
+        self.start_ones = sum(1 << (a * bits) for a in range(starts))
+        self.start_fields = self.start_ones * self.fmask
+        self.start_guard = self.start_ones << (bits - 1)
+        self.trivial = [self.pack(trivial_column(a, k, n)) for a in range(1, starts + 1)]
+
+    @classmethod
+    @lru_cache(maxsize=32)
+    def of(cls, k: int, n: int, bits: int) -> "Packing":
+        """The shared packing of shape (k, n) with ``bits``-bit fields."""
+        return cls(k, n, bits)
+
+    def pack(self, t: Tableau) -> int:
+        """The sum of the packed units of the entries of t."""
+        if (t.k, t.n) != (self.k, self.n):
+            raise DimensionMismatch(f"({t.k},{t.n}) tableau in a ({self.k},{self.n}) packing")
+        if t.k * t.width >= self.limit:
+            raise FieldOverflow(f"a width-{t.width} tableau overflows {self.bits}-bit fields")
+        return sum(units[v] for units, row in zip(self.units, t.rows) for v in row)
+
+    def tableau(self, x: int) -> Tableau:
+        """The tableau whose packed value is x (read from its C grid)."""
+        rows = []
+        for _ in range(self.k):
+            row: list[int] = []
+            for v in range(1, self.n + 1):
+                count = x & self.fmask
+                if count:
+                    row += [v] * count
+                x >>= self.bits
+            rows.append(tuple(row))
+        return Tableau(self.k, self.n, tuple(rows))
+
+    def ge(self, a: int, b: int) -> bool:
+        """Every field of grid a is >= the field of grid b."""
+        guard = self.guard
+        return ((a | guard) - b) & guard == guard
+
+    def dominance(self, x: int, y: int) -> Dominance:
+        """`dominance_compare` of two packed tableaux: P_x >= P_y means x >= y."""
+        if x >> self.content_shift != y >> self.content_shift:
+            return Dominance.DIFFERENT_CONTENT
+        px, py = x >> 2 * self.grid_bits, y >> 2 * self.grid_bits
+        ge, le = self.ge(px, py), self.ge(py, px)
+        if ge:
+            return Dominance.EQ if le else Dominance.GT
+        return Dominance.LT if le else Dominance.INCOMPARABLE
+
+    def quotient(self, x: int, y: int) -> int | None:
+        """x minus y, or None when y is not a factor of x (some C_y > C_x)."""
+        if not self.ge(x & self.grid, y & self.grid):
+            return None
+        return x - y
+
+    def semistandard(self, x: int) -> bool:
+        """Columns strictly increase, R[r+1][v] <= R[r][v-1], and rows have one length."""
+        counts = x & self.grid
+        cumulative = (x >> self.grid_bits) & self.grid
+        below = cumulative - counts  # R[r][v-1], the entries < v of row r
+        if not self.ge(below, cumulative >> self.n * self.bits):
+            return False
+        width = (cumulative >> (self.n - 1) * self.bits) & self.fmask
+        return cumulative & self.last_column == width * self.last_ones
+
+    def reduce(self, x: int) -> tuple[int, list[int]]:
+        """`reduce` on a packed tableau, with the multiplicity of each trivial column.
+
+        The trivial column starting at a comes off min_r C[r][a + r] times.
+        One pass over the k rows first finds the columns with every cell
+        nonzero; most labels have none.
+        """
+        counts = x & self.grid
+        guard = present = self.start_guard
+        for shift in self.diagonal:
+            present &= (((counts >> shift) & self.start_fields) | guard) - self.start_ones
+        mults = [0] * len(self.trivial)
+        for a, column in enumerate(self.trivial):
+            if present >> (a * self.bits) & self.limit:
+                mults[a] = min((counts >> (shift + a * self.bits)) & self.fmask for shift in self.diagonal)
+                x -= mults[a] * column
+        return x, mults
 
 
 # --- the dictionary between dominant monomials and tableaux -----------------

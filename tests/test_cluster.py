@@ -7,24 +7,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tableau
-from test_tableaux import grid_dominance_compare, grid_reduce, outcome
+from test_tableaux import from_columns, grid_dominance_compare, grid_reduce, outcome
 from grascat.cluster import (
     ExploreResult,
     Quiver,
     Seed,
+    _explore_packed,
+    exchange_label,
     explore,
     grassmannian_initial_seed,
     grassmannian_vertex_subsets,
     mutate_quiver,
     mutate_seed,
 )
-from grascat.errors import BadParameters, FrozenVertex, IncomparableExchange
+from grascat.errors import (
+    BadParameters,
+    FieldOverflow,
+    FrozenVertex,
+    IncomparableExchange,
+    NoIntegerSolution,
+    NonUniqueSolution,
+    NotAFactor,
+    NotSemistandard,
+)
 from grascat.gvec import g_vector
-from grascat.tableaux import Dominance, Tableau, quotient, reduce as treduce, union
+from grascat.tableaux import Dominance, Packing, Tableau, quotient, reduce as treduce, union
 
 
-# Three times the Gr(3,8) closure's measured time (22 s) on a 2-vCPU VM.
-GR38_SECONDS = 66.0
+# Three times the Gr(3,8) closure's measured time in the suite (3.6 s) on a
+# 2-vCPU VM.
+GR38_SECONDS = 11.0
 
 
 def random_quiver(rng, m=6, n_mut=4, density=0.4):
@@ -142,6 +154,51 @@ def oracle_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     return result
 
 
+# --- the Tableau-object explore, kept as the oracle of the packed one ---------
+
+
+def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
+    """explore on Tableau labels: exchange_label, reduce, and g_vector solves.
+
+    Each queued seed carries the tuple of its reduced mutable labels; a
+    neighbour costs one exchange_label and one reduce.
+    """
+    if max_depth < 0 or max_seeds <= 0:
+        raise BadParameters("budgets must be positive")
+    result = ExploreResult()
+
+    def record(reduced) -> None:
+        for red in reduced:
+            if red not in result.variables:
+                result.variables[red] = g_vector(red, seed).coords
+
+    start = tuple(treduce(t) for t in seed.mutable_labels())
+    seen = {seed.cluster_key()}
+    queue = deque([(seed, start, 0)])
+    record(start)
+    result.seeds_seen = 1
+    while queue:
+        current, reduced, depth = queue.popleft()
+        for r in range(current.n_mut):
+            label = exchange_label(current, r)
+            labels = reduced[:r] + (treduce(label),) + reduced[r + 1 :]
+            key = frozenset(Counter(labels).items())
+            if key in seen:
+                continue
+            if depth == max_depth:
+                result.complete = False
+                continue
+            if result.seeds_seen >= max_seeds:
+                result.complete = False
+                return result
+            seen.add(key)
+            result.seeds_seen += 1
+            record(labels)
+            neighbour = current.labels[:r] + (label,) + current.labels[r + 1 :]
+            queue.append((Seed(mutate_quiver(current.quiver, r), neighbour), labels, depth + 1))
+    return result
+
+
 def explore_answer(result: ExploreResult):
     return list(result.variables.items()), result.seeds_seen, result.complete
 
@@ -196,6 +253,7 @@ class TestAgainstRebuildOracle:
             assert [treduce(t) for t in seed.labels] == [grid_reduce(t) for t in seed.labels]
         want = explore_answer(oracle_explore(seed, depth, max_seeds))
         assert explore_answer(explore(seed, depth, max_seeds)) == want
+        assert explore_answer(tableau_explore(seed, depth, max_seeds)) == want
 
     def test_labels_with_trivial_factors_are_reduced(self):
         # Mutation from a Grassmannian seed never leaves a trivial column in a
@@ -211,6 +269,7 @@ class TestAgainstRebuildOracle:
         assert mutate_seed(seed, 0).labels[0].width == 2
         result = explore(seed, 100, 10)
         assert explore_answer(result) == explore_answer(oracle_explore(seed, 100, 10))
+        assert explore_answer(result) == explore_answer(tableau_explore(seed, 100, 10))
         assert [t.rows for t in result.variables] == [((1,), (3,)), ((2,), (4,))]
 
     @pytest.mark.parametrize("kn", [(2, 7), (3, 6)])
@@ -218,6 +277,151 @@ class TestAgainstRebuildOracle:
         seed = grassmannian_initial_seed(*kn)
         want = explore_answer(oracle_explore(seed, 100, 10**6))
         assert explore_answer(explore(seed, 100, 10**6)) == want
+        assert explore_answer(tableau_explore(seed, 100, 10**6)) == want
+
+
+def answer_or_error(fn, *args):
+    """explore_answer of fn(*args), or the type and message of its error."""
+    got = outcome(fn, *args)
+    return explore_answer(got) if isinstance(got, ExploreResult) else got
+
+
+@st.composite
+def hand_built_seeds(draw):
+    """Small seeds with random column-union labels and random arrows."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(k + 2, 7))
+    m = draw(st.integers(2, 5))
+    column = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True).map(sorted)
+    labels = tuple(
+        from_columns(k, n, draw(st.lists(column, min_size=1, max_size=2))) for _ in range(m)
+    )
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda a: a[0] != a[1])
+    arrows = tuple(draw(st.lists(pair, min_size=1, max_size=6)))
+    return Seed(Quiver(m, draw(st.integers(1, min(3, m))), arrows), labels)
+
+
+@st.composite
+def graded_seeds(draw):
+    """A seed of a Grassmannian walk, graded once or twice: every label L
+    gets s * c(L) extra copies of a trivial column T_a, where c(L) counts
+    the entries v0 of L and v0 is not in T_a.
+
+    c is linear in the content, so both exchange unions gain the same
+    copies and every mutation stays valid.  T_a stays a label; a trivial
+    column that holds v0 does not, and after a second grading the labels
+    carry copies of such a column, whose reductions are then solved.
+    """
+    k, n = draw(st.sampled_from([(2, 5), (2, 6), (3, 6)]))
+    seed = grassmannian_initial_seed(k, n)
+    for step in draw(st.lists(st.integers(0, 9), max_size=4)):
+        seed = mutate_seed(seed, step % seed.n_mut)
+    labels = seed.labels
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(st.integers(1, n - k + 1))
+        v0 = draw(st.sampled_from([v for v in range(1, n + 1) if not a <= v < a + k]))
+        s = draw(st.integers(1, 3))
+
+        def graded(t):
+            extra = s * sum(row.count(v0) for row in t.rows)
+            return Tableau.make(k, n, [list(row) + [a + r] * extra for r, row in enumerate(t.rows)])
+
+        labels = tuple(map(graded, labels))
+    return Seed(seed.quiver, labels)
+
+
+def gr24_with_wide_frozen(copies: int) -> Seed:
+    """Gr(2,4) with `copies` extra columns 12 in the frozen labels 34 and 23,
+    one on each side of the exchange (see test_labels_with_trivial_factors_are_reduced)."""
+    seed = grassmannian_initial_seed(2, 4)
+    labels = list(seed.labels)
+    for v in (3, 2):
+        (a,), (b,) = labels[v].rows
+        labels[v] = Tableau.make(2, 4, [[1] * copies + [a], [2] * copies + [b]])
+    return Seed(seed.quiver, tuple(labels))
+
+
+def hand_seed(n, n_mut, arrows, rows):
+    labels = tuple(Tableau.make(len(r), n, r) for r in rows)
+    return Seed(Quiver(len(labels), n_mut, arrows), labels)
+
+
+# Hand-built seeds on which exploring fails, with the error and its message.
+FAILING_SEEDS = {
+    "dependent labels": (
+        hand_seed(4, 1, ((0, 1),), [[[1], [3]], [[1], [3]]]),
+        NonUniqueSolution, "linearly dependent",
+    ),
+    "isolated vertices": (
+        hand_seed(4, 2, (), [[[1], [3]], [[2], [4]]]),
+        NotAFactor, "row (1,) is not contained in ()",
+    ),
+    "one arrow": (
+        hand_seed(4, 2, ((0, 1),), [[[1], [3]], [[2], [4]]]),
+        IncomparableExchange, "unions at vertex 0 are DifferentContent",
+    ),
+    "incomparable unions": (
+        hand_seed(6, 1, ((0, 2), (1, 0), (1, 2), (1, 2)),
+                  [[[1], [3], [5]], [[1, 2], [3, 5], [4, 6]], [[1, 3], [2, 4], [5, 6]]]),
+        IncomparableExchange, "unions at vertex 0 are Incomparable",
+    ),
+    "quotient not semistandard": (
+        hand_seed(6, 1, ((0, 1), (1, 0)), [[[1], [5]], [[1, 3], [3, 5]]]),
+        NotSemistandard, "column 1 not strictly increasing: 3 >= 3",
+    ),
+    "reduction outside the span": (
+        hand_seed(6, 1, ((0, 1), (0, 1), (1, 0), (1, 0)), [[[1, 5], [4, 6]], [[2], [5]]]),
+        NoIntegerSolution, "outside the integer span",
+    ),
+    "reduction not integral": (
+        hand_seed(6, 1, ((3, 0),), [[[1, 3], [3, 4]], [[1, 2], [3, 5]], [[3, 3], [4, 4]], [[4], [5]]]),
+        NoIntegerSolution, "not integral",
+    ),
+}
+
+
+class TestPackedExplore:
+    @settings(max_examples=100)
+    @given(hand_built_seeds(), st.integers(0, 3), st.integers(1, 20))
+    def test_hand_built_seeds_match(self, seed, depth, max_seeds):
+        want = answer_or_error(tableau_explore, seed, depth, max_seeds)
+        assert answer_or_error(explore, seed, depth, max_seeds) == want
+
+    @settings(max_examples=60)
+    @given(graded_seeds(), st.integers(0, 2), st.integers(1, 30))
+    def test_graded_seeds_match(self, seed, depth, max_seeds):
+        want = answer_or_error(tableau_explore, seed, depth, max_seeds)
+        assert answer_or_error(explore, seed, depth, max_seeds) == want
+
+    @pytest.mark.parametrize("name", sorted(FAILING_SEEDS))
+    def test_errors_keep_type_and_message(self, name):
+        seed, error, message = FAILING_SEEDS[name]
+        got = outcome(explore, seed, 3, 50)
+        assert got == outcome(tableau_explore, seed, 3, 50)
+        assert got[0] is error and message in got[1]
+
+    @pytest.mark.parametrize("kn", [(2, 8), (3, 7)])
+    def test_closures_match_tableau_explore(self, kn):
+        seed = grassmannian_initial_seed(*kn)
+        want = explore_answer(tableau_explore(seed, 100, 10**6))
+        assert explore_answer(explore(seed, 100, 10**6)) == want
+
+    def test_wide_label_widens_the_fields(self):
+        # 2 * 20001 entries overflow 16-bit fields when the labels are packed
+        seed = gr24_with_wide_frozen(20_000)
+        with pytest.raises(FieldOverflow, match="width-20001"):
+            _explore_packed(seed, 100, 10, Packing(2, 4, 16))
+        want = explore_answer(tableau_explore(seed, 100, 10))
+        assert explore_answer(explore(seed, 100, 10)) == want
+
+    def test_union_guard_fires_before_a_field_could_overflow(self):
+        # each label fits 16-bit fields, but a union of len(arrows) of them might not
+        seed = gr24_with_wide_frozen(5_000)
+        assert 2 * 5_001 * len(seed.quiver.arrows) >= 2**15
+        with pytest.raises(FieldOverflow, match="exchange unions"):
+            _explore_packed(seed, 100, 10, Packing(2, 4, 16))
+        want = explore_answer(tableau_explore(seed, 100, 10))
+        assert explore_answer(explore(seed, 100, 10)) == want
 
 
 class TestQuiverMutation:
@@ -403,10 +607,18 @@ class TestExplore:
         result = explore(seed, 0, 100)
         assert set(result.variables) == {treduce(t) for t in seed.mutable_labels()}
         assert not result.complete
+        assert result.stopped_by == "depth"
 
     def test_budget_flagging(self, seed36):
         result = explore(seed36, 100, 5)
         assert not result.complete and result.seeds_seen == 5
+        assert result.stopped_by == "max_seeds"
+
+    def test_complete_result_was_not_stopped(self, seed36):
+        result = explore(seed36, 100, 10**6)
+        assert result.complete and result.stopped_by is None
+        # a horizon that every cluster lies within stops nothing either
+        assert explore(grassmannian_initial_seed(2, 4), 1, 100).stopped_by is None
 
     def test_gr36_finite_closure(self, seed36):
         result = explore(seed36, 100, 10**6)

@@ -264,3 +264,71 @@ class TestExactSolver:
     def test_dependent_columns_rejected(self):
         with pytest.raises(NonUniqueSolution):
             ExactSolver([[1, 2], [2, 4]])
+
+
+def python_solve_rational(solver, b):
+    """solve_rational with the transform product in Python ints: the oracle."""
+    eb = [sum(t * v for t, v in zip(row, b)) for row in solver.transform]
+    if any(eb[solver.ncols :]):
+        return None
+    return [Fraction(x, solver.denom) for x in eb[: solver.ncols]]
+
+
+@st.composite
+def solver_systems(draw):
+    """A full-column-rank integer basis and a right-hand side, often near 2^63."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, nrows))
+    cols = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows), min_size=ncols, max_size=ncols,
+    ))
+    scale = draw(st.sampled_from([1, 2**20, 2**60, 2**61, 2**62, 2**63, 2**70]))
+    b = draw(st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows))
+    return cols, [x * scale + draw(st.integers(-2, 2)) for x in b]
+
+
+class TestSolverProduct:
+    def test_both_sides_of_the_int64_bound(self):
+        # A = [[1, 1], [0, 1]]: the transform [[1, -1], [0, 1]] has max row-|sum| 2,
+        # and x = (b0 - b1, b1)
+        solver = ExactSolver([[1, 0], [1, 1]])
+        assert solver.transform == [[1, -1], [0, 1]] and solver._transform64 is not None
+        for v in (2**62 - 1, 2**62):  # 2 v < 2^63 takes int64; 2 v = 2^63 does not
+            b = [v, -v]
+            assert solver.solve_rational(b) == python_solve_rational(solver, b)
+            assert solver.solve_integer(b) == [2 * v, -v]
+        # at 2^62 the first coordinate is 2^63, which int64 would wrap
+        assert solver.solve_integer([2**62, -(2**62)])[0] == 2**63
+
+    def test_wide_transform_stays_in_python_ints(self):
+        # E = [[1, 0], [-2^63, 1]]: its row-|sum| 2^63 + 1 has no int64 product
+        solver = ExactSolver([[1, 2**63]])
+        assert solver._transform64 is None
+        assert solver.solve_integer([1, 2**63]) == [1]
+        assert solver.solve_rational([1, 0]) is None
+
+    @given(solver_systems())
+    def test_matches_python_product(self, system):
+        cols, b = system
+        if rank_int(cols) < len(cols):
+            with pytest.raises(NonUniqueSolution):
+                ExactSolver(cols)
+            return
+        solver = ExactSolver(cols)
+        want = python_solve_rational(solver, b)
+        assert solver.solve_rational(b) == want
+        if want is None:
+            message = "vector is outside the integer span of the basis"
+        elif any(x.denominator != 1 for x in want):
+            message = "solution exists but is not integral"
+        else:
+            assert solver.solve_integer(b) == [int(x) for x in want]
+            return
+        with pytest.raises(NoIntegerSolution, match=message):
+            solver.solve_integer(b)
+
+    def test_outcomes_are_reached(self):
+        solver = ExactSolver([[2, 0, 0], [0, 1, 0]])
+        assert solver.solve_rational([0, 0, 1]) is None
+        assert solver.solve_rational([1, 0, 0]) == [Fraction(1, 2), 0]
+        assert solver.solve_integer([2**63, -(2**63), 0]) == [2**62, -(2**63)]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_tableau
 from grascat.errors import (
     DimensionMismatch,
+    FieldOverflow,
     GrascatError,
     NotAFactor,
     NotSemistandard,
@@ -14,6 +15,7 @@ from grascat.errors import (
 from grascat.tableaux import (
     Dominance,
     DominantMonomial,
+    Packing,
     Tableau,
     bender_knuth,
     dominance_compare,
@@ -396,3 +398,176 @@ class TestAgainstGridOracle:
         for t in parts[1:]:
             folded = union(folded, t)
         assert union_all(parts) == folded
+
+
+# --- packed count vectors against the tableau operations ----------------------
+
+# 6-bit fields keep only values up to 31 below the guard bit, so the
+# examples reach the top of a field; 16 bits is what explore starts with.
+FIELD_BITS = st.sampled_from([6, 16])
+
+
+def packed(packing, t):
+    """pack(t), or None when t does not fit the packing's fields."""
+    try:
+        return packing.pack(t)
+    except FieldOverflow:
+        return None
+
+
+@st.composite
+def row_subsets(draw, t):
+    """A tableau-like k-row family: the same number of entries from each row of t."""
+    size = draw(st.integers(0, t.width))
+    return [
+        [row[i] for i in sorted(draw(st.permutations(range(t.width)))[:size])]
+        for row in t.rows
+    ]
+
+
+class TestPackedAgainstTableaux:
+    @given(st.integers(1, 3), st.integers(1, 4), FIELD_BITS, st.data())
+    def test_ge_compares_every_field(self, k, n, bits, data):
+        packing = Packing(k, n, bits)
+        fields = st.lists(st.integers(0, packing.limit - 1), min_size=k * n, max_size=k * n)
+        a, b = data.draw(fields), data.draw(fields)
+        if data.draw(st.booleans()):  # often equal but for one field
+            b = a[:]
+            b[data.draw(st.integers(0, k * n - 1))] = data.draw(st.integers(0, packing.limit - 1))
+
+        def grid(values):
+            return sum(v << (i * bits) for i, v in enumerate(values))
+
+        assert packing.ge(grid(a), grid(b)) == all(x >= y for x, y in zip(a, b))
+
+    @given(shaped_columns(max_cols=6), st.integers(0, 6), FIELD_BITS)
+    def test_pack_round_trip_and_union(self, shaped, split, bits):
+        k, n, columns = shaped
+        packing = Packing(k, n, bits)
+        s, t = from_columns(k, n, columns[:split]), from_columns(k, n, columns[split:])
+        both = packed(packing, union(s, t))
+        assume(both is not None)
+        assert packing.tableau(both) == union(s, t)
+        assert packing.pack(s) + packing.pack(t) == both
+
+    @given(shaped_columns(max_cols=6), st.data(), FIELD_BITS)
+    def test_quotient_matches(self, shaped, data, bits):
+        k, n, columns = shaped
+        packing = Packing(k, n, bits)
+        t = from_columns(k, n, columns)
+        rows = data.draw(row_subsets(t)) if data.draw(st.booleans()) else None
+        if rows is None:  # any other tableau, mostly not a factor
+            other = data.draw(st.lists(
+                st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True).map(sorted),
+                max_size=3,
+            ))
+            s = from_columns(k, n, other)
+        else:
+            try:
+                s = Tableau.make(k, n, rows)
+            except NotSemistandard:
+                assume(False)
+        x, y = packed(packing, t), packed(packing, s)
+        assume(x is not None and y is not None)
+        want = outcome(quotient, t, s)
+        got = packing.quotient(x, y)
+        if isinstance(want, Tableau):
+            assert got == packing.pack(want) and packing.semistandard(got)
+        elif want[0] is NotAFactor:
+            assert got is None
+        else:
+            assert want[0] is NotSemistandard
+            assert got is not None and not packing.semistandard(got)
+
+    def test_quotient_outcomes_are_reached(self):
+        packing = Packing(2, 6, 6)
+        t = Tableau.make(2, 6, [[1, 4], [4, 5]])
+        s = Tableau.make(2, 6, [[1], [5]])
+        assert not packing.semistandard(packing.quotient(packing.pack(t), packing.pack(s)))
+        assert packing.quotient(packing.pack(s), packing.pack(t)) is None
+        assert packing.quotient(packing.pack(t), packing.pack(t)) == 0
+
+    @given(st.integers(1, 3), st.data(), FIELD_BITS)
+    def test_semistandard_matches_validation(self, k, data, bits):
+        n = data.draw(st.integers(k, 6))
+        packing = Packing(k, n, bits)
+        counts = data.draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=k, max_size=k,
+        ))
+        assume(max(map(sum, counts)) * k < packing.limit)
+        rows = [[v + 1 for v, c in enumerate(row) for _ in range(c)] for row in counts]
+        x = sum(c * packing.units[r][v + 1] for r, row in enumerate(counts) for v, c in enumerate(row))
+        try:
+            Tableau.make(k, n, rows)
+            valid = True
+        except NotSemistandard:
+            valid = False
+        assert packing.semistandard(x) == valid
+
+    @given(shaped_columns(max_cols=5), st.lists(st.integers(1, 9), max_size=3), FIELD_BITS)
+    def test_reduce_matches(self, shaped, starts, bits):
+        k, n, columns = shaped
+        trivial = [list(range(a, a + k)) for a in starts if a + k - 1 <= n]
+        t = from_columns(k, n, columns + trivial)
+        packing = Packing(k, n, bits)
+        x = packed(packing, t)
+        assume(x is not None)
+        red, mults = packing.reduce(x)
+        assert packing.tableau(red) == reduce(t)
+        counts = t.content()
+        assert mults == [min(int(counts[r, a + r - 1]) for r in range(k)) for a in range(1, n - k + 2)]
+
+    @given(same_content_pairs(), FIELD_BITS)
+    def test_dominance_matches_on_equal_content(self, pair, bits):
+        s, t = pair
+        packing = Packing(s.k, s.n, bits)
+        x, y = packed(packing, s), packed(packing, t)
+        assume(x is not None)
+        assert packing.dominance(x, y) == dominance_compare(s, t)
+        assert packing.dominance(y, x) == dominance_compare(t, s)
+
+    @given(shaped_columns(), st.data(), FIELD_BITS)
+    def test_dominance_matches_on_any_pair(self, shaped, data, bits):
+        k, n, columns = shaped
+        other = data.draw(st.lists(
+            st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True).map(sorted),
+            max_size=4,
+        ))
+        s, t = from_columns(k, n, columns), from_columns(k, n, other)
+        packing = Packing(k, n, bits)
+        assert packing.dominance(packing.pack(s), packing.pack(t)) == dominance_compare(s, t)
+
+    def test_all_five_dominance_outcomes(self):
+        rng = np.random.default_rng(32)
+        packing = Packing(3, 6, 6)
+        seen = set()
+        tableaux = [random_tableau(rng, 3, 6, max_cols=3) for _ in range(400)]
+        for s, t in zip(tableaux, tableaux[1:] + tableaux[:1]):
+            got = packing.dominance(packing.pack(s), packing.pack(t))
+            assert got == dominance_compare(s, t)
+            seen.add(got)
+        by_content: dict = {}
+        for t in tableaux:
+            by_content.setdefault(tuple(sorted(v for r in t.rows for v in r)), []).append(t)
+        for group in by_content.values():
+            for s in group[:6]:
+                for t in group[:6]:
+                    got = packing.dominance(packing.pack(s), packing.pack(t))
+                    assert got == dominance_compare(s, t)
+                    seen.add(got)
+        assert seen == set(Dominance)
+
+    def test_field_width_guard(self):
+        # 8-bit fields hold values below 2^7 = 128; a tableau's largest field
+        # is k * width
+        packing = Packing(2, 4, 8)
+        narrow = union_all([col((1, 2), 4)] * 63)
+        assert packing.tableau(packing.pack(narrow)) == narrow
+        with pytest.raises(FieldOverflow, match="width-64"):
+            packing.pack(union(narrow, col((1, 2), 4)))
+        wide = Packing(2, 4, 16)
+        assert wide.tableau(wide.pack(union(narrow, col((1, 2), 4)))).width == 64
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            Packing(2, 4, 8).pack(col((1, 2), 5))
