@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -190,10 +190,6 @@ class Seed:
     def mutable_labels(self) -> tuple[Tableau, ...]:
         return self.labels[: self.n_mut]
 
-    def cluster_key(self) -> frozenset:
-        """Order-free fingerprint of the cluster: multiset of reduced labels."""
-        return frozenset(Counter(tb.reduce(t) for t in self.mutable_labels()).items())
-
     def to_json(self) -> dict:
         return {
             "quiver": self.quiver.to_json(),
@@ -214,22 +210,44 @@ def exchange_label(seed: Seed, r: int) -> Tableau:
 
     It is max{union of in-neighbours, union of out-neighbours} divided by
     the old label; the max is taken in the dominance order and
-    incomparability is a hard error.
+    incomparability is a hard error.  The unions are sums of r's packed
+    neighbours, in fields wide enough for either, and `_exchange` does the
+    rest.
     """
     q = seed.quiver
     if not q.is_mutable(r):
         raise FrozenVertex(f"vertex {r} is frozen")
-    k, n = seed.labels[0].k, seed.labels[0].n
-    in_union = tb.union_all([seed.labels[v] for v in q.arrows_into(r)], k=k, n=n)
-    out_union = tb.union_all([seed.labels[v] for v in q.arrows_out_of(r)], k=k, n=n)
-    cmp = tb.dominance_compare(in_union, out_union)
-    if cmp in (Dominance.INCOMPARABLE, Dominance.DIFFERENT_CONTENT):
+    labels = seed.labels
+    k, n = labels[0].k, labels[0].n
+    into, outof = q.arrows_into(r), q.arrows_out_of(r)
+    widths = [sum(labels[v].width for v in vs) for vs in (into, outof)]
+    packing = tb.Packing.fitting(k, n, k * max(labels[r].width, *widths))
+    ins = sum(packing.pack(labels[v]) for v in into)
+    outs = sum(packing.pack(labels[v]) for v in outof)
+    new, _ = _exchange(packing, r, ins, outs, packing.pack(labels[r]))
+    return packing.tableau(new)
+
+
+def _exchange(packing: tb.Packing, r: int, ins: int, outs: int, label: int) -> tuple[int, bool]:
+    """The exchange rule at r on packed tableaux: (new label, whether ins is the bigger).
+
+    Raises IncomparableExchange when the unions ins and outs are not
+    comparable, and `tableaux.quotient`'s NotAFactor or NotSemistandard when
+    the old label does not divide the bigger one into a tableau.
+    """
+    cmp = packing.dominance(ins, outs)
+    if cmp is Dominance.INCOMPARABLE or cmp is Dominance.DIFFERENT_CONTENT:
         raise IncomparableExchange(
             f"exchange unions at vertex {r} are {cmp.value}; "
             "the tableau mutation rule does not apply"
         )
-    bigger = in_union if cmp in (Dominance.GT, Dominance.EQ) else out_union
-    return tb.quotient(bigger, seed.labels[r])
+    into = cmp is not Dominance.LT
+    bigger = ins if into else outs
+    new = packing.quotient(bigger, label)
+    if new is None or not packing.semistandard(new):
+        # the row quotient raises the error, with its message
+        new = packing.pack(tb.quotient(packing.tableau(bigger), packing.tableau(label)))
+    return new, into
 
 
 def mutate_seed(seed: Seed, r: int) -> Seed:
@@ -308,11 +326,6 @@ class ExploreResult:
         return len(self.variables)
 
 
-# Field width of the first packing; `explore` doubles it whenever a count
-# could reach the guard bit of its field.
-_FIRST_BITS = 16
-
-
 def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     """Breadth-first mutation closure with deduplication by cluster.
 
@@ -321,14 +334,13 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     budget is exhausted the result is flagged incomplete instead of raising,
     so partial sweeps stay usable; ``stopped_by`` says which budget it was.
 
-    The exploration runs on packed count vectors (`tableaux.Packing`): a
-    mutation at r is the exchange rule of `exchange_label` on ints, a union
-    a sum and the quotient a difference, with the dominance, factor and
-    semistandard checks done field by field.  `Tableau` objects are built
-    only for the returned variables, and for the error of a failed check,
-    which `exchange_label` then raises with its own type and message.  A
-    cluster's key is the multiset of its reduced count grids, the same
-    equality as `Seed.cluster_key`.
+    The exploration runs on packed count vectors (`tableaux.Packing`): the
+    in- and out-unions of every vertex come from one pass over the arrows,
+    and each mutation is the `_exchange` step that `exchange_label` takes,
+    so a failed check raises the same error.  `Tableau` objects are built
+    only for the returned variables.  A cluster's key is the multiset of
+    its reduced count grids.  Fields start at 16 bits and widen whenever a
+    union could reach a guard bit.
 
     g-vectors are carried, not solved: the start labels have independent
     contents (else NonUniqueSolution), so label j of the start seed has
@@ -338,7 +350,7 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     trivial column it loses.  In a seed reached from
     `grassmannian_initial_seed` every trivial column is a frozen label, of
     unit vector; a reduction that takes off any other is solved over the
-    start seed, as `gvec.g_vector` solves it.
+    start seed by `tableaux.label_solver`, as `gvec.g_vector` solves it.
     """
     if max_depth < 0 or max_seeds <= 0:
         raise BadParameters("budgets must be positive")
@@ -349,13 +361,13 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
         raise DimensionMismatch("seed labels must share one (k, n)")
     contents = np.array([t.content().ravel() for t in seed.labels])
     if modp.rank_mod_p(contents) < seed.m:
-        _seed_solver(seed)  # raises NonUniqueSolution unless independent over Q
-    bits = _FIRST_BITS
+        tb.label_solver(seed.labels)  # raises NonUniqueSolution unless independent over Q
+    packing = tb.Packing.fitting(k, n, 0)
     while True:
         try:
-            return _explore_packed(seed, max_depth, max_seeds, tb.Packing.of(k, n, bits))
-        except FieldOverflow:
-            bits *= 2
+            return _explore_packed(seed, max_depth, max_seeds, packing)
+        except FieldOverflow:  # the next packing holds this one's limit: twice the bits
+            packing = tb.Packing.fitting(k, n, packing.limit)
 
 
 def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Packing) -> ExploreResult:
@@ -373,8 +385,7 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
         if hit is None:
             red, mults = packing.reduce(x)
             if red != x and not packing.semistandard(red):
-                tb.reduce(packing.tableau(x))  # raises the reduction's NotSemistandard
-                raise RuntimeError("packed reduction disagrees with tableaux.reduce")
+                packing.tableau(red)  # raises the reduction's NotSemistandard
             hit = reductions[x] = (red & packing.grid, mults)
         return hit
 
@@ -388,7 +399,8 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
             if mult:
                 j = start_index.get(column)
                 if j is None:  # not a label: solve the reduced label, as g_vector does
-                    found[red] = tuple(_seed_solver(seed).solve(packing.tableau(red)))
+                    content = packing.tableau(red).content().ravel().tolist()
+                    found[red] = tuple(tb.label_solver(seed.labels).solve_integer(content))
                     return
                 g[j] -= mult
         found[red] = tuple(g)
@@ -403,7 +415,6 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
     keys = tuple(reduced(x)[0] for x in start[:n_mut])
     seen = {tuple(sorted(keys))}
     queue = deque([(seed.quiver, start, keys, tuple(units[:n_mut]), 0)])
-    dominance, quotient, semistandard = packing.dominance, packing.quotient, packing.semistandard
     while queue:
         quiver, labels, keys, gvecs, depth = queue.popleft()
         arrows = quiver.arrows
@@ -418,13 +429,7 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
             if s < n_mut:
                 outs[s] += labels[t]
         for r in range(n_mut):
-            cmp = dominance(ins[r], outs[r])
-            into = cmp is Dominance.GT or cmp is Dominance.EQ
-            new = None
-            if into or cmp is Dominance.LT:
-                new = quotient(ins[r] if into else outs[r], labels[r])
-            if new is None or not semistandard(new):
-                _raise_exchange_error(packing, quiver, labels, r)
+            new, into = _exchange(packing, r, ins[r], outs[r], labels[r])
             neighbour = keys[:r] + (reduced(new)[0],) + keys[r + 1 :]
             key = tuple(sorted(neighbour))
             if key in seen:
@@ -454,16 +459,3 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
                 depth + 1,
             ))
     return finish(result)
-
-
-def _seed_solver(seed: Seed):
-    """The cached exact solver over a seed's label contents."""
-    from .gvec import _solver_for  # local import: gvec depends on cluster types
-
-    return _solver_for(seed)
-
-
-def _raise_exchange_error(packing: tb.Packing, quiver: Quiver, labels, r: int):
-    """Raise the error `exchange_label` gives where a packed check failed."""
-    exchange_label(Seed(quiver, tuple(map(packing.tableau, labels))), r)
-    raise RuntimeError(f"packed exchange check at vertex {r} disagrees with exchange_label")

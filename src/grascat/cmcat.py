@@ -140,18 +140,21 @@ def _kernel_params(subset: KSubset) -> list[tuple[int, int, int]]:
     return params
 
 
-def _tau_image(i: int, m: int, v: int, k: int, n: int) -> KSubset:
+def _tau_elems(i: int, m: int, v: int, k: int, n: int) -> list[int]:
+    """Entries of the translate of the (i, m, v) generic kernel, repeats kept.
+
+    Two intervals read modulo n: [(1-i-m)/2, (i-m-1)/2] and
+    [(i-m+2v+1)/2, (i-m+2v-1)/2 + k-i].
+    """
     lo1, hi1 = (1 - i - m) // 2, (i - m - 1) // 2
     lo2, hi2 = (i - m + 2 * v + 1) // 2, (i - m + 2 * v - 1) // 2 + k - i
-    elems = [(x - 1) % n + 1 for x in range(lo1, hi1 + 1)]
-    elems += [(x - 1) % n + 1 for x in range(lo2, hi2 + 1)]
-    return KSubset(n, tuple(sorted(elems)))
+    return [(x - 1) % n + 1 for x in (*range(lo1, hi1 + 1), *range(lo2, hi2 + 1))]
 
 
 def tau_two_interval(subset: KSubset) -> KSubset:
     """Auslander-Reiten translate of a rank-one module with a two-interval subset."""
     k, n = subset.k, subset.n
-    images = {_tau_image(i, m, v, k, n) for i, m, v in _kernel_params(subset)}
+    images = {KSubset(n, tuple(_tau_elems(i, m, v, k, n))) for i, m, v in _kernel_params(subset)}
     if len(images) != 1:
         raise NotTwoIntervals(f"ambiguous tau image for {subset.elems}")
     return images.pop()

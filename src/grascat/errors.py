@@ -63,10 +63,6 @@ class AlgebraMismatch(GrascatError):
     """Two-term complexes over different algebras were combined."""
 
 
-class DegenerateDenominator(GrascatError):
-    """A window denominator determinant vanished."""
-
-
 class NotGeneric(GrascatError):
     """A vector tuple violates consecutive genericity."""
 

@@ -8,18 +8,14 @@ positive ones the quotient term of the presenting short exact sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import tableaux as tb
-from .cluster import Seed, grassmannian_initial_seed
+from .cluster import Seed
 from .cmcat import KSubset
 from .errors import DimensionMismatch, NotAFactor, NotSemistandard
-from .linalg import ExactSolver
 from .tableaux import Tableau
 
-__all__ = ["GVector", "ConePresentation", "g_vector", "cone_presentation", "content_grid"]
-
-content_grid = tb.content_grid
+__all__ = ["GVector", "ConePresentation", "g_vector", "cone_presentation"]
 
 
 @dataclass(frozen=True)
@@ -50,38 +46,13 @@ class ConePresentation:
     quot: tuple[KSubset, ...]
 
 
-class _SeedSolver:
-    def __init__(self, seed: Seed):
-        self.seed = seed
-        columns = [t.content().ravel().tolist() for t in seed.labels]
-        # Raises NonUniqueSolution if the label contents are dependent.
-        self.solver = ExactSolver(columns)
-
-    def solve(self, t: Tableau) -> tuple[int, ...]:
-        return tuple(self.solver.solve_integer(t.content().ravel().tolist()))
-
-
-@lru_cache(maxsize=32)
-def _grassmannian_solver(k: int, n: int) -> _SeedSolver:
-    return _SeedSolver(grassmannian_initial_seed(k, n))
-
-
-@lru_cache(maxsize=64)
-def _solver_for(seed: Seed) -> _SeedSolver:
-    return _SeedSolver(seed)
-
-
 def g_vector(t: Tableau, seed: Seed) -> GVector:
     """Unique integer g with content(reduce(t)) = sum_j g_j * content(S_j)."""
     label = seed.labels[0]
     if (t.k, t.n) != (label.k, label.n):
         raise DimensionMismatch(f"tableau is ({t.k},{t.n}), seed labels are ({label.k},{label.n})")
-    reduced = tb.reduce(t)
-    # Reuse one cached solver for the standard Grassmannian seeds.
-    std = _grassmannian_solver(t.k, t.n)
-    if seed.labels == std.seed.labels:
-        return GVector(seed, std.solve(reduced))
-    return GVector(seed, _solver_for(seed).solve(reduced))
+    content = tb.reduce(t).content().ravel().tolist()
+    return GVector(seed, tuple(tb.label_solver(seed.labels).solve_integer(content)))
 
 
 def cone_presentation(g: GVector) -> ConePresentation:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cluster import Quiver, mutate_quiver
-from .cmcat import KSubset, cyclic_interval
+from .cmcat import KSubset, _tau_elems, cyclic_interval
 from .einv import (
     ConjecturalBool,
     EValueReport,
@@ -127,13 +127,8 @@ def q_ell_quiver(k: int, ell: int) -> Quiver:
     """Initial quiver with (k-1)(ell+1) vertices and three arrow families."""
     if k < 2 or ell < 0:
         raise BadParameters(f"need k >= 2 and ell >= 0, got ({k},{ell})")
-    coords_mut, coords_frz = [], []
-    for i in range(1, k):
-        top = -2 if i % 2 == 1 else -1
-        levels = list(range(top, top - 2 * (ell + 1), -2))
-        coords_mut.extend((i, a) for a in levels[:-1])
-        coords_frz.append((i, levels[-1]))
-    coords = coords_mut + coords_frz
+    mutable, frozen = gamma_vertices(k, -2 * ell - 2)
+    coords = mutable + frozen
     pos = {c: idx for idx, c in enumerate(coords)}
     arrows = []
     for (i, a) in coords:
@@ -144,7 +139,7 @@ def q_ell_quiver(k: int, ell: int) -> Quiver:
         ):
             if target in pos:
                 arrows.append((pos[(i, a)], pos[target]))
-    return Quiver(len(coords), len(coords_mut), tuple(arrows), tuple(coords))
+    return Quiver(len(coords), len(mutable), tuple(arrows), tuple(coords))
 
 
 def hl_mutation_sequence(k: int, ell: int) -> list[tuple[int, int]]:
@@ -155,15 +150,12 @@ def hl_mutation_sequence(k: int, ell: int) -> list[tuple[int, int]]:
     sequence).
     """
     q = q_ell_quiver(k, ell)
-    mutable = set(q.coords[: q.n_mut])
+    mutable = q.coords[: q.n_mut]  # column by column, each top to bottom
     seq: list[tuple[int, int]] = []
     j = 0
     while 3 + 2 * j <= k - 1:
         for i in range(k - 1, 3 + 2 * j - 1, -1):
-            top = -2 if i % 2 == 1 else -1
-            for a in range(top, top - 2 * (ell + 1), -2):
-                if (i, a) in mutable:
-                    seq.append((i, a))
+            seq += [c for c in mutable if c[0] == i]
         j += 1
     return seq
 
@@ -317,10 +309,7 @@ def tau_kernel_subset(i: int, m: int, v: int, k: int, n: int) -> KSubset:
         raise OutOfRange(f"(i,m)=({i},{m}) violates the parity rule")
     if v < 1:
         raise OutOfRange("v must be positive")
-    lo1, hi1 = (1 - i - m) // 2, (i - m - 1) // 2
-    lo2, hi2 = (i - m + 2 * v + 1) // 2, (i - m + 2 * v - 1) // 2 + k - i
-    elems = {(x - 1) % n + 1 for x in range(lo1, hi1 + 1)}
-    elems |= {(x - 1) % n + 1 for x in range(lo2, hi2 + 1)}
+    elems = set(_tau_elems(i, m, v, k, n))
     if len(elems) != k:
         raise OutOfRange(f"intervals overlap for (i,m,v)=({i},{m},{v})")
     return KSubset(n, tuple(sorted(elems)))

@@ -49,7 +49,7 @@ __all__ = [
     "tableau_to_monomial",
     "bender_knuth",
     "promote",
-    "content_grid",
+    "label_solver",
 ]
 
 
@@ -66,7 +66,11 @@ class Tableau:
             raise BadParameters(f"a tableau needs 1 <= k <= n, got k={self.k}, n={self.n}")
         if len(self.rows) != self.k:
             raise NotSemistandard(f"expected {self.k} rows, got {len(self.rows)}")
-        object.__setattr__(self, "rows", tuple(map(tuple, map(sorted, self.rows))))
+        try:
+            rows = tuple(tuple(sorted(map(operator.index, r))) for r in self.rows)
+        except TypeError:
+            raise NotSemistandard("every row must be a list of integers") from None
+        object.__setattr__(self, "rows", rows)
         self.validate()
 
     def __hash__(self) -> int:
@@ -156,11 +160,6 @@ class Tableau:
         return "\n".join(" ".join(str(v).rjust(w) for v in r) for r in self.rows)
 
 
-def content_grid(t: Tableau) -> np.ndarray:
-    """Per-row value counts of a tableau."""
-    return t.content()
-
-
 def _check_shapes(s: Tableau, t: Tableau) -> None:
     if (s.k, s.n) != (t.k, t.n):
         raise DimensionMismatch(f"({s.k},{s.n}) vs ({t.k},{t.n})")
@@ -213,26 +212,13 @@ def trivial_column(a: int, k: int, n: int) -> Tableau:
 def reduce(t: Tableau) -> Tableau:
     """Remove the maximal trivial factor; canonical ~-class representative.
 
-    The trivial column starting at a has a + r in row r, so it can only
-    start at a value of the first row, and its multiplicity is the least
-    count of a + r in row r.  Columns with different starts use disjoint
-    (row, value) cells: all of them come off in one pass, and the rest is
-    built, and checked semistandard, once.
+    Computed on the packed tableau by `Packing.reduce`: t itself when it has
+    no trivial column, else the rest, built and checked semistandard once.
     """
-    rows = None
-    for a in sorted(set(t.rows[0])):
-        if a > t.n - t.k + 1:
-            break
-        mult = min(row.count(a + r) for r, row in enumerate(t.rows))
-        if mult:
-            if rows is None:
-                rows = [list(row) for row in t.rows]
-            for r, row in enumerate(rows):
-                for _ in range(mult):
-                    row.remove(a + r)
-    if rows is None:
-        return t
-    return Tableau(t.k, t.n, tuple(map(tuple, rows)))
+    packing = Packing.fitting(t.k, t.n, t.k * t.width)
+    x = packing.pack(t)
+    red, _ = packing.reduce(x)
+    return t if red == x else packing.tableau(red)
 
 
 def equivalent(s: Tableau, t: Tableau) -> bool:
@@ -254,28 +240,12 @@ def dominance_compare(s: Tableau, t: Tableau) -> Dominance:
 
     sh(T[i]) lists, per row, the number of entries <= i, and S >= T when
     every partial row sum of sh(S[i]) weakly exceeds that of sh(T[i]), for
-    every i.  The partial sum up to row p counts the entries <= i in rows
-    0..p, so for equal contents the condition reads: the sorted entries of
-    rows 0..p of S are, one by one, at most those of T, for every p.
+    every i.  Those partial sums are the P grid of the packed tableau, so
+    this is `Packing.dominance` in fields wide enough for both.
     """
     _check_shapes(s, t)
-    below = above = True  # entries of s are <= (>=) those of t
-    acc_s: list[int] = []
-    acc_t: list[int] = []
-    for row_s, row_t in zip(s.rows, t.rows):
-        acc_s += row_s
-        acc_s.sort()
-        acc_t += row_t
-        acc_t.sort()
-        below = below and all(map(operator.le, acc_s, acc_t))
-        above = above and all(map(operator.ge, acc_s, acc_t))
-    if acc_s != acc_t:
-        return Dominance.DIFFERENT_CONTENT
-    if below and above:
-        return Dominance.EQ
-    if below:
-        return Dominance.GT
-    return Dominance.LT if above else Dominance.INCOMPARABLE
+    packing = Packing.fitting(s.k, s.n, s.k * max(s.width, t.width))
+    return packing.dominance(packing.pack(s), packing.pack(t))
 
 
 # --- packed count vectors ---------------------------------------------------
@@ -348,6 +318,18 @@ class Packing:
         """The shared packing of shape (k, n) with ``bits``-bit fields."""
         return cls(k, n, bits)
 
+    @classmethod
+    def fitting(cls, k: int, n: int, count: int) -> "Packing":
+        """The shared packing of shape (k, n) whose fields hold ``count``.
+
+        Fields start at 16 bits and double until count is below the guard
+        bit.  A tableau's largest field is k * width, the sum of its P grid.
+        """
+        bits = 16
+        while count >= 1 << (bits - 1):
+            bits *= 2
+        return cls.of(k, n, bits)
+
     def pack(self, t: Tableau) -> int:
         """The sum of the packed units of the entries of t."""
         if (t.k, t.n) != (self.k, self.n):
@@ -375,7 +357,10 @@ class Packing:
         return ((a | guard) - b) & guard == guard
 
     def dominance(self, x: int, y: int) -> Dominance:
-        """`dominance_compare` of two packed tableaux: P_x >= P_y means x >= y."""
+        """The dominance order of two packed tableaux: P_x >= P_y means x >= y.
+
+        Contents differ exactly when the last rows of P differ.
+        """
         if x >> self.content_shift != y >> self.content_shift:
             return Dominance.DIFFERENT_CONTENT
         px, py = x >> 2 * self.grid_bits, y >> 2 * self.grid_bits
@@ -401,11 +386,13 @@ class Packing:
         return cumulative & self.last_column == width * self.last_ones
 
     def reduce(self, x: int) -> tuple[int, list[int]]:
-        """`reduce` on a packed tableau, with the multiplicity of each trivial column.
+        """x less its maximal trivial factor, with the multiplicity of each trivial column.
 
-        The trivial column starting at a comes off min_r C[r][a + r] times.
-        One pass over the k rows first finds the columns with every cell
-        nonzero; most labels have none.
+        The trivial column starting at a has a + r in row r, so it comes off
+        min_r C[r][a + r] times; columns with different starts use disjoint
+        cells, so all of them come off at once.  One pass over the k rows
+        first finds the columns with every cell nonzero; most labels have
+        none.  The result is not checked semistandard.
         """
         counts = x & self.grid
         guard = present = self.start_guard
@@ -506,29 +493,26 @@ def monomial_to_tableau(mono: DominantMonomial) -> Tableau:
     return reduce(union_all(parts, k=mono.k, n=n))
 
 
+@lru_cache(maxsize=64)
+def label_solver(labels: tuple[Tableau, ...]) -> ExactSolver:
+    """The exact solver over the contents of a seed's labels, built once per tuple.
+
+    Raises NonUniqueSolution when the contents are linearly dependent.
+    """
+    return ExactSolver([t.content().ravel().tolist() for t in labels])
+
+
 @lru_cache(maxsize=None)
 def _dictionary_basis(k: int, n: int):
-    """Fundamental + trivial content vectors for (k, n), with an exact solver.
+    """The fundamental (i, s) of (k, n), and the solver over their columns and the trivial ones.
 
-    Returns (solver, fundamental (i,s) list, trivial-start list).  Linear
-    independence of the columns is verified by the solver constructor, which
-    is what makes tableau_to_monomial single valued.
+    Linear independence of the columns is verified by the solver
+    constructor, which is what makes tableau_to_monomial single valued.
     """
-    ell = n - k - 1
-    fundamentals = []
-    for i in range(1, k):
-        for r in range(ell + 1):
-            s = i - 2 - 2 * r
-            fundamentals.append((i, s))
-    columns = []
-    for i, s in fundamentals:
-        columns.append(
-            Tableau.from_subset(fundamental_subset(i, s, k, n)).content().ravel().tolist()
-        )
-    trivial_starts = list(range(1, n - k + 2))
-    for a in trivial_starts:
-        columns.append(trivial_column(a, k, n).content().ravel().tolist())
-    return ExactSolver(columns), fundamentals, trivial_starts
+    fundamentals = [(i, i - 2 - 2 * r) for i in range(1, k) for r in range(n - k)]
+    columns = [Tableau.from_subset(fundamental_subset(i, s, k, n)) for i, s in fundamentals]
+    columns += [trivial_column(a, k, n) for a in range(1, n - k + 2)]
+    return label_solver(tuple(columns)), fundamentals
 
 
 def tableau_to_monomial(t: Tableau) -> DominantMonomial:
@@ -540,7 +524,7 @@ def tableau_to_monomial(t: Tableau) -> DominantMonomial:
     """
     if t.n < t.k + 2:
         raise OutOfRange(f"no fundamental columns exist for (k,n)=({t.k},{t.n})")
-    solver, fundamentals, _ = _dictionary_basis(t.k, t.n)
+    solver, fundamentals = _dictionary_basis(t.k, t.n)
     try:
         sol = solver.solve_integer(t.content().ravel().tolist())
     except NoIntegerSolution as exc:

@@ -20,7 +20,6 @@ from grascat.braid import (
 )
 from grascat.errors import (
     BadParameters,
-    DegenerateDenominator,
     DimensionMismatch,
     NotGeneric,
 )
@@ -80,7 +79,7 @@ def oracle_braid_check(t):
         try:
             left = sigma(i, sigma(j, sigma(i, t)))
             right = sigma(j, sigma(i, sigma(j, t)))
-        except (NotGeneric, DegenerateDenominator):
+        except NotGeneric:
             generic_ok = False
             continue
         braid_tuple[(i, j)] = left.vectors == right.vectors

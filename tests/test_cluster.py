@@ -173,7 +173,7 @@ def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult
                 result.variables[red] = g_vector(red, seed).coords
 
     start = tuple(treduce(t) for t in seed.mutable_labels())
-    seen = {seed.cluster_key()}
+    seen = {frozenset(Counter(start).items())}
     queue = deque([(seed, start, 0)])
     record(start)
     result.seeds_seen = 1

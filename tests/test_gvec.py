@@ -3,29 +3,28 @@ import pytest
 
 from conftest import random_tableau
 from grascat import fixtures
-from grascat.cluster import Quiver, Seed
+from grascat.cluster import Quiver, Seed, explore
 from grascat.cmcat import KSubset
 from grascat.errors import DimensionMismatch, NoIntegerSolution, NonUniqueSolution
 from grascat.gvec import (
     GVector,
     check_cone_roundtrip,
     cone_presentation,
-    content_grid,
     g_vector,
 )
-from grascat.tableaux import Tableau, reduce as treduce, union
+from grascat.tableaux import Tableau, label_solver, reduce as treduce, union
 
 
 class TestContentGrid:
     def test_direct_count(self):
         t = Tableau.make(3, 6, [[1, 2], [3, 4], [5, 6]])
-        grid = content_grid(t)
+        grid = t.content()
         assert grid.sum() == 6
         for r, v in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]:
             assert grid[r, v - 1] == 1
 
     def test_empty(self):
-        assert content_grid(Tableau.empty(3, 6)).sum() == 0
+        assert Tableau.empty(3, 6).content().sum() == 0
 
     def test_union_additive(self):
         rng = np.random.default_rng(31)
@@ -33,7 +32,7 @@ class TestContentGrid:
             s = random_tableau(rng, 3, 8)
             t = random_tableau(rng, 3, 8)
             assert np.array_equal(
-                content_grid(union(s, t)), content_grid(s) + content_grid(t)
+                union(s, t).content(), s.content() + t.content()
             )
 
 
@@ -121,6 +120,21 @@ class TestGVector:
         seed = Seed(Quiver(2, 1, ((0, 1),)), labels)
         with pytest.raises(NonUniqueSolution):
             g_vector(Tableau.from_column((1, 3), 4), seed)
+
+    def test_one_row_seed(self):
+        # k = 1 lies outside the Grassmannian seeds (2 <= k <= n - 2), and the
+        # solve is over the given seed.  Every one-row entry is a trivial
+        # column, so a one-row tableau reduces to the empty one.  The 2-cycle
+        # makes the unions at 0 equal: the exchange gives 2 = 12 / 1.
+        labels = tuple(Tableau.make(1, 3, [row]) for row in ([1], [1, 2], [3]))
+        seed = Seed(Quiver(3, 1, ((0, 1), (1, 0))), labels)
+        t = Tableau.make(1, 3, [[1, 2, 2, 3]])
+        solve = label_solver(labels).solve_integer(treduce(t).content().ravel().tolist())
+        assert g_vector(t, seed).coords == tuple(solve) == (0, 0, 0)
+        result = explore(seed, 3, 10)
+        assert (result.seeds_seen, result.complete) == (1, True)
+        assert result.variables == {v: g_vector(v, seed).coords for v in result.variables}
+        assert list(result.variables) == [Tableau.empty(1, 3)]
 
 
 class TestConePresentation:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -268,6 +270,21 @@ class TestJson:
         with pytest.raises(NotSemistandard):
             Tableau.make(2, 4, [[1, 2], [2]])
 
+    def test_numpy_entries_become_ints(self):
+        t = Tableau.make(2, 4, np.array([[1], [3]]))
+        assert all(type(v) is int for row in t.rows for v in row)
+        assert json.dumps(t.to_json()) == '{"k": 2, "n": 4, "rows": [[1], [3]]}'
+
+    def test_errors_print_plain_ints(self):
+        t = Tableau.make(2, 4, np.array([[1], [3]]))
+        s = Tableau.make(2, 4, np.array([[2], [3]]))
+        with pytest.raises(NotAFactor, match=r"^row \(2,\) is not contained in \(1,\)$"):
+            quotient(t, s)
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(NotSemistandard, match="^every row must be a list of integers$"):
+            Tableau.make(2, 4, [[1.0], [3.0]])
+
 
 # --- the numpy-grid exchange rule, kept as the oracle of the count-based one --
 
@@ -400,7 +417,7 @@ class TestAgainstGridOracle:
         assert union_all(parts) == folded
 
 
-# --- packed count vectors against the tableau operations ----------------------
+# --- packed count vectors against the tableau operations and grid oracles -----
 
 # 6-bit fields keep only values up to 31 below the guard bit, so the
 # examples reach the top of a field; 16 bits is what explore starts with.
@@ -513,7 +530,7 @@ class TestPackedAgainstTableaux:
         x = packed(packing, t)
         assume(x is not None)
         red, mults = packing.reduce(x)
-        assert packing.tableau(red) == reduce(t)
+        assert packing.tableau(red) == grid_reduce(t)
         counts = t.content()
         assert mults == [min(int(counts[r, a + r - 1]) for r in range(k)) for a in range(1, n - k + 2)]
 
@@ -523,8 +540,8 @@ class TestPackedAgainstTableaux:
         packing = Packing(s.k, s.n, bits)
         x, y = packed(packing, s), packed(packing, t)
         assume(x is not None)
-        assert packing.dominance(x, y) == dominance_compare(s, t)
-        assert packing.dominance(y, x) == dominance_compare(t, s)
+        assert packing.dominance(x, y) == grid_dominance_compare(s, t)
+        assert packing.dominance(y, x) == grid_dominance_compare(t, s)
 
     @given(shaped_columns(), st.data(), FIELD_BITS)
     def test_dominance_matches_on_any_pair(self, shaped, data, bits):
@@ -535,7 +552,7 @@ class TestPackedAgainstTableaux:
         ))
         s, t = from_columns(k, n, columns), from_columns(k, n, other)
         packing = Packing(k, n, bits)
-        assert packing.dominance(packing.pack(s), packing.pack(t)) == dominance_compare(s, t)
+        assert packing.dominance(packing.pack(s), packing.pack(t)) == grid_dominance_compare(s, t)
 
     def test_all_five_dominance_outcomes(self):
         rng = np.random.default_rng(32)
@@ -544,7 +561,7 @@ class TestPackedAgainstTableaux:
         tableaux = [random_tableau(rng, 3, 6, max_cols=3) for _ in range(400)]
         for s, t in zip(tableaux, tableaux[1:] + tableaux[:1]):
             got = packing.dominance(packing.pack(s), packing.pack(t))
-            assert got == dominance_compare(s, t)
+            assert got == grid_dominance_compare(s, t)
             seen.add(got)
         by_content: dict = {}
         for t in tableaux:
@@ -553,7 +570,7 @@ class TestPackedAgainstTableaux:
             for s in group[:6]:
                 for t in group[:6]:
                     got = packing.dominance(packing.pack(s), packing.pack(t))
-                    assert got == dominance_compare(s, t)
+                    assert got == grid_dominance_compare(s, t)
                     seen.add(got)
         assert seen == set(Dominance)
 
@@ -571,3 +588,18 @@ class TestPackedAgainstTableaux:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Packing(2, 4, 8).pack(col((1, 2), 5))
+
+    @pytest.mark.parametrize("width, bits", [(16_383, 16), (16_384, 32)])
+    def test_reduce_and_dominance_at_the_field_width_boundary(self, width, bits):
+        # a k = 2 tableau's largest field is 2 * width; 16-bit fields hold
+        # values below 2^15
+        assert Packing.fitting(2, 4, 2 * width).bits == bits
+        # columns 13^(w-1) 24 and 12 13^(w-2) 34: one content, two shapes
+        s = Tableau.make(2, 4, [[1] * (width - 1) + [2], [3] * (width - 1) + [4]])
+        t = Tableau.make(2, 4, [[1] * (width - 1) + [3], [2] + [3] * (width - 2) + [4]])
+        for u in (s, t):
+            assert reduce(u) == grid_reduce(u)
+            assert reduce(u).width < width
+        assert dominance_compare(s, t) == grid_dominance_compare(s, t) == Dominance.GT
+        assert dominance_compare(t, s) == grid_dominance_compare(t, s) == Dominance.LT
+        assert dominance_compare(s, s) == grid_dominance_compare(s, s) == Dominance.EQ
