@@ -7,10 +7,13 @@ an exact certificate while positive sampled minima are only high-confidence
 estimates (the paper's positivity arguments are symbolic).
 
 The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos)
-into COO arrays over the algebra's int structure constants, and cached.  A
-sample writes the complexes' coefficients, cleared of denominators (over Q)
-or reduced mod p, into the operator's slot vector and scatters them into an
-int64 matrix, or into exact Python ints when an entry could reach 2^63.
+into COO arrays over the algebra's int structure constants, and cached.
+Columns that no term touches are zero for every pair of complexes; they are
+dropped at compile time, which keeps both ranks.  A sample writes the
+complexes' coefficients, cleared of denominators (over Q) or reduced mod p,
+into the operator's slot vector and scatters them into an int64 matrix, or
+into exact Python ints when an entry could reach 2^63.  The matrix goes to
+the rank kernel as an array.
 """
 
 from __future__ import annotations
@@ -124,10 +127,12 @@ class _Operator:
     row-major rows × cols matrix gets coeff[k] * x[slot[k]], summed over k;
     coeff is an int structure constant of the algebra.  No entry takes more
     than `bound` (the largest sum of |coeff| into one entry) times max|x|.
+    Column j is column ``columns[j]`` of the full map; the others are zero.
     """
 
     rows: int
     cols: int
+    columns: np.ndarray
     g_start: dict[tuple[int, int], int]
     f_start: dict[tuple[int, int], int]
     width: int
@@ -143,7 +148,8 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
 
     Row (s, t, c) is the c-th basis map of Hom(F_-1[s], G_0[t]).  The columns
     are the basis maps u of Hom(F_-1[s], G_-1[r]), then those v of
-    Hom(F_0[u], G_0[t]), in `_hom_coordinates` order.
+    Hom(F_0[u], G_0[t]), in `_hom_coordinates` order; only those that some
+    term touches are kept, renumbered in that order.
     """
     row0, rows = {}, 0
     for s, sn in enumerate(f_neg):
@@ -168,12 +174,14 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
                     terms.append((row0[(s, t)] + out, col, f_start[(u, s)] + a, coeff))
         col += 1
     coo = np.array(terms, dtype=np.int64).reshape(-1, 4)
-    flat, slot, coeff = coo[:, 0] * col + coo[:, 1], coo[:, 2].copy(), coo[:, 3].copy()
-    load = np.zeros(rows * col, dtype=np.int64)
+    columns, kept = np.unique(coo[:, 1], return_inverse=True)
+    cols = len(columns)
+    flat, slot, coeff = coo[:, 0] * cols + kept, coo[:, 2].copy(), coo[:, 3].copy()
+    load = np.zeros(rows * cols, dtype=np.int64)
     np.add.at(load, flat, np.abs(coeff))
-    for arr in (flat, slot, coeff):
+    for arr in (columns, flat, slot, coeff):
         arr.flags.writeable = False  # every caller of the cache shares them
-    return _Operator(rows, col, g_start, f_start, width, flat, slot, coeff,
+    return _Operator(rows, cols, columns, g_start, f_start, width, flat, slot, coeff,
                      int(load.max(initial=0)))
 
 
@@ -187,8 +195,8 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     rows × cols matrix.  The matrix is int64 when max|x| times the
     operator's bound is below 2^63, and exact Python ints (dtype object)
     otherwise, so nothing overflows.  Over F_p, x is reduced into [0, p)
-    and the matrix mod p goes to `modp.rank_mod_p`; over Q its columns go
-    to `rank_int`.
+    and the matrix mod p goes to `modp.rank_mod_p`; over Q its transpose
+    goes to `rank_int`, as an array.
     """
     _check_field(field)
     if f.algebra is not g.algebra:
@@ -210,7 +218,7 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     np.add.at(m, op.flat, op.coeff * np.array(x, dtype=dtype)[op.slot])
     m = m.reshape(op.rows, op.cols)
     if field == RATIONAL:
-        return op.rows - rank_int(m.T.tolist())
+        return op.rows - rank_int(m.T)
     return op.rows - modp.rank_mod_p((m % modp.PRIME).astype(np.int64, copy=False))
 
 
@@ -244,19 +252,26 @@ def complex_from_gvector(g: GVector, algebra: Algebra) -> tuple[tuple[str, ...],
     Frozen coordinates are dropped: projectives vanish in the stable
     category, matching the truncated vectors used in the worked examples.
     """
-    labels = [str(t.to_subset()) for t in g.seed.labels[: g.seed.n_mut]]
-    if set(labels) != set(algebra.vertices):
-        raise AlgebraMismatch(
-            "the seed's mutable labels must be exactly the algebra's vertices"
-        )
+    names = _vertex_names(g.seed.labels[: g.seed.n_mut], algebra.vertices)
     neg: list[str] = []
     pos: list[str] = []
-    for name, coord in zip(labels, g.mutable):
+    for name, coord in zip(names, g.mutable):
         if coord < 0:
             neg.extend([name] * (-coord))
         elif coord > 0:
             pos.extend([name] * coord)
     return tuple(neg), tuple(pos)
+
+
+@lru_cache(maxsize=256)
+def _vertex_names(labels: tuple, vertices: tuple[str, ...]) -> tuple[str, ...]:
+    """The vertex name of each label; they must be exactly ``vertices``."""
+    names = tuple(str(t.to_subset()) for t in labels)
+    if set(names) != set(vertices):
+        raise AlgebraMismatch(
+            "the seed's mutable labels must be exactly the algebra's vertices"
+        )
+    return names
 
 
 def random_complex(

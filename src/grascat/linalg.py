@@ -10,12 +10,15 @@ and ``det`` then share one Bareiss elimination (Bareiss 1968, Math. Comp.
 ``rref`` runs Gauss-Jordan on primitive integer rows.  ``Fraction`` appears
 only at the boundary: in the inputs, and in what ``det`` and ``rref`` return.
 
-``rank_int`` dispatches on size.  A matrix with a side below 40, or with
+``rank_int`` dispatches on size.  A matrix with a side below 32, or with
 max|entry| * min(shape) >= 2^31, goes to Bareiss.  A larger one gets a
-certified modular rank: the rank r mod p = 2^31 - 1 from the one F_p
-elimination in ``modp`` is a lower bound, and exact relations among the
-rows, lifted p-adically from F_p and checked over Z, prove the upper bound.
-If the check fails (p is a bad prime for the matrix), Bareiss decides.
+certified modular rank.  One Gauss-Jordan elimination mod p = 2^31 - 1 of
+[b | I] in ``modp`` gives the rank r mod p, a lower bound, and the inverse
+of the pivot block.  Exact relations among the rows, lifted p-adically
+from F_p and checked over Z on the pivot rows' nonzeros, prove the upper
+bound.  If the check fails (p is a bad prime for the matrix), Bareiss
+decides.  An integer numpy array is taken as it is; other input is read
+as rows.
 """
 
 from __future__ import annotations
@@ -90,9 +93,15 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
     return rank, sign, prev
 
 
-# Below this side length Bareiss is faster: 3.7 ms against 5.9 ms at 36x36,
-# but 15.4 against 8.3 ms at 48x80 and 211 against 35 ms at 112x168.
-_MODULAR_MIN = 40
+# From this shorter side on the certified modular rank is faster; at 28 the
+# two are about even.  Medians per three calls on the rational matrices of
+# an `einv` round, Bareiss against modular (three runs, 2 vCPUs, Python 3.11):
+#   28x28    2.9-4.1 ms against 3.4-4.6 ms
+#   40x28    4.0-5.9 ms against 3.5-4.7 ms
+#   32x32    4.8-6.7 ms against 4.0-5.3 ms
+#   36x36    7.1-9.1 ms against 6.1-7.2 ms
+#   48x48   20.8 ms against 9.9 ms;  112x112 288 ms against 47 ms
+_MODULAR_MIN = 32
 # max|entry| * min(shape) below this keeps every lifting product in int64.
 _LIFT_LIMIT = 2**31
 # A bound on |partial sums| below this keeps an int64 product exact.
@@ -102,24 +111,39 @@ _INT64_LIMIT = 2**63
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix.
 
-    A matrix with both sides at least 40 and max|entry| * min(shape) < 2^31
-    gets the certified modular rank of `_certified_rank`, on the orientation
-    with fewer rows, so that few relations need lifting.  Any other matrix,
-    and any whose certificate fails (a bad prime), gets Bareiss elimination.
-    Entries are ints, numpy integers or Fractions of denominator 1; any other
-    entry, a float or a non-integral Fraction, raises BadParameters rather
-    than being truncated.
+    A matrix with both sides at least `_MODULAR_MIN` and
+    max|entry| * min(shape) < 2^31 gets the certified modular rank of
+    `_certified_rank`, on the orientation with fewer rows, so that few
+    relations need lifting.  Any other matrix, and any whose certificate
+    fails (a bad prime), gets Bareiss elimination.  A 2-d numpy array of a
+    signed integer dtype is taken as it is; any other input is read row by
+    row.  Entries are ints, numpy integers or Fractions of denominator 1;
+    any other entry, a float or a non-integral Fraction, raises
+    BadParameters rather than being truncated.
     """
-    try:
-        m = [list(map(index, r)) for r in rows]
-    except TypeError:
-        m = [list(map(_integral, r)) for r in rows]
-    short = min(len(m), len(m[0]) if m else 0)
-    if short >= _MODULAR_MIN and max(max(max(r), -min(r)) for r in m) * short < _LIFT_LIMIT:
-        rank = _certified_rank(m if len(m) == short else [list(c) for c in zip(*m)])
-        if rank is not None:
-            return rank
-    return _bareiss(m)[0]
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "i":
+        full, m = rows.astype(np.int64, copy=False), None
+        short = min(full.shape)
+    else:
+        try:
+            m = [list(map(index, r)) for r in rows]
+        except TypeError:
+            m = [list(map(_integral, r)) for r in rows]
+        full = None
+        short = min(len(m), len(m[0]) if m else 0)
+    if short >= _MODULAR_MIN:
+        if full is None:
+            big = max(max(max(r), -min(r)) for r in m)
+        else:
+            # In Python ints: np.abs(-2^63) wraps to -2^63 and would pass the guard.
+            big = max(int(full.max()), -int(full.min()))
+        if big * short < _LIFT_LIMIT:
+            if full is None:
+                full = np.array(m, dtype=np.int64)
+            rank = _certified_rank(full if len(full) == short else full.T)
+            if rank is not None:
+                return rank
+    return _bareiss(full.tolist() if m is None else m)[0]
 
 
 def _integral(x) -> int:
@@ -132,12 +156,13 @@ def _integral(x) -> int:
         raise BadParameters(f"rank_int needs integer entries, got {x!r}") from None
 
 
-def _certified_rank(b: list[list[int]]) -> int | None:
+def _certified_rank(b: np.ndarray | Sequence[Sequence[int]]) -> int | None:
     """Rank over Q of ``b`` (no more rows than columns), or None for a bad prime.
 
-    One elimination mod p gives the rank r, pivot rows R and pivot columns C.
-    The minor b[R, C] is nonzero mod p, so it is nonzero over Z: rank >= r.
-    For each other row i, Dixon lifting (Dixon 1982, Numer. Math. 40) solves
+    One Gauss-Jordan elimination mod p of [b | I], pivoting in b's columns
+    only, gives the rank r, pivot rows R and pivot columns C.  The minor
+    b[R, C] is nonzero mod p, so it is nonzero over Z: rank >= r.  For each
+    other row i, Dixon lifting (Dixon 1982, Numer. Math. 40) solves
     y b[R, C] = b[i, C] p-adically and rational reconstruction turns y into
     integers d, d*y; the exact check d*b[i] = (d*y) b[R] over every column
     puts row i in the span of rows R.  These len(b) - r relations are
@@ -145,16 +170,18 @@ def _certified_rank(b: list[list[int]]) -> int | None:
     a failing check means rank > r.
     """
     p = modp.PRIME
-    full = np.array(b, dtype=np.int64)
-    _, cols, order = modp.echelon_mod_p(full)
+    full = np.asarray(b, dtype=np.int64)
+    cols, order, inv = _pivot_block(full)
     r = len(cols)
-    if r == len(b):
+    if r == len(full):
         return r
     piv, rest = order[:r], order[r:]
     a = full[np.ix_(piv, cols)]
     residual = full[np.ix_(rest, cols)]
-    inv = modp.inverse_mod_p(a)
     inv_hi, inv_lo = inv >> 16, inv & 0xFFFF
+    # The pivot rows' nonzeros as (column, value) pairs, for the exact check.
+    sparse = [list(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in full[piv]]
+    targets = full[rest].tolist()
     # By Cramer each y_j is a ratio of two determinants of rows of a and
     # b[i, C], and by Hadamard each is at most H = the product of those row
     # norms; reconstruction is sure once the modulus exceeds 2 H^2.  Entries
@@ -173,17 +200,37 @@ def _certified_rank(b: list[list[int]]) -> int | None:
         for i, row in enumerate(x.tolist()):
             lifted[i] = [u + v * modulus for u, v in zip(lifted[i], row)]
         modulus *= p
-        pending = [i for i in pending if not _exact_relation(b, piv, rest[i], lifted[i], modulus)]
+        pending = [i for i in pending if not _exact_relation(targets[i], sparse, lifted[i], modulus)]
         if pending and modulus > limit:
             return None
     return r
 
 
-def _exact_relation(b, piv, i, y, modulus) -> bool:
-    """Whether ``y`` mod ``modulus`` reconstructs to rationals with y b[piv] = b[i].
+def _pivot_block(b: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
+    """Pivot columns C, row order and (b[R, C])^-1 mod p, R the pivot rows.
 
-    The coordinates are reconstructed under one running common denominator
-    d, then d*b[i] - sum (d*y_j) b[piv_j] must vanish in every column.
+    One Gauss-Jordan elimination mod p of [b | I] that seeks pivots in b's
+    columns only.  Its identity part holds the transform T with
+    T [b | I] = reduced.  Pivot row k is original row R[k] less multiples of
+    earlier pivot rows, so T[:r] is zero off the columns R, and there
+    T[:r] b[R, C] = I.  Past b's columns a pivot would add a non-pivot row
+    into the pivot rows, so the elimination stops there.
+    """
+    nrows, ncols = b.shape
+    red, cols, order = modp.echelon_mod_p(
+        np.hstack([b, np.eye(nrows, dtype=np.int64)]), jordan=True, width=ncols
+    )
+    r = len(cols)
+    return cols, order, red[:r, ncols:][:, order[:r]]
+
+
+def _exact_relation(target: list[int], sparse: list, y: list[int], modulus: int) -> bool:
+    """Whether ``y`` mod ``modulus`` reconstructs to rationals with y B = target.
+
+    B's rows are given by their nonzeros, ``sparse[j]`` the (column, value)
+    pairs of row j.  The coordinates are reconstructed under one running
+    common denominator d, then d*target - sum (d*y_j) B[j] must vanish in
+    every column.
     """
     half = modulus // 2
     bound = isqrt(half)
@@ -198,13 +245,14 @@ def _exact_relation(b, piv, i, y, modulus) -> bool:
         d *= q
         if d > bound:
             return False
-    acc = [d * x for x in b[i]]
-    for j, u in zip(piv, y):
+    acc = [d * x for x in target]
+    for pairs, u in zip(sparse, y):
         c = d * u % modulus
         if c > half:
             c -= modulus
         if c:
-            acc = [s - c * x for s, x in zip(acc, b[j])]
+            for col, x in pairs:
+                acc[col] -= c * x
     return not any(acc)
 
 
@@ -314,20 +362,31 @@ class ExactSolver:
             return (self._transform64 @ np.array(b, dtype=np.int64)).tolist()
         return [sum(t * v for t, v in zip(row, b)) for row in self.transform]
 
-    def solve_rational(self, b: Sequence[int]) -> list[Fraction] | None:
-        """Unique rational x with A x = b, or None if b is outside the span."""
+    def _transformed(self, b: Sequence[int]) -> list[int]:
+        """transform @ b, after checking the length of b."""
         if len(b) != self.nrows:
             raise NoIntegerSolution("right-hand side has wrong length")
-        eb = self._product(b)
-        if any(x != 0 for x in eb[self.ncols :]):
+        return self._product(b)
+
+    def solve_rational(self, b: Sequence[int]) -> list[Fraction] | None:
+        """Unique rational x with A x = b, or None if b is outside the span."""
+        eb = self._transformed(b)
+        if any(eb[self.ncols :]):
             return None
         return [Fraction(x, self.denom) for x in eb[: self.ncols]]
 
     def solve_integer(self, b: Sequence[int]) -> list[int]:
-        """Unique integer x with A x = b; raises NoIntegerSolution otherwise."""
-        x = self.solve_rational(b)
-        if x is None:
+        """Unique integer x with A x = b; raises NoIntegerSolution otherwise.
+
+        x is transform @ b over denom, so it is integral exactly when denom
+        divides every coordinate; no Fraction is built.
+        """
+        eb = self._transformed(b)
+        if any(eb[self.ncols :]):
             raise NoIntegerSolution("vector is outside the integer span of the basis")
-        if any(v.denominator != 1 for v in x):
+        d = self.denom
+        if d == 1:
+            return eb[: self.ncols]
+        if any(x % d for x in eb[: self.ncols]):
             raise NoIntegerSolution("solution exists but is not integral")
-        return [int(v) for v in x]
+        return [x // d for x in eb[: self.ncols]]

@@ -91,6 +91,20 @@ class TestEPair:
         with pytest.raises(AlgebraMismatch):
             complex_from_gvector(g, alg39)
 
+    def test_vertex_mismatch_after_a_cached_match(self, alg39, alg48, seed39, seed36):
+        # the names are cached per label tuple and vertex tuple; the check
+        # still runs for every algebra, and a mismatch raises every time
+        g = nonreal_g39(seed39)
+        assert complex_from_gvector(g, alg39) == (("125", "126", "134"), ("128", "156", "167"))
+        for _ in range(2):
+            with pytest.raises(AlgebraMismatch, match="exactly the algebra's vertices"):
+                complex_from_gvector(g, alg48)
+        assert complex_from_gvector(g, alg39) == (("125", "126", "134"), ("128", "156", "167"))
+        g36 = g_vector(seed36.labels[0], seed36)
+        for _ in range(2):
+            with pytest.raises(AlgebraMismatch, match="exactly the algebra's vertices"):
+                complex_from_gvector(g36, alg39)
+
     def test_huge_fp_coefficient_reduced_before_int64(self, alg39, seed39):
         # entries are reduced mod p as Python ints, so 2^63 neither overflows
         # nor differs from its residue
@@ -354,6 +368,16 @@ def oracle_e(f: TwoTermComplex, g: TwoTermComplex, field: str) -> int:
     return rows - (rank_int(m) if field == "rational" else modp.rank_mod_p(m))
 
 
+def assert_dropped_columns_zero(f: TwoTermComplex, g: TwoTermComplex, dense: list) -> list:
+    """The oracle's columns `dense` that e_pair's operator keeps, in order,
+    after checking that every column it drops is zero."""
+    columns = einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos).columns.tolist()
+    assert columns == sorted(set(columns))
+    dropped = set(range(len(dense))) - set(columns)
+    assert not any(any(dense[c]) for c in dropped)
+    return [dense[c] for c in columns]
+
+
 def weighted_algebra(weights) -> Algebra:
     """A table algebra on vertices x, y whose structure constants cycle
     through `weights`: every product of two basis maps is a sum over the
@@ -459,12 +483,42 @@ class TestAgainstFractionOracle:
         rows, cols = oracle_homotopy_matrix(f, g)
         if rows == 0 or not cols:
             assert seen == []
+            return
+        want = oracle_dense(rows, cols, fld)
+        if fld == "fp":
+            want = want.T.tolist()  # one list per column, as over Q
+        kept = assert_dropped_columns_zero(f, g, want)
+        if not kept:
+            assert seen == []
         elif fld == "rational":
-            assert seen == [oracle_dense(rows, cols, fld)]
+            # the transpose, one row per kept column, as an array
+            [m] = seen
+            assert isinstance(m, np.ndarray) and m.tolist() == kept
         else:
             [m] = seen
-            want = oracle_dense(rows, cols, fld)
-            assert m.dtype == want.dtype and np.array_equal(m, want)
+            assert m.dtype == np.int64 and m.T.tolist() == kept
+
+    @pytest.mark.parametrize("mult, shape", [(1, (8, 8)), (2, (32, 32))])
+    def test_structural_zero_columns_dropped(self, alg39, seed39, mult, shape, monkeypatch):
+        # T2's homotopy map has 12 (x1) and 48 (x2) columns, a third of
+        # them touched by no term: zero for every complex
+        t2 = g_vector(Tableau.make(3, 9, [[1, 2, 5], [3, 4, 8], [6, 7, 9]]), seed39)
+        neg, pos = complex_from_gvector(t2.scale(mult), alg39)
+        f = random_complex(alg39, neg, pos, np.random.default_rng(58))
+        rows, cols = oracle_homotopy_matrix(f, f)
+        assert (rows, len(cols)) == (shape[0], 3 * shape[1] // 2)
+        kept = assert_dropped_columns_zero(f, f, oracle_dense(rows, cols, "rational"))
+        assert len(kept) == shape[1]
+        seen = []
+
+        def recorded(m):
+            seen.append(m)
+            return rank_int(m)
+
+        monkeypatch.setattr(einv, "rank_int", recorded)
+        assert e_pair(f, f) == oracle_e(f, f, "rational")
+        [m] = seen
+        assert m.shape == shape[::-1] and m.tolist() == kept
 
     @pytest.mark.parametrize("fld", ["rational", "fp"])
     def test_large_stratum_with_fractions(self, alg39, seed39, fld):
@@ -493,6 +547,7 @@ class TestAgainstFractionOracle:
         rows, cols = oracle_homotopy_matrix(f, f)
         want = oracle_dense(rows, cols, "rational")
         assert (max(max(map(abs, col)) for col in want) >= 2**63) == above
+        kept = assert_dropped_columns_zero(f, f, want)
         seen = []
 
         def recorded(m):
@@ -501,7 +556,8 @@ class TestAgainstFractionOracle:
 
         monkeypatch.setattr(einv, "rank_int", recorded)
         assert e_pair(f, f) == rows - rank_int(want)
-        assert seen == [want]
+        [m] = seen
+        assert m.dtype == (object if above else np.int64) and m.tolist() == kept
 
     def test_generic_e_compiles_once(self, alg39, seed39, compiles):
         # T1 is not rigid, so all five samples are drawn

@@ -3,12 +3,23 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grascat import modp
 from grascat.errors import BadParameters, NoIntegerSolution, NonUniqueSolution
-from grascat.linalg import ExactSolver, _bareiss, _certified_rank, det, rank_int, rref
+from grascat import linalg
+from grascat.linalg import (
+    _MODULAR_MIN,
+    ExactSolver,
+    _bareiss,
+    _certified_rank,
+    _exact_relation,
+    _pivot_block,
+    det,
+    rank_int,
+    rref,
+)
 
 
 # --- oracles: the rational Gaussian elimination the kernels replaced ---------
@@ -185,11 +196,99 @@ class TestModularRank:
         assert rank_int([[0] * cols for _ in range(rows)]) == 0
 
     def test_inverse_mod_p(self):
+        # the inverse block of the one elimination of [b | I], checked in
+        # Python ints, with pivots and pivot rows as a plain echelon form's
         rng = np.random.default_rng(207)
-        a = rng.integers(-10, 11, size=(30, 30))
-        assert modp.rank_mod_p(a) == 30
-        inv = modp.inverse_mod_p(a).astype(object)
-        assert ((inv @ a.astype(object)) % modp.PRIME == np.eye(30, dtype=object)).all()
+        for rows, cols, rank in [(30, 30, 30), (30, 45, 27), (40, 40, 36)]:
+            b = known_rank_matrix(rng, rows, cols, rank, bound=3)
+            if rank < rows:
+                # a zero row and a repeated row move non-pivot rows first
+                b[0], b[2] = 0, b[1]
+            pivots, order, inv = _pivot_block(b)
+            assert order[:rank] != list(range(rank)) or rank == rows
+            _, want_pivots, want_order = modp.echelon_mod_p(b)
+            assert pivots == want_pivots and len(pivots) == rank
+            assert order[:rank] == want_order[:rank]
+            a = b[np.ix_(order[:rank], pivots)].astype(object)
+            assert ((inv.astype(object) @ a) % modp.PRIME == np.eye(rank, dtype=object)).all()
+
+
+@st.composite
+def modular_rank_matrices(draw):
+    """An int64 matrix of known nominal rank, some columns zero, with its
+    shorter side on either side of _MODULAR_MIN."""
+    rows = draw(st.integers(_MODULAR_MIN - 3, _MODULAR_MIN + 6))
+    cols = draw(st.integers(rows, rows + 12))
+    deficiency = draw(st.integers(0, 4))
+    zero_cols = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    m = known_rank_matrix(rng, rows, cols, rows - deficiency, bound=draw(st.sampled_from([1, 3])))
+    m[:, rng.choice(cols, size=zero_cols, replace=False)] = 0
+    return m
+
+
+class TestRankPaths:
+    """rank_int on lists and on arrays, against Bareiss."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(modular_rank_matrices())
+    def test_matches_bareiss(self, m):
+        want = bareiss_rank(m.tolist())
+        for a in (m, m.T):
+            assert rank_int(a.tolist()) == want
+            assert rank_int(a) == want
+            assert rank_int(np.ascontiguousarray(a)) == want
+
+    def test_float_array_rejected(self):
+        for a in (np.array([[0.5, 0], [0, 0.25]]), np.ones((40, 40))):
+            with pytest.raises(BadParameters, match="integer entries"):
+                rank_int(a)
+
+    def test_int64_minimum_takes_bareiss(self, monkeypatch):
+        # np.abs(-2^63) wraps to -2^63; max|entry| is taken in Python ints,
+        # so this entry fails the lifting guard and Bareiss decides
+        def no_lifting(b):
+            raise AssertionError("the certified modular rank was tried")
+
+        monkeypatch.setattr(linalg, "_certified_rank", no_lifting)
+        m = np.eye(45, dtype=np.int64)
+        m[0, 1] = -(2**63)
+        m[1] = m[0]
+        assert rank_int(m) == rank_int(m.T) == 44
+
+    def test_changed_relation_fails_the_check(self):
+        # pivot rows B with zero columns, and a target row t with
+        # D t = sum c_j B[j]: the relation y = c / D reconstructs mod p^3
+        p = modp.PRIME
+        rng = np.random.default_rng(208)
+        r, n, big_d = 6, 20, 7
+        b = rng.integers(-5, 6, size=(r, n)) * (rng.random((r, n)) < 0.3)
+        b[:, [3, 11]] = 0
+        b[0, 0] = 1  # row 0 is nonzero
+        c = rng.integers(-50, 51, size=r)
+        c[-1] = 1
+        t = rng.integers(-3, 4, size=n)
+        t[[3, 11]] = 0
+        t[0] = 1
+        b[-1] = big_d * t - c[:-1] @ b[:-1]
+        sparse = [[(j, int(x)) for j, x in enumerate(row) if x] for row in b]
+        modulus = p**3
+
+        def relation(coeffs, d):
+            return [int(x) * pow(d, -1, modulus) % modulus for x in coeffs]
+
+        target = t.tolist()
+        assert _exact_relation(target, sparse, relation(c, big_d), modulus)
+        for j in range(r):
+            changed = c.copy()
+            changed[j] += 1
+            assert not _exact_relation(target, sparse, relation(changed, big_d), modulus)
+        assert not _exact_relation(target, sparse, relation(c, big_d + 1), modulus)
+        # a column that no pivot row touches is checked as well
+        for col in (3, 11):
+            moved = list(target)
+            moved[col] += 1
+            assert not _exact_relation(moved, sparse, relation(c, big_d), modulus)
 
 
 class TestDetRref:
@@ -326,6 +425,30 @@ class TestSolverProduct:
             return
         with pytest.raises(NoIntegerSolution, match=message):
             solver.solve_integer(b)
+
+    @given(solver_systems())
+    def test_solve_integer_matches_solve_rational(self, system):
+        cols, b = system
+        if rank_int(cols) < len(cols):
+            return
+        solver = ExactSolver(cols)
+        want = solver.solve_rational(b)
+        if want is None:
+            message = "vector is outside the integer span of the basis"
+        elif any(x.denominator != 1 for x in want):
+            message = "solution exists but is not integral"
+        else:
+            got = solver.solve_integer(b)
+            assert got == want and all(type(x) is int for x in got)
+            return
+        with pytest.raises(NoIntegerSolution, match=message):
+            solver.solve_integer(b)
+
+    def test_solve_integer_checks_the_length(self):
+        solver = ExactSolver([[2, 0, 0], [0, 1, 0]])
+        for b in ([1, 0], [1, 0, 0, 0]):
+            with pytest.raises(NoIntegerSolution, match="wrong length"):
+                solver.solve_integer(b)
 
     def test_outcomes_are_reached(self):
         solver = ExactSolver([[2, 0, 0], [0, 1, 0]])
