@@ -43,9 +43,9 @@ def _resolve_seed(name: str) -> cluster.Seed:
 
 
 def _resolve_algebra(name: str):
-    if name.startswith("qp_"):
-        name = name[3:]
-    return fixtures.tame_algebra(name)
+    """(algebra, k, n) of the tame algebra named gr39 or qp_gr39 (and so on)."""
+    key = name.removeprefix("qp_")
+    return (fixtures.tame_algebra(key), *fixtures.TAME[key])
 
 
 def _emit(payload, fmt: str, table_text: str | None = None) -> None:
@@ -183,11 +183,8 @@ def _cmd_gvec(args) -> None:
 
 
 def _cmd_einv(args) -> None:
-    alg = _resolve_algebra(args.algebra)
-    seed = _resolve_seed(args.seed) if args.seed else None
-    if seed is None:
-        k, n = fixtures.TAME[args.algebra.removeprefix("qp_")]
-        seed = cluster.grassmannian_initial_seed(k, n)
+    alg, k, n = _resolve_algebra(args.algebra)
+    seed = _resolve_seed(args.seed) if args.seed else cluster.grassmannian_initial_seed(k, n)
 
     def to_gvector(path: str) -> gvec.GVector:
         data = _load_json_arg(path)
@@ -358,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("einv", help="sampled generic E-invariants")
     p.add_argument("--g", required=True, help="g-vector JSON: {'coords': [...]} or a list")
     p.add_argument("--pair", help="second g-vector for the paired invariant")
-    p.add_argument("--algebra", default="qp_gr39", choices=["qp_gr39", "qp_gr48", "gr39", "gr48"])
+    algebras = [f"qp_{key}" for key in fixtures.TAME] + list(fixtures.TAME)
+    p.add_argument("--algebra", default="qp_gr39", choices=algebras)
     p.add_argument("--seed", help="seed for coordinate labels (defaults to the algebra's)")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--field", choices=["rational", "fp"], default="rational")

@@ -9,7 +9,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import modp
 from . import tableaux as tb
 from .cmcat import KSubset
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     json_fields,
     list_of,
 )
+from .linalg import rank_int
 from .tableaux import Dominance, Tableau
 
 __all__ = [
@@ -360,7 +360,7 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     if any((t.k, t.n) != (k, n) for t in seed.labels):
         raise DimensionMismatch("seed labels must share one (k, n)")
     contents = np.array([t.content().ravel() for t in seed.labels])
-    if modp.rank_mod_p(contents) < seed.m:
+    if rank_int(contents) < seed.m:
         tb.label_solver(seed.labels)  # raises NonUniqueSolution unless independent over Q
     packing = tb.Packing.fitting(k, n, 0)
     while True:

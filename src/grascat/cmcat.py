@@ -140,6 +140,17 @@ def _kernel_params(subset: KSubset) -> list[tuple[int, int, int]]:
     return params
 
 
+def _kernel_elems(i: int, m: int, v: int, k: int, n: int) -> list[int]:
+    """Entries of the (i, m, v) generic kernel, repeats kept.
+
+    Two intervals read modulo n: k-i entries from (i-m+1)/2, and i entries
+    from (i-m+2v-1)/2 + k-i+1.
+    """
+    lo1 = (i - m + 1) // 2
+    lo2 = (i - m + 2 * v - 1) // 2 + k - i + 1
+    return [(x - 1) % n + 1 for x in (*range(lo1, lo1 + k - i), *range(lo2, lo2 + i))]
+
+
 def _tau_elems(i: int, m: int, v: int, k: int, n: int) -> list[int]:
     """Entries of the translate of the (i, m, v) generic kernel, repeats kept.
 
@@ -171,11 +182,7 @@ def tau_inverse_two_interval(subset: KSubset) -> KSubset:
             continue
         m = 1 - i - 2 * first[0]
         v = _gap_after(n, first, second)
-        lo1 = (i - m + 1) // 2
-        lo2 = (i - m + 2 * v - 1) // 2 + k - i + 1
-        elems = [(x - 1) % n + 1 for x in range(lo1, lo1 + k - i)]
-        elems += [(x - 1) % n + 1 for x in range(lo2, lo2 + i)]
-        images.add(KSubset(n, tuple(sorted(elems))))
+        images.add(KSubset(n, tuple(sorted(_kernel_elems(i, m, v, k, n)))))
     if len(images) != 1:
         raise NotTwoIntervals(f"ambiguous inverse tau image for {subset.elems}")
     return images.pop()

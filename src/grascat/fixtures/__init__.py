@@ -1,4 +1,7 @@
-"""Shipped data: quivers with potential, rigid-variable lists, golden tables."""
+"""Shipped data that code cannot regenerate: rigid and non-real lists, golden tables.
+
+The tame Jacobian algebras are built from `qpa.initial_qp`, not read from here.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from ..qpa import Algebra, QuiverWithPotential, build_algebra
+from ..qpa import Algebra, build_algebra, initial_qp
 
 TAME = {"gr39": (3, 9), "gr48": (4, 8)}
 
@@ -22,17 +25,11 @@ def read_golden(name: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def load_qp(name: str) -> QuiverWithPotential:
-    """Quiver-with-potential fixture: qp_gr39, qp_gr48, or qp_hl_gamma."""
-    return QuiverWithPotential.from_json(_read_json(f"{name}.json"))
-
-
-@lru_cache(maxsize=None)
 def tame_algebra(key: str) -> Algebra:
     """Stable endomorphism algebra of the initial cluster-tilting object."""
     if key not in TAME:
         raise KeyError(f"no algebra fixture for {key!r}; available: {sorted(TAME)}")
-    return build_algebra(load_qp(f"qp_{key}"))
+    return build_algebra(initial_qp(*TAME[key]))
 
 
 @lru_cache(maxsize=None)

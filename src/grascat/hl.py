@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cluster import Quiver, mutate_quiver
-from .cmcat import KSubset, _tau_elems, cyclic_interval
+from .cmcat import KSubset, _kernel_elems, _tau_elems, cyclic_interval
 from .einv import (
     ConjecturalBool,
     EValueReport,
@@ -21,7 +21,7 @@ from .einv import (
     generic_e_pair_parts,
 )
 from .errors import BadParameters, OutOfRange
-from .qpa import Algebra, QuiverWithPotential, build_algebra
+from .qpa import Algebra, QuiverWithPotential, build_algebra, triangle_qp
 
 __all__ = [
     "HeightFn",
@@ -99,28 +99,7 @@ def gamma_quiver(k: int, s: int) -> Quiver:
 def gamma_qp(k: int, s: int) -> QuiverWithPotential:
     """The truncated quiver with its canonical all-3-cycles potential."""
     q = gamma_quiver(k, s)
-    names = [f"{i},{m}" for i, m in q.coords]
-    arrows = [
-        (f"e{idx}", names[src], names[dst]) for idx, (src, dst) in enumerate(q.arrows)
-    ]
-    by_pair: dict[tuple[str, str], list[str]] = {}
-    for aid, src, dst in arrows:
-        by_pair.setdefault((src, dst), []).append(aid)
-    potential = []
-    for a in names:
-        for b in names:
-            if (a, b) not in by_pair:
-                continue
-            for c in names:
-                if (b, c) not in by_pair or (c, a) not in by_pair:
-                    continue
-                if a != min(a, b, c):
-                    continue  # one representative per cyclic rotation class
-                for e1 in by_pair[(a, b)]:
-                    for e2 in by_pair[(b, c)]:
-                        for e3 in by_pair[(c, a)]:
-                            potential.append((1, (e1, e2, e3)))
-    return QuiverWithPotential(tuple(names), tuple(arrows), tuple(potential))
+    return triangle_qp([f"{i},{m}" for i, m in q.coords], q.arrows, lambda a, b, c: 1)
 
 
 def q_ell_quiver(k: int, ell: int) -> Quiver:
@@ -287,11 +266,7 @@ def kernel_subset(i: int, m: int, v: int, k: int, ell: int) -> KSubset:
     """Label of the generic kernel of I(i,m) -> I(i,m-2v)."""
     _check_kernel_params(i, m, v, k, ell)
     n = k + ell + 1
-    a = (i - m + 1) // 2
-    b = (i - m + 2 * v - 1) // 2 + k - i + 1
-    elems = set(cyclic_interval(n, a, a + k - i - 1)) | set(
-        cyclic_interval(n, b, b + i - 1)
-    )
+    elems = set(_kernel_elems(i, m, v, k, n))
     if len(elems) != k:
         raise OutOfRange(f"intervals overlap for (i,m,v)=({i},{m},{v})")
     return KSubset(n, tuple(sorted(elems)))
@@ -349,7 +324,7 @@ def kr_compatible(
         # identical rank-one labels: the same cluster variable, rigid
         return ConjecturalBool(True, EValueReport(0, True, 0, field))
     n = k + ell + 1
-    key = {(3, 9): "gr39", (4, 8): "gr48"}.get((k, n))
+    key = next((key for key, shape in fixtures.TAME.items() if shape == (k, n)), None)
     if key is not None:
         seed = grassmannian_initial_seed(k, n)
         alg = fixtures.tame_algebra(key)

@@ -6,17 +6,30 @@ path classes from j to i.  The quotient by the cyclic-derivative ideal is
 computed degree by degree with exact fraction-free row reduction of the
 integer relation rows; a homogeneous potential (all cycles the same length)
 guarantees termination as soon as one degree dies.
+
+Every quiver with potential the library uses is generated: `triangle_qp`
+signs each oriented triangle of a quiver, `initial_qp` applies it to the
+Gr(k, n) initial seed and `hl.gamma_qp` to the truncated quiver Gamma(k, s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from numbers import Rational
 
+from .cluster import grassmannian_initial_seed
 from .errors import BadParameters, NotFiniteDimensional, is_int, is_str, json_fields, list_of
 from .linalg import rref
 
-__all__ = ["QuiverWithPotential", "Algebra", "potential_relations", "build_algebra"]
+__all__ = [
+    "QuiverWithPotential",
+    "Algebra",
+    "triangle_qp",
+    "initial_qp",
+    "potential_relations",
+    "build_algebra",
+]
 
 Path = tuple[str, ...]
 
@@ -71,6 +84,54 @@ class QuiverWithPotential:
             tuple(json_fields(a, "arrow", **ends) for a in arrows),
             tuple((sign, tuple(cycle)) for sign, cycle in terms),
         )
+
+
+def triangle_qp(names, arrows, sign) -> QuiverWithPotential:
+    """Quiver on `names` with the signed sum of its oriented triangles as potential.
+
+    Arrow idx, the vertex-index pair arrows[idx], is named e{idx}.  Each
+    3-cycle a -> b -> c -> a gives one term per choice of parallel arrows,
+    read from its least name, with sign ``sign(a, b, c)`` of its vertex
+    indices in cycle order.
+    """
+    names = tuple(names)
+    by_pair: dict[tuple[int, int], list[str]] = {}
+    for idx, (s, t) in enumerate(arrows):
+        by_pair.setdefault((s, t), []).append(f"e{idx}")
+    potential = []
+    for a, b in sorted(by_pair):
+        for c in range(len(names)):
+            if (b, c) not in by_pair or (c, a) not in by_pair:
+                continue
+            if names[a] != min(names[a], names[b], names[c]):
+                continue  # one representative per cyclic rotation class
+            term_sign = sign(a, b, c)
+            cycles = product(by_pair[(a, b)], by_pair[(b, c)], by_pair[(c, a)])
+            potential += [(term_sign, cycle) for cycle in cycles]
+    return QuiverWithPotential(
+        names,
+        tuple((f"e{idx}", names[s], names[t]) for idx, (s, t) in enumerate(arrows)),
+        tuple(potential),
+    )
+
+
+def initial_qp(k: int, n: int) -> QuiverWithPotential:
+    """Quiver with potential of the mutable part of the Gr(k, n) initial seed.
+
+    The seed quiver's arrows are reversed, in its sorted order, and its
+    vertices named by their Plücker labels.  Each triangle is signed by its
+    orientation in the grid coordinates of the seed.
+    """
+    seed = grassmannian_initial_seed(k, n)
+    q = seed.quiver.mutable_part()
+
+    def orientation(a: int, b: int, c: int) -> int:
+        (x1, y1), (x2, y2), (x3, y3) = q.coords[a], q.coords[b], q.coords[c]
+        area = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+        return (area > 0) - (area < 0)
+
+    names = [str(t.to_subset()) for t in seed.mutable_labels()]
+    return triangle_qp(names, [(t, s) for s, t in q.arrows], orientation)
 
 
 def potential_relations(qp: QuiverWithPotential) -> dict[str, list[tuple[int, Path]]]:

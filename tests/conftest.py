@@ -1,10 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from grascat import fixtures
 from grascat.cluster import grassmannian_initial_seed
+from grascat.qpa import QuiverWithPotential
 from grascat.tableaux import Tableau, union_all
+
+DATA = Path(__file__).parent / "data"
 
 # Property tests run the same examples every time and are never timed out:
 # wall time on a shared 2-vCPU host can double within a second.
@@ -35,6 +41,11 @@ def alg39():
 @pytest.fixture(scope="session")
 def alg48():
     return fixtures.tame_algebra("gr48")
+
+
+def oracle_qp(name: str) -> QuiverWithPotential:
+    """Hand-written quiver with potential kept as a test oracle: qp_gr39, qp_gr48, qp_hl_gamma."""
+    return QuiverWithPotential.from_json(json.loads((DATA / f"{name}.json").read_text()))
 
 
 def random_tableau(rng: np.random.Generator, k: int, n: int, max_cols: int = 4) -> Tableau:

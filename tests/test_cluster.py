@@ -352,6 +352,10 @@ FAILING_SEEDS = {
         hand_seed(4, 1, ((0, 1),), [[[1], [3]], [[1], [3]]]),
         NonUniqueSolution, "linearly dependent",
     ),
+    "label a sum of two others": (
+        hand_seed(4, 1, ((0, 1),), [[[1], [3]], [[2], [4]], [[1, 2], [3, 4]]]),
+        NonUniqueSolution, "linearly dependent",
+    ),
     "isolated vertices": (
         hand_seed(4, 2, (), [[[1], [3]], [[2], [4]]]),
         NotAFactor, "row (1,) is not contained in ()",

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import einv, fixtures, hl, modp
+from conftest import oracle_qp
+from grascat import einv, hl, modp
 from grascat.cluster import grassmannian_initial_seed
 from grascat.einv import (
     TwoTermComplex,
@@ -400,7 +401,7 @@ def oracle_algebras(alg39, alg48):
     return {
         "gr39": alg39,
         "gr48": alg48,
-        "gamma": build_algebra(fixtures.load_qp("qp_hl_gamma")),
+        "gamma": build_algebra(oracle_qp("qp_hl_gamma")),
         "weighted": weighted_algebra((2, -3, 1)),
     }
 

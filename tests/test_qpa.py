@@ -2,9 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from grascat import fixtures, hl
+from conftest import oracle_qp
+from grascat import hl
 from grascat.errors import BadParameters, NotFiniteDimensional
-from grascat.qpa import Algebra, QuiverWithPotential, build_algebra, potential_relations
+from grascat.qpa import (
+    Algebra,
+    QuiverWithPotential,
+    build_algebra,
+    initial_qp,
+    potential_relations,
+    triangle_qp,
+)
 
 TABLE1_NAMES = ["125", "126", "134", "128", "156", "167"]
 TABLE1 = [
@@ -34,12 +42,12 @@ VANISHING_39 = {
 
 class TestPotentialRelations:
     def test_internal_arrow_two_term_relation(self):
-        qp = fixtures.load_qp("qp_gr39")
+        qp = oracle_qp("qp_gr39")
         rels = potential_relations(qp)
         assert sorted(rels["a2"]) == [(-1, ("g2", "d2")), (1, ("b1", "g1"))]
 
     def test_boundary_arrow_single_path(self):
-        qp = fixtures.load_qp("qp_gr39")
+        qp = oracle_qp("qp_gr39")
         rels = potential_relations(qp)
         assert rels["a1"] == [(-1, ("g1", "d1"))]
         assert rels["a5"] == [(1, ("b4", "g4"))]
@@ -180,19 +188,79 @@ class TestIntegerStructureConstants:
         assert all_ints(alg39) and all_ints(alg48)
 
     def test_gamma_algebras(self):
-        algs = [build_algebra(fixtures.load_qp("qp_hl_gamma"))]
+        algs = [build_algebra(oracle_qp("qp_hl_gamma"))]
         algs += [hl._gamma_algebra_at(k, s) for k, s in [(3, -6), (4, -8), (5, -10)]]
         for alg in algs:
             assert alg._comp and all_ints(alg)
+
+
+def arrow_ends_paths(alg: Algebra, qp: QuiverWithPotential) -> dict:
+    """basis_paths with every arrow id replaced by its (source, target)."""
+    ends = qp.arrow_ends()
+    return {
+        pair: [(degree, tuple(ends[a] for a in path)) for degree, path in basis]
+        for pair, basis in alg.basis_paths.items()
+    }
+
+
+def reversed_qp(qp: QuiverWithPotential) -> QuiverWithPotential:
+    """Every arrow turned around, each potential cycle read backwards."""
+    return QuiverWithPotential(
+        qp.vertices,
+        tuple((a, t, s) for a, s, t in qp.arrows),
+        tuple((sign, cycle[::-1]) for sign, cycle in qp.potential),
+    )
+
+
+class TestGeneratedQuivers:
+    @pytest.mark.parametrize("key, kn", [("gr39", (3, 9)), ("gr48", (4, 8))])
+    def test_initial_qp_matches_hand_written_oracle(self, key, kn):
+        qp, oracle = initial_qp(*kn), oracle_qp(f"qp_{key}")
+        alg, want = build_algebra(qp), build_algebra(oracle)
+        assert alg.vertices == want.vertices
+        assert alg._dims == want._dims
+        assert alg._comp == want._comp
+        assert arrow_ends_paths(alg, qp) == arrow_ends_paths(want, oracle)
+
+    def test_tame_algebras_are_generated(self, alg39, alg48):
+        for alg, kn in ((alg39, (3, 9)), (alg48, (4, 8))):
+            assert alg._comp == build_algebra(initial_qp(*kn))._comp
+
+    @pytest.mark.parametrize("k, n, dim", [(2, 5, 3), (3, 6, 10), (3, 7, 21), (3, 8, 36)])
+    def test_other_shapes(self, k, n, dim):
+        alg = build_algebra(initial_qp(k, n))
+        assert alg.total_dim() == dim
+        assert alg.check_associative()
+
+    def test_flipping_one_triangle_sign_changes_the_algebra(self, alg39):
+        qp = initial_qp(3, 9)
+        (sign, cycle), *rest = qp.potential
+        flipped = QuiverWithPotential(qp.vertices, qp.arrows, ((-sign, cycle), *rest))
+        assert build_algebra(flipped)._comp != alg39._comp
+
+    def test_unreversed_arrows_change_the_algebra(self, alg39):
+        assert build_algebra(reversed_qp(initial_qp(3, 9)))._comp != alg39._comp
+
+    def test_triangle_qp_reads_each_cycle_from_its_least_name(self):
+        calls = []
+
+        def sign(a, b, c):
+            calls.append((a, b, c))
+            return -1
+
+        qp = triangle_qp(("y", "x", "z"), [(0, 1), (1, 2), (2, 0), (2, 0)], sign)
+        assert qp.arrows == (("e0", "y", "x"), ("e1", "x", "z"), ("e2", "z", "y"), ("e3", "z", "y"))
+        assert qp.potential == ((-1, ("e1", "e2", "e0")), (-1, ("e1", "e3", "e0")))
+        assert calls == [(1, 2, 0)]
 
 
 class TestGammaFixture:
     def test_shipped_truncation_matches_generator(self):
         from grascat.hl import gamma_qp
 
-        assert fixtures.load_qp("qp_hl_gamma") == gamma_qp(4, -6)
+        assert oracle_qp("qp_hl_gamma") == gamma_qp(4, -6)
 
     def test_truncation_algebra_finite(self):
-        alg = build_algebra(fixtures.load_qp("qp_hl_gamma"))
+        alg = build_algebra(oracle_qp("qp_hl_gamma"))
         assert alg.total_dim() == 45
         assert alg.check_associative()
