@@ -79,14 +79,10 @@ def render_hom_table(key: str) -> str:
 
 def render_kr_grid(k: int = 5, ell: int = 3) -> str:
     lines = [f"kirillov-reshetikhin subsets, k={k} ell={ell} (columns i=1..{k - 1})"]
-    rows = ell + 1
-    for r in range(rows):
-        cells = []
-        for i in range(1, k):
-            top = -2 if i % 2 == 1 else -1
-            m = top - 2 * r
-            cells.append(str(hl.kr_subset(i, m, k, ell)).rjust(2 * k + 2))
-        lines.append("".join(cells))
+    columns = [hl._column_levels(i, -2 * ell - 2) for i in range(1, k)]
+    for row in zip(*columns):
+        lines.append("".join(str(hl.kr_subset(i, m, k, ell)).rjust(2 * k + 2)
+                             for i, m in enumerate(row, 1)))
     return "\n".join(lines) + "\n"
 
 
@@ -133,8 +129,6 @@ def _cmd_tableau(args) -> None:
         other = tb.Tableau.from_json(_load_json_arg(args.other))
         _emit({"comparison": tb.dominance_compare(t, other).value}, args.format)
         return
-    else:
-        raise GrascatError(f"unknown tableau op {args.op!r}")
     _emit(out.to_json(), args.format, str(out))
 
 
@@ -163,8 +157,6 @@ def _cmd_seed(args) -> None:
             ],
         }
         _emit(payload, args.format)
-    else:
-        raise GrascatError(f"unknown seed op {args.op!r}")
 
 
 def _cmd_gvec(args) -> None:
@@ -241,8 +233,6 @@ def _cmd_hl(args) -> None:
         _emit(hl.gamma_quiver(args.k, args.s).to_json(), args.format)
     elif args.op == "qell":
         _emit(hl.q_ell_quiver(args.k, args.ell).to_json(), args.format)
-    else:
-        raise GrascatError(f"unknown hl op {args.op!r}")
 
 
 def _cmd_braid(args) -> None:

@@ -1,4 +1,10 @@
-"""Quivers, tableau-labeled seeds, mutation, and bounded exchange exploration."""
+"""Quivers, tableau-labeled seeds, mutation, and bounded exchange exploration.
+
+Every initial quiver the library builds lies on a grid: `Quiver.on_grid`
+takes its points, mutable ones first, and a rule giving the heads of the
+arrows out of each point.  The Gr(k, n) initial seed is one such quiver,
+and so are the Hernandez-Leclerc quivers of `hl`.
+"""
 
 from __future__ import annotations
 
@@ -61,6 +67,18 @@ class Quiver:
                 raise BadParameters(f"loop at vertex {s}")
             if not (0 <= s < self.m and 0 <= t < self.m):
                 raise BadParameters(f"arrow ({s},{t}) outside vertex range")
+
+    @classmethod
+    def on_grid(cls, mutable, frozen, heads) -> "Quiver":
+        """Quiver on the grid points `mutable + frozen`, which become its coords.
+
+        There is an arrow c -> d for every point c and every d in heads(*c)
+        that is a point too.
+        """
+        coords = tuple(mutable) + tuple(frozen)
+        pos = {c: idx for idx, c in enumerate(coords)}
+        arrows = [(pos[c], pos[d]) for c in coords for d in heads(*c) if d in pos]
+        return cls(len(coords), len(mutable), tuple(arrows), coords)
 
     @cached_property
     def _has_two_cycle(self) -> bool:
@@ -256,55 +274,44 @@ def mutate_seed(seed: Seed, r: int) -> Seed:
     return Seed(mutate_quiver(seed.quiver, r), seed.labels[:r] + (label,) + seed.labels[r + 1 :])
 
 
-def grassmannian_vertex_subsets(k: int, n: int) -> tuple[list[KSubset], list[KSubset]]:
-    """(mutable, frozen) Plücker labels of the initial seed, in seed order.
+def _grassmannian_grid(k: int, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(mutable, frozen) points (a, b) of the triangular grid, in seed order.
 
-    Vertex (a, b) of the triangular grid carries {1,...,k-b} u {k-b+1+a,...,k+a}.
-    Mutable vertices run column by column (b = 1..k-1, a = 1..n-k-1); frozen
+    Mutable points run column by column (b = 1..k-1, a = 1..n-k-1); frozen
     ones are (0,0), the last column b = k, then the bottom row a = n-k.
     """
-
-    def subset(a: int, b: int) -> KSubset:
-        elems = tuple(range(1, k - b + 1)) + tuple(range(k - b + 1 + a, k + a + 1))
-        return KSubset(n, elems)
-
-    mutable = [subset(a, b) for b in range(1, k) for a in range(1, n - k)]
-    frozen = [KSubset(n, tuple(range(1, k + 1)))]
-    frozen += [subset(a, k) for a in range(1, n - k + 1)]
-    frozen += [subset(n - k, b) for b in range(1, k)]
+    mutable = [(a, b) for b in range(1, k) for a in range(1, n - k)]
+    frozen = [(0, 0)] + [(a, k) for a in range(1, n - k + 1)] + [(n - k, b) for b in range(1, k)]
     return mutable, frozen
 
 
+def _grid_subset(k: int, n: int, a: int, b: int) -> KSubset:
+    """The Plücker label {1,...,k-b} u {k-b+1+a,...,k+a} of grid point (a, b)."""
+    return KSubset(n, tuple(range(1, k - b + 1)) + tuple(range(k - b + 1 + a, k + a + 1)))
+
+
+def grassmannian_vertex_subsets(k: int, n: int) -> tuple[list[KSubset], list[KSubset]]:
+    """(mutable, frozen) Plücker labels of the initial seed, in seed order."""
+    mutable, frozen = _grassmannian_grid(k, n)
+    return [_grid_subset(k, n, *c) for c in mutable], [_grid_subset(k, n, *c) for c in frozen]
+
+
 def grassmannian_initial_seed(k: int, n: int) -> Seed:
-    """The triangular initial seed of the Grassmannian Gr(k, n)."""
+    """The triangular initial seed of the Grassmannian Gr(k, n).
+
+    Arrows run right, up and diagonally down-left on the grid, apart from
+    the corner: (0,0) -> (1,1) takes the place of (1,1) -> (0,0).
+    """
     if not 2 <= k <= n - 2:
         raise BadParameters(f"need 2 <= k <= n-2, got (k,n)=({k},{n})")
 
-    grid: dict[tuple[int, int], int] = {}
-    coords: list[tuple[int, int]] = []
-    mut_coords = [(a, b) for b in range(1, k) for a in range(1, n - k)]
-    frz_coords = [(0, 0)] + [(a, k) for a in range(1, n - k + 1)] + [
-        (n - k, b) for b in range(1, k)
-    ]
-    for idx, ab in enumerate(mut_coords + frz_coords):
-        grid[ab] = idx
-        coords.append(ab)
-    n_mut = len(mut_coords)
+    def heads(a: int, b: int) -> list[tuple[int, int]]:
+        if (a, b) == (0, 0):
+            return [(1, 1)]
+        return [(a + 1, b), (a, b + 1)] + ([(a - 1, b - 1)] if (a, b) != (1, 1) else [])
 
-    arrows = [(grid[(0, 0)], grid[(1, 1)])]
-    for b in range(1, k + 1):
-        for a in range(2, n - k + 1):
-            arrows.append((grid[(a - 1, b)], grid[(a, b)]))
-    for b in range(2, k + 1):
-        for a in range(1, n - k + 1):
-            arrows.append((grid[(a, b - 1)], grid[(a, b)]))
-    for b in range(1, k):
-        for a in range(1, n - k):
-            arrows.append((grid[(a + 1, b + 1)], grid[(a, b)]))
-
-    mutable, frozen = grassmannian_vertex_subsets(k, n)
-    labels = tuple(Tableau.from_subset(s) for s in mutable + frozen)
-    quiver = Quiver(len(labels), n_mut, tuple(arrows), tuple(coords))
+    quiver = Quiver.on_grid(*_grassmannian_grid(k, n), heads)
+    labels = tuple(Tableau.from_subset(_grid_subset(k, n, *c)) for c in quiver.coords)
     return Seed(quiver, labels)
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cluster import Quiver, mutate_quiver
+from . import fixtures
+from .cluster import Quiver, grassmannian_initial_seed, mutate_quiver
 from .cmcat import KSubset, _kernel_elems, _tau_elems, cyclic_interval
 from .einv import (
     ConjecturalBool,
@@ -21,7 +22,9 @@ from .einv import (
     generic_e_pair_parts,
 )
 from .errors import BadParameters, OutOfRange
+from .gvec import g_vector
 from .qpa import Algebra, QuiverWithPotential, build_algebra, triangle_qp
+from .tableaux import Tableau
 
 __all__ = [
     "HeightFn",
@@ -83,17 +86,9 @@ def gamma_quiver(k: int, s: int) -> Quiver:
     Arrows: (i, m+2) -> (i, m) down each column and (i, m-1) -> (j, m) for
     adjacent Dynkin indices; the lowest vertex of each column is frozen.
     """
-    mutable, frozen = gamma_vertices(k, s)
-    coords = mutable + frozen
-    pos = {c: idx for idx, c in enumerate(coords)}
-    arrows = []
-    for (i, m) in coords:
-        if (i, m - 2) in pos:
-            arrows.append((pos[(i, m)], pos[(i, m - 2)]))
-        for j in (i - 1, i + 1):
-            if (j, m + 1) in pos:
-                arrows.append((pos[(i, m)], pos[(j, m + 1)]))
-    return Quiver(len(coords), len(mutable), tuple(arrows), tuple(coords))
+    return Quiver.on_grid(
+        *gamma_vertices(k, s), lambda i, m: [(i, m - 2), (i - 1, m + 1), (i + 1, m + 1)]
+    )
 
 
 def gamma_qp(k: int, s: int) -> QuiverWithPotential:
@@ -106,19 +101,10 @@ def q_ell_quiver(k: int, ell: int) -> Quiver:
     """Initial quiver with (k-1)(ell+1) vertices and three arrow families."""
     if k < 2 or ell < 0:
         raise BadParameters(f"need k >= 2 and ell >= 0, got ({k},{ell})")
-    mutable, frozen = gamma_vertices(k, -2 * ell - 2)
-    coords = mutable + frozen
-    pos = {c: idx for idx, c in enumerate(coords)}
-    arrows = []
-    for (i, a) in coords:
-        for target in (
-            (i, a - 2),
-            (i + 1, a + (-1) ** (i + 1)),
-            (i - 1, a + 2 + (-1) ** (i - 1)),
-        ):
-            if target in pos:
-                arrows.append((pos[(i, a)], pos[target]))
-    return Quiver(len(coords), len(mutable), tuple(arrows), tuple(coords))
+    return Quiver.on_grid(
+        *gamma_vertices(k, -2 * ell - 2),
+        lambda i, a: [(i, a - 2), (i + 1, a + (-1) ** (i + 1)), (i - 1, a + 2 + (-1) ** (i - 1))],
+    )
 
 
 def hl_mutation_sequence(k: int, ell: int) -> list[tuple[int, int]]:
@@ -309,11 +295,6 @@ def kr_compatible(
     g-vectors of the two kernel labels; elsewhere it falls back to the
     two-term presentations over the truncated quiver's Jacobian algebra.
     """
-    from . import fixtures
-    from .cluster import grassmannian_initial_seed
-    from .gvec import g_vector
-    from .tableaux import Tableau
-
     s1 = kernel_subset(i1, m1, v1, k, ell)
     s2 = kernel_subset(i2, m2, v2, k, ell)
     # the shortcut below must reject what the sampled paths reject

@@ -4,12 +4,17 @@ Paths compose left to right: the word ``a b`` means "arrow a, then arrow b".
 Projectives are right modules P(v) = e_v A, so Hom(P(i), P(j)) is spanned by
 path classes from j to i.  The quotient by the cyclic-derivative ideal is
 computed degree by degree with exact fraction-free row reduction of the
-integer relation rows; a homogeneous potential (all cycles the same length)
-guarantees termination as soon as one degree dies.
+integer relation rows.  The derivative by an arrow a is a combination of
+paths from t(a) to s(a), all of one degree when the potential is
+homogeneous (all cycles the same length, at least 2); the quotient then
+ends as soon as one degree dies, or is declared infinite-dimensional at
+degree 32.
 
 Every quiver with potential the library uses is generated: `triangle_qp`
 signs each oriented triangle of a quiver, `initial_qp` applies it to the
 Gr(k, n) initial seed and `hl.gamma_qp` to the truncated quiver Gamma(k, s).
+The library reads and writes no quiver-with-potential JSON; the
+hand-written ones kept as test oracles are read by the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from itertools import product
 from numbers import Rational
 
 from .cluster import grassmannian_initial_seed
-from .errors import BadParameters, NotFiniteDimensional, is_int, is_str, json_fields, list_of
+from .errors import BadParameters, NotFiniteDimensional
 from .linalg import rref
 
 __all__ = [
@@ -32,6 +37,10 @@ __all__ = [
 ]
 
 Path = tuple[str, ...]
+
+# Highest path degree the quotient is computed to before it is declared
+# infinite-dimensional.
+_DEGREE_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -62,28 +71,6 @@ class QuiverWithPotential:
 
     def arrow_ends(self) -> dict[str, tuple[str, str]]:
         return {a: (s, t) for a, s, t in self.arrows}
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "arrows": [{"id": a, "from": s, "to": t} for a, s, t in self.arrows],
-            "potential": [{"sign": sign, "cycle": list(c)} for sign, c in self.potential],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuiverWithPotential":
-        vertices, arrows, potential = json_fields(
-            data, "quiver with potential",
-            vertices=list_of(is_str), arrows=list_of(), potential=list_of(),
-        )
-        ends = {"id": is_str, "from": is_str, "to": is_str}
-        terms = [json_fields(t, "potential term", sign=is_int, cycle=list_of(is_str))
-                 for t in potential]
-        return cls(
-            tuple(vertices),
-            tuple(json_fields(a, "arrow", **ends) for a in arrows),
-            tuple((sign, tuple(cycle)) for sign, cycle in terms),
-        )
 
 
 def triangle_qp(names, arrows, sign) -> QuiverWithPotential:
@@ -155,7 +142,7 @@ class Algebra:
     sparse tensor over those bases.  Instances are immutable after build.
     """
 
-    def __init__(self, vertices, dims, comp, basis_paths=None, name=""):
+    def __init__(self, vertices, dims, comp, basis_paths=None):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         self._dims: dict[tuple[str, str], int] = dict(dims)
@@ -163,7 +150,6 @@ class Algebra:
         # composing the a-th basis map P(i)->P(j) with the b-th map P(j)->P(l).
         self._comp: dict[tuple[str, str, str], dict] = dict(comp)
         self.basis_paths = basis_paths or {}
-        self.name = name
 
     def hom_dim(self, i: str, j: str) -> int:
         return self._dims.get((i, j), 0)
@@ -180,7 +166,7 @@ class Algebra:
         return {w: self.hom_dim(w, v) for w in self.vertices if self.hom_dim(w, v)}
 
     @classmethod
-    def from_table(cls, vertices, dims, comp_entries, name="table"):
+    def from_table(cls, vertices, dims, comp_entries):
         """Hand-entered construction bypassing the path engine.
 
         `comp_entries` maps (i, j, l, a, b) to a list of (c, coeff) pairs.
@@ -189,7 +175,7 @@ class Algebra:
         comp: dict[tuple[str, str, str], dict] = {}
         for (i, j, l, a, b), terms in comp_entries.items():
             comp.setdefault((i, j, l), {})[(a, b)] = _integral((i, j, l), terms)
-        return cls(tuple(vertices), dict(dims), comp, name=name)
+        return cls(tuple(vertices), dict(dims), comp)
 
     def comp_table(self, i: str, j: str, l: str) -> dict:
         """Composition of basis maps P(i)->P(j)->P(l): (a, b) -> [(c, int coeff)]."""
@@ -238,12 +224,12 @@ def _integral(key: tuple[str, str, str], terms) -> list[tuple[int, int]]:
     return out
 
 
-def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
+def build_algebra(qp: QuiverWithPotential) -> Algebra:
     """Graded quotient of the path space by the cyclic-derivative ideal."""
-    cycle_lengths = {len(c) for _, c in qp.potential}
-    if len(cycle_lengths) > 1:
+    lengths = {len(c) for _, c in qp.potential}
+    if len(lengths) > 1 or 1 in lengths:
         raise BadParameters(
-            "potential must be homogeneous (uniform cycle length); "
+            "potential must be homogeneous (one cycle length, at least 2); "
             "the graded degree-by-degree quotient is only valid then"
         )
 
@@ -251,35 +237,26 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
     out_arrows: dict[str, list[str]] = {v: [] for v in qp.vertices}
     for a, s, _ in qp.arrows:
         out_arrows[s].append(a)
-
-    relations = []  # (src, dst, degree, [(sign, path), ...])
-    for a, terms in potential_relations(qp).items():
-        if not terms:
-            continue
-        src = ends[terms[0][1][0]][0] if terms[0][1] else None
-        dst = ends[terms[0][1][-1]][1] if terms[0][1] else None
-        degree = len(terms[0][1])
-        relations.append((src, dst, degree, terms))
+    # (src, dst, degree, terms): the derivative by a runs from t(a) to s(a)
+    relations = [
+        (ends[a][1], ends[a][0], len(terms[0][1]), terms)
+        for a, terms in potential_relations(qp).items()
+        if terms
+    ]
 
     # paths[d][(u, v)] -> list of paths of degree d from u to v
-    paths: list[dict[tuple[str, str], list[Path]]] = [
-        {(v, v): [()] for v in qp.vertices}
-    ]
-    basis: dict[tuple[str, str], list[tuple[int, Path]]] = {}
-    # expansion of every enumerated path over the chosen basis of its pair;
-    # degree-0 keys carry the pair because the empty word is shared
-    expand_by_pair: dict[tuple[tuple[str, str], int, Path], list] = {}
-    for v in qp.vertices:
-        basis[(v, v)] = [(0, ())]
-        expand_by_pair[((v, v), 0, ())] = [(0, 1)]
+    paths: list[dict[tuple[str, str], list[Path]]] = [{(v, v): [()] for v in qp.vertices}]
+    basis: dict[tuple[str, str], list[tuple[int, Path]]] = {(v, v): [(0, ())] for v in qp.vertices}
+    # expansion of every enumerated path u -> v over the chosen basis of (u, v)
+    expand: dict[tuple[str, str, Path], list] = {(v, v, ()): [(0, 1)] for v in qp.vertices}
 
     degree = 0
     while True:
         degree += 1
-        if degree > cap:
-            raise NotFiniteDimensional(f"degree cap {cap} reached with nonzero dimensions")
+        if degree > _DEGREE_CAP:
+            raise NotFiniteDimensional(f"degree cap {_DEGREE_CAP} reached with nonzero dimensions")
         new_paths: dict[tuple[str, str], list[Path]] = {}
-        for (u, v), plist in paths[degree - 1].items():
+        for (u, v), plist in paths[-1].items():
             for p in plist:
                 for a in out_arrows[v]:
                     new_paths.setdefault((u, ends[a][1]), []).append(p + (a,))
@@ -290,40 +267,25 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
         for (u, v), plist in sorted(new_paths.items()):
             pos = {p: idx for idx, p in enumerate(plist)}
             rows = []
-            for rsrc, rdst, rdeg, terms in relations:
-                lmax = degree - rdeg
-                if lmax < 0:
-                    continue
-                for la in range(lmax + 1):
-                    lb = lmax - la
-                    lefts = paths[la].get((u, rsrc), []) if la < len(paths) else []
-                    for lp in lefts:
-                        rights = paths[lb].get((rdst, v), []) if lb < len(paths) else []
-                        for rp in rights:
+            for src, dst, rdeg, terms in relations:
+                for la in range(degree - rdeg + 1):
+                    for lp in paths[la].get((u, src), []):
+                        for rp in paths[degree - rdeg - la].get((dst, v), []):
                             row = [0] * len(plist)
                             for sign, mid in terms:
                                 row[pos[lp + mid + rp]] += sign
                             if any(row):
                                 rows.append(row)
-            if rows:
-                red, pivots = rref(rows)
-            else:
-                red, pivots = [], []
+            red, pivots = rref(rows)
             pivset = set(pivots)
             free = [idx for idx in range(len(plist)) if idx not in pivset]
-            pair_basis = [(degree, plist[idx]) for idx in free]
-            basis[(u, v)] = basis.get((u, v), []) + pair_basis
-            offset = len(basis[(u, v)]) - len(pair_basis)
-            free_pos = {idx: offset + t for t, idx in enumerate(free)}
+            pair_basis = basis.setdefault((u, v), [])
+            free_pos = {idx: len(pair_basis) + t for t, idx in enumerate(free)}
+            pair_basis += [(degree, plist[idx]) for idx in free]
             for idx in free:
-                expand_by_pair[((u, v), degree, plist[idx])] = [(free_pos[idx], 1)]
+                expand[(u, v, plist[idx])] = [(free_pos[idx], 1)]
             for row, piv in zip(red, pivots):
-                terms = [
-                    (free_pos[c], -row[c])
-                    for c in free
-                    if row[c] != 0
-                ]
-                expand_by_pair[((u, v), degree, plist[piv])] = terms
+                expand[(u, v, plist[piv])] = [(free_pos[c], -row[c]) for c in free if row[c] != 0]
             total_dim += len(free)
 
         paths.append(new_paths)
@@ -331,27 +293,22 @@ def build_algebra(qp: QuiverWithPotential, cap: int = 32) -> Algebra:
             break
 
     # Hom(P(i), P(j)) = path classes j -> i.
-    dims = {}
-    hom_basis_paths = {}
-    for (u, v), blist in basis.items():
-        if blist:
-            dims[(v, u)] = len(blist)
-            hom_basis_paths[(v, u)] = list(blist)
+    hom_basis = {(v, u): blist for (u, v), blist in basis.items() if blist}
+    dims = {pair: len(blist) for pair, blist in hom_basis.items()}
 
     comp: dict[tuple[str, str, str], dict] = {}
-    pairs = list(dims)
-    for i, j in pairs:
-        for j2, l in pairs:
+    for i, j in hom_basis:
+        for j2, l in hom_basis:
             if j2 != j:
                 continue
             table = {}
-            for a, (da, pa) in enumerate(hom_basis_paths[(i, j)]):
-                for b, (db, pb) in enumerate(hom_basis_paths[(j, l)]):
+            for a, (_, pa) in enumerate(hom_basis[(i, j)]):
+                for b, (_, pb) in enumerate(hom_basis[(j, l)]):
                     # b after a: path (l -> j) followed by (j -> i)
-                    terms = expand_by_pair.get(((l, i), da + db, pb + pa))
+                    terms = expand.get((l, i, pb + pa))
                     if terms:
                         table[(a, b)] = _integral((i, j, l), terms)
             if table:
                 comp[(i, j, l)] = table
 
-    return Algebra(qp.vertices, dims, comp, hom_basis_paths, name="jacobian")
+    return Algebra(qp.vertices, dims, comp, hom_basis)

@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grascat import fixtures
+from conftest import qp_from_json
+from grascat import einv, fixtures, hl
+from grascat import tableaux as tb
 from grascat.braid import VectorTuple
 from grascat.cli import main
-from grascat.cluster import Quiver, Seed
+from grascat.cluster import Quiver, Seed, grassmannian_initial_seed
 from grascat.errors import GrascatError
+from grascat.gvec import GVector
 from grascat.qpa import QuiverWithPotential
 from grascat.tableaux import DominantMonomial, Tableau
 
 T39 = '{"k":3,"n":9,"rows":[[1,2,3],[4,5,6],[7,8,9]]}'
+T36 = '{"k":3,"n":6,"rows":[[1,2],[3,4],[5,6]]}'
+U36 = '{"k":3,"n":6,"rows":[[1,3],[2,5],[4,6]]}'
+G39 = [0, -1, -1, 0, 1, -1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0]
+H39 = [1] + [0] * 18
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-12, 12) | st.floats(allow_nan=False)
@@ -43,6 +50,70 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def dumped(payload) -> str:
+    """stdout of a verb that emits `payload` as JSON."""
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def tabled(text: str) -> str:
+    """stdout of a verb that emits `text` under --format table."""
+    return text if text.endswith("\n") else text + "\n"
+
+
+def tab(text: str) -> Tableau:
+    return Tableau.from_json(json.loads(text))
+
+
+def compat_payload(verdict) -> dict:
+    return {
+        "compatible": bool(verdict),
+        "conjectural": verdict.conjectural,
+        "e_value": verdict.report.value,
+        "certified": verdict.report.certified,
+    }
+
+
+def gr39_pair_report():
+    seed = grassmannian_initial_seed(3, 9)
+    return einv.generic_e_pair(
+        GVector(seed, tuple(G39)), GVector(seed, tuple(H39)),
+        fixtures.tame_algebra("gr39"), 4, "rational", 0,
+    )
+
+
+# (argv, expected stdout from the library); "FILE" is a file holding T36.
+VERB_CASES = {
+    "tableau-promote-file": (
+        ("tableau", "promote", "--in", "FILE"), lambda: dumped(tb.promote(tab(T36)).to_json())),
+    "tableau-bk-table": (
+        ("tableau", "bk", "--in", T36, "--i", "2", "--format", "table"),
+        lambda: tabled(str(tb.bender_knuth(tab(T36), 2)))),
+    "tableau-union": (
+        ("tableau", "union", "--in", T36, "--other", U36),
+        lambda: dumped(tb.union(tab(T36), tab(U36)).to_json())),
+    "tableau-dominance": (
+        ("tableau", "dominance", "--in", T36, "--other", U36),
+        lambda: dumped({"comparison": tb.dominance_compare(tab(T36), tab(U36)).value})),
+    "seed-init": (
+        ("seed", "init", "--seed", "gr3_6"),
+        lambda: dumped(grassmannian_initial_seed(3, 6).to_json())),
+    "einv-pair-table": (
+        ("einv", "--g", json.dumps(G39), "--pair", json.dumps(H39), "--samples", "4",
+         "--master-seed", "0", "--format", "table"),
+        lambda: tabled(gr39_pair_report().describe())),
+    "hl-compat": (
+        ("hl", "compat", "--i", "1", "--m", "-2", "--v", "1", "--i2", "2", "--m2", "-1",
+         "--v2", "1", "--k", "3", "--ell", "5", "--samples", "4", "--master-seed", "0"),
+        lambda: dumped(compat_payload(
+            hl.kr_compatible(1, -2, 1, 1, -1, 2, 3, 5, samples=4, master_seed=0)))),
+    "hl-mutseq": (
+        ("hl", "mutseq", "--k", "5", "--ell", "3"),
+        lambda: dumped({"sequence": [list(c) for c in hl.hl_mutation_sequence(5, 3)]})),
+    "hl-qell": (
+        ("hl", "qell", "--k", "4", "--ell", "2"), lambda: dumped(hl.q_ell_quiver(4, 2).to_json())),
+}
 
 
 class TestBasicCommands:
@@ -133,6 +204,15 @@ class TestBasicCommands:
         assert code == 0
         Quiver.from_json(json.loads(out))
 
+    @pytest.mark.parametrize("case", list(VERB_CASES))
+    def test_stdout_matches_library(self, capsys, tmp_path, case):
+        argv, expected = VERB_CASES[case]
+        path = tmp_path / "tableau.json"
+        path.write_text(T36)
+        code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+        assert (code, err) == (0, "")
+        assert out == expected()
+
     def test_profile_check_and_shift(self, capsys):
         profile = '{"k":3,"n":6,"factors":[[2,4,6],[1,3,5]]}'
         tableau = '{"k":3,"n":6,"rows":[[1,2],[3,4],[5,6]]}'
@@ -200,8 +280,10 @@ class TestErrorPaths:
         (VectorTuple, {"k": 1, "n": 1, "vectors": [[1.5]]}),
     ])
     def test_from_json_rejects_malformed(self, cls, data):
+        # the library holds no QP JSON reader: the oracle loader's is checked
+        parse = qp_from_json if cls is QuiverWithPotential else cls.from_json
         with pytest.raises(GrascatError):
-            cls.from_json(data)
+            parse(data)
 
     @pytest.mark.parametrize("argv, error, names", [
         (("braid", "check", "--k", "3", "--n", "2", "--trials", "1"), "BadParameters", ["k=3"]),

@@ -393,7 +393,7 @@ def weighted_algebra(weights) -> Algebra:
                         entries[(i, j, l, a, b)] = [
                             (c, weights[(a + b + c) % len(weights)]) for c in range(dims[(i, l)])
                         ]
-    return Algebra.from_table(("x", "y"), dims, entries, name="weighted")
+    return Algebra.from_table(("x", "y"), dims, entries)
 
 
 @pytest.fixture(scope="module")

@@ -248,6 +248,14 @@ class TestCompatibility:
                 via_gamma.report,
             )
 
+    def test_non_tame_shape_falls_back_to_gamma(self):
+        # (k, ell) = (3, 3) is Gr(3, 7), which has no tame algebra
+        args = (1, -2, 1, 1, -1, 2, 3, 3)
+        via_kr = kr_compatible(*args, samples=4, master_seed=0)
+        via_gamma = kr_compatible_gamma(*args, samples=4, master_seed=0)
+        assert bool(via_kr) == bool(via_gamma)
+        assert via_kr.report == via_gamma.report
+
     def test_gamma_algebra_built_once_per_k_s(self, monkeypatch):
         # two label pairs over the same truncation Gamma(4, -8)
         pairs = [(1, -4, 1, 1, -1, 2), (1, -2, 1, 1, -4, 1)]

@@ -109,7 +109,13 @@ class TestBuildAlgebra:
             ("x", "y"), (("a", "x", "y"), ("b", "y", "x")), ()
         )
         with pytest.raises(NotFiniteDimensional):
-            build_algebra(qp, cap=6)
+            build_algebra(qp)
+
+    def test_potential_term_of_length_one_rejected(self):
+        # the derivative by a loop is an idempotent, of degree 0: not graded
+        qp = QuiverWithPotential(("x",), (("a", "x", "x"),), ((1, ("a",)),))
+        with pytest.raises(BadParameters, match="at least 2"):
+            build_algebra(qp)
 
     def test_associativity_and_identities(self, alg39, alg48):
         assert alg39.check_associative()
