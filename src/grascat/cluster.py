@@ -39,7 +39,6 @@ __all__ = [
     "mutate_seed",
     "exchange_label",
     "grassmannian_initial_seed",
-    "grassmannian_vertex_subsets",
     "explore",
 ]
 
@@ -288,12 +287,6 @@ def _grassmannian_grid(k: int, n: int) -> tuple[list[tuple[int, int]], list[tupl
 def _grid_subset(k: int, n: int, a: int, b: int) -> KSubset:
     """The Plücker label {1,...,k-b} u {k-b+1+a,...,k+a} of grid point (a, b)."""
     return KSubset(n, tuple(range(1, k - b + 1)) + tuple(range(k - b + 1 + a, k + a + 1)))
-
-
-def grassmannian_vertex_subsets(k: int, n: int) -> tuple[list[KSubset], list[KSubset]]:
-    """(mutable, frozen) Plücker labels of the initial seed, in seed order."""
-    mutable, frozen = _grassmannian_grid(k, n)
-    return [_grid_subset(k, n, *c) for c in mutable], [_grid_subset(k, n, *c) for c in frozen]
 
 
 def grassmannian_initial_seed(k: int, n: int) -> Seed:

@@ -2,7 +2,10 @@
 
 A k-subset of the cyclically ordered set [n] labels a rank-one module; its
 rim height function is the zig-zag upper boundary of the lattice diagram
-(down-steps exactly at the elements of the subset).
+(down-steps exactly at the elements of the subset).  The translate tau of a
+subset with two cyclic runs is read off the runs alone: a new run of the
+other run's length sits just before each run (tau) or just after it (tau
+inverse).
 """
 
 from __future__ import annotations
@@ -108,84 +111,23 @@ def _two_runs(subset: KSubset) -> tuple[tuple[int, int], tuple[int, int]]:
     return runs[0], runs[1]
 
 
-def _gap_after(n: int, run: tuple[int, int], other: tuple[int, int]) -> int:
-    """Cyclic gap between the end of `run` and the start of `other`."""
-    end = (run[0] + run[1] - 1 - 1) % n + 1
-    return (other[0] - end - 1) % n
-
-
-def _kernel_params(subset: KSubset) -> list[tuple[int, int, int]]:
-    """All (i, m, v) with subset = I^(v)_{i,m} mod n.
-
-    The first interval of I^(v)_{i,m} has length k-i and starts at
-    (i-m+1)/2; the gap following it equals v.  Both readings of the
-    two-interval decomposition are returned; they parametrise the same
-    module and must produce the same tau image.
-    """
-    k, n = subset.k, subset.n
-    r1, r2 = _two_runs(subset)
-    params = []
-    for first, second in ((r1, r2), (r2, r1)):
-        i = second[1]
-        if first[1] != k - i or not (1 <= i <= k - 1):
-            continue
-        a = first[0]
-        m = i + 1 - 2 * a
-        while m > -1:
-            m -= 2 * n  # same subset mod n; tau is invariant under this shift
-        v = _gap_after(n, first, second)
-        params.append((i, m, v))
-    if not params:
-        raise NotTwoIntervals(f"{subset.elems} does not match a kernel-subset pattern")
-    return params
-
-
-def _kernel_elems(i: int, m: int, v: int, k: int, n: int) -> list[int]:
-    """Entries of the (i, m, v) generic kernel, repeats kept.
-
-    Two intervals read modulo n: k-i entries from (i-m+1)/2, and i entries
-    from (i-m+2v-1)/2 + k-i+1.
-    """
-    lo1 = (i - m + 1) // 2
-    lo2 = (i - m + 2 * v - 1) // 2 + k - i + 1
-    return [(x - 1) % n + 1 for x in (*range(lo1, lo1 + k - i), *range(lo2, lo2 + i))]
-
-
-def _tau_elems(i: int, m: int, v: int, k: int, n: int) -> list[int]:
-    """Entries of the translate of the (i, m, v) generic kernel, repeats kept.
-
-    Two intervals read modulo n: [(1-i-m)/2, (i-m-1)/2] and
-    [(i-m+2v+1)/2, (i-m+2v-1)/2 + k-i].
-    """
-    lo1, hi1 = (1 - i - m) // 2, (i - m - 1) // 2
-    lo2, hi2 = (i - m + 2 * v + 1) // 2, (i - m + 2 * v - 1) // 2 + k - i
-    return [(x - 1) % n + 1 for x in (*range(lo1, hi1 + 1), *range(lo2, hi2 + 1))]
-
-
 def tau_two_interval(subset: KSubset) -> KSubset:
-    """Auslander-Reiten translate of a rank-one module with a two-interval subset."""
-    k, n = subset.k, subset.n
-    images = {KSubset(n, tuple(_tau_elems(i, m, v, k, n))) for i, m, v in _kernel_params(subset)}
-    if len(images) != 1:
-        raise NotTwoIntervals(f"ambiguous tau image for {subset.elems}")
-    return images.pop()
+    """Auslander-Reiten translate of a rank-one module with a two-interval subset.
+
+    Before each cyclic run comes a new run with the other run's length:
+    runs (a1, l1), (a2, l2) go to [a1 - l2, a1 - 1] u [a2 - l1, a2 - 1].
+    """
+    (a1, l1), (a2, l2) = _two_runs(subset)
+    n = subset.n
+    return KSubset(n, cyclic_interval(n, a1 - l2, a1 - 1) + cyclic_interval(n, a2 - l1, a2 - 1))
 
 
 def tau_inverse_two_interval(subset: KSubset) -> KSubset:
-    """Inverse translate; extends the rim beyond its two lowest points."""
-    k, n = subset.k, subset.n
-    r1, r2 = _two_runs(subset)
-    images = set()
-    for first, second in ((r1, r2), (r2, r1)):
-        i = first[1]
-        if second[1] != k - i or not (1 <= i <= k - 1):
-            continue
-        m = 1 - i - 2 * first[0]
-        v = _gap_after(n, first, second)
-        images.add(KSubset(n, tuple(sorted(_kernel_elems(i, m, v, k, n)))))
-    if len(images) != 1:
-        raise NotTwoIntervals(f"ambiguous inverse tau image for {subset.elems}")
-    return images.pop()
+    """Inverse translate: after each cyclic run comes a run with the other's length."""
+    (a1, l1), (a2, l2) = _two_runs(subset)
+    n = subset.n
+    b1, b2 = a1 + l1, a2 + l2  # the first entries past each run
+    return KSubset(n, cyclic_interval(n, b1, b1 + l2 - 1) + cyclic_interval(n, b2, b2 + l1 - 1))
 
 
 def profile_balance_check(profile: Profile, sub, quot) -> bool:

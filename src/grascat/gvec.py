@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import tableaux as tb
 from .cluster import Seed
 from .cmcat import KSubset
-from .errors import DimensionMismatch, NotAFactor, NotSemistandard
+from .errors import DimensionMismatch
 from .tableaux import Tableau
 
 __all__ = ["GVector", "ConePresentation", "g_vector", "cone_presentation"]
@@ -68,23 +68,4 @@ def cone_presentation(g: GVector) -> ConePresentation:
         else:
             quot.extend([subset] * coord)
     return ConePresentation(tuple(sorted(sub)), tuple(sorted(quot)))
-
-
-def check_cone_roundtrip(t: Tableau, g: GVector) -> bool:
-    """Rebuild reduce(t) from the signed label decomposition."""
-    k, n = t.k, t.n
-    pos = tb.union_all(
-        [lab for c, lab in zip(g.coords, g.seed.labels) for _ in range(max(c, 0))],
-        k=k,
-        n=n,
-    )
-    neg = tb.union_all(
-        [lab for c, lab in zip(g.coords, g.seed.labels) for _ in range(max(-c, 0))],
-        k=k,
-        n=n,
-    )
-    try:
-        return tb.quotient(pos, neg) == tb.reduce(t)
-    except (DimensionMismatch, NotAFactor, NotSemistandard):
-        return False
 

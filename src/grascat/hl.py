@@ -2,18 +2,21 @@
 
 The semi-infinite quiver of type A_{k-1} is truncated at a level s < 0; its
 vertices (i, m) carry KR modules, and the displayed subset formulas attach a
-Plücker label to each vertex and to each generic kernel.  Intervals wrap
-cyclically: [7, 1] inside [9] means {7, 8, 9, 1}.
+Plücker label to each vertex and to each generic kernel.  One formula in
+(i, m, v) gives both labels: the KR label at (i, m) is the kernel label at
+(i, m0, (m0 - m)/2) with m0 = 1 - (i mod 2).  The translate of a kernel
+keeps the paper's own displayed formula, which `cmcat.tau_two_interval`
+checks from the runs alone.  Intervals wrap cyclically: [7, 1] inside [9]
+means {7, 8, 9, 1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import fixtures
 from .cluster import Quiver, grassmannian_initial_seed, mutate_quiver
-from .cmcat import KSubset, _kernel_elems, _tau_elems, cyclic_interval
+from .cmcat import KSubset
 from .einv import (
     ConjecturalBool,
     EValueReport,
@@ -27,7 +30,6 @@ from .qpa import Algebra, QuiverWithPotential, build_algebra, triangle_qp
 from .tableaux import Tableau
 
 __all__ = [
-    "HeightFn",
     "gamma_quiver",
     "gamma_qp",
     "q_ell_quiver",
@@ -40,24 +42,6 @@ __all__ = [
     "kr_compatible",
     "gamma_vertices",
 ]
-
-
-@dataclass(frozen=True)
-class HeightFn:
-    """Height function on the Dynkin diagram: 'linear' xi or 'bipartite' xi'."""
-
-    variant: str = "linear"
-
-    def __call__(self, i: int) -> int:
-        if self.variant == "linear":
-            return i - 2
-        if self.variant == "bipartite":
-            return 0 if i % 2 == 0 else -1
-        raise BadParameters(f"unknown height function {self.variant!r}")
-
-
-XI = HeightFn("linear")
-XI_PRIME = HeightFn("bipartite")
 
 
 def _column_levels(i: int, s: int) -> list[int]:
@@ -225,19 +209,31 @@ def _check_gamma_vertex(i: int, m: int, k: int, ell: int) -> None:
         raise OutOfRange(f"m={m} outside the truncation [-2*ell-2, -1]")
 
 
-def kr_subset(i: int, m: int, k: int, ell: int) -> KSubset:
-    """Plücker label of the KR module at vertex (i, m) (bipartite height)."""
-    _check_gamma_vertex(i, m, k, ell)
+def _kernel_label(i: int, m: int, v: int, k: int, ell: int) -> KSubset:
+    """The (i, m, v) kernel formula, read modulo n = k + ell + 1.
+
+    Two intervals: k-i entries from (i-m+1)/2, then, after a gap of v, i
+    entries from (i-m+2v-1)/2 + k-i+1.  They span k + v <= n entries, so
+    they never overlap for the parameters the callers accept.
+    """
     n = k + ell + 1
-    xi = XI_PRIME(i)
-    a = (i - xi) // 2
-    b = (i - m - 1) // 2 + k - i + 1
-    elems = set(cyclic_interval(n, a, a + k - i - 1)) | set(
-        cyclic_interval(n, b, b + i - 1)
-    )
-    if len(elems) != k:
-        raise OutOfRange(f"intervals overlap for (i,m)=({i},{m})")
-    return KSubset(n, tuple(sorted(elems)))
+    lo1 = (i - m + 1) // 2
+    lo2 = (i - m + 2 * v - 1) // 2 + k - i + 1
+    entries = (*range(lo1, lo1 + k - i), *range(lo2, lo2 + i))
+    return KSubset(n, tuple((x - 1) % n + 1 for x in entries))
+
+
+def kr_subset(i: int, m: int, k: int, ell: int) -> KSubset:
+    """Plücker label of the KR module at vertex (i, m) (bipartite height).
+
+    The KR formula's first interval starts at (i - xi'(i))/2, with the
+    bipartite height xi'(i) = -(i mod 2).  That is the kernel formula's start
+    at m0 = 1 - (i mod 2), so the label is the kernel label at
+    (i, m0, (m0 - m)/2).
+    """
+    _check_gamma_vertex(i, m, k, ell)
+    m0 = 1 - i % 2
+    return _kernel_label(i, m0, (m0 - m) // 2, k, ell)
 
 
 def _check_kernel_params(i: int, m: int, v: int, k: int, ell: int) -> None:
@@ -251,11 +247,7 @@ def _check_kernel_params(i: int, m: int, v: int, k: int, ell: int) -> None:
 def kernel_subset(i: int, m: int, v: int, k: int, ell: int) -> KSubset:
     """Label of the generic kernel of I(i,m) -> I(i,m-2v)."""
     _check_kernel_params(i, m, v, k, ell)
-    n = k + ell + 1
-    elems = set(_kernel_elems(i, m, v, k, n))
-    if len(elems) != k:
-        raise OutOfRange(f"intervals overlap for (i,m,v)=({i},{m},{v})")
-    return KSubset(n, tuple(sorted(elems)))
+    return _kernel_label(i, m, v, k, ell)
 
 
 def tau_kernel_subset(i: int, m: int, v: int, k: int, n: int) -> KSubset:
@@ -270,7 +262,11 @@ def tau_kernel_subset(i: int, m: int, v: int, k: int, n: int) -> KSubset:
         raise OutOfRange(f"(i,m)=({i},{m}) violates the parity rule")
     if v < 1:
         raise OutOfRange("v must be positive")
-    elems = set(_tau_elems(i, m, v, k, n))
+    if n <= k:
+        raise OutOfRange(f"n={n} too small for k={k}: two intervals and a gap need n >= k + 1")
+    lo1, hi1 = (1 - i - m) // 2, (i - m - 1) // 2
+    lo2, hi2 = (i - m + 2 * v + 1) // 2, (i - m + 2 * v - 1) // 2 + k - i
+    elems = {(x - 1) % n + 1 for x in (*range(lo1, hi1 + 1), *range(lo2, hi2 + 1))}
     if len(elems) != k:
         raise OutOfRange(f"intervals overlap for (i,m,v)=({i},{m},{v})")
     return KSubset(n, tuple(sorted(elems)))

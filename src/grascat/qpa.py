@@ -144,7 +144,6 @@ class Algebra:
 
     def __init__(self, vertices, dims, comp, basis_paths=None):
         self.vertices: tuple[str, ...] = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
         self._dims: dict[tuple[str, str], int] = dict(dims)
         # comp[(i,j,l)][(a, b)] = sparse list of (c, coeff) with int coeff:
         # composing the a-th basis map P(i)->P(j) with the b-th map P(j)->P(l).

@@ -297,6 +297,11 @@ class TestErrorPaths:
          ["k=3", "n=2"]),
         (("braid", "check", "--k", "0", "--n", "4", "--trials", "0"), "BadParameters",
          ["k=0", "n=4"]),
+        # n = k + ell + 1 = 0 once ended in a ZeroDivisionError from the mod-n step
+        (("hl", "tau", "--k", "3", "--ell", "-4", "--i", "1", "--m", "-2", "--v", "1"),
+         "OutOfRange", ["n=0", "k=3"]),
+        (("hl", "tau", "--k", "3", "--ell", "-1", "--i", "1", "--m", "-2", "--v", "1"),
+         "OutOfRange", ["n=3", "k=3"]),
     ])
     def test_bad_parameters_are_structured(self, capsys, argv, error, names):
         code, out, err = run(capsys, *argv)

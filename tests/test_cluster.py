@@ -16,7 +16,6 @@ from grascat.cluster import (
     exchange_label,
     explore,
     grassmannian_initial_seed,
-    grassmannian_vertex_subsets,
     mutate_quiver,
     mutate_seed,
 )
@@ -483,19 +482,24 @@ class TestQuiverMutation:
         assert Quiver.from_json(q.to_json()) == q
 
 
+def vertex_subsets(seed):
+    """(mutable, frozen) Plücker labels of a seed, in seed order."""
+    subsets = [t.to_subset() for t in seed.labels]
+    return subsets[: seed.n_mut], subsets[seed.n_mut :]
+
+
 class TestGrassmannianSeed:
     def test_gr39_vertex_order(self, seed39):
-        mutable, frozen = grassmannian_vertex_subsets(3, 9)
+        mutable, frozen = vertex_subsets(seed39)
         assert [str(s) for s in mutable] == [
             "124", "125", "126", "127", "128", "134", "145", "156", "167", "178",
         ]
         assert [str(s) for s in frozen] == [
             "123", "234", "345", "456", "567", "678", "789", "129", "189",
         ]
-        assert [t.to_subset() for t in seed39.labels] == mutable + frozen
 
     def test_gr48_vertex_order(self, seed48):
-        mutable, frozen = grassmannian_vertex_subsets(4, 8)
+        mutable, frozen = vertex_subsets(seed48)
         assert [str(s) for s in mutable] == [
             "1235", "1236", "1237", "1245", "1256", "1267", "1345", "1456", "1567",
         ]

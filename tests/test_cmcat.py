@@ -61,15 +61,20 @@ class TestTau:
         assert tau_inverse_two_interval(ks(8, 1, 2, 5, 8)) == ks(8, 3, 6, 7, 8)
 
     def test_round_trip_exhaustive(self):
-        for k, n in [(3, 9), (4, 8)]:
-            for elems in combinations(range(1, n + 1), k):
-                subset = KSubset(n, elems)
-                if len(subset.cyclic_intervals()) != 2:
-                    continue
-                image = tau_two_interval(subset)
-                assert len(image.cyclic_intervals()) == 2
-                assert tau_inverse_two_interval(image) == subset
-                assert tau_two_interval(tau_inverse_two_interval(subset)) == subset
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                for elems in combinations(range(1, n + 1), k):
+                    subset = KSubset(n, elems)
+                    if len(subset.cyclic_intervals()) != 2:
+                        with pytest.raises(NotTwoIntervals):
+                            tau_two_interval(subset)
+                        with pytest.raises(NotTwoIntervals):
+                            tau_inverse_two_interval(subset)
+                        continue
+                    image = tau_two_interval(subset)
+                    assert len(image.cyclic_intervals()) == 2
+                    assert tau_inverse_two_interval(image) == subset
+                    assert tau_two_interval(tau_inverse_two_interval(subset)) == subset
 
     def test_interval_subsets_rejected(self):
         with pytest.raises(NotTwoIntervals):

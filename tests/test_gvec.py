@@ -5,14 +5,29 @@ from conftest import random_tableau
 from grascat import fixtures
 from grascat.cluster import Quiver, Seed, explore
 from grascat.cmcat import KSubset
-from grascat.errors import DimensionMismatch, NoIntegerSolution, NonUniqueSolution
-from grascat.gvec import (
-    GVector,
-    check_cone_roundtrip,
-    cone_presentation,
-    g_vector,
+from grascat.errors import (
+    DimensionMismatch,
+    NoIntegerSolution,
+    NonUniqueSolution,
+    NotAFactor,
+    NotSemistandard,
 )
-from grascat.tableaux import Tableau, label_solver, reduce as treduce, union
+from grascat.gvec import GVector, cone_presentation, g_vector
+from grascat.tableaux import Tableau, label_solver, quotient, reduce as treduce, union, union_all
+
+
+def check_cone_roundtrip(t: Tableau, g: GVector) -> bool:
+    """Rebuild reduce(t) from the signed label decomposition."""
+    pos = union_all(
+        [lab for c, lab in zip(g.coords, g.seed.labels) for _ in range(max(c, 0))], k=t.k, n=t.n
+    )
+    neg = union_all(
+        [lab for c, lab in zip(g.coords, g.seed.labels) for _ in range(max(-c, 0))], k=t.k, n=t.n
+    )
+    try:
+        return quotient(pos, neg) == treduce(t)
+    except (DimensionMismatch, NotAFactor, NotSemistandard):
+        return False
 
 
 class TestContentGrid:

@@ -3,12 +3,10 @@ from itertools import combinations
 import pytest
 
 from grascat import hl
-from grascat.cmcat import KSubset, tau_two_interval
+from grascat.cmcat import KSubset, cyclic_interval, tau_two_interval
 from grascat.einv import generic_e_pair_parts
 from grascat.errors import BadParameters, OutOfRange
 from grascat.hl import (
-    XI,
-    XI_PRIME,
     apply_mutation_sequence,
     gamma_qp,
     gamma_quiver,
@@ -35,6 +33,27 @@ KR_GRID_53 = {
     (3, -8): (1, 2, 3, 8, 9), (4, -7): (1, 2, 7, 8, 9),
 }
 
+
+
+def kr_subset_oracle(i, m, k, ell):
+    """The KR formula as displayed, with the bipartite height xi'."""
+    n = k + ell + 1
+    xi_prime = 0 if i % 2 == 0 else -1
+    a = (i - xi_prime) // 2
+    b = (i - m - 1) // 2 + k - i + 1
+    elems = set(cyclic_interval(n, a, a + k - i - 1)) | set(cyclic_interval(n, b, b + i - 1))
+    assert len(elems) == k
+    return KSubset(n, tuple(sorted(elems)))
+
+
+def kernel_params(k, ell):
+    """Every (i, m, v) the kernel checks accept at (k, ell)."""
+    for i, m in sum(gamma_vertices(k, -2 * ell - 2), []):
+        vmax = (m + 2 * ell + (-1) ** (i + 1)) // 2
+        for v in range(1, vmax + 1):
+            yield i, m, v
+
+
 GAMMA_58_FIGURE = [
     ((1, -2), (2, -1)), ((3, -2), (2, -1)), ((3, -2), (4, -1)),
     ((4, -1), (4, -3)), ((3, -2), (3, -4)), ((4, -3), (3, -2)),
@@ -48,12 +67,6 @@ GAMMA_58_FIGURE = [
     ((4, -7), (3, -6)), ((4, -5), (4, -7)), ((3, -8), (4, -7)),
     ((2, -5), (2, -7)), ((2, -3), (2, -5)), ((2, -1), (2, -3)),
 ]
-
-
-class TestHeightFunctions:
-    def test_values(self):
-        assert [XI(i) for i in (1, 2, 3, 4)] == [-1, 0, 1, 2]
-        assert [XI_PRIME(i) for i in (1, 2, 3, 4)] == [-1, 0, -1, 0]
 
 
 class TestQuivers:
@@ -154,6 +167,15 @@ class TestSubsets:
         for (i, m), expected in KR_GRID_53.items():
             assert kr_subset(i, m, 5, 3).elems == expected
 
+    def test_kr_matches_the_displayed_formula(self):
+        count = 0
+        for k in range(2, 9):
+            for ell in range(8):
+                for i, m in sum(gamma_vertices(k, -2 * ell - 2), []):
+                    assert kr_subset(i, m, k, ell) == kr_subset_oracle(i, m, k, ell)
+                    count += 1
+        assert count == 1008
+
     def test_kr_distinct_on_mutable_vertices(self):
         for k, ell in [(5, 3), (3, 5), (4, 3)]:
             mutable, _ = gamma_vertices(k, -2 * ell - 2)
@@ -183,6 +205,22 @@ class TestSubsets:
                         )
                         assert sorted((v, n - k - v)) == gaps
 
+    def test_kernel_entries_distinct(self):
+        # the two intervals span k + v <= n entries, so no accepted label repeats one
+        for k in range(2, 8):
+            for ell in range(7):
+                accepted = set()
+                for i in range(0, k + 1):
+                    for m in range(-2 * ell - 4, 3):
+                        for v in range(0, ell + 3):
+                            try:
+                                subset = kernel_subset(i, m, v, k, ell)
+                            except OutOfRange:
+                                continue
+                            assert subset.k == k and subset.n == k + ell + 1
+                            accepted.add((i, m, v))
+                assert accepted == set(kernel_params(k, ell))
+
     def test_kernel_v_bound(self):
         with pytest.raises(OutOfRange):
             kernel_subset(3, -2, 3, 4, 3)
@@ -192,16 +230,13 @@ class TestSubsets:
             kr_subset(3, -1, 4, 3)  # parity violation
 
     def test_tau_agrees_with_two_interval_translate(self):
-        for k, ell in [(3, 5), (4, 3)]:
-            n = k + ell + 1
-            for i in range(1, k):
-                top = -2 if i % 2 == 1 else -1
-                for m in range(top, -2 * ell - 3, -2):
-                    vmax = (m + 2 * ell + (-1) ** (i + 1)) // 2
-                    for v in range(1, vmax + 1):
-                        direct = tau_kernel_subset(i, m, v, k, n)
-                        via_rim = tau_two_interval(kernel_subset(i, m, v, k, ell))
-                        assert direct == via_rim
+        # the displayed formula against the closed form on the kernel's two runs
+        for k in range(2, 8):
+            for ell in range(7):
+                for i, m, v in kernel_params(k, ell):
+                    direct = tau_kernel_subset(i, m, v, k, k + ell + 1)
+                    via_runs = tau_two_interval(kernel_subset(i, m, v, k, ell))
+                    assert direct == via_runs, (k, ell, i, m, v)
 
 
 class TestCompatibility:
