@@ -33,16 +33,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (
-    BadParameters,
-    DimensionMismatch,
-    MalformedInput,
-    NotGeneric,
-    is_int,
-    is_str,
-    json_fields,
-    list_of,
-)
+from .errors import BadParameters, DimensionMismatch, NotGeneric
 from .linalg import det, rref
 
 __all__ = [
@@ -112,27 +103,6 @@ class VectorTuple:
     def window_minor(self, start: int) -> Fraction:
         """det(v_start, ..., v_{start+k-1}) with cyclic indices."""
         return self.window_minors[(start - 1) % self.n]
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "field": "rational",
-            "vectors": [[str(x) for x in v] for v in self.vectors],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VectorTuple":
-        """Entries are integers or rational strings such as "-3/4"."""
-        k, n, vectors = json_fields(
-            data, "vector tuple", k=is_int, n=is_int,
-            vectors=list_of(list_of(lambda x: is_int(x) or is_str(x))),
-        )
-        try:
-            vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInput(f"vector tuple entry: {exc}") from None
-        return cls(k, n, vecs)
 
 
 def is_consecutively_generic(t: VectorTuple) -> bool:

@@ -71,9 +71,8 @@ def render_hom_table(key: str) -> str:
     width = max(len(x) for x in names) + 2
     lines = [f"hom dimensions between projectives ({algname})"]
     lines.append(" " * width + "".join(x.rjust(width) for x in names))
-    for r in names:
-        row = "".join(str(alg.hom_dim(r, c)).rjust(width) for c in names)
-        lines.append(r.rjust(width) + row)
+    for r, dims in zip(names, alg.hom_table(names)):
+        lines.append(r.rjust(width) + "".join(str(d).rjust(width) for d in dims))
     return "\n".join(lines) + "\n"
 
 
@@ -186,12 +185,11 @@ def _cmd_einv(args) -> None:
         return gvec.GVector(seed, tuple(coords))
 
     g = to_gvector(args.g)
-    master = args.master_seed if args.master_seed is not None else einv.master_seed_from_env()
     if args.pair:
         h = to_gvector(args.pair)
-        report = einv.generic_e_pair(g, h, alg, args.samples, args.field, master)
+        report = einv.generic_e_pair(g, h, alg, args.samples, args.field, args.master_seed)
     else:
-        report = einv.generic_e(g, alg, args.samples, args.field, master)
+        report = einv.generic_e(g, alg, args.samples, args.field, args.master_seed)
     payload = {
         "value": report.value,
         "certified": report.certified,
@@ -239,7 +237,7 @@ def _cmd_braid(args) -> None:
     if args.trials < 0:
         raise BadParameters(f"--trials must be >= 0, got {args.trials}")
     braid_mod.check_shape(args.k, args.n)
-    master = args.master_seed if args.master_seed is not None else einv.master_seed_from_env()
+    master = einv.resolve_master_seed(args.master_seed)
     aggregate = {
         "trials": args.trials,
         "k": args.k,

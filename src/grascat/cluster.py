@@ -94,16 +94,6 @@ class Quiver:
     def arrows_out_of(self, v: int) -> list[int]:
         return [t for s, t in self.arrows if s == v]
 
-    def b_matrix(self) -> np.ndarray:
-        """m x n_mut exchange matrix, b[i][j] = #(i->j) - #(j->i)."""
-        b = np.zeros((self.m, self.n_mut), dtype=np.int64)
-        for s, t in self.arrows:
-            if t < self.n_mut:
-                b[s, t] += 1
-            if s < self.n_mut:
-                b[t, s] -= 1
-        return b
-
     def mutable_part(self) -> "Quiver":
         arrows = tuple(
             (s, t) for s, t in self.arrows if s < self.n_mut and t < self.n_mut

@@ -18,10 +18,12 @@ the rank kernel as an array.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 from numbers import Rational
+from operator import index
 
 import numpy as np
 
@@ -46,7 +48,7 @@ __all__ = [
     "is_real_g",
     "are_compatible",
     "is_exchange_pair",
-    "master_seed_from_env",
+    "resolve_master_seed",
 ]
 
 RATIONAL = "rational"
@@ -297,10 +299,22 @@ def random_complex(
     return TwoTermComplex(algebra, neg, pos, blocks)
 
 
-def master_seed_from_env() -> int:
-    import os
+def resolve_master_seed(master_seed: int | None = None) -> int:
+    """The master seed: `master_seed` if given, else GRASCAT_SEED, else 0.
 
-    return int(os.environ.get("GRASCAT_SEED", "0"))
+    Raises BadParameters, naming where the seed came from, unless it is an
+    integer >= 0 (numpy's streams take no other).
+    """
+    source, value = "master_seed (--master-seed)", master_seed
+    if master_seed is None:
+        source, value = "GRASCAT_SEED", os.environ.get("GRASCAT_SEED", "0")
+    try:
+        seed = int(value) if master_seed is None else index(value)
+    except (TypeError, ValueError):
+        seed = -1
+    if seed < 0:
+        raise BadParameters(f"{source} must be an integer >= 0, got {value!r}")
+    return seed
 
 
 def _stream(master_seed: int, *path: int) -> np.random.Generator:
@@ -323,8 +337,7 @@ def _sampled_minimum(
     if samples <= 0:
         raise BadParameters("sample count must be positive")
     _check_field(field)
-    if master_seed is None:
-        master_seed = master_seed_from_env()
+    master_seed = resolve_master_seed(master_seed)
     best: int | None = None
     witness = None
     used = 0

@@ -76,10 +76,6 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def is_str(x) -> bool:
-    return isinstance(x, str)
-
-
 def list_of(kind: Callable[[object], bool] | None = None) -> Callable[[object], bool]:
     """The kind of a JSON array whose items all have ``kind`` (any, if None)."""
     return lambda x: isinstance(x, list) and (kind is None or all(map(kind, x)))

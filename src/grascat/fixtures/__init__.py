@@ -19,11 +19,6 @@ def _read_json(name: str) -> dict | list:
     return json.loads(path.read_text())
 
 
-def read_golden(name: str) -> str:
-    path = resources.files(__package__).joinpath("golden").joinpath(name)
-    return path.read_text()
-
-
 @lru_cache(maxsize=None)
 def tame_algebra(key: str) -> Algebra:
     """Stable endomorphism algebra of the initial cluster-tilting object."""

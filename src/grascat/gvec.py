@@ -8,11 +8,12 @@ positive ones the quotient term of the presenting short exact sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from . import tableaux as tb
 from .cluster import Seed
 from .cmcat import KSubset
-from .errors import DimensionMismatch
+from .errors import BadParameters, DimensionMismatch
 from .tableaux import Tableau
 
 __all__ = ["GVector", "ConePresentation", "g_vector", "cone_presentation"]
@@ -20,13 +21,24 @@ __all__ = ["GVector", "ConePresentation", "g_vector", "cone_presentation"]
 
 @dataclass(frozen=True)
 class GVector:
-    """Integer coordinates of a tableau over a seed (mutable entries first)."""
+    """Integer coordinates of a tableau over a seed (mutable entries first).
+
+    Each coordinate is taken by ``operator.index``: ints and numpy integers
+    pass, and anything else (a float, a Fraction, a string) raises
+    BadParameters instead of being truncated to another stratum.
+    """
 
     seed: Seed
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        coords = []
+        for pos, c in enumerate(self.coords):
+            try:
+                coords.append(index(c))
+            except TypeError:
+                raise BadParameters(f"g-vector coordinate {pos} is {c!r}, not an integer") from None
+        object.__setattr__(self, "coords", tuple(coords))
         if len(self.coords) != self.seed.m:
             raise DimensionMismatch("coordinate count must equal seed size")
 

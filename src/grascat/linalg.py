@@ -362,26 +362,15 @@ class ExactSolver:
             return (self._transform64 @ np.array(b, dtype=np.int64)).tolist()
         return [sum(t * v for t, v in zip(row, b)) for row in self.transform]
 
-    def _transformed(self, b: Sequence[int]) -> list[int]:
-        """transform @ b, after checking the length of b."""
-        if len(b) != self.nrows:
-            raise NoIntegerSolution("right-hand side has wrong length")
-        return self._product(b)
-
-    def solve_rational(self, b: Sequence[int]) -> list[Fraction] | None:
-        """Unique rational x with A x = b, or None if b is outside the span."""
-        eb = self._transformed(b)
-        if any(eb[self.ncols :]):
-            return None
-        return [Fraction(x, self.denom) for x in eb[: self.ncols]]
-
     def solve_integer(self, b: Sequence[int]) -> list[int]:
         """Unique integer x with A x = b; raises NoIntegerSolution otherwise.
 
         x is transform @ b over denom, so it is integral exactly when denom
         divides every coordinate; no Fraction is built.
         """
-        eb = self._transformed(b)
+        if len(b) != self.nrows:
+            raise NoIntegerSolution("right-hand side has wrong length")
+        eb = self._product(b)
         if any(eb[self.ncols :]):
             raise NoIntegerSolution("vector is outside the integer span of the basis")
         d = self.denom

@@ -139,78 +139,28 @@ class Algebra:
     """Basis-level description of a finite-dimensional algebra.
 
     hom_basis[(i, j)] indexes Hom(P(i), P(j)); composition is exposed as a
-    sparse tensor over those bases.  Instances are immutable after build.
+    sparse tensor over those bases.  Built only by `build_algebra`, and
+    immutable after that.
     """
 
-    def __init__(self, vertices, dims, comp, basis_paths=None):
+    def __init__(self, vertices, dims, comp, basis_paths):
         self.vertices: tuple[str, ...] = tuple(vertices)
         self._dims: dict[tuple[str, str], int] = dict(dims)
         # comp[(i,j,l)][(a, b)] = sparse list of (c, coeff) with int coeff:
         # composing the a-th basis map P(i)->P(j) with the b-th map P(j)->P(l).
         self._comp: dict[tuple[str, str, str], dict] = dict(comp)
-        self.basis_paths = basis_paths or {}
+        self.basis_paths = basis_paths
 
     def hom_dim(self, i: str, j: str) -> int:
         return self._dims.get((i, j), 0)
 
-    def total_dim(self) -> int:
-        return sum(self._dims.values())
-
-    def hom_table(self, rows, cols=None) -> list[list[int]]:
-        cols = cols if cols is not None else rows
-        return [[self.hom_dim(r, c) for c in cols] for r in rows]
-
-    def projective_support(self, v: str) -> dict[str, int]:
-        """Dimension of P(v) at each vertex (its representation grid)."""
-        return {w: self.hom_dim(w, v) for w in self.vertices if self.hom_dim(w, v)}
-
-    @classmethod
-    def from_table(cls, vertices, dims, comp_entries):
-        """Hand-entered construction bypassing the path engine.
-
-        `comp_entries` maps (i, j, l, a, b) to a list of (c, coeff) pairs.
-        Used to cross-validate the path engine against printed Hom tables.
-        """
-        comp: dict[tuple[str, str, str], dict] = {}
-        for (i, j, l, a, b), terms in comp_entries.items():
-            comp.setdefault((i, j, l), {})[(a, b)] = _integral((i, j, l), terms)
-        return cls(tuple(vertices), dict(dims), comp)
+    def hom_table(self, names) -> list[list[int]]:
+        """dim Hom(P(r), P(c)) for every r (row) and c (column) in `names`."""
+        return [[self.hom_dim(r, c) for c in names] for r in names]
 
     def comp_table(self, i: str, j: str, l: str) -> dict:
         """Composition of basis maps P(i)->P(j)->P(l): (a, b) -> [(c, int coeff)]."""
         return self._comp.get((i, j, l), {})
-
-    def compose_vectors(self, i: str, j: str, l: str, x: dict, y: dict) -> dict:
-        """x in Hom(P(i), P(j)) followed by y in Hom(P(j), P(l)), as a sparse vector.
-
-        x, y and the result map basis indices to coefficients; zero
-        coefficients are dropped from the result.
-        """
-        table = self.comp_table(i, j, l)
-        out: dict = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                for c, coeff in table.get((a, b), ()):
-                    out[c] = out.get(c, 0) + xa * yb * coeff
-        return {c: v for c, v in out.items() if v}
-
-    def check_associative(self) -> bool:
-        """Composition associativity on every basis triple (exact)."""
-        vs = self.vertices
-        for i in vs:
-            for j in vs:
-                for l in vs:
-                    for m in vs:
-                        for a in range(self.hom_dim(i, j)):
-                            for b in range(self.hom_dim(j, l)):
-                                ab = self.compose_vectors(i, j, l, {a: 1}, {b: 1})
-                                for c in range(self.hom_dim(l, m)):
-                                    bc = self.compose_vectors(j, l, m, {b: 1}, {c: 1})
-                                    left = self.compose_vectors(i, l, m, ab, {c: 1})
-                                    right = self.compose_vectors(i, j, m, {a: 1}, bc)
-                                    if left != right:
-                                        return False
-        return True
 
 
 def _integral(key: tuple[str, str, str], terms) -> list[tuple[int, int]]:

@@ -7,8 +7,8 @@ from hypothesis import settings
 
 from grascat import fixtures
 from grascat.cluster import grassmannian_initial_seed
-from grascat.errors import is_int, is_str, json_fields, list_of
-from grascat.qpa import QuiverWithPotential
+from grascat.errors import is_int, json_fields, list_of
+from grascat.qpa import Algebra, QuiverWithPotential, _integral
 from grascat.tableaux import Tableau, union_all
 
 DATA = Path(__file__).parent / "data"
@@ -44,6 +44,10 @@ def alg48():
     return fixtures.tame_algebra("gr48")
 
 
+def is_str(x) -> bool:
+    return isinstance(x, str)
+
+
 def qp_from_json(data) -> QuiverWithPotential:
     """Quiver with potential from its JSON object: vertices, arrows with ids, signed cycles."""
     vertices, arrows, potential = json_fields(
@@ -63,6 +67,61 @@ def qp_from_json(data) -> QuiverWithPotential:
 def oracle_qp(name: str) -> QuiverWithPotential:
     """Hand-written quiver with potential kept as a test oracle: qp_gr39, qp_gr48, qp_hl_gamma."""
     return qp_from_json(json.loads((DATA / f"{name}.json").read_text()))
+
+
+def from_table(vertices, dims, comp_entries) -> Algebra:
+    """Hand-entered algebra, bypassing the path engine: the oracle for `build_algebra`.
+
+    `comp_entries` maps (i, j, l, a, b) to a list of (c, coeff) pairs; each
+    coefficient must be integral, as `build_algebra` requires.
+    """
+    comp: dict[tuple[str, str, str], dict] = {}
+    for (i, j, l, a, b), terms in comp_entries.items():
+        comp.setdefault((i, j, l), {})[(a, b)] = _integral((i, j, l), terms)
+    return Algebra(tuple(vertices), dict(dims), comp, {})
+
+
+def total_dim(alg: Algebra) -> int:
+    return sum(alg.hom_dim(i, j) for i in alg.vertices for j in alg.vertices)
+
+
+def projective_support(alg: Algebra, v: str) -> dict[str, int]:
+    """Dimension of P(v) at each vertex (its representation grid)."""
+    return {w: alg.hom_dim(w, v) for w in alg.vertices if alg.hom_dim(w, v)}
+
+
+def compose_vectors(alg: Algebra, i: str, j: str, l: str, x: dict, y: dict) -> dict:
+    """x in Hom(P(i), P(j)) followed by y in Hom(P(j), P(l)), as a sparse vector.
+
+    x, y and the result map basis indices to coefficients; zero
+    coefficients are dropped from the result.
+    """
+    table = alg.comp_table(i, j, l)
+    out: dict = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            for c, coeff in table.get((a, b), ()):
+                out[c] = out.get(c, 0) + xa * yb * coeff
+    return {c: v for c, v in out.items() if v}
+
+
+def check_associative(alg: Algebra) -> bool:
+    """Composition associativity on every basis triple (exact)."""
+    vs = alg.vertices
+    for i in vs:
+        for j in vs:
+            for l in vs:
+                for m in vs:
+                    for a in range(alg.hom_dim(i, j)):
+                        for b in range(alg.hom_dim(j, l)):
+                            ab = compose_vectors(alg, i, j, l, {a: 1}, {b: 1})
+                            for c in range(alg.hom_dim(l, m)):
+                                bc = compose_vectors(alg, j, l, m, {b: 1}, {c: 1})
+                                left = compose_vectors(alg, i, l, m, ab, {c: 1})
+                                right = compose_vectors(alg, i, j, m, {a: 1}, bc)
+                                if left != right:
+                                    return False
+    return True
 
 
 def random_tableau(rng: np.random.Generator, k: int, n: int, max_cols: int = 4) -> Tableau:

@@ -228,6 +228,8 @@ def test_criterion_07_mutation_sequence_theorem():
             )
             target = gamma_quiver(k, -2 * ell - 2)
             assert quivers_isomorphic(mutated.mutable_part(), target.mutable_part())
+            # vertex for vertex: every grid point (i, m) keeps its place
+            assert mutated.mutable_part().arrows == target.mutable_part().arrows
 
 
 def test_criterion_08_profiles(seed36, seed39, seed48):

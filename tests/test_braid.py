@@ -373,7 +373,3 @@ class TestRelations:
         t = random_tuple(2, 5, np.random.default_rng(74))
         with pytest.raises(BadParameters):
             braid_property_check(t)
-
-    def test_json_round_trip(self):
-        t = random_tuple(3, 6, np.random.default_rng(75))
-        assert VectorTuple.from_json(t.to_json()).vectors == t.vectors

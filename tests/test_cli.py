@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import qp_from_json
 from grascat import einv, fixtures, hl
 from grascat import tableaux as tb
-from grascat.braid import VectorTuple
 from grascat.cli import main
 from grascat.cluster import Quiver, Seed, grassmannian_initial_seed
 from grascat.errors import GrascatError
@@ -276,8 +276,6 @@ class TestErrorPaths:
         (QuiverWithPotential, {"vertices": ["a"], "arrows": [], "potential": [{"sign": 1}]}),
         (QuiverWithPotential, {"vertices": ["a"], "arrows": [], "potential": [
             {"sign": 1, "cycle": ["x"]}]}),
-        (VectorTuple, {"k": 1, "n": 1, "vectors": [["1/0"]]}),
-        (VectorTuple, {"k": 1, "n": 1, "vectors": [[1.5]]}),
     ])
     def test_from_json_rejects_malformed(self, cls, data):
         # the library holds no QP JSON reader: the oracle loader's is checked
@@ -310,6 +308,27 @@ class TestErrorPaths:
         assert set(payload) == {"error", "message"}
         assert payload["error"] == error
         assert all(name in payload["message"] for name in names)
+
+    @pytest.mark.parametrize("env, argv, source", [
+        (None, ("einv", "--g", json.dumps(G39), "--master-seed", "-1"), "--master-seed"),
+        (None, ("hl", "compat", "--i", "1", "--m", "-2", "--v", "1", "--i2", "2", "--m2", "-1",
+                "--v2", "1", "--k", "3", "--ell", "5", "--master-seed", "-5"), "--master-seed"),
+        (None, ("braid", "check", "--k", "2", "--n", "4", "--trials", "1", "--seed", "-2"),
+         "--master-seed"),
+        ("-3", ("braid", "check", "--k", "2", "--n", "4", "--trials", "1"), "GRASCAT_SEED"),
+        ("abc", ("einv", "--g", json.dumps(G39)), "GRASCAT_SEED"),
+    ])
+    def test_bad_master_seed_is_structured(self, capsys, monkeypatch, env, argv, source):
+        # each of these once ended in numpy's "expected non-negative integer"
+        # ValueError, or int()'s "invalid literal"
+        if env is None:
+            monkeypatch.delenv("GRASCAT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GRASCAT_SEED", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "BadParameters" and source in payload["message"]
 
     @settings(max_examples=40)
     @given(st.integers(-1, 8), st.integers(-1, 9), st.integers(-1, 2))
@@ -378,12 +397,17 @@ class TestErrorPaths:
         assert option in captured.err
 
 
+def read_golden(name: str) -> str:
+    """A golden table shipped with the package, in src/grascat/fixtures/golden/."""
+    return resources.files(fixtures).joinpath("golden", name).read_text()
+
+
 class TestGoldenTables:
     @pytest.mark.parametrize("which", ["hom39", "hom48", "kr53", "gvecs39", "gvecs48"])
     def test_paper_tables_match_golden(self, capsys, which):
         code, out, _ = run(capsys, "paper-tables", "--format", "table", "--which", which)
         assert code == 0
-        assert out == fixtures.read_golden(f"{which}.txt")
+        assert out == read_golden(f"{which}.txt")
 
     def test_json_wrapper(self, capsys):
         code, out, _ = run(capsys, "paper-tables", "--which", "hom39")

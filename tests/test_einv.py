@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_qp
+from conftest import compose_vectors, from_table, oracle_qp
 from grascat import einv, hl, modp
 from grascat.cluster import grassmannian_initial_seed
 from grascat.einv import (
@@ -233,6 +233,25 @@ class TestGenericValues:
             with pytest.raises(BadParameters, match="field"):
                 call()
 
+    def test_bad_master_seed_fails_before_sampling(self, alg39, seed39, monkeypatch):
+        # a negative seed once ended in numpy's ValueError, not a GrascatError
+        def no_stream(*path):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(einv, "_stream", no_stream)
+        g = nonreal_g39(seed39)
+        for seed in (-1, 1.0, "3"):
+            with pytest.raises(BadParameters, match="master_seed"):
+                generic_e(g, alg39, samples=2, master_seed=seed)
+        monkeypatch.delenv("GRASCAT_SEED", raising=False)
+        assert einv.resolve_master_seed(np.int64(7)) == 7 and einv.resolve_master_seed() == 0
+        for raw in ("-3", "abc", "1.5"):
+            monkeypatch.setenv("GRASCAT_SEED", raw)
+            with pytest.raises(BadParameters, match="GRASCAT_SEED"):
+                generic_e(g, alg39, samples=2)
+        monkeypatch.setenv("GRASCAT_SEED", "17")
+        assert einv.resolve_master_seed() == 17 and einv.resolve_master_seed(0) == 0
+
     def test_deterministic_for_fixed_seed(self, alg39, seed39):
         g = nonreal_g39(seed39)
         a = generic_e(g, alg39, samples=12, master_seed=5)
@@ -331,7 +350,7 @@ def oracle_homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
         for t, tp in enumerate(g.pos):
             block = g_blocks.get((t, r))
             if block:
-                composed = alg.compose_vectors(f.neg[s], g.neg[r], tp, {c: 1}, block)
+                composed = compose_vectors(alg, f.neg[s], g.neg[r], tp, {c: 1}, block)
                 col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
         cols.append(col)
     for u, t, c in _hom_coordinates(alg, f.pos, g.pos):
@@ -339,7 +358,7 @@ def oracle_homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
         for s, sn in enumerate(f.neg):
             block = f_blocks.get((u, s))
             if block:
-                composed = alg.compose_vectors(sn, f.pos[u], g.pos[t], block, {c: 1})
+                composed = compose_vectors(alg, sn, f.pos[u], g.pos[t], block, {c: 1})
                 col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
         cols.append(col)
     return rows, cols
@@ -393,7 +412,7 @@ def weighted_algebra(weights) -> Algebra:
                         entries[(i, j, l, a, b)] = [
                             (c, weights[(a + b + c) % len(weights)]) for c in range(dims[(i, l)])
                         ]
-    return Algebra.from_table(("x", "y"), dims, entries)
+    return from_table(("x", "y"), dims, entries)
 
 
 @pytest.fixture(scope="module")

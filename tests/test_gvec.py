@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import random_tableau
 from grascat import fixtures
-from grascat.cluster import Quiver, Seed, explore
+from grascat.cluster import Quiver, Seed, explore, grassmannian_initial_seed
 from grascat.cmcat import KSubset
 from grascat.errors import (
+    BadParameters,
     DimensionMismatch,
     NoIntegerSolution,
     NonUniqueSolution,
@@ -113,6 +116,19 @@ class TestGVector:
         for _ in range(60):
             t = random_tableau(rng, 3, 9)
             assert check_cone_roundtrip(t, g_vector(t, seed39))
+
+    @pytest.mark.parametrize("bad", [0.7, Fraction(3, 2), "3"])
+    def test_non_integer_coordinates_rejected(self, bad):
+        # int() once truncated these to another stratum: 0.7 to 0, 3/2 to 1, "3" to 3
+        seed = grassmannian_initial_seed(2, 5)
+        with pytest.raises(BadParameters, match="coordinate 0"):
+            GVector(seed, (bad,) * 7)
+        with pytest.raises(BadParameters, match="coordinate 2"):
+            GVector(seed, (1, 0, bad, 0, 0, 0, 0))
+        with pytest.raises(BadParameters):
+            GVector(seed, (1,) * 7).scale(bad)
+        g = GVector(seed, tuple(np.arange(-3, 4)))
+        assert g.coords == (-3, -2, -1, 0, 1, 2, 3) and all(type(c) is int for c in g.coords)
 
     def test_dimension_mismatch(self, seed36):
         with pytest.raises(DimensionMismatch):

@@ -152,6 +152,15 @@ class TestMutationSequence:
         target = gamma_quiver(k, -2 * ell - 2)
         assert quivers_isomorphic(mutated.mutable_part(), target.mutable_part())
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_fixes_every_vertex(self, k):
+        # not only isomorphic: the same arrows between the same grid points (i, m)
+        for ell in range(7):
+            mutated = apply_mutation_sequence(q_ell_quiver(k, ell), hl_mutation_sequence(k, ell))
+            target = gamma_quiver(k, -2 * ell - 2)
+            assert mutated.mutable_part().arrows == target.mutable_part().arrows
+            assert mutated.mutable_part().coords == target.mutable_part().coords
+
     def test_isomorphism_checker_negative(self):
         assert not quivers_isomorphic(
             q_ell_quiver(4, 3).mutable_part(), q_ell_quiver(5, 2).mutable_part()

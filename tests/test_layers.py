@@ -5,6 +5,9 @@ LAYERS in the loaded grascat module of that name, so deleting or renaming
 one breaks `perfbench/run.py --trace 1`; every name a module lists in
 `__all__` must exist too.  Every name a module imports must also be used
 in it, so that deleting the last caller of a name removes its import.
+Every function, method and class the library defines must have a caller in
+the library or the benchmark, so that a name only the tests reach moves
+into the tests.
 """
 
 import ast
@@ -12,6 +15,7 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,7 @@ import grascat
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 PACKAGE = Path(grascat.__file__).resolve().parent
+PERFBENCH = TRACER.parent
 
 
 def trace_layers() -> list[str]:
@@ -72,3 +77,62 @@ def test_unused_imports_are_found():
 )
 def test_every_import_is_used(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def names_read(tree: ast.AST):
+    """Every identifier, attribute name and `__all__` string in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            yield from (e.value for e in node.value.elts if isinstance(e, ast.Constant))
+
+
+def uncalled(library: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Names that a `def` or `class` in `library` defines and no code names.
+
+    Both arguments map a path to its source; `library` is searched for
+    definitions, and both for names.  A definition's own body does not
+    count, and dunder names are skipped.  The match is by name alone, so a
+    definition whose name other code uses for something else (such as
+    `Algebra.total_dim`, beside a local `total_dim`, or `VectorTuple.to_json`
+    beside every other `to_json`) passes unseen.
+    """
+    trees = {path: ast.parse(source) for path, source in {**callers, **library}.items()}
+    named = Counter(name for tree in trees.values() for name in names_read(tree))
+    found = []
+    for path in library:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if named[name] == Counter(names_read(node))[name]:
+                found.append(f"{path}:{name}")
+    return found
+
+
+def test_uncalled_names_are_found():
+    library = {
+        "a.py": "__all__ = ['listed']\n"
+                "def listed(): pass\n"
+                "def helper(): pass\n"
+                "def recursive(n): return recursive(n - 1)\n"
+                "class C:\n    def method(self): pass\n    def __repr__(self): pass\n",
+    }
+    assert uncalled(library, {"b.py": "helper()\n"}) == ["a.py:recursive", "a.py:C", "a.py:method"]
+    assert uncalled(library, {"b.py": "helper(); x.method(); C()\n"}) == ["a.py:recursive"]
+
+
+def test_every_library_name_has_a_caller():
+    library = {p.relative_to(PACKAGE.parent).as_posix(): p.read_text()
+               for p in sorted(PACKAGE.rglob("*.py"))}
+    benchmark = {p.relative_to(PERFBENCH.parent).as_posix(): p.read_text()
+                 for p in sorted(PERFBENCH.glob("*.py"))}
+    assert len(library) > 10 and len(benchmark) > 3
+    assert uncalled(library, benchmark) == []

@@ -366,7 +366,8 @@ class TestExactSolver:
 
 
 def python_solve_rational(solver, b):
-    """solve_rational with the transform product in Python ints: the oracle."""
+    """Unique rational x with A x = b, or None outside the span, from the
+    transform product in Python ints: the oracle of `solve_integer`."""
     eb = [sum(t * v for t, v in zip(row, b)) for row in solver.transform]
     if any(eb[solver.ncols :]):
         return None
@@ -394,8 +395,7 @@ class TestSolverProduct:
         assert solver.transform == [[1, -1], [0, 1]] and solver._transform64 is not None
         for v in (2**62 - 1, 2**62):  # 2 v < 2^63 takes int64; 2 v = 2^63 does not
             b = [v, -v]
-            assert solver.solve_rational(b) == python_solve_rational(solver, b)
-            assert solver.solve_integer(b) == [2 * v, -v]
+            assert solver.solve_integer(b) == python_solve_rational(solver, b) == [2 * v, -v]
         # at 2^62 the first coordinate is 2^63, which int64 would wrap
         assert solver.solve_integer([2**62, -(2**62)])[0] == 2**63
 
@@ -404,7 +404,9 @@ class TestSolverProduct:
         solver = ExactSolver([[1, 2**63]])
         assert solver._transform64 is None
         assert solver.solve_integer([1, 2**63]) == [1]
-        assert solver.solve_rational([1, 0]) is None
+        assert python_solve_rational(solver, [1, 0]) is None
+        with pytest.raises(NoIntegerSolution, match="outside"):
+            solver.solve_integer([1, 0])
 
     @given(solver_systems())
     def test_matches_python_product(self, system):
@@ -414,17 +416,7 @@ class TestSolverProduct:
                 ExactSolver(cols)
             return
         solver = ExactSolver(cols)
-        want = python_solve_rational(solver, b)
-        assert solver.solve_rational(b) == want
-        if want is None:
-            message = "vector is outside the integer span of the basis"
-        elif any(x.denominator != 1 for x in want):
-            message = "solution exists but is not integral"
-        else:
-            assert solver.solve_integer(b) == [int(x) for x in want]
-            return
-        with pytest.raises(NoIntegerSolution, match=message):
-            solver.solve_integer(b)
+        assert solver._product(b) == [sum(t * v for t, v in zip(row, b)) for row in solver.transform]
 
     @given(solver_systems())
     def test_solve_integer_matches_solve_rational(self, system):
@@ -432,7 +424,7 @@ class TestSolverProduct:
         if rank_int(cols) < len(cols):
             return
         solver = ExactSolver(cols)
-        want = solver.solve_rational(b)
+        want = python_solve_rational(solver, b)
         if want is None:
             message = "vector is outside the integer span of the basis"
         elif any(x.denominator != 1 for x in want):
@@ -452,6 +444,10 @@ class TestSolverProduct:
 
     def test_outcomes_are_reached(self):
         solver = ExactSolver([[2, 0, 0], [0, 1, 0]])
-        assert solver.solve_rational([0, 0, 1]) is None
-        assert solver.solve_rational([1, 0, 0]) == [Fraction(1, 2), 0]
+        assert python_solve_rational(solver, [0, 0, 1]) is None
+        assert python_solve_rational(solver, [1, 0, 0]) == [Fraction(1, 2), 0]
+        with pytest.raises(NoIntegerSolution, match="outside"):
+            solver.solve_integer([0, 0, 1])
+        with pytest.raises(NoIntegerSolution, match="not integral"):
+            solver.solve_integer([1, 0, 0])
         assert solver.solve_integer([2**63, -(2**63), 0]) == [2**62, -(2**63)]
