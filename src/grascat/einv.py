@@ -283,19 +283,25 @@ def random_complex(
     rng: np.random.Generator,
     field: str = RATIONAL,
 ) -> TwoTermComplex:
-    """Random map with uniform coefficients ([-10, 10] or F_p)."""
+    """Random map with uniform coefficients ([-10, 10] or F_p).
+
+    One draw covers every nonzero block, split in block order (t outer, s
+    inner).  Each of these bounded draws takes its own 32-bit outputs of the
+    generator in turn, so the blocks are those of one draw per block.
+    """
     _check_field(field)
-    blocks = {}
+    spans, total = [], 0
     for t, pt in enumerate(pos):
         for s, sn in enumerate(neg):
             dim = algebra.hom_dim(sn, pt)
-            if not dim:
-                continue
-            if field == RATIONAL:
-                coeffs = rng.integers(-10, 11, size=dim)
-            else:
-                coeffs = rng.integers(0, modp.PRIME, size=dim)
-            blocks[(t, s)] = tuple(coeffs.tolist())
+            if dim:
+                spans.append(((t, s), total, total + dim))
+                total += dim
+    low, high = (-10, 11) if field == RATIONAL else (0, modp.PRIME)
+    coeffs = rng.integers(low, high, size=total).tolist()
+    blocks = {}
+    for key, start, end in spans:
+        blocks[key] = tuple(coeffs[start:end])
     return TwoTermComplex(algebra, neg, pos, blocks)
 
 

@@ -10,15 +10,16 @@ and ``det`` then share one Bareiss elimination (Bareiss 1968, Math. Comp.
 ``rref`` runs Gauss-Jordan on primitive integer rows.  ``Fraction`` appears
 only at the boundary: in the inputs, and in what ``det`` and ``rref`` return.
 
-``rank_int`` dispatches on size.  A matrix with a side below 32, or with
+``rank_int`` dispatches on size.  A matrix with a side below 28, or with
 max|entry| * min(shape) >= 2^31, goes to Bareiss.  A larger one gets a
-certified modular rank.  One Gauss-Jordan elimination mod p = 2^31 - 1 of
-[b | I] in ``modp`` gives the rank r mod p, a lower bound, and the inverse
-of the pivot block.  Exact relations among the rows, lifted p-adically
-from F_p and checked over Z on the pivot rows' nonzeros, prove the upper
-bound.  If the check fails (p is a bad prime for the matrix), Bareiss
-decides.  An integer numpy array is taken as it is; other input is read
-as rows.
+certified modular rank.  One Gauss-Jordan elimination mod a lifting prime
+p < 2^24, with the transform, in ``modp`` gives the rank r mod p, a lower
+bound, and the inverse of the pivot block.  At that prime every int64 sum
+of mod-p products stays exact without splitting residues.  Exact relations
+among the rows, lifted p-adically from F_p and checked over Z on the pivot
+rows' nonzeros, prove the upper bound.  If the check fails (p is a bad
+prime for the matrix), Bareiss decides.  An integer numpy array is taken as
+it is; other input is read as rows.
 """
 
 from __future__ import annotations
@@ -93,26 +94,31 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
     return rank, sign, prev
 
 
-# From this shorter side on the certified modular rank is faster; at 28 the
-# two are about even.  Medians per three calls on the rational matrices of
-# an `einv` round, Bareiss against modular (three runs, 2 vCPUs, Python 3.11):
-#   28x28    2.9-4.1 ms against 3.4-4.6 ms
-#   40x28    4.0-5.9 ms against 3.5-4.7 ms
-#   32x32    4.8-6.7 ms against 4.0-5.3 ms
-#   36x36    7.1-9.1 ms against 6.1-7.2 ms
-#   48x48   20.8 ms against 9.9 ms;  112x112 288 ms against 47 ms
-_MODULAR_MIN = 32
+# From this shorter side on the certified modular rank is faster.  Medians
+# per call on the rational matrices of a seed-1 `einv` round, Bareiss
+# against modular (three runs, 2 vCPUs, Python 3.11, numpy 2.4):
+#   16x16    0.21-0.25 ms against 0.54-0.71 ms
+#   28x28    1.00-1.25 ms against 0.81-1.16 ms
+#   40x28    1.44-1.91 ms against 1.11-1.37 ms
+#   32x32    2.03-2.18 ms against 1.31-1.51 ms
+#   48x48    6.3-7.3 ms against 1.8-2.4 ms;  112x112 105-117 ms against 8.0-8.3 ms
+_MODULAR_MIN = 28
 # max|entry| * min(shape) below this keeps every lifting product in int64.
 _LIFT_LIMIT = 2**31
 # A bound on |partial sums| below this keeps an int64 product exact.
 _INT64_LIMIT = 2**63
+# The largest prime below 2^24.  A mod-p product of r rows sums r (p-1)^2 <
+# 2^63 for r < 2^15 without splitting, and the elimination defers its
+# reduction past 2^15 pivots.
+_LIFT_PRIME = 2**24 - 3
 
 
 def rank_int(rows: Sequence[Sequence[int]]) -> int:
     """Rank over Q of an integer matrix.
 
-    A matrix with both sides at least `_MODULAR_MIN` and
-    max|entry| * min(shape) < 2^31 gets the certified modular rank of
+    A matrix with both sides at least `_MODULAR_MIN`,
+    max|entry| * min(shape) < 2^31 and min(shape) (p-1)^2 < 2^63, p the
+    lifting prime, gets the certified modular rank of
     `_certified_rank`, on the orientation with fewer rows, so that few
     relations need lifting.  Any other matrix, and any whose certificate
     fails (a bad prime), gets Bareiss elimination.  A 2-d numpy array of a
@@ -137,7 +143,7 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
         else:
             # In Python ints: np.abs(-2^63) wraps to -2^63 and would pass the guard.
             big = max(int(full.max()), -int(full.min()))
-        if big * short < _LIFT_LIMIT:
+        if big * short < _LIFT_LIMIT and short * (_LIFT_PRIME - 1) ** 2 < _INT64_LIMIT:
             if full is None:
                 full = np.array(m, dtype=np.int64)
             rank = _certified_rank(full if len(full) == short else full.T)
@@ -159,28 +165,32 @@ def _integral(x) -> int:
 def _certified_rank(b: np.ndarray | Sequence[Sequence[int]]) -> int | None:
     """Rank over Q of ``b`` (no more rows than columns), or None for a bad prime.
 
-    One Gauss-Jordan elimination mod p of [b | I], pivoting in b's columns
-    only, gives the rank r, pivot rows R and pivot columns C.  The minor
-    b[R, C] is nonzero mod p, so it is nonzero over Z: rank >= r.  For each
-    other row i, Dixon lifting (Dixon 1982, Numer. Math. 40) solves
-    y b[R, C] = b[i, C] p-adically and rational reconstruction turns y into
-    integers d, d*y; the exact check d*b[i] = (d*y) b[R] over every column
-    puts row i in the span of rows R.  These len(b) - r relations are
-    independent, so rank <= r.  Lifting stops at the Hadamard bound: past it
-    a failing check means rank > r.
+    One Gauss-Jordan elimination mod p = `_LIFT_PRIME` with the transform
+    gives the rank r, pivot rows R, pivot columns C and the inverse of
+    b[R, C] mod p.  The minor b[R, C] is nonzero mod p, so it is nonzero
+    over Z: rank >= r.  For each other row i, Dixon lifting (Dixon 1982,
+    Numer. Math. 40) solves y b[R, C] = b[i, C] p-adically and rational
+    reconstruction turns y into integers d, d*y; the exact check
+    d*b[i] = (d*y) b[R] over every column puts row i in the span of rows R.
+    These len(b) - r relations are independent, so rank <= r.  Lifting stops
+    at the Hadamard bound: past it a failing check means rank > r.
     """
-    p = modp.PRIME
+    p = _LIFT_PRIME
     full = np.asarray(b, dtype=np.int64)
-    cols, order, inv = _pivot_block(full)
+    red, cols, order = modp.echelon_mod_p(full, p, transform=True)
     r = len(cols)
     if r == len(full):
         return r
+    inv = red[:r, full.shape[1] : full.shape[1] + r]
     piv, rest = order[:r], order[r:]
     a = full[np.ix_(piv, cols)]
     residual = full[np.ix_(rest, cols)]
-    inv_hi, inv_lo = inv >> 16, inv & 0xFFFF
     # The pivot rows' nonzeros as (column, value) pairs, for the exact check.
-    sparse = [list(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in full[piv]]
+    pivot_rows = full[piv]
+    where, at = np.nonzero(pivot_rows)
+    pairs = list(zip(at.tolist(), pivot_rows[where, at].tolist()))
+    ends = np.cumsum(np.bincount(where, minlength=r)).tolist()
+    sparse = [pairs[s:e] for s, e in zip([0] + ends, ends)]
     targets = full[rest].tolist()
     # By Cramer each y_j is a ratio of two determinants of rows of a and
     # b[i, C], and by Hadamard each is at most H = the product of those row
@@ -192,10 +202,9 @@ def _certified_rank(b: np.ndarray | Sequence[Sequence[int]]) -> int | None:
     pending = list(range(len(rest)))
     modulus = 1
     while pending:
-        # x = residual a^-1 mod p, with a^-1 split in 16-bit halves so that
-        # no int64 sum of products overflows; then residual <- (residual - x a) / p.
-        low = residual % p
-        x = ((low @ inv_hi) % p * 65536 + low @ inv_lo) % p
+        # x = residual a^-1 mod p, its sums of r products below r (p-1)^2 <
+        # 2^63 (`rank_int` guards r); then residual <- (residual - x a) / p.
+        x = (residual % p) @ inv % p
         residual = (residual - x @ a) // p
         for i, row in enumerate(x.tolist()):
             lifted[i] = [u + v * modulus for u, v in zip(lifted[i], row)]
@@ -204,24 +213,6 @@ def _certified_rank(b: np.ndarray | Sequence[Sequence[int]]) -> int | None:
         if pending and modulus > limit:
             return None
     return r
-
-
-def _pivot_block(b: np.ndarray) -> tuple[list[int], list[int], np.ndarray]:
-    """Pivot columns C, row order and (b[R, C])^-1 mod p, R the pivot rows.
-
-    One Gauss-Jordan elimination mod p of [b | I] that seeks pivots in b's
-    columns only.  Its identity part holds the transform T with
-    T [b | I] = reduced.  Pivot row k is original row R[k] less multiples of
-    earlier pivot rows, so T[:r] is zero off the columns R, and there
-    T[:r] b[R, C] = I.  Past b's columns a pivot would add a non-pivot row
-    into the pivot rows, so the elimination stops there.
-    """
-    nrows, ncols = b.shape
-    red, cols, order = modp.echelon_mod_p(
-        np.hstack([b, np.eye(nrows, dtype=np.int64)]), jordan=True, width=ncols
-    )
-    r = len(cols)
-    return cols, order, red[:r, ncols:][:, order[:r]]
 
 
 def _exact_relation(target: list[int], sparse: list, y: list[int], modulus: int) -> bool:

@@ -1,61 +1,111 @@
-"""Elimination over the prime field F_p, p = 2^31 - 1.
+"""Elimination over a prime field F_p, the prime a parameter.
 
-One kernel: row-vectorised Gaussian elimination in numpy int64.  Every
-entry is reduced into [0, p) first, so products stay below p^2 < 2^63.
-It serves both fields of the E-invariants.  Over F_p, `rank_mod_p` is the
-number of pivots it finds.  Over Q, `linalg.rank_int` runs it once, as
-Gauss-Jordan on a large integer matrix b beside an identity, [b | I], with
-pivots sought in b's columns only.  That one pass gives the rank mod p, the
-pivot rows and columns, and in the identity part the inverse of the pivot
-block, which the lifted kernel certificate needs.
+One kernel: row-vectorised Gaussian elimination in numpy int64.  It serves
+both fields of the E-invariants.  Over F_p, p = PRIME = 2^31 - 1, the prime
+that the sampled streams fix, `rank_mod_p` is the number of pivots it
+finds.  Over Q, `linalg.rank_int` runs it once, as Gauss-Jordan with the
+transform, at a smaller lifting prime; that one pass gives the rank mod p,
+the pivot rows and columns, and the inverse of the pivot block, which the
+lifted kernel certificate needs.
+
+Reduction is deferred.  Entries start in [0, p), and each row update
+subtracts a product of two reduced numbers, at most (p-1)^2.  So after s
+unreduced updates every entry is below p + s (p-1)^2 in absolute value, and
+the bulk is reduced only before that would reach 2^63: past 2^15 pivots at
+a prime below 2^24, so never for the matrices `einv` builds.  The pivot
+column and the pivot row, which feed the products, are reduced at every
+step.  At 2^31 - 1 the bound allows only two updates, which a reduction of
+every live row does not repay, so there each update reduces the rows it
+touched.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Fixed: the lifting in `linalg` splits residues into 16-bit halves and
-# guards its int64 sums assuming p < 2^31.
 PRIME = 2**31 - 1
 
 
 def echelon_mod_p(
-    a: np.ndarray, jordan: bool = False, width: int | None = None
+    a: np.ndarray, p: int = PRIME, transform: bool = False
 ) -> tuple[np.ndarray, list[int], list[int]]:
-    """Row echelon form of an integer matrix over F_p, p = PRIME, pivots scaled to 1.
+    """Row echelon form of an integer matrix over F_p, pivots scaled to 1.
 
-    Returns (reduced matrix, pivot columns, original row of each result row).
-    The first len(pivot columns) rows are the pivot rows; the minor of the
-    input on those rows and columns is nonzero mod p.  With ``jordan`` the
-    entries above each pivot are cleared too (reduced row echelon form).
-    Pivots are sought in the first ``width`` columns only (all by default);
-    the columns past them are carried along by the same row operations.
+    Returns (reduced matrix, pivot columns, original row of each result row),
+    every entry in [0, p).  The first len(pivot columns) rows are the pivot
+    rows; the minor of the input on those rows and columns is nonzero mod p.
+
+    With ``transform`` the entries above each pivot are cleared too (reduced
+    row echelon form), and nrows columns follow the input's that record the
+    row operations in pivot order.  With r the rank, result row i is the sum
+    over k < r of its column ncols + k times input row order[k], plus input
+    row order[i] itself when i >= r.  So red[:r, ncols:ncols + r] is the
+    inverse mod p of the input's minor on rows order[:r] and the pivot
+    columns, and the columns past ncols + r are zero.  Column ncols + k gets
+    its 1 when pivot k is chosen; no earlier pivot row touches it, so each
+    update stops there.
+
+    p must be a prime below 2^31, so that p + (p-1)^2 < 2^63.
     """
-    p = PRIME
-    m = np.mod(np.ascontiguousarray(a, dtype=np.int64), p)
-    nrows, ncols = m.shape
+    if p >= 2**31:
+        raise ValueError(f"the int64 kernel takes a prime below 2^31, got {p}")
+    a = np.asarray(a, dtype=np.int64)
+    nrows, ncols = a.shape
+    m = np.zeros((nrows, ncols + nrows * transform), dtype=np.int64)
+    np.mod(a, p, out=m[:, :ncols])
+    # Updates an entry can take unreduced: p + s (p-1)^2 < 2^63.  A bulk
+    # reduction covers every live row, updated or not, so two (at 2^31 - 1)
+    # are not worth it: there each update reduces just the rows it touched.
+    lazy = (2**63 - 1 - p) // (p - 1) ** 2
+    if lazy < 3:
+        lazy = 1
+    stale = 0
     order = list(range(nrows))
     pivots: list[int] = []
-    for col in range(ncols if width is None else width):
+    for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
             break
-        nz = np.nonzero(m[rank:, col])[0]
+        # The rows that can hold a nonzero in this column, reduced for the test
+        # and for the products.
+        first = 0 if transform else rank
+        column = m[first:, col]
+        if stale:
+            np.mod(column, p, out=column)
+        nz = column[rank - first :].nonzero()[0]
         if nz.size == 0:
             continue
         piv = rank + nz[0]
         if piv != rank:
             m[[rank, piv]] = m[[piv, rank]]
             order[rank], order[piv] = order[piv], order[rank]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank, col:] = (m[rank, col:] * inv) % p
-        start = 0 if jordan else rank + 1
-        rows = np.nonzero(m[start:, col])[0] + start
-        if jordan:
-            rows = rows[rows != rank]
+        rows = rank + nz[1:]
+        if transform:
+            hi = ncols + rank + 1
+            m[rank, hi - 1] = 1
+            rows = np.concatenate([column[:rank].nonzero()[0], rows])
+        else:
+            hi = ncols
+        top = m[rank, col:hi]
+        if stale:
+            np.mod(top, p, out=top)
+        top *= pow(int(top[0]), -1, p)
+        np.mod(top, p, out=top)
         if rows.size:
-            m[rows, col:] = (m[rows, col:] - np.outer(m[rows, col], m[rank, col:])) % p
+            block = m[rows, col:hi] - m[rows, col, None] * top
+            if lazy == 1:
+                np.mod(block, p, out=block)
+            m[rows, col:hi] = block
+            if lazy > 1:
+                stale += 1
+                if stale == lazy:
+                    # Every entry a later update can reach; the rest is final.
+                    bulk = m[first:, col + 1 : hi]
+                    np.mod(bulk, p, out=bulk)
+                    stale = 0
         pivots.append(col)
+    if stale:
+        np.mod(m, p, out=m)
     return m, pivots, order
 
 

@@ -134,7 +134,7 @@ def test_criterion_03_hom_tables():
 
 
 def test_criterion_04_e_invariants(alg39, alg48, seed39, seed48):
-    with Budget(4, "generic E-invariants", 0.85):
+    with Budget(4, "generic E-invariants", 0.6):
         g39 = g_vector(Tableau.make(3, 9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]), seed39)
         report = generic_e(g39, alg39, samples=50, field="rational", master_seed=0)
         assert report.value == 1 and report.samples == 50

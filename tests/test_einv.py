@@ -308,6 +308,39 @@ class TestSampledStreams:
         assert blocks_of(report) == {(0, 0): (904358331,)}
 
 
+def per_block_complex(algebra, neg, pos, rng, field):
+    """One draw per nonzero block, in block order: the oracle of `random_complex`."""
+    low, high = (-10, 11) if field == "rational" else (0, modp.PRIME)
+    blocks = {}
+    for t, pt in enumerate(pos):
+        for s, sn in enumerate(neg):
+            dim = algebra.hom_dim(sn, pt)
+            if dim:
+                blocks[(t, s)] = tuple(rng.integers(low, high, size=dim).tolist())
+    return TwoTermComplex(algebra, neg, pos, blocks)
+
+
+class TestOneDrawPerComplex:
+    @pytest.mark.parametrize("field", ["rational", "fp"])
+    @pytest.mark.parametrize("shape", ["gr39", "gr48", "gamma"])
+    def test_matches_per_block_draws(self, request, shape, field):
+        if shape == "gamma":
+            alg = hl._gamma_algebra_at(4, -8)
+        else:
+            alg = request.getfixturevalue("alg" + shape[2:])
+        vertices = list(alg.vertices)
+        for master in (0, 1, 7, 2**40):
+            pick = np.random.default_rng([master, 99])
+            for idx in range(8):
+                neg = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(0, 4)))
+                pos = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(1, 5)))
+                one, per_block = np.random.default_rng([master, idx]), np.random.default_rng([master, idx])
+                got = random_complex(alg, neg, pos, one, field)
+                assert got.blocks == per_block_complex(alg, neg, pos, per_block, field).blocks
+                # the two leave the stream at the same place
+                assert one.integers(0, 2**31, size=3).tolist() == per_block.integers(0, 2**31, size=3).tolist()
+
+
 class TestPredicates:
     def test_nonreal_tableau_not_real(self, alg39, seed39):
         verdict = is_real_g(nonreal_g39(seed39), alg39, samples=20, master_seed=0)

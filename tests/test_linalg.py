@@ -10,12 +10,12 @@ from grascat import modp
 from grascat.errors import BadParameters, NoIntegerSolution, NonUniqueSolution
 from grascat import linalg
 from grascat.linalg import (
+    _LIFT_PRIME,
     _MODULAR_MIN,
     ExactSolver,
     _bareiss,
     _certified_rank,
     _exact_relation,
-    _pivot_block,
     det,
     rank_int,
     rref,
@@ -82,6 +82,34 @@ def fraction_solver(columns):
     e_rows = [r[ncols:] for r in red]
     denom = lcm(*(x.denominator for r in e_rows for x in r))
     return denom, [[int(x * denom) for x in r] for r in e_rows]
+
+
+def python_gauss_jordan(b, p):
+    """Gauss-Jordan mod p of [b | I] in Python ints, pivots in b's columns only.
+
+    The first nonzero at or below the current row is the pivot, as in
+    `modp.echelon_mod_p`.  Returns (pivot columns, row order, reduced
+    [b | I]), the identity part indexed by original row.
+    """
+    nrows, ncols = len(b), len(b[0])
+    m = [[x % p for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(b)]
+    order = list(range(nrows))
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        order[rank], order[piv] = order[piv], order[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(nrows):
+            f = m[i][col]
+            if i != rank and f:
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+    return pivots, order, m
 
 
 ENTRIES = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
@@ -176,14 +204,44 @@ class TestModularRank:
         assert rank_int(m.tolist()) == rank_int(m.T.tolist()) == 37
 
     def test_bad_prime_falls_back(self):
-        # The top-left block has determinant 2^31 - 1 = p, so the matrix has
-        # rank 44 mod p but 45 over Q; only the certificate can tell.
+        # The top-left block has determinant p = 2^24 - 3, the lifting prime,
+        # so the matrix has rank 44 mod p but 45 over Q; only the certificate
+        # can tell.
         m = np.eye(45, dtype=np.int64)
+        m[:2, :2] = [[4096, 3], [1, 4096]]
+        assert 4096 * 4096 - 3 == _LIFT_PRIME
+        assert len(modp.echelon_mod_p(m, _LIFT_PRIME, transform=True)[1]) == 44
+        assert _certified_rank(m.tolist()) is None
+        assert rank_int(m.tolist()) == 45
+        # A block of determinant 2^31 - 1 drops the rank over the sampling
+        # prime only; the lifting prime certifies it.
         m[:2, :2] = [[46341, 14], [331, 46341]]
         assert 46341 * 46341 - 14 * 331 == modp.PRIME
         assert modp.rank_mod_p(m) == 44
-        assert _certified_rank(m.tolist()) is None
-        assert rank_int(m.tolist()) == 45
+        assert _certified_rank(m.tolist()) == rank_int(m.tolist()) == 45
+
+    def test_lift_guard_at_the_int64_bound(self, monkeypatch):
+        # The lift's mod-p products sum r (p-1)^2, so rank_int takes the
+        # modular path only while min(shape) (p-1)^2 < 2^63.  At this prime
+        # that holds for side 40 but not 41; entries are at the other guard,
+        # max|entry| * min(shape) just below 2^31.
+        p = 480191923
+        assert 40 * (p - 1) ** 2 < 2**63 <= 41 * (p - 1) ** 2
+        monkeypatch.setattr(linalg, "_LIFT_PRIME", p)
+        certified = []
+
+        def spy(b):
+            certified.append(len(b))
+            return _certified_rank(b)
+
+        monkeypatch.setattr(linalg, "_certified_rank", spy)
+        rng = np.random.default_rng(209)
+        for side in (40, 41):
+            half = (2**31 // side - 1) // 2
+            m = rng.integers(-half, half + 1, size=(side, side + 20))
+            m[side - 3 :] = m[:3] - m[3:6]
+            assert rank_int(m) == bareiss_rank(m.tolist()) == side - 3
+        assert certified == [40]
 
     def test_huge_entry_takes_bareiss(self):
         m = np.eye(45, dtype=object)
@@ -196,21 +254,23 @@ class TestModularRank:
         assert rank_int([[0] * cols for _ in range(rows)]) == 0
 
     def test_inverse_mod_p(self):
-        # the inverse block of the one elimination of [b | I], checked in
-        # Python ints, with pivots and pivot rows as a plain echelon form's
+        # the inverse block of the one elimination with the transform, checked
+        # in Python ints, with pivots and pivot rows as a plain echelon form's
         rng = np.random.default_rng(207)
-        for rows, cols, rank in [(30, 30, 30), (30, 45, 27), (40, 40, 36)]:
-            b = known_rank_matrix(rng, rows, cols, rank, bound=3)
-            if rank < rows:
-                # a zero row and a repeated row move non-pivot rows first
-                b[0], b[2] = 0, b[1]
-            pivots, order, inv = _pivot_block(b)
-            assert order[:rank] != list(range(rank)) or rank == rows
-            _, want_pivots, want_order = modp.echelon_mod_p(b)
-            assert pivots == want_pivots and len(pivots) == rank
-            assert order[:rank] == want_order[:rank]
-            a = b[np.ix_(order[:rank], pivots)].astype(object)
-            assert ((inv.astype(object) @ a) % modp.PRIME == np.eye(rank, dtype=object)).all()
+        for p in (_LIFT_PRIME, modp.PRIME):
+            for rows, cols, rank in [(30, 30, 30), (30, 45, 27), (40, 40, 36)]:
+                b = known_rank_matrix(rng, rows, cols, rank, bound=3)
+                if rank < rows:
+                    # a zero row and a repeated row move non-pivot rows first
+                    b[0], b[2] = 0, b[1]
+                red, pivots, order = modp.echelon_mod_p(b, p, transform=True)
+                inv = red[:rank, cols : cols + rank]
+                assert order[:rank] != list(range(rank)) or rank == rows
+                _, want_pivots, want_order = modp.echelon_mod_p(b, p)
+                assert pivots == want_pivots and len(pivots) == rank
+                assert order[:rank] == want_order[:rank]
+                a = b[np.ix_(order[:rank], pivots)].astype(object)
+                assert ((inv.astype(object) @ a) % p == np.eye(rank, dtype=object)).all()
 
 
 @st.composite
@@ -225,6 +285,54 @@ def modular_rank_matrices(draw):
     m = known_rank_matrix(rng, rows, cols, rows - deficiency, bound=draw(st.sampled_from([1, 3])))
     m[:, rng.choice(cols, size=zero_cols, replace=False)] = 0
     return m
+
+
+@st.composite
+def residue_matrices(draw):
+    """An int64 matrix of known nominal rank, its shorter side on either side
+    of _MODULAR_MIN: small entries, or entries up to 2^62 whose last rows are
+    differences of earlier ones; one row zero."""
+    rows = draw(st.integers(_MODULAR_MIN - 3, _MODULAR_MIN + 6))
+    cols = draw(st.integers(rows, rows + 12))
+    rank = rows - draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        m = known_rank_matrix(rng, rows, cols, rank, bound=3)
+    else:
+        m = rng.integers(0, 2**62, size=(rows, cols))
+        m[rank:] = m[: rows - rank] - m[1 : rows - rank + 1]
+    m[draw(st.integers(0, rows - 1))] = 0
+    return m
+
+
+class TestEchelonTransform:
+    """echelon_mod_p with the transform against Gauss-Jordan in Python ints."""
+
+    # 2^30 - 35 lets an entry take 8 unreduced updates, so the bulk
+    # reduction runs; at the lifting prime it never does at these sizes.
+    @settings(max_examples=15, deadline=None)
+    @given(residue_matrices(), st.sampled_from([_LIFT_PRIME, 2**30 - 35, modp.PRIME]))
+    def test_matches_python_gauss_jordan(self, m, p):
+        red, pivots, order = modp.echelon_mod_p(m, p, transform=True)
+        want_pivots, want_order, want = python_gauss_jordan(m.tolist(), p)
+        assert pivots == want_pivots and order == want_order
+        nrows, ncols = m.shape
+        r = len(pivots)
+        got = red.tolist()
+        assert all(0 <= x < p for row in got for x in row)
+        for i in range(nrows):
+            # b's part, then the transform: row i's coefficients of the pivot
+            # rows' inputs in pivot order, and nothing past them
+            assert got[i][:ncols] == want[i][:ncols]
+            assert got[i][ncols : ncols + r] == [want[i][ncols + j] for j in order[:r]]
+            assert not any(got[i][ncols + r :])
+        # forward elimination finds the same pivots and pivot rows
+        _, fwd_pivots, fwd_order = modp.echelon_mod_p(m, p)
+        assert fwd_pivots == pivots and fwd_order[:r] == order[:r]
+
+    def test_prime_above_the_int64_kernel_rejected(self):
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            modp.echelon_mod_p(np.eye(3, dtype=np.int64), 2**31 + 11)
 
 
 class TestRankPaths:
