@@ -1,11 +1,19 @@
 """Braid-group action on consecutively generic vector tuples.
 
-All arithmetic is exact, with plain Fractions, because the checked
-relations are polynomial identities that floats would blur.  A tuple built
-from raw vectors computes its n cyclic window minors once, when it is
-built; the genericity checks and the denominators of ``sigma`` read them
-from there.  ``twisted_shift`` hands them on rotated, and ``sigma`` derives
-its image's minors from its input's, so neither recomputes them.
+All arithmetic is exact, because the checked relations are polynomial
+identities that floats would blur.  A tuple holds each vector v in one
+canonical integer form: the denominator q > 0, the lcm of the
+denominators of v's entries, and the int row a = q v, so that
+gcd(a, q) = 1.  Two vectors are equal exactly when their forms are, so
+tuples are compared on ints, and ``sigma``, ``twisted_shift`` and
+``plucker_proportional`` compute on ints; the Fraction entries
+(``vectors``) are built from them when first read.
+
+A tuple built from raw vectors computes its n cyclic window minors, as
+Fractions, once, when it is built; the genericity checks and the
+denominators of ``sigma`` read them from there.  ``twisted_shift`` hands
+them on rotated, and ``sigma`` derives its image's minors from its input's,
+so neither recomputes them.
 
 Write Delta_s for the minor of the window starting at s, and b for the
 first position of a pair that sigma moves.  An image window starting
@@ -20,8 +28,8 @@ Delta_b Delta_{b+2} / Delta_{b+1}.
 ``braid_property_check`` computes each sigma_i(t) once and reuses it in all
 three relations.  Two sides of a braid relation are compared as points of
 the Grassmannian without their C(n, k) Plücker coordinates: equal tuples
-are equal points, and otherwise the two k x n matrices are brought to
-reduced row echelon form, the canonical form of a row space.
+are equal points, and otherwise the ranks of the two k x n matrices and of
+the two stacked decide.
 """
 
 from __future__ import annotations
@@ -29,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch, NotGeneric
-from .linalg import det, rref
+from .linalg import _bareiss, det
 
 __all__ = [
     "check_shape",
@@ -57,40 +65,77 @@ def check_shape(k: int, n: int) -> None:
         raise BadParameters(f"vector tuples need 1 <= k <= n, got k={k}, n={n}")
 
 
-@dataclass(frozen=True)
+def _canonical(v) -> tuple[tuple[int, ...], int]:
+    """(a, q) with q > 0 the lcm of the denominators of v's entries and a = q v."""
+    if all(type(x) is int for x in v):
+        return tuple(v), 1
+    entries = [x if type(x) is Fraction else Fraction(x) for x in v]
+    q = lcm(*(x.denominator for x in entries))
+    return tuple(x.numerator * (q // x.denominator) for x in entries), q
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class VectorTuple:
-    """n vectors of length k over the rationals, indexed cyclically."""
+    """n vectors of length k over the rationals, indexed cyclically.
+
+    Vector i (0-based) is ``rows[i] / dens[i]`` in the canonical form of the
+    module docstring, so equality and hashing, which read (k, n, rows, dens),
+    agree with the Fraction vectors.  ``window_minors`` holds
+    det(v_i, ..., v_{i+k-1}) for i = 1..n, cyclic indices.  It is computed
+    from the vectors on construction, so that repeated checks of one tuple
+    do the same work; only a caller that derives them exactly passes them in
+    (``twisted_shift`` and ``sigma``), and then there must be n of them.
+    """
 
     k: int
     n: int
-    vectors: tuple[Vector, ...]
-    # det(v_i, ..., v_{i+k-1}) for i = 1..n, cyclic indices.  Computed from the
-    # vectors on construction, so that repeated checks of one tuple do the same
-    # work; only a caller that derives them exactly passes them in
-    # (``twisted_shift`` and ``sigma``), and then there must be n of them.
-    window_minors: tuple[Fraction, ...] | None = field(
-        default=None, compare=False, repr=False, kw_only=True
-    )
+    rows: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
+    window_minors: tuple[Fraction, ...] = field(compare=False, repr=False)
+    _vectors: tuple[Vector, ...] | None = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        check_shape(self.k, self.n)
-        if len(self.vectors) != self.n:
-            raise DimensionMismatch(f"expected {self.n} vectors, got {len(self.vectors)}")
-        vecs = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in self.vectors
-        )
-        object.__setattr__(self, "vectors", vecs)
-        if any(len(v) != self.k for v in vecs):
+    def __init__(self, k: int, n: int, vectors, *, window_minors=None):
+        check_shape(k, n)
+        if len(vectors) != n:
+            raise DimensionMismatch(f"expected {n} vectors, got {len(vectors)}")
+        forms = [_canonical(v) for v in vectors]
+        if any(len(a) != k for a, _ in forms):
             raise DimensionMismatch("all vectors must have length k")
-        if self.window_minors is None:
-            minors = tuple(
-                det([self.vec(i + t) for t in range(self.k)]) for i in range(1, self.n + 1)
+        rows = tuple(a for a, _ in forms)
+        dens = tuple(q for _, q in forms)
+        if window_minors is None:
+            window_minors = tuple(
+                _window_det(rows, dens, [(i + s) % n for s in range(k)]) for i in range(n)
             )
-            object.__setattr__(self, "window_minors", minors)
-        elif len(self.window_minors) != self.n:
-            raise DimensionMismatch(
-                f"expected {self.n} window minors, got {len(self.window_minors)}"
+        elif len(window_minors) != n:
+            raise DimensionMismatch(f"expected {n} window minors, got {len(window_minors)}")
+        self._fill(k, n, rows, dens, window_minors)
+
+    @classmethod
+    def _of(cls, k: int, n: int, rows, dens, window_minors) -> VectorTuple:
+        """A tuple from canonical forms and exact window minors, unchecked."""
+        t = object.__new__(cls)
+        t._fill(k, n, rows, dens, window_minors)
+        return t
+
+    def _fill(self, k, n, rows, dens, window_minors) -> None:
+        put = object.__setattr__
+        put(self, "k", k)
+        put(self, "n", n)
+        put(self, "rows", rows)
+        put(self, "dens", dens)
+        put(self, "window_minors", window_minors)
+        put(self, "_vectors", None)
+
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        """The vectors with Fraction entries, built on first access and kept."""
+        if self._vectors is None:
+            vecs = tuple(
+                tuple(Fraction(x, q) for x in a) for a, q in zip(self.rows, self.dens)
             )
+            object.__setattr__(self, "_vectors", vecs)
+        return self._vectors
 
     @property
     def d(self) -> int:
@@ -105,6 +150,14 @@ class VectorTuple:
         return self.window_minors[(start - 1) % self.n]
 
 
+def _window_det(rows, dens, idx) -> Fraction:
+    """det of the vectors at 0-based positions ``idx``: det of their int rows
+    over the product of their denominators."""
+    m = det([rows[j] for j in idx])
+    q = prod(dens[j] for j in idx)
+    return m if q == 1 else m / q
+
+
 def is_consecutively_generic(t: VectorTuple) -> bool:
     """All n cyclic k x k minors are nonzero."""
     return all(t.window_minors)
@@ -112,13 +165,15 @@ def is_consecutively_generic(t: VectorTuple) -> bool:
 
 def twisted_shift(t: VectorTuple) -> VectorTuple:
     """rho: rotate left, the wrapped vector picking up the sign (-1)^(k-1)."""
-    sign = (-1) ** (t.k - 1)
-    rotated = t.vectors[1:] + (tuple(sign * x for x in t.vectors[0]),)
+    k, n, rows, w = t.k, t.n, t.rows, t.window_minors
     # Window i of the image is window i+1 of t, with v_1 scaled by the sign
     # in the last k windows, the ones that wrap past position n.
-    w = t.window_minors
-    minors = tuple(w[(i + 1) % t.n] * (sign if i >= t.n - t.k else 1) for i in range(t.n))
-    return VectorTuple(t.k, t.n, rotated, window_minors=minors)
+    if k % 2:
+        first, minors = rows[0], w[1:] + w[:1]
+    else:
+        first = tuple(-x for x in rows[0])
+        minors = w[1 : n - k + 1] + tuple(-x for x in w[n - k + 1 :] + w[:1])
+    return VectorTuple._of(k, n, rows[1:] + (first,), t.dens[1:] + t.dens[:1], minors)
 
 
 def sigma(i: int, t: VectorTuple) -> VectorTuple:
@@ -127,7 +182,8 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
     Window positions i, i+1 become v_{i+1}, w with
     w = (det(v_i, v_{i+2}, ..., v_{i+k}) / det(v_{i+1}, ..., v_{i+k})) v_{i+1} - v_i,
     everything computed from the input tuple; other positions are untouched.
-    The n/d numerators are the only determinants: for each moved pair at
+    The n/d numerators are the only determinants, each of the k int rows,
+    over the product of their denominators: for each moved pair at
     b = i + j d, the image's window minor at b + 1 is
     Delta_b Delta_{b+2} / Delta_{b+1} (the Plücker relation, see the module
     docstring) and every other window minor is the input's.
@@ -137,27 +193,45 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
         raise BadParameters(f"need 1 <= i <= gcd(k,n)-1 = {d - 1}, got {i}")
     if not is_consecutively_generic(t):
         raise NotGeneric("sigma requires a consecutively generic tuple")
-    new_vectors = list(t.vectors)
-    minors = list(t.window_minors)
-    for j in range(t.n // d):
-        base = i + j * d
-        denominator = t.window_minor(base + 1)
-        numerator = det([t.vec(base)] + [t.vec(base + s) for s in range(2, t.k + 1)])
-        ratio = numerator / denominator
-        w = tuple(ratio * a - b for a, b in zip(t.vec(base + 1), t.vec(base)))
-        new_vectors[(base - 1) % t.n] = t.vec(base + 1)
-        new_vectors[base % t.n] = w
-        # the window starting at base + 1; every other window keeps its minor
-        minors[base % t.n] = t.window_minor(base) * t.window_minor(base + 2) / denominator
-    return VectorTuple(t.k, t.n, tuple(new_vectors), window_minors=tuple(minors))
+    k, n, rows, dens, window = t.k, t.n, t.rows, t.dens, t.window_minors
+    new_rows, new_dens, minors = list(rows), list(dens), list(window)
+    for j in range(n // d):
+        b0 = (i + j * d - 1) % n  # 0-based positions of v_b and v_{b+1}
+        b1 = (b0 + 1) % n
+        idx = [b0] + [(b0 + s) % n for s in range(2, k + 1)]
+        numerator = det([rows[s] for s in idx]).numerator
+        denominator = window[b1]
+        # ratio = numerator / (prod of idx's dens) / denominator, and
+        # w = ratio a1 / q1 - a0 / q0 = (x a1 - y a0) / (y q0)
+        (a0, q0), (a1, q1) = (rows[b0], dens[b0]), (rows[b1], dens[b1])
+        x = numerator * denominator.denominator * q0
+        y = prod(dens[s] for s in idx) * denominator.numerator * q1
+        w = [x * u - y * v for u, v in zip(a1, a0)]
+        g = gcd(y * q0, *w)
+        if y < 0:
+            g = -g
+        new_rows[b0], new_dens[b0] = a1, q1
+        new_rows[b1], new_dens[b1] = tuple(e // g for e in w), y * q0 // g
+        # the window starting at b + 1; every other window keeps its minor
+        p, r = window[b0], window[(b0 + 2) % n]
+        minors[b1] = Fraction(
+            p.numerator * r.numerator * denominator.denominator,
+            p.denominator * r.denominator * denominator.numerator,
+        )
+    return VectorTuple._of(k, n, tuple(new_rows), tuple(new_dens), tuple(minors))
 
 
 def plucker_vector(t: VectorTuple) -> tuple[Fraction, ...]:
     """All C(n, k) maximal minors of the k x n matrix, subsets in lex order."""
     return tuple(
-        det([t.vectors[j] for j in subset])
-        for subset in combinations(range(t.n), t.k)
+        det([t.vec(j) for j in subset])
+        for subset in combinations(range(1, t.n + 1), t.k)
     )
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix by Bareiss elimination, on a copy."""
+    return _bareiss([list(r) for r in rows])[0]
 
 
 def plucker_proportional(a: VectorTuple, b: VectorTuple) -> bool:
@@ -166,20 +240,25 @@ def plucker_proportional(a: VectorTuple, b: VectorTuple) -> bool:
     Equal tuples are proportional at once.  Otherwise the Plücker vectors of
     the k x n matrices A, B (the vectors as columns) are proportional exactly
     when both vanish (rank < k) or both ranks are k and A, B have the same
-    row space, that is the same reduced row echelon form.  Tuples of
-    different shapes raise DimensionMismatch.
+    row space, that is when the stacked [A; B] has rank k.  Scaling a column
+    keeps a rank, so each is the rank of n integer rows: a's rows for A,
+    and (v_j, u_j) scaled by the lcm of their denominators for [A; B].
+    Tuples of different shapes raise DimensionMismatch.
     """
     if (a.k, a.n) != (b.k, b.n):
         raise DimensionMismatch(
             f"Plücker vectors of Gr({a.k},{a.n}) and Gr({b.k},{b.n}) are not comparable"
         )
-    if a.vectors == b.vectors:
+    if a == b:
         return True
-    (ra, pa), (rb, pb) = (rref([list(r) for r in zip(*t.vectors)]) for t in (a, b))
-    full_a, full_b = len(pa) == a.k, len(pb) == b.k
+    full_a, full_b = _rank(a.rows) == a.k, _rank(b.rows) == b.k
     if not (full_a and full_b):
         return full_a == full_b  # both Plücker vectors zero, or just one
-    return ra == rb
+    stacked = []
+    for u, p, v, q in zip(a.rows, a.dens, b.rows, b.dens):
+        m = lcm(p, q)
+        stacked.append([x * (m // p) for x in u] + [x * (m // q) for x in v])
+    return _rank(stacked) == a.k
 
 
 @dataclass(frozen=True)
@@ -232,19 +311,19 @@ def braid_property_check(t: VectorTuple) -> BraidCheckReport:
     shifted = rho_d(t)
     periodicity = {}
     for i in range(1, d):
-        periodicity[i] = sigma(i, shifted).vectors == rho_d(once[i]).vectors
+        periodicity[i] = sigma(i, shifted) == rho_d(once[i])
 
     commutation = {}
     for i in range(1, d):
         for j in range(i + 2, d):
-            commutation[(i, j)] = sigma(i, once[j]).vectors == sigma(j, once[i]).vectors
+            commutation[(i, j)] = sigma(i, once[j]) == sigma(j, once[i])
 
     braid_tuple, braid_pluck = {}, {}
     for i in range(1, d - 1):
         j = i + 1
         left = sigma(i, sigma(j, once[i]))
         right = sigma(j, sigma(i, once[j]))
-        braid_tuple[(i, j)] = left.vectors == right.vectors
+        braid_tuple[(i, j)] = left == right
         braid_pluck[(i, j)] = plucker_proportional(left, right)
 
     return BraidCheckReport(d, True, periodicity, commutation, braid_tuple, braid_pluck)
@@ -263,10 +342,7 @@ def random_tuple(k: int, n: int, rng: np.random.Generator, bound: int = 9) -> Ve
     """
     check_shape(k, n)
     for _ in range(RANDOM_TUPLE_ATTEMPTS):
-        vecs = tuple(
-            tuple(Fraction(int(x)) for x in rng.integers(-bound, bound + 1, size=k))
-            for _ in range(n)
-        )
+        vecs = tuple(tuple(rng.integers(-bound, bound + 1, size=k).tolist()) for _ in range(n))
         t = VectorTuple(k, n, vecs)
         if is_consecutively_generic(t):
             return t

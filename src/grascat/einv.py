@@ -79,6 +79,14 @@ class TwoTermComplex:
             if not all(isinstance(x, Rational) for x in coeffs):
                 raise BadParameters(f"block ({t},{s}) has a non-rational coefficient: {coeffs}")
 
+    @classmethod
+    def _unchecked(cls, algebra: Algebra, neg, pos, blocks) -> TwoTermComplex:
+        """A complex whose blocks are known to have the right sizes and int
+        coefficients, built without the constructor's checks."""
+        h = object.__new__(cls)
+        h.__dict__.update(algebra=algebra, neg=neg, pos=pos, blocks=blocks)
+        return h
+
 
 def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int]]:
     return [
@@ -302,7 +310,8 @@ def random_complex(
     blocks = {}
     for key, start, end in spans:
         blocks[key] = tuple(coeffs[start:end])
-    return TwoTermComplex(algebra, neg, pos, blocks)
+    # Each block has hom_dim ints, so the constructor's checks would pass.
+    return TwoTermComplex._unchecked(algebra, neg, pos, blocks)
 
 
 def resolve_master_seed(master_seed: int | None = None) -> int:

@@ -42,14 +42,22 @@ __all__ = [
 ]
 
 
+_INT = frozenset((int,))
+
+
 def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Integer rows and their scales: row i of the input is rows[i] / scales[i].
 
     Entries are ints or Fractions; each row is multiplied by the lcm of its
-    own denominators, with integer arithmetic only.
+    own denominators, with integer arithmetic only.  A row of plain ints is
+    copied as it is.
     """
     out, scales = [], []
     for row in rows:
+        if _INT.issuperset(map(type, row)):
+            out.append(list(row))
+            scales.append(1)
+            continue
         dens = [x.denominator for x in row]
         d = lcm(*dens)
         if d == 1:
@@ -199,9 +207,11 @@ def _certified_rank(b: np.ndarray | Sequence[Sequence[int]]) -> int | None:
     norms = (a * a).sum(axis=1).tolist() + [int((residual * residual).sum(axis=1).max())]
     limit = 2 * prod(max(1, x) for x in norms)
     lifted = [[0] * r for _ in rest]  # y mod `modulus`, one row per relation
-    pending = list(range(len(rest)))
-    modulus = 1
-    while pending:
+    # All relations are lifted together, and one that reconstructs at some
+    # modulus reconstructs at every larger one.  So each step tries them in
+    # order and stops at the first failure: relations [0, proved) are proved.
+    proved, modulus = 0, 1
+    while proved < len(rest):
         # x = residual a^-1 mod p, its sums of r products below r (p-1)^2 <
         # 2^63 (`rank_int` guards r); then residual <- (residual - x a) / p.
         x = (residual % p) @ inv % p
@@ -209,8 +219,11 @@ def _certified_rank(b: np.ndarray | Sequence[Sequence[int]]) -> int | None:
         for i, row in enumerate(x.tolist()):
             lifted[i] = [u + v * modulus for u, v in zip(lifted[i], row)]
         modulus *= p
-        pending = [i for i in pending if not _exact_relation(targets[i], sparse, lifted[i], modulus)]
-        if pending and modulus > limit:
+        while proved < len(rest) and _exact_relation(
+            targets[proved], sparse, lifted[proved], modulus
+        ):
+            proved += 1
+        if proved < len(rest) and modulus > limit:
             return None
     return r
 

@@ -267,7 +267,7 @@ def test_criterion_08_profiles(seed36, seed39, seed48):
 
 
 def test_criterion_09_braid_relations():
-    with Budget(9, "braid action relations", 2.0):
+    with Budget(9, "braid action relations", 1.0):
         verdict_counts = {"tuple": 0, "plucker": 0}
         for k, n in [(3, 9), (4, 8)]:
             for trial in range(100):

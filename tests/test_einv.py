@@ -122,6 +122,14 @@ class TestEPair:
         with pytest.raises(BadParameters, match="0.5"):
             t1_with_first_coefficient(alg39, seed39, 0.5)
 
+    def test_block_of_the_wrong_size_is_rejected(self, alg39, seed39):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        f = random_complex(alg39, neg, pos, np.random.default_rng(54))
+        key = min(f.blocks)
+        for coeffs in (f.blocks[key] + (1,), f.blocks[key][:-1]):
+            with pytest.raises(BadParameters, match="coefficients, expected"):
+                TwoTermComplex(alg39, neg, pos, {**f.blocks, key: coeffs})
+
     @pytest.mark.parametrize("fld", ["Q", "F_p", "", "RATIONAL"])
     def test_unknown_field_is_an_error(self, alg39, seed39, fld):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
@@ -336,7 +344,9 @@ class TestOneDrawPerComplex:
                 pos = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(1, 5)))
                 one, per_block = np.random.default_rng([master, idx]), np.random.default_rng([master, idx])
                 got = random_complex(alg, neg, pos, one, field)
-                assert got.blocks == per_block_complex(alg, neg, pos, per_block, field).blocks
+                # built without the constructor's checks, equal to one built with them
+                assert got == per_block_complex(alg, neg, pos, per_block, field)
+                assert got == TwoTermComplex(alg, got.neg, got.pos, got.blocks)
                 # the two leave the stream at the same place
                 assert one.integers(0, 2**31, size=3).tolist() == per_block.integers(0, 2**31, size=3).tolist()
 

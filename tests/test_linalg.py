@@ -243,6 +243,27 @@ class TestModularRank:
             assert rank_int(m) == bareiss_rank(m.tolist()) == side - 3
         assert certified == [40]
 
+    def test_at_most_one_failed_reconstruction_per_step(self, monkeypatch):
+        # Each lifting step tries the pending relations in order and stops at
+        # the first failure; a proved relation is never tried again.
+        tries = []
+
+        def spy(target, sparse, y, modulus):
+            ok = _exact_relation(target, sparse, y, modulus)
+            tries.append((modulus, ok))
+            return ok
+
+        monkeypatch.setattr(linalg, "_exact_relation", spy)
+        rng = np.random.default_rng(210)
+        for bound in (1, 3):
+            for deficiency in (1, 4):
+                m = known_rank_matrix(rng, 40, 57, 40 - deficiency, bound=bound)
+                tries.clear()
+                assert _certified_rank(m.tolist()) == bareiss_rank(m.tolist()) == 40 - deficiency
+                failed = [modulus for modulus, ok in tries if not ok]
+                assert failed and len(failed) == len(set(failed))
+                assert sum(ok for _, ok in tries) == deficiency
+
     def test_huge_entry_takes_bareiss(self):
         m = np.eye(45, dtype=object)
         m[0, 1] = 2**63
