@@ -42,7 +42,7 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch, NotGeneric
-from .linalg import _bareiss, det
+from .linalg import det, rank_int
 
 __all__ = [
     "check_shape",
@@ -81,10 +81,10 @@ class VectorTuple:
     Vector i (0-based) is ``rows[i] / dens[i]`` in the canonical form of the
     module docstring, so equality and hashing, which read (k, n, rows, dens),
     agree with the Fraction vectors.  ``window_minors`` holds
-    det(v_i, ..., v_{i+k-1}) for i = 1..n, cyclic indices.  It is computed
-    from the vectors on construction, so that repeated checks of one tuple
-    do the same work; only a caller that derives them exactly passes them in
-    (``twisted_shift`` and ``sigma``), and then there must be n of them.
+    det(v_i, ..., v_{i+k-1}) for i = 1..n, cyclic indices.  The constructor
+    computes them from the vectors, so that repeated checks of one tuple do
+    the same work; ``twisted_shift`` and ``sigma``, which derive them
+    exactly, build through ``_of`` instead.
     """
 
     k: int
@@ -94,7 +94,7 @@ class VectorTuple:
     window_minors: tuple[Fraction, ...] = field(compare=False, repr=False)
     _vectors: tuple[Vector, ...] | None = field(compare=False, repr=False)
 
-    def __init__(self, k: int, n: int, vectors, *, window_minors=None):
+    def __init__(self, k: int, n: int, vectors):
         check_shape(k, n)
         if len(vectors) != n:
             raise DimensionMismatch(f"expected {n} vectors, got {len(vectors)}")
@@ -103,12 +103,9 @@ class VectorTuple:
             raise DimensionMismatch("all vectors must have length k")
         rows = tuple(a for a, _ in forms)
         dens = tuple(q for _, q in forms)
-        if window_minors is None:
-            window_minors = tuple(
-                _window_det(rows, dens, [(i + s) % n for s in range(k)]) for i in range(n)
-            )
-        elif len(window_minors) != n:
-            raise DimensionMismatch(f"expected {n} window minors, got {len(window_minors)}")
+        window_minors = tuple(
+            _window_det(rows, dens, [(i + s) % n for s in range(k)]) for i in range(n)
+        )
         self._fill(k, n, rows, dens, window_minors)
 
     @classmethod
@@ -229,11 +226,6 @@ def plucker_vector(t: VectorTuple) -> tuple[Fraction, ...]:
     )
 
 
-def _rank(rows) -> int:
-    """Rank of an integer matrix by Bareiss elimination, on a copy."""
-    return _bareiss([list(r) for r in rows])[0]
-
-
 def plucker_proportional(a: VectorTuple, b: VectorTuple) -> bool:
     """Equality as points of the Grassmannian: proportional Plücker vectors.
 
@@ -251,14 +243,14 @@ def plucker_proportional(a: VectorTuple, b: VectorTuple) -> bool:
         )
     if a == b:
         return True
-    full_a, full_b = _rank(a.rows) == a.k, _rank(b.rows) == b.k
+    full_a, full_b = rank_int(a.rows) == a.k, rank_int(b.rows) == b.k
     if not (full_a and full_b):
         return full_a == full_b  # both Plücker vectors zero, or just one
     stacked = []
     for u, p, v, q in zip(a.rows, a.dens, b.rows, b.dens):
         m = lcm(p, q)
         stacked.append([x * (m // p) for x in u] + [x * (m // q) for x in v])
-    return _rank(stacked) == a.k
+    return rank_int(stacked) == a.k
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,9 @@ def render_hom_table(key: str) -> str:
 
 def render_kr_grid(k: int = 5, ell: int = 3) -> str:
     lines = [f"kirillov-reshetikhin subsets, k={k} ell={ell} (columns i=1..{k - 1})"]
-    columns = [hl._column_levels(i, -2 * ell - 2) for i in range(1, k)]
+    # each column's mutable levels, top first, then its frozen one
+    mutable, frozen = hl.gamma_vertices(k, -2 * ell - 2)
+    columns = [[m for j, m in mutable + frozen if j == i] for i in range(1, k)]
     for row in zip(*columns):
         lines.append("".join(str(hl.kr_subset(i, m, k, ell)).rjust(2 * k + 2)
                              for i, m in enumerate(row, 1)))

@@ -17,13 +17,7 @@ from functools import lru_cache
 from . import fixtures
 from .cluster import Quiver, grassmannian_initial_seed, mutate_quiver
 from .cmcat import KSubset
-from .einv import (
-    ConjecturalBool,
-    EValueReport,
-    _check_field,
-    generic_e_pair,
-    generic_e_pair_parts,
-)
+from .einv import ConjecturalBool, generic_e_pair, generic_e_pair_parts
 from .errors import BadParameters, OutOfRange
 from .gvec import g_vector
 from .qpa import Algebra, QuiverWithPotential, build_algebra, triangle_qp
@@ -290,16 +284,10 @@ def kr_compatible(
     Over the tame Grassmannians this runs the e-invariant test on the
     g-vectors of the two kernel labels; elsewhere it falls back to the
     two-term presentations over the truncated quiver's Jacobian algebra.
+    Identical labels are sampled like any other pair.
     """
     s1 = kernel_subset(i1, m1, v1, k, ell)
     s2 = kernel_subset(i2, m2, v2, k, ell)
-    # the shortcut below must reject what the sampled paths reject
-    _check_field(field)
-    if samples <= 0:
-        raise BadParameters("sample count must be positive")
-    if s1 == s2:
-        # identical rank-one labels: the same cluster variable, rigid
-        return ConjecturalBool(True, EValueReport(0, True, 0, field))
     n = k + ell + 1
     key = next((key for key, shape in fixtures.TAME.items() if shape == (k, n)), None)
     if key is not None:

@@ -60,10 +60,7 @@ def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
             continue
         dens = [x.denominator for x in row]
         d = lcm(*dens)
-        if d == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (d // e) for x, e in zip(row, dens)])
+        out.append([x.numerator * (d // e) for x, e in zip(row, dens)])
         scales.append(d)
     return out, scales
 

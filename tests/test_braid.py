@@ -245,12 +245,6 @@ class TestGenericity:
                 assert x.window_minors == want, (k, n)
                 assert [x.window_minor(i) for i in range(1, n + 1)] == list(want)
 
-    def test_window_minors_length_checked(self):
-        vecs = ((1, 0), (1, 0), (1, 1), (1, -1))  # true minors include 0
-        for minors in ((), (1, 1, 1), (1, 1, 1, 1, 1)):
-            with pytest.raises(DimensionMismatch, match="window minors"):
-                VectorTuple(2, 4, vecs, window_minors=minors)
-
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatch):
             frac_tuple(2, 3, [(1, 0), (0, 1)])

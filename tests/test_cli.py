@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import qp_from_json
 from grascat import einv, fixtures, hl
 from grascat import tableaux as tb
-from grascat.cli import main
+from grascat.cli import main, render_kr_grid
 from grascat.cluster import Quiver, Seed, grassmannian_initial_seed
 from grascat.errors import GrascatError
 from grascat.gvec import GVector
@@ -408,6 +408,16 @@ class TestGoldenTables:
         code, out, _ = run(capsys, "paper-tables", "--format", "table", "--which", which)
         assert code == 0
         assert out == read_golden(f"{which}.txt")
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_kr_grid_reads_the_column_levels(self, k):
+        # rows of the grid are the columns' levels, top first, as hl lays them out
+        for ell in range(6):
+            columns = [hl._column_levels(i, -2 * ell - 2) for i in range(1, k)]
+            want = [f"kirillov-reshetikhin subsets, k={k} ell={ell} (columns i=1..{k - 1})"]
+            want += ["".join(str(hl.kr_subset(i, m, k, ell)).rjust(2 * k + 2)
+                             for i, m in enumerate(row, 1)) for row in zip(*columns)]
+            assert render_kr_grid(k, ell) == "\n".join(want) + "\n", ell
 
     def test_json_wrapper(self, capsys):
         code, out, _ = run(capsys, "paper-tables", "--which", "hom39")

@@ -259,13 +259,22 @@ class TestCompatibility:
         assert a == b
         assert kr_compatible(1, -2, 1, 1, -2, 1, 3, 5, samples=3, master_seed=0)
 
+    @pytest.mark.parametrize("k, ell", [(3, 5), (3, 3)])  # Grassmannian, then Gamma route
+    def test_identical_labels_are_sampled(self, k, ell):
+        # the same rank-one label twice: one sample certifies E = 0
+        for i, m, v in kernel_params(k, ell):
+            result = kr_compatible(v, m, i, v, m, i, k, ell, samples=3, master_seed=0)
+            report = result.report
+            assert result.verdict and report.value == 0 and report.certified, (i, m, v)
+            assert report.samples == 1 and report.witness is not None
+
     def test_identical_labels_check_the_field(self):
-        # the identical-label shortcut used to certify any field name
+        # identical labels take the sampled route, whose field check rejects "Q"
         with pytest.raises(BadParameters, match="field"):
             kr_compatible(1, -4, 1, 1, -4, 1, 4, 3, samples=2, field="Q")
 
     def test_identical_labels_check_the_sample_count(self):
-        # distinct labels raise on samples=0; the shortcut used to report it
+        # identical labels take the sampled route, which rejects samples=0
         with pytest.raises(BadParameters, match="sample count"):
             kr_compatible(1, -4, 1, 1, -4, 1, 4, 3, samples=0)
 

@@ -4,7 +4,9 @@ The benchmark's trace mode wraps each layer of `perfbench/tracer.py`'s
 LAYERS in the loaded grascat module of that name, so deleting or renaming
 one breaks `perfbench/run.py --trace 1`; every name a module lists in
 `__all__` must exist too.  Every name a module imports must also be used
-in it, so that deleting the last caller of a name removes its import.
+in it, so that deleting the last caller of a name removes its import.  No
+library module imports or reads another module's `_` names, so that
+modules meet only at public names.
 Every function, method and class the library defines must have a caller in
 the library or the benchmark, so that a name only the tests reach moves
 into the tests.
@@ -77,6 +79,57 @@ def test_unused_imports_are_found():
 )
 def test_every_import_is_used(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reaches(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(path, "module._name") for each private name one module takes from another.
+
+    `sources` maps a path to its source.  A reach is `from .m import _x`, or
+    a read of `m._x` where `from . import m [as alias]` bound the name.
+    Dunder names and a module's own `_` names do not count.
+    """
+    found = []
+    for path, source in sources.items():
+        own = Path(path).stem
+        tree = ast.parse(source)
+        bound = {}  # local name -> module it stands for
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:
+                    bound.update((a.asname or a.name, a.name)
+                                 for a in node.names if a.name != own)
+                elif node.module != own:
+                    found += [(path, f"{node.module}.{a.name}")
+                              for a in node.names if _private(a.name)]
+        found += [
+            (path, f"{bound[node.value.id]}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound and _private(node.attr)
+        ]
+    return sorted(found)
+
+
+def test_private_reaches_are_found():
+    sources = {
+        "a.py": "from .b import _x, y, __version__\n"
+                "from . import c, d as e, a\n"
+                "c._f(); e._g; c.h; c.__name__; a._own; self._attr; d._unbound\n",
+        "b.py": "from .b import _own\nfrom .c import _y as y\n",
+    }
+    assert private_reaches(sources) == [
+        ("a.py", "b._x"), ("a.py", "c._f"), ("a.py", "d._g"), ("b.py", "c._y"),
+    ]
+
+
+def test_no_module_reaches_into_another():
+    library = {p.relative_to(PACKAGE).as_posix(): p.read_text()
+               for p in sorted(PACKAGE.rglob("*.py"))}
+    assert private_reaches(library) == []
 
 
 def names_read(tree: ast.AST):
