@@ -9,11 +9,17 @@ estimates (the paper's positivity arguments are symbolic).
 The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos)
 into COO arrays over the algebra's int structure constants, and cached.
 Columns that no term touches are zero for every pair of complexes; they are
-dropped at compile time, which keeps both ranks.  A sample writes the
-complexes' coefficients, cleared of denominators (over Q) or reduced mod p,
+dropped at compile time, which keeps both ranks.  Each complex carries its
+slot vector: its coefficients in block order, cleared of denominators (over
+Q) or reduced mod p, made once per field and kept on it; a sampled complex's
+one draw is already that vector.  A pair concatenates g's and f's vectors
 into the operator's slot vector and scatters them into an int64 matrix, or
 into exact Python ints when an entry could reach 2^63.  The matrix goes to
 the rank kernel as an array.
+
+Sample idx draws from the stream (master seed, idx, stream id).  The seed
+sequences of those streams are cached, and each draw gets a fresh PCG64
+generator on its sequence: the same bits as ``np.random.default_rng``.
 """
 
 from __future__ import annotations
@@ -62,6 +68,8 @@ class TwoTermComplex:
     blocks[(t, s)] holds the coefficients of the (s -> t) component over the
     hom basis of (neg[s], pos[t]); missing entries mean zero.  Coefficients
     are ints or Fractions; a float is rejected, so none reaches a certificate.
+    The blocks are read once per field, into a slot vector kept on the
+    complex outside its fields (`_slot_vector`), so they must not change.
     """
 
     algebra: Algebra
@@ -80,11 +88,13 @@ class TwoTermComplex:
                 raise BadParameters(f"block ({t},{s}) has a non-rational coefficient: {coeffs}")
 
     @classmethod
-    def _unchecked(cls, algebra: Algebra, neg, pos, blocks) -> TwoTermComplex:
+    def _unchecked(cls, algebra: Algebra, neg, pos, blocks, field: str, slots) -> TwoTermComplex:
         """A complex whose blocks are known to have the right sizes and int
-        coefficients, built without the constructor's checks."""
+        coefficients, built without the constructor's checks, with `slots`
+        as its `_slot_vector` over `field`."""
         h = object.__new__(cls)
-        h.__dict__.update(algebra=algebra, neg=neg, pos=pos, blocks=blocks)
+        h.__dict__.update(algebra=algebra, neg=neg, pos=pos, blocks=blocks,
+                          _slots={field: slots})
         return h
 
 
@@ -102,38 +112,58 @@ def _check_field(field: str) -> None:
         raise BadParameters(f"field must be {RATIONAL!r} or {FP!r}, got {field!r}")
 
 
-def _int_blocks(h: TwoTermComplex, field: str) -> dict[tuple[int, int], list[int]]:
-    """h's block coefficients as ints, keyed like h.blocks.
-
-    Over Q they are multiplied by h's one common denominator, which scales
-    whole columns of the homotopy matrix and so keeps its rank.  Over F_p
-    each is its numerator times its inverse denominator, for the caller to
-    reduce; a denominator divisible by p raises ValueError.
-    """
-    dens = {int(x.denominator) for coeffs in h.blocks.values() for x in coeffs}
-    scale = lcm(*dens)
-    factor = {d: scale // d if field == RATIONAL else pow(d, -1, modp.PRIME) for d in dens}
-    return {
-        key: [int(x.numerator) * factor[x.denominator] for x in coeffs]
-        for key, coeffs in h.blocks.items()
-    }
-
-
-def _block_starts(alg: Algebra, neg, pos, offset: int) -> tuple[dict[tuple[int, int], int], int]:
-    """Start of each (t, s) block of a complex on (neg, pos) in a flat vector."""
-    start = {}
+@lru_cache(maxsize=1024)
+def _block_layout(alg: Algebra, neg, pos) -> tuple[tuple, int]:
+    """Slot order of a complex on (neg, pos): (key, start, end) of each block
+    (t, s) with a nonzero hom basis, t over pos and s over neg inside it, and
+    the total width."""
+    spans, width = [], 0
     for t, tp in enumerate(pos):
         for s, sn in enumerate(neg):
-            start[(t, s)], offset = offset, offset + alg.hom_dim(sn, tp)
-    return start, offset
+            dim = alg.hom_dim(sn, tp)
+            if dim:
+                spans.append(((t, s), width, width + dim))
+                width += dim
+    return tuple(spans), width
+
+
+def _slot_vector(h: TwoTermComplex, field: str) -> tuple[np.ndarray, int]:
+    """h's int coefficients in slot order, and their largest |x|; kept on h.
+
+    Slot order is that of `_block_layout`, with zeros for a missing block.
+    Over Q the coefficients are multiplied by the lcm of h's denominators,
+    which scales whole columns of the homotopy matrix and so keeps its rank.
+    Over F_p each is its numerator times its inverse denominator, reduced
+    into [0, p); a denominator divisible by p raises ValueError.  The
+    read-only vector is int64 when every |x| is below 2^63, and exact Python
+    ints (dtype object) otherwise.
+    """
+    kept = h.__dict__.setdefault("_slots", {})
+    if field not in kept:
+        dens = {int(x.denominator) for coeffs in h.blocks.values() for x in coeffs}
+        scale = lcm(*dens)
+        factor = {d: scale // d if field == RATIONAL else pow(d, -1, modp.PRIME) for d in dens}
+        spans, width = _block_layout(h.algebra, h.neg, h.pos)
+        x = [0] * width
+        for key, start, end in spans:
+            coeffs = h.blocks.get(key)
+            if coeffs:
+                x[start:end] = [int(c.numerator) * factor[c.denominator] for c in coeffs]
+        if field == FP:
+            x = [v % modp.PRIME for v in x]
+        top = max(map(abs, x), default=0)
+        vec = np.array(x, dtype=np.int64 if top < 2**63 else object)
+        vec.flags.writeable = False
+        kept[field] = vec, top
+    return kept[field]
 
 
 @dataclass(frozen=True)
 class _Operator:
     """The homotopy map (u, v) -> g∘u + v∘f, compiled for one pair of shapes.
 
-    A pair of complexes is one flat int vector x: g's block coefficients,
-    then f's, block (t, s) from g_start or f_start.  Entry flat[k] of the
+    A pair of complexes is one flat int vector x: g's slot vector, then
+    f's (`_slot_vector`).  Entry flat[k] of the
     row-major rows × cols matrix gets coeff[k] * x[slot[k]], summed over k;
     coeff is an int structure constant of the algebra.  No entry takes more
     than `bound` (the largest sum of |coeff| into one entry) times max|x|.
@@ -143,9 +173,6 @@ class _Operator:
     rows: int
     cols: int
     columns: np.ndarray
-    g_start: dict[tuple[int, int], int]
-    f_start: dict[tuple[int, int], int]
-    width: int
     flat: np.ndarray
     slot: np.ndarray
     coeff: np.ndarray
@@ -165,8 +192,9 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     for s, sn in enumerate(f_neg):
         for t, tp in enumerate(g_pos):
             row0[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
-    g_start, width = _block_starts(alg, g_neg, g_pos, 0)
-    f_start, width = _block_starts(alg, f_neg, f_pos, width)
+    g_spans, g_width = _block_layout(alg, g_neg, g_pos)
+    g_start = {key: start for key, start, _ in g_spans}
+    f_start = {key: g_width + start for key, start, _ in _block_layout(alg, f_neg, f_pos)[0]}
     terms = []  # (row, col, slot, coeff)
     col = 0
     for s, r, c in _hom_coordinates(alg, f_neg, g_neg):
@@ -191,8 +219,7 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     np.add.at(load, flat, np.abs(coeff))
     for arr in (columns, flat, slot, coeff):
         arr.flags.writeable = False  # every caller of the cache shares them
-    return _Operator(rows, cols, columns, g_start, f_start, width, flat, slot, coeff,
-                     int(load.max(initial=0)))
+    return _Operator(rows, cols, columns, flat, slot, coeff, int(load.max(initial=0)))
 
 
 def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -200,32 +227,26 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
 
     The map comes from `_operator`, an lru_cache keyed on the Algebra object
     (by identity, so two algebras never share an operator) and the four
-    summand tuples.  The int block coefficients of g and then f fill its
-    slot vector x, and one np.add.at scatters coeff * x[slot] into a zeroed
+    summand tuples.  Its slot vector x is g's `_slot_vector` followed by
+    f's, each made once per complex and field (over F_p, reduced into
+    [0, p)), and one np.add.at scatters coeff * x[slot] into a zeroed
     rows × cols matrix.  The matrix is int64 when max|x| times the
     operator's bound is below 2^63, and exact Python ints (dtype object)
-    otherwise, so nothing overflows.  Over F_p, x is reduced into [0, p)
-    and the matrix mod p goes to `modp.rank_mod_p`; over Q its transpose
-    goes to `rank_int`, as an array.
+    otherwise, so nothing overflows.  Over F_p the matrix mod p goes to
+    `modp.rank_mod_p`; over Q its transpose goes to `rank_int`, as an array.
     """
     _check_field(field)
     if f.algebra is not g.algebra:
         raise AlgebraMismatch("complexes live over different algebras")
     op = _operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
-    x = [0] * op.width
-    for h, start in ((g, op.g_start), (f, op.f_start)):
-        blocks = _int_blocks(h, field)
-        for key, base in start.items():
-            coeffs = blocks.get(key)
-            if coeffs:
-                x[base : base + len(coeffs)] = coeffs
-    if field == FP:
-        x = [v % modp.PRIME for v in x]
+    gx, g_top = _slot_vector(g, field)
+    fx, f_top = _slot_vector(f, field)
     if op.rows == 0 or op.cols == 0:
         return op.rows
-    dtype = np.int64 if max(map(abs, x), default=0) * op.bound < 2**63 else object
+    dtype = np.int64 if max(g_top, f_top) * op.bound < 2**63 else object
+    x = np.concatenate((gx, fx)).astype(dtype, copy=False)
     m = np.zeros(op.rows * op.cols, dtype=dtype)
-    np.add.at(m, op.flat, op.coeff * np.array(x, dtype=dtype)[op.slot])
+    np.add.at(m, op.flat, op.coeff * x[op.slot])
     m = m.reshape(op.rows, op.cols)
     if field == RATIONAL:
         return op.rows - rank_int(m.T)
@@ -295,23 +316,20 @@ def random_complex(
 
     One draw covers every nonzero block, split in block order (t outer, s
     inner).  Each of these bounded draws takes its own 32-bit outputs of the
-    generator in turn, so the blocks are those of one draw per block.
+    generator in turn, so the blocks are those of one draw per block.  The
+    draw is in slot order with ints already in range, so it is kept as the
+    complex's `_slot_vector` over `field`, with the draw's largest |x|.
     """
     _check_field(field)
-    spans, total = [], 0
-    for t, pt in enumerate(pos):
-        for s, sn in enumerate(neg):
-            dim = algebra.hom_dim(sn, pt)
-            if dim:
-                spans.append(((t, s), total, total + dim))
-                total += dim
+    spans, total = _block_layout(algebra, neg, pos)
     low, high = (-10, 11) if field == RATIONAL else (0, modp.PRIME)
-    coeffs = rng.integers(low, high, size=total).tolist()
-    blocks = {}
-    for key, start, end in spans:
-        blocks[key] = tuple(coeffs[start:end])
+    draw = rng.integers(low, high, size=total)
+    draw.flags.writeable = False
+    coeffs = draw.tolist()
+    blocks = {key: tuple(coeffs[start:end]) for key, start, end in spans}
     # Each block has hom_dim ints, so the constructor's checks would pass.
-    return TwoTermComplex._unchecked(algebra, neg, pos, blocks)
+    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field,
+                                     (draw, max(map(abs, coeffs), default=0)))
 
 
 def resolve_master_seed(master_seed: int | None = None) -> int:
@@ -332,8 +350,16 @@ def resolve_master_seed(master_seed: int | None = None) -> int:
     return seed
 
 
+@lru_cache(maxsize=4096)
+def _seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence([master_seed, *path])
+
+
 def _stream(master_seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, *path])
+    """A fresh generator on the stream (master seed, *path), with the bits of
+    ``np.random.default_rng([master_seed, *path])``.  Only the seed sequence
+    is cached; nothing here spawns from it, so sharing it changes no draw."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(master_seed, *path)))
 
 
 def _sampled_minimum(

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -349,6 +350,150 @@ class TestOneDrawPerComplex:
                 assert got == TwoTermComplex(alg, got.neg, got.pos, got.blocks)
                 # the two leave the stream at the same place
                 assert one.integers(0, 2**31, size=3).tolist() == per_block.integers(0, 2**31, size=3).tolist()
+
+
+STREAM_KEYS = [(0, 0, 0), (0, 5, 2), (7, 19, 1), (2**32, 0, 1), (2**40, 3, 1)]
+
+
+class TestStreams:
+    """Sample streams come from cached seed sequences, with default_rng's bits."""
+
+    @pytest.mark.parametrize("key", STREAM_KEYS)
+    def test_same_bits_as_default_rng(self, key):
+        ours, theirs = einv._stream(*key), np.random.default_rng(list(key))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        for low, high in ((0, modp.PRIME), (-10, 11)):
+            assert (ours.integers(low, high, size=16).tolist()
+                    == theirs.integers(low, high, size=16).tolist())
+
+    def test_repeated_calls_give_equal_independent_streams(self):
+        a, b = einv._stream(3, 1, 2), einv._stream(3, 1, 2)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.integers(0, modp.PRIME, size=8).tolist()
+        # drawing from one leaves the other, and a third, at the start
+        assert b.integers(0, modp.PRIME, size=8).tolist() == first
+        assert einv._stream(3, 1, 2).integers(0, modp.PRIME, size=8).tolist() == first
+        assert a.integers(0, modp.PRIME, size=8).tolist() != first
+
+    def test_first_draws_pinned(self):
+        assert einv._stream(0, 0, 0).integers(0, modp.PRIME, size=4).tolist() == [
+            1826701614, 1367864806, 1097657231, 579362555,
+        ]
+        assert einv._stream(2**40, 3, 1).integers(0, modp.PRIME, size=4).tolist() == [
+            185072710, 1890875872, 843134018, 149229599,
+        ]
+
+
+def oracle_int_blocks(h: TwoTermComplex, field: str) -> dict[tuple[int, int], list[int]]:
+    """h's block coefficients as ints, keyed like h.blocks: over Q times the
+    lcm of h's denominators, over F_p each numerator times its inverse
+    denominator (a denominator divisible by p raises ValueError)."""
+    dens = {int(x.denominator) for coeffs in h.blocks.values() for x in coeffs}
+    scale = lcm(*dens)
+    factor = {d: scale // d if field == "rational" else pow(d, -1, modp.PRIME) for d in dens}
+    return {
+        key: [int(x.numerator) * factor[x.denominator] for x in coeffs]
+        for key, coeffs in h.blocks.items()
+    }
+
+
+def oracle_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
+    """The int blocks written into a zero vector at each block's start,
+    blocks (t, s) with t outer and s inner; over F_p reduced into [0, p)."""
+    start, width = {}, 0
+    for t, tp in enumerate(h.pos):
+        for s, sn in enumerate(h.neg):
+            start[(t, s)], width = width, width + h.algebra.hom_dim(sn, tp)
+    blocks = oracle_int_blocks(h, field)
+    x = [0] * width
+    for key, base in start.items():
+        coeffs = blocks.get(key)
+        if coeffs:
+            x[base : base + len(coeffs)] = coeffs
+    return [v % modp.PRIME for v in x] if field == "fp" else x
+
+
+def assert_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
+    """Check h's slot vector against the oracle, its dtype and that it is
+    kept on h; return it."""
+    want = oracle_slot_vector(h, field)
+    vec, top = einv._slot_vector(h, field)
+    assert vec.tolist() == want and top == max(map(abs, want), default=0)
+    assert vec.dtype == (np.int64 if top < 2**63 else object) and not vec.flags.writeable
+    assert einv._slot_vector(h, field)[0] is vec
+    return want
+
+
+class TestSlotVector:
+    @settings(max_examples=60)
+    @given(data=st.data(), fld=st.sampled_from(["rational", "fp"]))
+    def test_matches_the_block_oracle(self, oracle_algebras, data, fld):
+        alg = oracle_algebras[data.draw(st.sampled_from(sorted(oracle_algebras)))]
+        assert_slot_vector(draw_complex(data, alg, COEFFS), fld)
+
+    def test_fractions_and_missing_blocks(self, alg39, seed39):
+        # T1's (0, 2) block has no hom basis; (1, 0) and (2, 1) are left out
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        half, third, quarter = Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)
+        f = witness(alg39, neg, pos, [[half, third, 0], [0, 3, 1], [1, 0, quarter]])
+        # over Q the lcm of the denominators is 12
+        assert assert_slot_vector(f, "rational") == [6, -8, 0, 36, 12, 12, 0, 15]
+        x = assert_slot_vector(f, "fp")
+        assert [x[0] * 2 % modp.PRIME, x[1] * 3 % modp.PRIME, x[7] * 4 % modp.PRIME] == [
+            1, modp.PRIME - 2, 5,
+        ]
+
+    def test_ints_outside_the_field_are_reduced(self, alg39, seed39):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        p = modp.PRIME
+        f = witness(alg39, neg, pos, [[-1, p, 0], [p + 5, -p - 2, 2**70], [1, 0, -(2**64)]])
+        assert assert_slot_vector(f, "fp") == [
+            p - 1, 0, 5, p - 2, 2**70 % p, 1, 0, -(2**64) % p,
+        ]
+        # over Q they stay as they are, past int64 as Python ints
+        assert assert_slot_vector(f, "rational") == [-1, p, p + 5, -p - 2, 2**70, 1, 0, -(2**64)]
+
+    def test_denominator_divisible_by_p_is_an_error(self, alg39, seed39):
+        f = t1_with_first_coefficient(alg39, seed39, Fraction(1, modp.PRIME))
+        for _ in range(2):  # nothing is kept from a failed call
+            with pytest.raises(ValueError):
+                einv._slot_vector(f, "fp")
+        assert assert_slot_vector(f, "rational")[0] == 1
+
+
+class TestKeptSlotVector:
+    """A sampled complex keeps its draw as its slot vector, unseen from outside."""
+
+    @pytest.mark.parametrize("field", ["rational", "fp"])
+    @pytest.mark.parametrize("shape", ["gr39", "gr48", "gamma"])
+    def test_invisible(self, request, shape, field):
+        if shape == "gamma":
+            alg = hl._gamma_algebra_at(4, -8)
+        else:
+            alg = request.getfixturevalue("alg" + shape[2:])
+        assert [f.name for f in dataclasses.fields(TwoTermComplex)] == [
+            "algebra", "neg", "pos", "blocks",
+        ]
+        vertices = list(alg.vertices)
+        pick = np.random.default_rng([5, 99])
+        for idx in range(6):
+            drawn, checked = [], []
+            for _ in range(2):
+                neg = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(0, 4)))
+                pos = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(1, 5)))
+                h = random_complex(alg, neg, pos, np.random.default_rng([idx, len(drawn)]), field)
+                drawn.append(h)
+                checked.append(TwoTermComplex(alg, h.neg, h.pos, dict(h.blocks)))
+            before = [(repr(h), dict(h.blocks)) for h in drawn]
+            (f, g), (f2, g2) = drawn, checked
+            for fld in ("rational", "fp"):
+                for a, b, a2, b2 in ((f, g, f2, g2), (g, f, g2, f2), (f, f, f2, f2)):
+                    assert e_pair(a, b, fld) == e_pair(a2, b2, fld)
+                for h, h2 in zip(drawn, checked):
+                    assert einv._slot_vector(h, fld)[0].tolist() == assert_slot_vector(h2, fld)
+            for h, h2, (text, blocks) in zip(drawn, checked, before):
+                assert h == h2 and repr(h) == repr(h2) == text
+                assert h.blocks == h2.blocks == blocks
 
 
 class TestPredicates:

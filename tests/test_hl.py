@@ -252,12 +252,17 @@ class TestCompatibility:
     def test_variable_with_itself(self):
         assert kr_compatible(1, -2, 1, 1, -2, 1, 3, 5, samples=3, master_seed=0)
 
-    def test_coinciding_kernels(self):
-        # distinct parameters, same rank-one label -> same variable
-        a = kernel_subset(1, -2, 1, 3, 5)
-        b = kernel_subset(1, -2, 1, 3, 5)
-        assert a == b
-        assert kr_compatible(1, -2, 1, 1, -2, 1, 3, 5, samples=3, master_seed=0)
+    def test_kernel_labels_are_distinct(self):
+        # no two accepted (i, m, v) share a kernel label, so equal labels in
+        # kr_compatible always come from equal parameters
+        seen = 0
+        for k in range(2, 8):
+            for ell in range(1, 7):
+                params = list(kernel_params(k, ell))
+                labels = {kernel_subset(i, m, v, k, ell) for i, m, v in params}
+                assert len(labels) == len(params), (k, ell)
+                seen += len(params)
+        assert seen == 735
 
     @pytest.mark.parametrize("k, ell", [(3, 5), (3, 3)])  # Grassmannian, then Gamma route
     def test_identical_labels_are_sampled(self, k, ell):
