@@ -303,8 +303,10 @@ class ExploreResult:
     """Closure of seed mutation within the given budgets.
 
     ``stopped_by`` names what left the closure incomplete: "max_seeds" when
-    the seed budget ended the call, "depth" when only the depth horizon
-    left clusters unseen, and None when the result is complete.
+    the seed budget ended the call, "depth" when the first unseen cluster
+    past the depth horizon ended it, and None when the result is complete.
+    Either cut ends the call at once, so an exchange that would fail on a
+    seed still queued then never runs and raises nothing.
     """
 
     variables: dict[Tableau, tuple[int, ...]] = field(default_factory=dict)
@@ -323,6 +325,11 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     first met, together with its g-vector over the starting seed.  If either
     budget is exhausted the result is flagged incomplete instead of raising,
     so partial sweeps stay usable; ``stopped_by`` says which budget it was.
+    The call returns as soon as a budget cuts: at the seed that would
+    exceed max_seeds, or at the first unseen cluster past max_depth.  The
+    queue is breadth-first, so every seed still queued at a depth cut lies
+    on the horizon and could only meet more clusters past it; none of them
+    is mutated, and an exchange that would fail on one raises nothing.
 
     The exploration runs on packed count vectors (`tableaux.Packing`): the
     in- and out-unions of every vertex come from one pass over the arrows,
@@ -342,8 +349,10 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     unit vector; a reduction that takes off any other is solved over the
     start seed by `tableaux.label_solver`, as `gvec.g_vector` solves it.
     """
-    if max_depth < 0 or max_seeds <= 0:
-        raise BadParameters("budgets must be positive")
+    if max_depth < 0:
+        raise BadParameters(f"max_depth must be >= 0, got {max_depth}")
+    if max_seeds < 1:
+        raise BadParameters(f"max_seeds must be >= 1, got {max_seeds}")
     if seed.n_mut == 0:
         return ExploreResult(seeds_seen=1)
     k, n = seed.labels[0].k, seed.labels[0].n
@@ -424,10 +433,10 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
             key = tuple(sorted(neighbour))
             if key in seen:
                 continue
-            if depth == max_depth:
-                result.complete = False  # unseen cluster beyond the horizon
+            if depth == max_depth:  # unseen cluster beyond the horizon
+                result.complete = False
                 result.stopped_by = "depth"
-                continue
+                return finish(result)
             if result.seeds_seen >= max_seeds:
                 result.complete = False
                 result.stopped_by = "max_seeds"

@@ -9,12 +9,11 @@ import time
 from itertools import combinations_with_replacement
 
 import numpy as np
-import pytest
 
 from conftest import random_tableau
 from grascat import fixtures
 from grascat.braid import braid_property_check, random_tuple
-from grascat.cluster import explore, grassmannian_initial_seed, mutate_quiver, mutate_seed
+from grascat.cluster import mutate_quiver, mutate_seed
 from grascat.cmcat import KSubset, Profile, profile_balance_check, tau_two_interval
 from grascat.einv import (
     TwoTermComplex,
@@ -42,7 +41,6 @@ from grascat.tableaux import (
     bender_knuth,
     monomial_to_tableau,
     quotient,
-    reduce as treduce,
     tableau_to_monomial,
     union,
 )

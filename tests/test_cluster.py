@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tableau
 from test_tableaux import from_columns, grid_dominance_compare, grid_reduce, outcome
+from grascat import cluster
 from grascat.cluster import (
     ExploreResult,
     Quiver,
@@ -153,7 +153,7 @@ def oracle_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
                 continue
             if depth == max_depth:
                 result.complete = False
-                continue
+                return result
             if result.seeds_seen >= max_seeds:
                 result.complete = False
                 return result
@@ -173,8 +173,10 @@ def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult
     Each queued seed carries the tuple of its reduced mutable labels; a
     neighbour costs one exchange_label and one reduce.
     """
-    if max_depth < 0 or max_seeds <= 0:
-        raise BadParameters("budgets must be positive")
+    if max_depth < 0:
+        raise BadParameters(f"max_depth must be >= 0, got {max_depth}")
+    if max_seeds < 1:
+        raise BadParameters(f"max_seeds must be >= 1, got {max_seeds}")
     result = ExploreResult()
 
     def record(reduced) -> None:
@@ -197,7 +199,7 @@ def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult
                 continue
             if depth == max_depth:
                 result.complete = False
-                continue
+                return result
             if result.seeds_seen >= max_seeds:
                 result.complete = False
                 return result
@@ -413,6 +415,22 @@ class TestPackedExplore:
         got = outcome(explore, seed, 3, 50)
         assert got == outcome(tableau_explore, seed, 3, 50)
         assert got[0] is error and message in got[1]
+
+    def test_depth_cut_ends_before_a_failing_exchange(self):
+        # at depth 0 the exchange at vertex 0 meets an unseen cluster and
+        # cuts; the exchange at vertex 1 would raise NotAFactor
+        seed = hand_seed(4, 2, ((0, 1), (1, 0)), [[[2], [3]], [[1, 2], [3, 4]]])
+        result = explore(seed, 0, 50)
+        assert (result.complete, result.stopped_by, result.seeds_seen) == (False, "depth", 1)
+        assert [(t.rows, g) for t, g in result.variables.items()] == [
+            (((), ()), (0, 0)), (((1,), (4,)), (-1, 1)),
+        ]
+        assert explore_answer(tableau_explore(seed, 0, 50)) == explore_answer(result)
+        # with the labels swapped the failing exchange comes before the cut
+        swapped = Seed(seed.quiver, seed.labels[::-1])
+        got = outcome(explore, swapped, 0, 50)
+        assert got == (NotAFactor, "row (1, 2) is not contained in (2,)")
+        assert got == outcome(tableau_explore, swapped, 0, 50)
 
     @pytest.mark.parametrize("kn", [(2, 8), (3, 7)])
     def test_closures_match_tableau_explore(self, kn):
@@ -673,9 +691,37 @@ class TestExplore:
         b = explore(seed36, 4, 1000)
         assert a.variables == b.variables and a.seeds_seen == b.seeds_seen
 
+    @pytest.mark.parametrize("kn, depth, seeds_seen, variables", [
+        ((3, 9), 2, 73, 37), ((3, 9), 3, 347, 57), ((4, 8), 3, 280, 57), ((3, 10), 3, 554, 71),
+    ])
+    def test_depth_cut_results(self, kn, depth, seeds_seen, variables):
+        seed = grassmannian_initial_seed(*kn)
+        result = explore(seed, depth, 10**6)
+        assert (result.complete, result.stopped_by) == (False, "depth")
+        assert (result.seeds_seen, result.variable_count()) == (seeds_seen, variables)
+        if kn == (3, 9):
+            assert explore_answer(tableau_explore(seed, depth, 10**6)) == explore_answer(result)
+
+    def test_depth_cut_stops_exchanging(self, monkeypatch):
+        # from Gr(3,9) at depth 1 the ten exchanges of the start seed see
+        # everything within the horizon; the first depth-1 seed that meets an
+        # unseen cluster ends the call instead of running its ten exchanges
+        # and those of the nine seeds queued after it
+        calls = []
+        exchange = cluster._exchange
+        monkeypatch.setattr(cluster, "_exchange", lambda *a: calls.append(a) or exchange(*a))
+        seed = grassmannian_initial_seed(3, 9)
+        result = explore(seed, 1, 100)
+        assert (result.seeds_seen, result.stopped_by) == (1 + seed.n_mut, "depth")
+        assert seed.n_mut < len(calls) <= 2 * seed.n_mut
+
     def test_bad_budgets(self, seed36):
-        with pytest.raises(BadParameters):
-            explore(seed36, -1, 10)
+        for depth, max_seeds, message in [
+            (-1, 10, "max_depth must be >= 0, got -1"),
+            (0, 0, "max_seeds must be >= 1, got 0"),
+        ]:
+            assert outcome(explore, seed36, depth, max_seeds) == (BadParameters, message)
+            assert outcome(tableau_explore, seed36, depth, max_seeds) == (BadParameters, message)
 
     def test_seed_json_round_trip(self, seed36):
         assert Seed.from_json(seed36.to_json()).labels == seed36.labels

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_tableau
 from grascat import fixtures
 from grascat.cluster import Quiver, Seed, explore, grassmannian_initial_seed
-from grascat.cmcat import KSubset
 from grascat.errors import (
     BadParameters,
     DimensionMismatch,

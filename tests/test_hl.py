@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from grascat import hl

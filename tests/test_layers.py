@@ -3,10 +3,10 @@
 The benchmark's trace mode wraps each layer of `perfbench/tracer.py`'s
 LAYERS in the loaded grascat module of that name, so deleting or renaming
 one breaks `perfbench/run.py --trace 1`; every name a module lists in
-`__all__` must exist too.  Every name a module imports must also be used
-in it, so that deleting the last caller of a name removes its import.  No
-library module imports or reads another module's `_` names, so that
-modules meet only at public names.
+`__all__` must exist too.  Every name a module of the library or of the
+tests imports must also be used in it, so that deleting the last caller of
+a name removes its import.  No library module imports or reads another
+module's `_` names, so that modules meet only at public names.
 Every function, method and class the library defines must have a caller in
 the library or the benchmark, so that a name only the tests reach moves
 into the tests.
@@ -24,7 +24,8 @@ import pytest
 
 import grascat
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+TESTS = Path(__file__).resolve().parent
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 PACKAGE = Path(grascat.__file__).resolve().parent
 PERFBENCH = TRACER.parent
 
@@ -79,6 +80,11 @@ def test_unused_imports_are_found():
 )
 def test_every_import_is_used(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in TESTS.glob("*.py")))
+def test_every_test_import_is_used(path):
+    assert unused_imports((TESTS / path).read_text()) == []
 
 
 def _private(name: str) -> bool:
