@@ -7,7 +7,9 @@ denominators of v's entries, and the int row a = q v, so that
 gcd(a, q) = 1.  Two vectors are equal exactly when their forms are, so
 tuples are compared on ints, and ``sigma``, ``twisted_shift`` and
 ``plucker_proportional`` compute on ints; the Fraction entries
-(``vectors``) are built from them when first read.
+(``vectors``) are built from them when first read.  Every determinant is
+the integer ``linalg.det`` of int rows, over the product of their
+denominators.
 
 A tuple built from raw vectors computes its n cyclic window minors, as
 Fractions, once, when it is built; the genericity checks and the
@@ -150,9 +152,7 @@ class VectorTuple:
 def _window_det(rows, dens, idx) -> Fraction:
     """det of the vectors at 0-based positions ``idx``: det of their int rows
     over the product of their denominators."""
-    m = det([rows[j] for j in idx])
-    q = prod(dens[j] for j in idx)
-    return m if q == 1 else m / q
+    return Fraction(det([rows[j] for j in idx]), prod(dens[j] for j in idx))
 
 
 def is_consecutively_generic(t: VectorTuple) -> bool:
@@ -196,7 +196,7 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
         b0 = (i + j * d - 1) % n  # 0-based positions of v_b and v_{b+1}
         b1 = (b0 + 1) % n
         idx = [b0] + [(b0 + s) % n for s in range(2, k + 1)]
-        numerator = det([rows[s] for s in idx]).numerator
+        numerator = det([rows[s] for s in idx])
         denominator = window[b1]
         # ratio = numerator / (prod of idx's dens) / denominator, and
         # w = ratio a1 / q1 - a0 / q0 = (x a1 - y a0) / (y q0)
@@ -221,8 +221,7 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
 def plucker_vector(t: VectorTuple) -> tuple[Fraction, ...]:
     """All C(n, k) maximal minors of the k x n matrix, subsets in lex order."""
     return tuple(
-        det([t.vec(j) for j in subset])
-        for subset in combinations(range(1, t.n + 1), t.k)
+        _window_det(t.rows, t.dens, subset) for subset in combinations(range(t.n), t.k)
     )
 
 

@@ -49,7 +49,8 @@ class Quiver:
 
     Arrows are stored as a sorted tuple of (source, target) pairs; parallel
     arrows simply repeat.  Arrows between frozen vertices are kept for
-    display but never created or consulted by mutation.
+    display but never created or consulted by mutation.  ``coords``, when
+    given, holds one grid point per vertex.
     """
 
     m: int
@@ -60,6 +61,8 @@ class Quiver:
     def __post_init__(self):
         if not 0 <= self.n_mut <= self.m:
             raise BadParameters(f"need 0 <= n_mut <= m, got n_mut={self.n_mut}, m={self.m}")
+        if self.coords is not None and len(self.coords) != self.m:
+            raise BadParameters(f"need one coord per vertex, got {len(self.coords)} for m={self.m}")
         object.__setattr__(self, "arrows", tuple(sorted(map(tuple, self.arrows))))
         for s, t in self.arrows:
             if s == t:

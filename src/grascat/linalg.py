@@ -1,14 +1,15 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything here is deliberately float-free: ranks and solutions feed
 zero-certificates, so a wrong pivot decision is a wrong theorem.
 
-One fraction-free integer core serves every kernel.  A rational row is
-cleared to an integer row times the lcm of its denominators; ``rank_int``
-and ``det`` then share one Bareiss elimination (Bareiss 1968, Math. Comp.
-22), whose exact divisions keep every entry a minor of the input, and
-``rref`` runs Gauss-Jordan on primitive integer rows.  ``Fraction`` appears
-only at the boundary: in the inputs, and in what ``det`` and ``rref`` return.
+One fraction-free elimination serves every kernel: Bareiss's (Bareiss
+1968, Math. Comp. 22), whose exact divisions keep every entry a minor of
+the input.  ``rank_int`` and ``det`` run its forward mode, ``rref`` its
+Gauss-Jordan mode, which ends with every pivot entry equal to the last
+pivot d, so that the reduced row echelon form is the integer rows over d.
+Every kernel takes integer rows and returns integers: a caller with
+rational rows clears their denominators itself.
 
 ``rank_int`` dispatches on size.  A matrix with a side below 28, or with
 max|entry| * min(shape) >= 2^31, goes to Bareiss.  A larger one gets a
@@ -25,14 +26,14 @@ it is; other input is read as rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import index
 from typing import Sequence
 
 import numpy as np
 
 from . import modp
-from .errors import BadParameters, NoIntegerSolution, NonUniqueSolution
+from .errors import BadParameters, DimensionMismatch, NoIntegerSolution, NonUniqueSolution
 
 __all__ = [
     "rank_int",
@@ -42,38 +43,52 @@ __all__ = [
 ]
 
 
-_INT = frozenset((int,))
+def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows as lists of ints, all of one length.
 
-
-def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Integer rows and their scales: row i of the input is rows[i] / scales[i].
-
-    Entries are ints or Fractions; each row is multiplied by the lcm of its
-    own denominators, with integer arithmetic only.  A row of plain ints is
-    copied as it is.
+    Entries are ints, numpy integers or Fractions of denominator 1; any
+    other entry, a float or a non-integral Fraction, raises BadParameters
+    rather than being truncated.  Rows of different lengths raise
+    DimensionMismatch.
     """
-    out, scales = [], []
-    for row in rows:
-        if _INT.issuperset(map(type, row)):
-            out.append(list(row))
-            scales.append(1)
-            continue
-        dens = [x.denominator for x in row]
-        d = lcm(*dens)
-        out.append([x.numerator * (d // e) for x, e in zip(row, dens)])
-        scales.append(d)
-    return out, scales
+    try:
+        m = [list(map(index, r)) for r in rows]
+    except TypeError:
+        m = [list(map(_integral, r)) for r in rows]
+    widths = {len(r) for r in m}
+    if len(widths) > 1:
+        raise DimensionMismatch(f"matrix rows have different lengths {sorted(widths)}")
+    return m
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
-    """Fraction-free row echelon elimination of ``m``, in place.
+def _integral(x) -> int:
+    """The int an integral Fraction (or any ``index``-able value) stands for."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    try:
+        return index(x)
+    except TypeError:
+        raise BadParameters(f"exact linear algebra needs integer entries, got {x!r}") from None
 
-    Returns (rank, sign of the row permutation, last pivot).  For a square
-    matrix of full rank the last pivot is sign times its determinant.
+
+def _bareiss(m: list[list[int]], reduced: bool = False) -> tuple[int, int, int, list[int]]:
+    """Fraction-free elimination of ``m``, in place.
+
+    Returns (rank, sign of the row permutation, last pivot, pivot columns).
+    Each step replaces an entry a by (pivot a - f b) / prev, where f is the
+    row's entry in the pivot column, b the pivot row's entry and prev the
+    previous pivot; the division is exact.  The forward mode updates the
+    rows below the pivot from its column on, giving a row echelon form; for
+    a square matrix of full rank the last pivot is sign times its
+    determinant.  The ``reduced`` (Gauss-Jordan) mode first negates a
+    negative pivot row, then updates every other row from column 0: each
+    pivot row's pivot entry ends equal to the last pivot d > 0, the reduced
+    row echelon form is m / d, and the sign does not count the negations.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     rank, sign, prev = 0, 1, 1
+    pivots = []
     for col in range(ncols):
         piv = rank
         while piv < nrows and not m[piv][col]:
@@ -85,18 +100,25 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
             sign = -sign
         top = m[rank]
         pivot = top[col]
-        for r in range(rank + 1, nrows):
+        if reduced and pivot < 0:
+            # Positive pivots keep pivot == prev, and with it the skip below,
+            # common: without the negation Gamma(5,-10) reduces about 4x slower.
+            top = m[rank] = [-x for x in top]
+            pivot = -pivot
+        first, start = (0, 0) if reduced else (rank + 1, col)
+        for r in range(first, nrows):
             mr = m[r]
             f = mr[col]
-            if f == 0 and pivot == prev:
+            if f == 0 and pivot == prev or r == rank:
                 continue
-            for c in range(col, ncols):
+            for c in range(start, ncols):
                 mr[c] = (pivot * mr[c] - f * top[c]) // prev
+        pivots.append(col)
         prev = pivot
         rank += 1
         if rank == nrows:
             break
-    return rank, sign, prev
+    return rank, sign, prev, pivots
 
 
 # From this shorter side on the certified modular rank is faster.  Medians
@@ -128,19 +150,13 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
     relations need lifting.  Any other matrix, and any whose certificate
     fails (a bad prime), gets Bareiss elimination.  A 2-d numpy array of a
     signed integer dtype is taken as it is; any other input is read row by
-    row.  Entries are ints, numpy integers or Fractions of denominator 1;
-    any other entry, a float or a non-integral Fraction, raises
-    BadParameters rather than being truncated.
+    row, as `_int_rows` reads it.
     """
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "i":
         full, m = rows.astype(np.int64, copy=False), None
         short = min(full.shape)
     else:
-        try:
-            m = [list(map(index, r)) for r in rows]
-        except TypeError:
-            m = [list(map(_integral, r)) for r in rows]
-        full = None
+        m, full = _int_rows(rows), None
         short = min(len(m), len(m[0]) if m else 0)
     if short >= _MODULAR_MIN:
         if full is None:
@@ -155,16 +171,6 @@ def rank_int(rows: Sequence[Sequence[int]]) -> int:
             if rank is not None:
                 return rank
     return _bareiss(full.tolist() if m is None else m)[0]
-
-
-def _integral(x) -> int:
-    """The int an integral Fraction (or any ``index``-able value) stands for."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    try:
-        return index(x)
-    except TypeError:
-        raise BadParameters(f"rank_int needs integer entries, got {x!r}") from None
 
 
 def _certified_rank(b: np.ndarray | Sequence[Sequence[int]]) -> int | None:
@@ -271,61 +277,38 @@ def _denominator(v: int, modulus: int, bound: int) -> int | None:
     return t1 if 0 < t1 <= bound else None
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of ints or Fractions.
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix.
 
-    Bareiss elimination of the cleared rows: the last pivot, signed, divided
-    by the product of the row scales; 0 when the rank falls short.
+    Forward Bareiss elimination: the last pivot, signed, or 0 when the rank
+    falls short.  A matrix that is not square raises DimensionMismatch.
     """
-    m, scales = _cleared(rows)
-    rank, sign, last = _bareiss(m)
-    if rank < len(m):
-        return Fraction(0)
-    return Fraction(sign * last, prod(scales))
+    m = _int_rows(rows)
+    if m and len(m[0]) != len(m):
+        raise DimensionMismatch(f"det needs a square matrix, got {len(m)} x {len(m[0])}")
+    rank, sign, last, _ = _bareiss(m)
+    return sign * last if rank == len(m) else 0
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of an integer matrix: (rows, pivot columns, scale).
 
-    Entries may be ints or Fractions.  Gauss-Jordan runs on cleared integer
-    rows, each updated row divided by the gcd of its entries; the result is
-    converted to Fractions once, at the end.  The RREF is unique, so this
-    equals rational elimination entry for entry.
+    Gauss-Jordan Bareiss elimination.  The RREF is the returned integer rows
+    divided by ``scale`` > 0, entry for entry; each pivot row holds
+    ``scale`` in its pivot column, and the rows past the pivot rows are zero.
     """
-    m, _ = _cleared(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        top = m[row]
-        pivot = top[col]
-        for r in range(nrows):
-            f = m[r][col]
-            if r != row and f:
-                new = [pivot * a - f * b for a, b in zip(m[r], top)]
-                g = gcd(*new)
-                m[r] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-    zero = Fraction(0)
-    out = [
-        [Fraction(x, r[p]) if x else zero for x in r] for r, p in zip(m, pivots)
-    ]
-    out.extend([zero] * ncols for _ in range(nrows - len(pivots)))
-    return out, pivots
+    m = _int_rows(rows)
+    _, _, scale, pivots = _bareiss(m, reduced=True)
+    return m, pivots, scale
 
 
 class ExactSolver:
     """Solves A x = b exactly for a fixed integer matrix A of full column rank.
 
-    The inverse transform is precomputed once (row reduction of [A | I]),
-    after which each solve is a single integer matrix-vector product.  Used
+    The inverse transform is precomputed once, by fraction-free row
+    reduction of [A | I]: the integer transform E and the least common
+    denominator ``denom`` of its entries, with E A = denom [I; 0].  After
+    that each solve is a single integer matrix-vector product.  Used
     for content-grid decompositions where the same basis is queried for
     thousands of right-hand sides.  The product runs in int64 when
     max row-|sum| of the transform times max|b| is below 2^63, which bounds
@@ -341,15 +324,17 @@ class ExactSolver:
             + [1 if t == i else 0 for t in range(self.nrows)]
             for i in range(self.nrows)
         ]
-        red, pivots = rref(aug)
+        red, pivots, scale = rref(aug)
         if pivots[: self.ncols] != list(range(self.ncols)):
             raise NonUniqueSolution(
                 "basis vectors are linearly dependent; decomposition not unique"
             )
-        # E·A = [I; 0] with E integral after clearing one common denominator.
+        # E·A = [I; 0] with E = e_rows / scale; dividing both by their gcd
+        # leaves the least common denominator of E's entries.
         e_rows = [r[self.ncols :] for r in red]
-        self.denom = lcm(*(x.denominator for r in e_rows for x in r))
-        self.transform = [[x.numerator * (self.denom // x.denominator) for x in r] for r in e_rows]
+        g = gcd(scale, *(x for r in e_rows for x in r))
+        self.denom = scale // g
+        self.transform = [[x // g for x in r] for r in e_rows]
         self._row_bound = max((sum(map(abs, r)) for r in self.transform), default=0)
         self._transform64 = (
             np.array(self.transform, dtype=np.int64).reshape(self.nrows, self.nrows)

@@ -20,6 +20,7 @@ hand-written ones kept as test oracles are read by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from numbers import Rational
 
@@ -163,13 +164,14 @@ class Algebra:
         return self._comp.get((i, j, l), {})
 
 
-def _integral(key: tuple[str, str, str], terms) -> list[tuple[int, int]]:
-    """Composition terms (c, coeff) of the triple `key`, with int coefficients."""
+def _integral(key: tuple[str, str, str], terms, scale: int = 1) -> list[tuple[int, int]]:
+    """Composition terms (c, coeff / scale) of the triple `key`, with int coefficients."""
     out = []
     for c, x in terms:
-        if not isinstance(x, Rational) or x.denominator != 1:
-            raise BadParameters(f"composition {key} has a non-integral structure constant {x}")
-        out.append((int(c), int(x)))
+        if not isinstance(x, Rational) or x % scale:
+            value = Fraction(x, scale) if isinstance(x, Rational) else x
+            raise BadParameters(f"composition {key} has a non-integral structure constant {value}")
+        out.append((int(c), int(x) // scale))
     return out
 
 
@@ -196,8 +198,11 @@ def build_algebra(qp: QuiverWithPotential) -> Algebra:
     # paths[d][(u, v)] -> list of paths of degree d from u to v
     paths: list[dict[tuple[str, str], list[Path]]] = [{(v, v): [()] for v in qp.vertices}]
     basis: dict[tuple[str, str], list[tuple[int, Path]]] = {(v, v): [(0, ())] for v in qp.vertices}
-    # expansion of every enumerated path u -> v over the chosen basis of (u, v)
-    expand: dict[tuple[str, str, Path], list] = {(v, v, ()): [(0, 1)] for v in qp.vertices}
+    # expansion of every enumerated path u -> v over the chosen basis of (u, v):
+    # (scale, [(c, coeff)]) for the sum of coeff / scale times basis element c
+    expand: dict[tuple[str, str, Path], tuple[int, list]] = {
+        (v, v, ()): (1, [(0, 1)]) for v in qp.vertices
+    }
 
     degree = 0
     while True:
@@ -225,16 +230,16 @@ def build_algebra(qp: QuiverWithPotential) -> Algebra:
                                 row[pos[lp + mid + rp]] += sign
                             if any(row):
                                 rows.append(row)
-            red, pivots = rref(rows)
+            red, pivots, scale = rref(rows)
             pivset = set(pivots)
             free = [idx for idx in range(len(plist)) if idx not in pivset]
             pair_basis = basis.setdefault((u, v), [])
             free_pos = {idx: len(pair_basis) + t for t, idx in enumerate(free)}
             pair_basis += [(degree, plist[idx]) for idx in free]
             for idx in free:
-                expand[(u, v, plist[idx])] = [(free_pos[idx], 1)]
+                expand[(u, v, plist[idx])] = (1, [(free_pos[idx], 1)])
             for row, piv in zip(red, pivots):
-                expand[(u, v, plist[piv])] = [(free_pos[c], -row[c]) for c in free if row[c] != 0]
+                expand[(u, v, plist[piv])] = (scale, [(free_pos[c], -row[c]) for c in free if row[c]])
             total_dim += len(free)
 
         paths.append(new_paths)
@@ -254,9 +259,9 @@ def build_algebra(qp: QuiverWithPotential) -> Algebra:
             for a, (_, pa) in enumerate(hom_basis[(i, j)]):
                 for b, (_, pb) in enumerate(hom_basis[(j, l)]):
                     # b after a: path (l -> j) followed by (j -> i)
-                    terms = expand.get((l, i, pb + pa))
+                    scale, terms = expand.get((l, i, pb + pa), (1, ()))
                     if terms:
-                        table[(a, b)] = _integral((i, j, l), terms)
+                        table[(a, b)] = _integral((i, j, l), terms, scale)
             if table:
                 comp[(i, j, l)] = table
 

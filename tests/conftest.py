@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,57 @@ def from_table(vertices, dims, comp_entries) -> Algebra:
     for (i, j, l, a, b), terms in comp_entries.items():
         comp.setdefault((i, j, l), {})[(a, b)] = _integral((i, j, l), terms)
     return Algebra(tuple(vertices), dict(dims), comp, {})
+
+
+# --- oracles: rational Gaussian elimination, as the integer kernels of
+# `linalg` are checked against ---------------------------------------------
+
+
+def fraction_det(rows):
+    """Determinant by elimination over Q; the rows may hold ints or Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] / pivot
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return sign * result
+
+
+def fraction_rref(rows):
+    """(reduced row echelon form over Q, pivot columns) of int or Fraction rows."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = Fraction(1) / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots
 
 
 def total_dim(alg: Algebra) -> int:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_det, fraction_rref
 from grascat import braid
 from grascat.braid import (
     RANDOM_TUPLE_ATTEMPTS,
@@ -26,7 +27,7 @@ from grascat.errors import (
     DimensionMismatch,
     NotGeneric,
 )
-from grascat.linalg import det, rref
+from grascat.linalg import det
 
 
 def leibniz_det(rows):
@@ -69,7 +70,7 @@ class FracTuple:
 def oracle_tuple(k, n, vectors):
     vecs = tuple(tuple(Fraction(x) for x in v) for v in vectors)
     minors = tuple(
-        det([vecs[(i + s) % n] for s in range(k)]) for i in range(n)
+        fraction_det([vecs[(i + s) % n] for s in range(k)]) for i in range(n)
     )
     return FracTuple(k, n, vecs, minors)
 
@@ -93,7 +94,7 @@ def oracle_sigma(i, t):
     for j in range(t.n // d):
         base = i + j * d
         denominator = t.window_minor(base + 1)
-        numerator = det([t.vec(base)] + [t.vec(base + s) for s in range(2, t.k + 1)])
+        numerator = fraction_det([t.vec(base)] + [t.vec(base + s) for s in range(2, t.k + 1)])
         ratio = numerator / denominator
         w = tuple(ratio * a - b for a, b in zip(t.vec(base + 1), t.vec(base)))
         new_vectors[(base - 1) % t.n] = t.vec(base + 1)
@@ -106,7 +107,7 @@ def oracle_plucker_proportional(a, b):
     """Row spaces compared by their reduced row echelon forms."""
     if a.vectors == b.vectors:
         return True
-    (ra, pa), (rb, pb) = (rref([list(r) for r in zip(*t.vectors)]) for t in (a, b))
+    (ra, pa), (rb, pb) = (fraction_rref([list(r) for r in zip(*t.vectors)]) for t in (a, b))
     full_a, full_b = len(pa) == a.k, len(pb) == b.k
     if not (full_a and full_b):
         return full_a == full_b
@@ -114,7 +115,7 @@ def oracle_plucker_proportional(a, b):
 
 
 def plucker_minors(t):
-    return tuple(det([t.vectors[j] for j in s]) for s in combinations(range(t.n), t.k))
+    return tuple(fraction_det([t.vectors[j] for j in s]) for s in combinations(range(t.n), t.k))
 
 
 def minors_proportional(a, b):
@@ -182,7 +183,7 @@ def gl_image(t, rng):
     """t under a random invertible integer k x k matrix: the same point."""
     while True:
         g = rng.integers(-4, 5, size=(t.k, t.k))
-        if det(g.tolist()) != 0:
+        if fraction_det(g.tolist()) != 0:
             break
     vecs = tuple(tuple(int(x) for x in g @ np.array(v, dtype=object)) for v in t.vectors)
     return VectorTuple(t.k, t.n, vecs)
@@ -294,8 +295,8 @@ class TestSigma:
         rng = np.random.default_rng(65)
         t = random_tuple(3, 9, rng)
         out = sigma(1, t)
-        num = det([t.vec(1), t.vec(3), t.vec(4)])
-        den = det([t.vec(2), t.vec(3), t.vec(4)])
+        num = fraction_det([t.vec(1), t.vec(3), t.vec(4)])
+        den = fraction_det([t.vec(2), t.vec(3), t.vec(4)])
         w1 = tuple(num / den * a - b for a, b in zip(t.vec(2), t.vec(1)))
         assert out.vectors[0] == t.vec(2)
         assert out.vectors[1] == w1
@@ -492,6 +493,7 @@ class TestFractionOracle:
         t, f = VectorTuple(k, n, vecs), oracle_tuple(k, n, vecs)
         assert same_images(t, f)
         assert same_images(twisted_shift(t), oracle_twisted_shift(f))
+        assert plucker_vector(t) == plucker_minors(f)
         u, g = VectorTuple(k, n, other), oracle_tuple(k, n, other)
         for a, b, x, y in [(t, u, f, g), (t, t, f, f), (u, t, g, f)]:
             assert plucker_proportional(a, b) == oracle_plucker_proportional(x, y)

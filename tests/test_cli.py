@@ -276,6 +276,7 @@ class TestErrorPaths:
         (QuiverWithPotential, {"vertices": ["a"], "arrows": [], "potential": [{"sign": 1}]}),
         (QuiverWithPotential, {"vertices": ["a"], "arrows": [], "potential": [
             {"sign": 1, "cycle": ["x"]}]}),
+        (Quiver, {"m": 2, "n_mut": 1, "arrows": [], "coords": [[0, 0]]}),
     ])
     def test_from_json_rejects_malformed(self, cls, data):
         # the library holds no QP JSON reader: the oracle loader's is checked
@@ -300,6 +301,11 @@ class TestErrorPaths:
          "OutOfRange", ["n=0", "k=3"]),
         (("hl", "tau", "--k", "3", "--ell", "-1", "--i", "1", "--m", "-2", "--v", "1"),
          "OutOfRange", ["n=3", "k=3"]),
+        # three coords for two vertices were once echoed back
+        (("seed", "init", "--seed", json.dumps({
+            "quiver": {"m": 2, "n_mut": 1, "arrows": [[0, 1]], "coords": [[0, 0], [1, 1], [2, 2]]},
+            "labels": [{"k": 2, "n": 4, "rows": [[1], [2]]}, {"k": 2, "n": 4, "rows": [[1], [3]]}],
+        })), "BadParameters", ["got 3", "m=2"]),
     ])
     def test_bad_parameters_are_structured(self, capsys, argv, error, names):
         code, out, err = run(capsys, *argv)

@@ -9,7 +9,7 @@ a name removes its import.  No library module imports or reads another
 module's `_` names, so that modules meet only at public names.
 Every function, method and class the library defines must have a caller in
 the library or the benchmark, so that a name only the tests reach moves
-into the tests.
+into the tests.  The exact kernels of `linalg` build no `Fraction`.
 """
 
 import ast
@@ -195,3 +195,30 @@ def test_every_library_name_has_a_caller():
                  for p in sorted(PERFBENCH.glob("*.py"))}
     assert len(library) > 10 and len(benchmark) > 3
     assert uncalled(library, benchmark) == []
+
+
+def fraction_calls(source: str) -> list[int]:
+    """Line numbers of the `Fraction(...)` calls in `source`.
+
+    A call through an attribute (`fractions.Fraction(...)`) counts; naming
+    the class, as in `isinstance(x, Fraction)`, does not.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "Fraction"
+             or getattr(node.func, "attr", None) == "Fraction")
+    ]
+
+
+def test_fraction_calls_are_found():
+    source = (
+        "from fractions import Fraction\nimport fractions\n"
+        "isinstance(x, Fraction)\nFraction(1, 2)\nfractions.Fraction(3)\n"
+    )
+    assert fraction_calls(source) == [4, 5]
+
+
+def test_linalg_builds_no_fraction():
+    assert fraction_calls((PACKAGE / "linalg.py").read_text()) == []

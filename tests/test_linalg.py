@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_det, fraction_rref
 from grascat import modp
-from grascat.errors import BadParameters, NoIntegerSolution, NonUniqueSolution
+from grascat.errors import BadParameters, DimensionMismatch, NoIntegerSolution, NonUniqueSolution
 from grascat import linalg
 from grascat.linalg import (
     _LIFT_PRIME,
@@ -20,54 +21,6 @@ from grascat.linalg import (
     rank_int,
     rref,
 )
-
-
-# --- oracles: the rational Gaussian elimination the kernels replaced ---------
-
-
-def fraction_det(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pivot
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return sign * result
-
-
-def fraction_rref(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
 
 
 def fraction_solver(columns):
@@ -130,8 +83,29 @@ def rational_matrices(draw, nrows, ncols):
     return rows
 
 
-def square_matrices():
-    return st.integers(0, 6).flatmap(lambda n: rational_matrices(st.just(n), st.just(n)))
+@st.composite
+def int_matrices(draw, nrows, ncols):
+    """Integer matrices with entries up to 4 or up to 10^6: some rows zero or
+    combinations of earlier ones, and the first entry sometimes negative."""
+    ncols = draw(ncols)
+    bound = draw(st.sampled_from([4, 10**6]))
+    entry = st.integers(-bound, bound)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(draw(nrows))]
+    for i in range(len(rows)):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "combine"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "combine" and i:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            r, q = rows[draw(st.integers(0, i - 1))], rows[draw(st.integers(0, i - 1))]
+            rows[i] = [a * x + b * y for x, y in zip(r, q)]
+    if rows and ncols and draw(st.booleans()):
+        rows[0][0] = -draw(st.integers(1, bound))
+    return rows
+
+
+def square_int_matrices():
+    return st.integers(0, 6).flatmap(lambda n: int_matrices(st.just(n), st.just(n)))
 
 
 def known_rank_matrix(rng, rows, cols, rank, bound=4):
@@ -167,6 +141,10 @@ class TestRank:
     def test_integral_entries_of_any_integer_kind(self):
         rows = [[Fraction(2), np.int64(1)], [4, Fraction(2)]]
         assert rank_int(rows) == 1
+        assert rref(rows) == ([[2, 1], [0, 0]], [0], 2)
+        assert det(rows) == 0
+        got = det([[Fraction(2), np.int64(1)], [3, Fraction(4)]])
+        assert got == 5 and type(got) is int
 
     def test_rank_mod_p_matches_exact(self):
         rng = np.random.default_rng(202)
@@ -425,34 +403,62 @@ class TestDetRref:
         rng = np.random.default_rng(204)
         for _ in range(30):
             m = rng.integers(-5, 6, size=(4, 4))
-            exact = det([[Fraction(int(x)) for x in row] for row in m])
-            assert exact == round(np.linalg.det(m.astype(float)))
+            assert det(m.tolist()) == round(np.linalg.det(m.astype(float)))
 
     def test_det_singular(self):
-        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert det(m) == 0
+        assert det([[1, 2], [2, 4]]) == 0
 
     def test_rref_pivots(self):
-        m = [[Fraction(x) for x in row] for row in [[1, 2, 3], [2, 4, 7]]]
-        red, pivots = rref(m)
+        red, pivots, scale = rref([[1, 2, 3], [2, 4, 7]])
         assert pivots == [0, 2]
-        assert red[0][:2] == [Fraction(1), Fraction(2)]
+        assert red[0][:2] == [scale, 2 * scale]
+
+    def test_rref_scale_is_the_last_pivot(self):
+        # [[-2, 1], [1, 1]]: the first pivot row is negated to (2, -1); the
+        # last pivot is then |det| = 3, and the RREF is the identity
+        assert rref([[-2, 1], [1, 1]]) == ([[3, 0], [0, 3]], [0, 1], 3)
+        assert rref([]) == ([], [], 1)
+        assert rref([[0, 0]]) == ([[0, 0]], [], 1)
+
+
+class TestMalformed:
+    """Every kernel reads its rows the same way, with structured errors."""
+
+    def test_non_square_det(self):
+        # once -3, the determinant of the first two columns
+        with pytest.raises(DimensionMismatch, match="square matrix, got 2 x 3"):
+            det([[1, 2, 3], [4, 5, 7]])
+
+    @pytest.mark.parametrize("kernel", [det, rref, rank_int])
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5], [6, 7]]])
+    def test_ragged_rows(self, kernel, rows):
+        # once an IndexError, or a value computed from the first row's length
+        with pytest.raises(DimensionMismatch, match="different lengths"):
+            kernel(rows)
+
+    @pytest.mark.parametrize("kernel", [det, rref, rank_int])
+    @pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), "1"])
+    def test_non_integer_entry(self, kernel, bad):
+        with pytest.raises(BadParameters, match="integer entries"):
+            kernel([[1, 0], [0, bad]])
 
 
 class TestAgainstFractionOracle:
-    @given(square_matrices())
+    @given(square_int_matrices())
     def test_det(self, m):
         got = det(m)
-        assert type(got) is Fraction
+        assert type(got) is int
         assert got == fraction_det(m)
 
-    @given(rational_matrices(st.integers(0, 6), st.integers(1, 7)))
+    @given(int_matrices(st.integers(0, 6), st.integers(1, 7)))
     def test_rref(self, m):
-        red, pivots = rref(m)
+        red, pivots, scale = rref(m)
         want_red, want_pivots = fraction_rref(m)
         assert pivots == want_pivots
-        assert red == want_red
-        assert all(type(x) is Fraction for row in red for x in row)
+        assert type(scale) is int and scale > 0
+        assert all(type(x) is int for row in red for x in row)
+        assert all(red[i][p] == scale for i, p in enumerate(pivots))
+        assert [[Fraction(x, scale) for x in row] for row in red] == want_red
 
     @given(rational_matrices(st.integers(0, 6), st.integers(1, 7)))
     def test_rank_int_of_cleared_rows(self, m):

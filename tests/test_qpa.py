@@ -186,6 +186,10 @@ class TestTableMode:
         assert all_ints(alg) and compose_vectors(alg, "x", "x", "x", {0: 1}, {0: 1}) == {0: 2}
         with pytest.raises(BadParameters, match=r"\('x', 'x', 'x'\).*1/2"):
             _integral(("x", "x", "x"), [(0, Fraction(1, 2))])
+        # an int coefficient over a scale, as `build_algebra` expands paths
+        assert _integral(("x", "x", "x"), [(0, -4), (1, 6)], 2) == [(0, -2), (1, 3)]
+        with pytest.raises(BadParameters, match=r"\('x', 'x', 'x'\).*-3/2"):
+            _integral(("x", "x", "x"), [(0, 2), (1, -3)], 2)
 
 
 def all_ints(alg: Algebra) -> bool:
@@ -200,6 +204,30 @@ def all_ints(alg: Algebra) -> bool:
 class TestIntegerStructureConstants:
     def test_tame_algebras(self, alg39, alg48):
         assert all_ints(alg39) and all_ints(alg48)
+
+    @staticmethod
+    def doubled_qp(doubled):
+        """Arrows a, d: 1 -> 2, b: 2 -> 3, c: 3 -> 1, and the potential abc + dbc
+        with the cycles in `doubled` written twice."""
+        cycles = [("a", "b", "c"), ("d", "b", "c")]
+        return QuiverWithPotential(
+            ("1", "2", "3"),
+            (("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1"), ("d", "1", "2")),
+            tuple((1, cycle) for cycle in cycles + [cycles[i] for i in doubled]),
+        )
+
+    def test_relation_with_a_common_factor(self):
+        # the relation 2ab + 2db = 0 is reduced with scale 2, and ab = -db
+        # stays integral: the algebra of abc + dbc
+        alg = build_algebra(self.doubled_qp([0, 1]))
+        assert all_ints(alg) and alg._comp
+        want = build_algebra(self.doubled_qp([]))
+        assert (alg._dims, alg._comp) == (want._dims, want._comp)
+
+    def test_non_integral_constant_is_rejected(self):
+        # 2ab + db = 0 makes ab = -db / 2, the composition of a and b
+        with pytest.raises(BadParameters, match=r"\('2', '1', '3'\).*-1/2"):
+            build_algebra(self.doubled_qp([0]))
 
     def test_gamma_algebras(self):
         algs = [build_algebra(oracle_qp("qp_hl_gamma"))]
