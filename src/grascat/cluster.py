@@ -125,7 +125,7 @@ class Quiver:
             m,
             n_mut,
             tuple((s, t) for s, t in arrows),
-            tuple(tuple(c) for c in coords) if coords else None,
+            None if coords is None else tuple(tuple(c) for c in coords),
         )
 
 

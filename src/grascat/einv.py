@@ -17,9 +17,10 @@ into the operator's slot vector and scatters them into an int64 matrix, or
 into exact Python ints when an entry could reach 2^63.  The matrix goes to
 the rank kernel as an array.
 
-Sample idx draws from the stream (master seed, idx, stream id).  The seed
-sequences of those streams are cached, and each draw gets a fresh PCG64
-generator on its sequence: the same bits as ``np.random.default_rng``.
+Sample idx draws from the stream (master seed, idx, stream id).  The four
+seed words PCG64 takes from each stream's seed sequence are cached, and
+each draw gets a fresh PCG64 generator seeded from them: the same bits as
+``np.random.default_rng``.
 """
 
 from __future__ import annotations
@@ -350,16 +351,32 @@ def resolve_master_seed(master_seed: int | None = None) -> int:
     return seed
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence with the four uint64 words that PCG64 takes from it
+    computed once.  Any other request goes to the real sequence.  It does
+    not spawn: one object serves every generator on its stream."""
+
+    def __init__(self, seq: np.random.SeedSequence):
+        self.seq = seq
+        self.words = seq.generate_state(4, np.uint64)
+        self.words.flags.writeable = False
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:
+            return self.words
+        return self.seq.generate_state(n_words, dtype)
+
+
 @lru_cache(maxsize=4096)
-def _seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([master_seed, *path])
+def _seed_words(master_seed: int, *path: int) -> _SeedWords:
+    return _SeedWords(np.random.SeedSequence([master_seed, *path]))
 
 
 def _stream(master_seed: int, *path: int) -> np.random.Generator:
     """A fresh generator on the stream (master seed, *path), with the bits of
-    ``np.random.default_rng([master_seed, *path])``.  Only the seed sequence
-    is cached; nothing here spawns from it, so sharing it changes no draw."""
-    return np.random.Generator(np.random.PCG64(_seed_sequence(master_seed, *path)))
+    ``np.random.default_rng([master_seed, *path])``.  Only the stream's seed
+    words are cached; each call seeds a new PCG64 from them."""
+    return np.random.Generator(np.random.PCG64(_seed_words(master_seed, *path)))
 
 
 def _sampled_minimum(

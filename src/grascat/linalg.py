@@ -48,13 +48,16 @@ def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
     Entries are ints, numpy integers or Fractions of denominator 1; any
     other entry, a float or a non-integral Fraction, raises BadParameters
-    rather than being truncated.  Rows of different lengths raise
-    DimensionMismatch.
+    rather than being truncated, as does a row that is not a sequence.
+    Rows of different lengths raise DimensionMismatch.
     """
     try:
         m = [list(map(index, r)) for r in rows]
     except TypeError:
-        m = [list(map(_integral, r)) for r in rows]
+        try:
+            m = [list(map(_integral, r)) for r in rows]
+        except TypeError:
+            raise BadParameters("exact linear algebra needs a sequence of rows") from None
     widths = {len(r) for r in m}
     if len(widths) > 1:
         raise DimensionMismatch(f"matrix rows have different lengths {sorted(widths)}")

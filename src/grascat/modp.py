@@ -3,10 +3,11 @@
 One kernel: row-vectorised Gaussian elimination in numpy int64.  It serves
 both fields of the E-invariants.  Over F_p, p = PRIME = 2^31 - 1, the prime
 that the sampled streams fix, `rank_mod_p` is the number of pivots it
-finds.  Over Q, `linalg.rank_int` runs it once, as Gauss-Jordan with the
-transform, at a smaller lifting prime; that one pass gives the rank mod p,
-the pivot rows and columns, and the inverse of the pivot block, which the
-lifted kernel certificate needs.
+finds; a matrix of one row or one column it answers without it.  Over Q,
+`linalg.rank_int` runs it once, as Gauss-Jordan with the transform, at a
+smaller lifting prime; that one pass gives the rank mod p, the pivot rows
+and columns, and the inverse of the pivot block, which the lifted kernel
+certificate needs.
 
 Reduction is deferred.  Entries start in [0, p), and each row update
 subtracts a product of two reduced numbers, at most (p-1)^2.  So after s
@@ -110,9 +111,16 @@ def echelon_mod_p(
 
 
 def rank_mod_p(a: np.ndarray) -> int:
-    """Rank of an integer matrix over F_p, p = PRIME."""
+    """Rank of an integer matrix over F_p, p = PRIME.
+
+    A matrix with no entries has rank 0, and one with a single row or
+    column has rank 1 exactly when some entry is nonzero mod p; those are
+    answered here, in Python ints.  Any other goes to `echelon_mod_p`.
+    """
     if a.size == 0:
         return 0
+    if 1 in a.shape:
+        return int(any(x % PRIME for x in a.ravel().tolist()))
     return len(echelon_mod_p(a)[1])
 
 

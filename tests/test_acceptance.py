@@ -67,7 +67,7 @@ class Budget:
 
 
 def test_criterion_01_dictionary_round_trip():
-    with Budget(1, "dictionary round trip", 5.0):
+    with Budget(1, "dictionary round trip", 1.5):
         k, ell = 3, 5
         window = [(i, i - 2 - 2 * r) for i in (1, 2) for r in range(ell + 1)]
         total = 0
@@ -89,7 +89,7 @@ def test_criterion_01_dictionary_round_trip():
 
 
 def test_criterion_02_printed_g_vectors(seed36, seed39, seed48):
-    with Budget(2, "printed g-vectors", 3.0):
+    with Budget(2, "printed g-vectors", 0.5):
         t = Tableau.make(3, 6, [[1, 2], [3, 4], [5, 6]])
         decomposition = {
             str(lab.to_subset()): c
@@ -186,7 +186,7 @@ def test_criterion_05_rigidity_of_listed_variables(alg39, alg48, seed39, seed48)
 
 
 def test_criterion_06_hl_formulas():
-    with Budget(6, "hernandez-leclerc subset formulas", 5.0):
+    with Budget(6, "hernandez-leclerc subset formulas", 0.5):
         grid = {
             (1, -2): (1, 2, 3, 4, 6), (2, -1): (1, 2, 3, 5, 6),
             (3, -2): (2, 3, 5, 6, 7), (4, -1): (2, 4, 5, 6, 7),
@@ -231,7 +231,7 @@ def test_criterion_07_mutation_sequence_theorem():
 
 
 def test_criterion_08_profiles(seed36, seed39, seed48):
-    with Budget(8, "profile balance checks", 10.0):
+    with Budget(8, "profile balance checks", 1.0):
         def ks(n, *elems):
             return KSubset(n, tuple(elems))
 
@@ -282,7 +282,7 @@ def test_criterion_09_braid_relations():
 
 
 def test_criterion_10_property_suites(seed36, alg39, seed39):
-    with Budget(10, "algebraic property suites", 3.0):
+    with Budget(10, "algebraic property suites", 1.0):
         rng = np.random.default_rng(100)
 
         # Bender-Knuth involution on 1000 random tableaux

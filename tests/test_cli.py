@@ -277,6 +277,8 @@ class TestErrorPaths:
         (QuiverWithPotential, {"vertices": ["a"], "arrows": [], "potential": [
             {"sign": 1, "cycle": ["x"]}]}),
         (Quiver, {"m": 2, "n_mut": 1, "arrows": [], "coords": [[0, 0]]}),
+        # an empty coords list was once read as no coords
+        (Quiver, {"m": 2, "n_mut": 1, "arrows": [[0, 1]], "coords": []}),
     ])
     def test_from_json_rejects_malformed(self, cls, data):
         # the library holds no QP JSON reader: the oracle loader's is checked
@@ -306,6 +308,11 @@ class TestErrorPaths:
             "quiver": {"m": 2, "n_mut": 1, "arrows": [[0, 1]], "coords": [[0, 0], [1, 1], [2, 2]]},
             "labels": [{"k": 2, "n": 4, "rows": [[1], [2]]}, {"k": 2, "n": 4, "rows": [[1], [3]]}],
         })), "BadParameters", ["got 3", "m=2"]),
+        # and an empty coords list was once read as no coords
+        (("seed", "init", "--seed", json.dumps({
+            "quiver": {"m": 2, "n_mut": 1, "arrows": [[0, 1]], "coords": []},
+            "labels": [{"k": 2, "n": 4, "rows": [[1], [2]]}, {"k": 2, "n": 4, "rows": [[1], [3]]}],
+        })), "BadParameters", ["need one coord per vertex, got 0 for m=2"]),
     ])
     def test_bad_parameters_are_structured(self, capsys, argv, error, names):
         code, out, err = run(capsys, *argv)

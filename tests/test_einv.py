@@ -384,6 +384,56 @@ class TestStreams:
         ]
 
 
+class CountingSeedSequence(np.random.SeedSequence):
+    """A SeedSequence that counts its generate_state calls."""
+
+    calls = 0
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        type(self).calls += 1
+        return super().generate_state(n_words, dtype)
+
+
+class TestSeedWords:
+    """Each stream's PCG64 seed words are derived once and then reused."""
+
+    @pytest.mark.parametrize("key", STREAM_KEYS)
+    def test_repeated_stream_derives_no_state(self, monkeypatch, key):
+        theirs = np.random.default_rng(list(key)).bit_generator.state
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        monkeypatch.setattr(CountingSeedSequence, "calls", 0)
+        einv._seed_words.cache_clear()
+        try:
+            assert einv._stream(*key).bit_generator.state == theirs
+            assert CountingSeedSequence.calls == 1
+            for _ in range(3):
+                assert einv._stream(*key).bit_generator.state == theirs
+            assert CountingSeedSequence.calls == 1
+        finally:
+            # keep no counting sequence in the cache for later tests
+            einv._seed_words.cache_clear()
+
+    @pytest.mark.parametrize("key", STREAM_KEYS)
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (2, np.uint64), (8, np.uint64), (1, np.uint32), (4, "u8"), (4, None),
+    ])
+    def test_other_requests_go_to_the_sequence(self, key, n_words, dtype):
+        words = einv._seed_words(*key)
+        args = (n_words,) if dtype is None else (n_words, dtype)
+        got = words.generate_state(*args)
+        want = np.random.SeedSequence(list(key)).generate_state(*args)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_pcg64_request_returns_the_cached_words(self):
+        words = einv._seed_words(7, 19, 1)
+        assert isinstance(words, np.random.bit_generator.ISeedSequence)
+        want = np.random.SeedSequence([7, 19, 1]).generate_state(4, np.uint64)
+        assert words.generate_state(4, np.uint64).tolist() == want.tolist()
+        assert words.generate_state(4, np.uint64) is words.generate_state(4, np.uint64)
+        with pytest.raises(ValueError):
+            words.generate_state(4, np.uint64)[0] = 0
+
+
 def oracle_int_blocks(h: TwoTermComplex, field: str) -> dict[tuple[int, int], list[int]]:
     """h's block coefficients as ints, keyed like h.blocks: over Q times the
     lcm of h's denominators, over F_p each numerator times its inverse

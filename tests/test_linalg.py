@@ -154,6 +154,60 @@ class TestRank:
             assert modp.rank_mod_p(m) == rank_int(m.tolist())
 
 
+P = modp.PRIME
+VECTOR_ENTRIES = st.one_of(
+    st.integers(-(2**63) + 1, 2**63 - 1),
+    st.integers(-3, 3),
+    st.integers(-(2**32), 2**32).map(lambda q: q * P if abs(q * P) < 2**63 else P),
+)
+
+
+def assert_vector_rank(entries: list[int]) -> int:
+    """rank_mod_p of the row and of the column vector against echelon_mod_p's
+    pivot count and rank_int of the residues; return the rank."""
+    want = rank_int([[x % P for x in entries]])
+    for a in (np.array([entries], dtype=np.int64), np.array([entries], dtype=np.int64).T):
+        got = modp.rank_mod_p(a)
+        assert type(got) is int
+        assert got == len(modp.echelon_mod_p(a)[1]) == want
+    return want
+
+
+class TestVectorRankModP:
+    """One row or one column: rank 1 exactly when an entry is nonzero mod p."""
+
+    @pytest.mark.parametrize("entries, rank", [
+        ([0], 0),
+        ([0, 0, 0], 0),
+        ([P], 0),
+        ([-P, 2 * P, 0], 0),
+        ([P * 2**31], 0),
+        ([1], 1),
+        ([-1, 0], 1),
+        ([P, 1], 1),
+        ([0, -P - 1], 1),
+        ([2**31], 1),
+        ([2**31 - 1, 2**31 - 2], 1),
+        ([2**62, -(2**63) + 1], 1),
+    ])
+    def test_literal_vectors(self, entries, rank):
+        assert assert_vector_rank(entries) == rank
+
+    @given(st.lists(VECTOR_ENTRIES, min_size=1, max_size=12))
+    def test_hypothesis_vectors(self, entries):
+        assert_vector_rank(entries)
+
+    def test_no_elimination_for_vectors(self, monkeypatch):
+        calls = []
+        kernel = modp.echelon_mod_p
+        monkeypatch.setattr(modp, "echelon_mod_p", lambda a: calls.append(a.shape) or kernel(a))
+        for shape in [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1)]:
+            assert modp.rank_mod_p(np.ones(shape, dtype=np.int64)) == 1
+        assert calls == []
+        assert modp.rank_mod_p(np.eye(2, dtype=np.int64)) == 2
+        assert calls == [(2, 2)]
+
+
 def bareiss_rank(m):
     return _bareiss([list(map(int, r)) for r in m])[0]
 
@@ -441,6 +495,13 @@ class TestMalformed:
     def test_non_integer_entry(self, kernel, bad):
         with pytest.raises(BadParameters, match="integer entries"):
             kernel([[1, 0], [0, bad]])
+
+    @pytest.mark.parametrize("kernel", [det, rref, rank_int])
+    @pytest.mark.parametrize("rows", [[1, 2], [[1, 2], 3], 5, np.array([1, 2])])
+    def test_non_iterable_row(self, kernel, rows):
+        # once a bare TypeError, "'int' object is not iterable"
+        with pytest.raises(BadParameters, match="sequence of rows"):
+            kernel(rows)
 
 
 class TestAgainstFractionOracle:
