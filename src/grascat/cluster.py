@@ -12,6 +12,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -48,9 +49,11 @@ class Quiver:
     """A loop-free quiver with the first n_mut vertices mutable.
 
     Arrows are stored as a sorted tuple of (source, target) pairs; parallel
-    arrows simply repeat.  Arrows between frozen vertices are kept for
-    display but never created or consulted by mutation.  ``coords``, when
-    given, holds one grid point per vertex.
+    arrows simply repeat.  Each end is taken by ``operator.index``, so an
+    arrow that is not a pair of integers raises BadParameters.  Arrows
+    between frozen vertices are kept for display but never created or
+    consulted by mutation.  ``coords``, when given, holds one grid point per
+    vertex.
     """
 
     m: int
@@ -63,8 +66,12 @@ class Quiver:
             raise BadParameters(f"need 0 <= n_mut <= m, got n_mut={self.n_mut}, m={self.m}")
         if self.coords is not None and len(self.coords) != self.m:
             raise BadParameters(f"need one coord per vertex, got {len(self.coords)} for m={self.m}")
-        object.__setattr__(self, "arrows", tuple(sorted(map(tuple, self.arrows))))
-        for s, t in self.arrows:
+        try:
+            arrows = tuple(sorted(map(_arrow, self.arrows)))
+        except TypeError:
+            raise BadParameters("arrows must be a sequence of (source, target) pairs") from None
+        object.__setattr__(self, "arrows", arrows)
+        for s, t in arrows:
             if s == t:
                 raise BadParameters(f"loop at vertex {s}")
             if not (0 <= s < self.m and 0 <= t < self.m):
@@ -82,10 +89,17 @@ class Quiver:
         arrows = [(pos[c], pos[d]) for c in coords for d in heads(*c) if d in pos]
         return cls(len(coords), len(mutable), tuple(arrows), coords)
 
+    @classmethod
+    def _of(cls, m: int, n_mut: int, arrows: tuple, coords) -> "Quiver":
+        """A quiver from sorted, in-range arrows without loops or 2-cycles, unchecked."""
+        q = object.__new__(cls)
+        q.__dict__.update(m=m, n_mut=n_mut, arrows=arrows, coords=coords, _has_two_cycle=False)
+        return q
+
     @cached_property
     def _has_two_cycle(self) -> bool:
         # Built once per quiver and only when it is mutated: a mutation of a
-        # quiver without 2-cycles has none either.
+        # quiver without 2-cycles has none either, and `_of` sets it so.
         return bool(_two_cycles(self.arrows))
 
     def is_mutable(self, v: int) -> bool:
@@ -129,6 +143,15 @@ class Quiver:
         )
 
 
+def _arrow(a) -> tuple[int, int]:
+    """An arrow as a pair of ints, each end by ``operator.index``."""
+    try:
+        s, t = a
+        return index(s), index(t)
+    except (TypeError, ValueError):
+        raise BadParameters(f"arrow {a!r} is not a pair of integers") from None
+
+
 def _two_cycles(arrows) -> list[tuple[int, int]]:
     """Pairs s < t with arrows both ways."""
     if not arrows:
@@ -156,6 +179,11 @@ def mutate_quiver(q: Quiver, r: int) -> Quiver:
     a q that has a 2-cycle already, which a hand-built quiver can, leaves
     any for step (iii).  Parallel arrows repeat, and arrows between frozen
     vertices pass through unchanged.
+
+    Without a 2-cycle in q the result is built unchecked (`Quiver._of`):
+    the edits keep the list sorted and in range, and a loop i->i can only
+    come from a 2-cycle i<->r.  A q with a 2-cycle goes through the checked
+    constructor, which raises BadParameters for such a loop.
     """
     if not q.is_mutable(r):
         raise FrozenVertex(f"vertex {r} is frozen")
@@ -170,11 +198,12 @@ def mutate_quiver(q: Quiver, r: int) -> Quiver:
         insort(arrows, (r, i))
     for j in outof:
         insort(arrows, (j, r))
-    if q._has_two_cycle:
-        for s, t in _two_cycles(arrows):
-            for _ in range(min(arrows.count((s, t)), arrows.count((t, s)))):
-                arrows.remove((s, t))
-                arrows.remove((t, s))
+    if not q._has_two_cycle:
+        return Quiver._of(q.m, q.n_mut, tuple(arrows), q.coords)
+    for s, t in _two_cycles(arrows):
+        for _ in range(min(arrows.count((s, t)), arrows.count((t, s)))):
+            arrows.remove((s, t))
+            arrows.remove((t, s))
     return Quiver(q.m, q.n_mut, tuple(arrows), q.coords)
 
 
@@ -199,6 +228,13 @@ class Seed:
 
     def mutable_labels(self) -> tuple[Tableau, ...]:
         return self.labels[: self.n_mut]
+
+    @cached_property
+    def _independent(self) -> bool:
+        """Whether the labels share one (k, n) and their contents are
+        independent over Q; False only sends `explore` to the solver."""
+        contents = [t.content().ravel() for t in self.labels]
+        return len({c.size for c in contents}) == 1 and rank_int(np.array(contents)) == self.m
 
     def to_json(self) -> dict:
         return {
@@ -261,9 +297,17 @@ def _exchange(packing: tb.Packing, r: int, ins: int, outs: int, label: int) -> t
 
 
 def mutate_seed(seed: Seed, r: int) -> Seed:
-    """Mutate a seed at mutable vertex r via the tableau exchange rule."""
+    """Mutate a seed at mutable vertex r via the tableau exchange rule.
+
+    The child carries its parent's label independence: the exchange
+    replaces the content of label r by the sum of those of the bigger
+    union's parts (r is not among them) minus its own, a unimodular row
+    operation, so the rank of the contents over Q is the same.
+    """
     label = exchange_label(seed, r)
-    return Seed(mutate_quiver(seed.quiver, r), seed.labels[:r] + (label,) + seed.labels[r + 1 :])
+    child = Seed(mutate_quiver(seed.quiver, r), seed.labels[:r] + (label,) + seed.labels[r + 1 :])
+    child.__dict__["_independent"] = seed._independent
+    return child
 
 
 def _grassmannian_grid(k: int, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -308,8 +352,9 @@ class ExploreResult:
     ``stopped_by`` names what left the closure incomplete: "max_seeds" when
     the seed budget ended the call, "depth" when the first unseen cluster
     past the depth horizon ended it, and None when the result is complete.
-    Either cut ends the call at once, so an exchange that would fail on a
-    seed still queued then never runs and raises nothing.
+    Either cut ends the call at once.  A queued seed's quiver is built only
+    when the seed is expanded, so a seed still queued at a cut has neither
+    its exchanges nor its quiver mutation run, and raises nothing.
     """
 
     variables: dict[Tableau, tuple[int, ...]] = field(default_factory=dict)
@@ -328,11 +373,15 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     first met, together with its g-vector over the starting seed.  If either
     budget is exhausted the result is flagged incomplete instead of raising,
     so partial sweeps stay usable; ``stopped_by`` says which budget it was.
+    Both budgets are integers (``operator.index``), else BadParameters.
     The call returns as soon as a budget cuts: at the seed that would
     exceed max_seeds, or at the first unseen cluster past max_depth.  The
     queue is breadth-first, so every seed still queued at a depth cut lies
-    on the horizon and could only meet more clusters past it; none of them
-    is mutated, and an exchange that would fail on one raises nothing.
+    on the horizon and could only meet more clusters past it.  A queued
+    seed holds its parent's quiver and the vertex r, and `mutate_quiver`
+    runs when the seed is expanded; a seed still queued at a cut is neither
+    exchanged nor mutated, so a failure on it (an exchange, or the loop
+    that a 2-cycle through r leaves) raises nothing.
 
     The exploration runs on packed count vectors (`tableaux.Packing`): the
     in- and out-unions of every vertex come from one pass over the arrows,
@@ -343,8 +392,9 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     union could reach a guard bit.
 
     g-vectors are carried, not solved: the start labels have independent
-    contents (else NonUniqueSolution), so label j of the start seed has
-    the unit vector e_j, and a g-vector is linear in the content.  A new
+    contents (else NonUniqueSolution; a seed from `mutate_seed` carries
+    this from its parent, so no rank is taken), so label j of the start
+    seed has the unit vector e_j, and a g-vector is linear in the content.  A new
     label gets the sum of the vectors of the bigger union's parts minus
     that of the old label, and its reduction subtracts the vector of each
     trivial column it loses.  In a seed reached from
@@ -352,6 +402,7 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     unit vector; a reduction that takes off any other is solved over the
     start seed by `tableaux.label_solver`, as `gvec.g_vector` solves it.
     """
+    max_depth, max_seeds = _budget("max_depth", max_depth), _budget("max_seeds", max_seeds)
     if max_depth < 0:
         raise BadParameters(f"max_depth must be >= 0, got {max_depth}")
     if max_seeds < 1:
@@ -361,8 +412,7 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     k, n = seed.labels[0].k, seed.labels[0].n
     if any((t.k, t.n) != (k, n) for t in seed.labels):
         raise DimensionMismatch("seed labels must share one (k, n)")
-    contents = np.array([t.content().ravel() for t in seed.labels])
-    if rank_int(contents) < seed.m:
+    if not seed._independent:
         tb.label_solver(seed.labels)  # raises NonUniqueSolution unless independent over Q
     packing = tb.Packing.fitting(k, n, 0)
     while True:
@@ -370,6 +420,13 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
             return _explore_packed(seed, max_depth, max_seeds, packing)
         except FieldOverflow:  # the next packing holds this one's limit: twice the bits
             packing = tb.Packing.fitting(k, n, packing.limit)
+
+
+def _budget(name: str, value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise BadParameters(f"{name} must be an integer, got {value!r}") from None
 
 
 def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Packing) -> ExploreResult:
@@ -416,9 +473,13 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
         record(start[j], units[j])
     keys = tuple(reduced(x)[0] for x in start[:n_mut])
     seen = {tuple(sorted(keys))}
-    queue = deque([(seed.quiver, start, keys, tuple(units[:n_mut]), 0)])
+    # A queued seed is (parent quiver, r, ...): its quiver is built when it
+    # is expanded, so a seed left queued at a cut costs no quiver mutation.
+    queue = deque([(seed.quiver, None, start, keys, tuple(units[:n_mut]), 0)])
     while queue:
-        quiver, labels, keys, gvecs, depth = queue.popleft()
+        quiver, r_in, labels, keys, gvecs, depth = queue.popleft()
+        if r_in is not None:
+            quiver = mutate_quiver(quiver, r_in)
         arrows = quiver.arrows
         # Every union is a sum of at most len(arrows) labels, and no field of
         # a label exceeds its top one.
@@ -454,7 +515,8 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
                     g[v] += 1
             record(new, g)
             queue.append((
-                mutate_quiver(quiver, r),
+                quiver,
+                r,
                 labels[:r] + (new,) + labels[r + 1 :],
                 neighbour,
                 gvecs[:r] + (tuple(g),) + gvecs[r + 1 :],

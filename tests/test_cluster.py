@@ -13,6 +13,7 @@ from grascat.cluster import (
     Quiver,
     Seed,
     _explore_packed,
+    _two_cycles,
     exchange_label,
     explore,
     grassmannian_initial_seed,
@@ -30,6 +31,7 @@ from grascat.errors import (
     NotSemistandard,
 )
 from grascat.gvec import g_vector
+from grascat.linalg import rank_int
 from grascat.tableaux import Dominance, Packing, Tableau, quotient, reduce as treduce, union
 
 
@@ -171,7 +173,8 @@ def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult
     """explore on Tableau labels: exchange_label, reduce, and g_vector solves.
 
     Each queued seed carries the tuple of its reduced mutable labels; a
-    neighbour costs one exchange_label and one reduce.
+    neighbour costs one exchange_label and one reduce.  As in explore, a
+    queued seed's quiver is mutated when the seed is expanded.
     """
     if max_depth < 0:
         raise BadParameters(f"max_depth must be >= 0, got {max_depth}")
@@ -186,11 +189,12 @@ def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult
 
     start = tuple(treduce(t) for t in seed.mutable_labels())
     seen = {frozenset(Counter(start).items())}
-    queue = deque([(seed, start, 0)])
+    queue = deque([(seed.quiver, None, seed.labels, start, 0)])
     record(start)
     result.seeds_seen = 1
     while queue:
-        current, reduced, depth = queue.popleft()
+        quiver, r_in, seed_labels, reduced, depth = queue.popleft()
+        current = Seed(quiver if r_in is None else mutate_quiver(quiver, r_in), seed_labels)
         for r in range(current.n_mut):
             label = exchange_label(current, r)
             labels = reduced[:r] + (treduce(label),) + reduced[r + 1 :]
@@ -207,7 +211,7 @@ def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult
             result.seeds_seen += 1
             record(labels)
             neighbour = current.labels[:r] + (label,) + current.labels[r + 1 :]
-            queue.append((Seed(mutate_quiver(current.quiver, r), neighbour), labels, depth + 1))
+            queue.append((current.quiver, r, neighbour, labels, depth + 1))
     return result
 
 
@@ -226,6 +230,19 @@ def hand_built_quivers(draw):
         # repeat some arrows and reverse others
         arrows += draw(st.lists(st.sampled_from(arrows), max_size=4))
         arrows += [(t, s) for s, t in draw(st.lists(st.sampled_from(arrows), max_size=3))]
+    return Quiver(m, n_mut, tuple(arrows))
+
+
+@st.composite
+def two_cycle_free_quivers(draw):
+    """Quivers with parallel and frozen-frozen arrows but no 2-cycle."""
+    m = draw(st.integers(1, 7))
+    n_mut = draw(st.integers(1, m))
+    pair = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)).filter(lambda a: a[0] != a[1])
+    arrows = []
+    for s, t in draw(st.lists(pair, max_size=16)):
+        if (t, s) not in arrows:
+            arrows.append((s, t))
     return Quiver(m, n_mut, tuple(arrows))
 
 
@@ -248,6 +265,18 @@ class TestAgainstRebuildOracle:
         q = Quiver(2, 2, ((0, 1), (1, 0)))
         assert outcome(mutate_quiver, q, 0) == outcome(counter_mutate_quiver, q, 0)
         assert outcome(mutate_quiver, q, 0)[0] is BadParameters
+
+    @settings(max_examples=200)
+    @given(two_cycle_free_quivers(), st.lists(st.integers(0, 9), max_size=8))
+    def test_unchecked_quivers_equal_checked_ones(self, q, walk):
+        for step in walk:
+            q = mutate_quiver(q, step % q.n_mut)
+            assert q.__dict__["_has_two_cycle"] is False  # set by Quiver._of, not computed
+            checked = Quiver(q.m, q.n_mut, q.arrows, q.coords)
+            assert (q, hash(q), repr(q), q.to_json()) == (
+                checked, hash(checked), repr(checked), checked.to_json(),
+            )
+            assert _two_cycles(q.arrows) == []
 
     @settings(max_examples=40)
     @given(
@@ -393,7 +422,24 @@ FAILING_SEEDS = {
         hand_seed(6, 1, ((3, 0),), [[[1, 3], [3, 4]], [[1, 2], [3, 5]], [[3, 3], [4, 4]], [[4], [5]]]),
         NoIntegerSolution, "not integral",
     ),
+    # both exchanges of the start seed hold, with new labels 14 and 23, but
+    # mutating the quiver at vertex 0 of the 2-cycle 0<->1 leaves a loop at 1
+    "2-cycle through a mutable vertex": (
+        hand_seed(4, 2, ((0, 1), (1, 0), (2, 1), (1, 3)),
+                  [[[1], [3]], [[1, 1], [3, 4]], [[1, 3], [2, 4]], [[1, 2], [3, 4]]]),
+        BadParameters, "loop at vertex 1",
+    ),
+    # 13 + 24 = 1234; mutation at 0 gives (1234)/13 = 24, and back again
+    "mutable label of a dependent triple": (
+        hand_seed(4, 1, ((0, 2), (2, 0)), [[[1], [3]], [[2], [4]], [[1, 2], [3, 4]]]),
+        NonUniqueSolution, "linearly dependent",
+    ),
 }
+
+# (max_depth, max_seeds, stopped_by) of cuts that come before the seed whose
+# quiver mutation leaves a loop is expanded: past the depth horizon, and
+# within it but after the seed budget.
+LOOP_SEED_CUTS = [(0, 50, "depth"), (1, 2, "max_seeds")]
 
 
 class TestPackedExplore:
@@ -415,6 +461,18 @@ class TestPackedExplore:
         got = outcome(explore, seed, 3, 50)
         assert got == outcome(tableau_explore, seed, 3, 50)
         assert got[0] is error and message in got[1]
+
+    @pytest.mark.parametrize("depth, max_seeds, stopped_by", LOOP_SEED_CUTS)
+    def test_cut_before_the_loop_seed_raises_nothing(self, depth, max_seeds, stopped_by):
+        seed = FAILING_SEEDS["2-cycle through a mutable vertex"][0]
+        result = explore(seed, depth, max_seeds)
+        assert (result.complete, result.stopped_by) == (False, stopped_by)
+        assert explore_answer(result) == explore_answer(tableau_explore(seed, depth, max_seeds))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_loop_seed_raises_when_expanded(self, depth):
+        seed, error, message = FAILING_SEEDS["2-cycle through a mutable vertex"]
+        assert outcome(explore, seed, depth, 50) == (error, message)
 
     def test_depth_cut_ends_before_a_failing_exchange(self):
         # at depth 0 the exchange at vertex 0 meets an unseen cluster and
@@ -505,6 +563,21 @@ class TestQuiverMutation:
     def test_no_loops_validation(self):
         with pytest.raises(BadParameters):
             Quiver(2, 2, ((0, 0),))
+
+    @pytest.mark.parametrize("arrow", [(0, 1.5), (0, 1, 2), ("0", "1"), "01", (0,), 5, None])
+    def test_arrow_must_be_a_pair_of_integers(self, arrow):
+        assert outcome(Quiver, 3, 2, ((0, 2), arrow)) == (
+            BadParameters, f"arrow {arrow!r} is not a pair of integers",
+        )
+
+    def test_arrows_must_be_a_sequence(self):
+        assert outcome(Quiver, 3, 2, 5) == (
+            BadParameters, "arrows must be a sequence of (source, target) pairs",
+        )
+
+    def test_numpy_integer_arrows_become_ints(self):
+        q = Quiver(3, 2, ((np.int64(2), np.int8(0)), [1, np.int32(2)]))
+        assert repr(q) == repr(Quiver(3, 2, ((1, 2), (2, 0))))
 
     def test_json_round_trip(self):
         q = Quiver(3, 2, ((0, 1), (1, 2)), coords=((1, 1), (1, 2), (0, 0)))
@@ -722,6 +795,69 @@ class TestExplore:
         ]:
             assert outcome(explore, seed36, depth, max_seeds) == (BadParameters, message)
             assert outcome(tableau_explore, seed36, depth, max_seeds) == (BadParameters, message)
+
+    def test_budgets_must_be_integers(self, seed39):
+        # a fractional depth never equals a whole one, so it would never cut
+        for depth, max_seeds, message in [
+            (1.5, 2000, "max_depth must be an integer, got 1.5"),
+            ("1", 10, "max_depth must be an integer, got '1'"),
+            (None, 10, "max_depth must be an integer, got None"),
+            (1, 100.0, "max_seeds must be an integer, got 100.0"),
+        ]:
+            assert outcome(explore, seed39, depth, max_seeds) == (BadParameters, message)
+        result = explore(seed39, np.int64(1), np.int32(2000))
+        assert explore_answer(result) == explore_answer(explore(seed39, 1, 2000))
+        assert (result.seeds_seen, result.stopped_by) == (11, "depth")
+
+    def test_depth_one_builds_one_quiver_and_takes_no_rank(self, seed39, monkeypatch):
+        # Regression guard on the work of a depth-1 exploration from a walked
+        # Gr(3,9) seed: the ten queued neighbours' quivers are not built
+        # (only the first expanded one is, before the depth cut), and label
+        # independence comes down the walk instead of from a rank.
+        start = seed39
+        for r in (0, 4, 7, 2, 9, 5):
+            start = mutate_seed(start, r)
+        calls = Counter()
+
+        def counted(name, fn):
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        monkeypatch.setattr(cluster, "mutate_quiver", counted("mutate_quiver", mutate_quiver))
+        monkeypatch.setattr(cluster, "rank_int", counted("rank_int", rank_int))
+        result = explore(start, 1, 100)
+        assert (result.seeds_seen, result.stopped_by) == (1 + start.n_mut, "depth")
+        assert (calls["mutate_quiver"], calls["rank_int"]) == (1, 0)
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from([(3, 6), (3, 7), (3, 8), (3, 9), (4, 8)]),
+        st.lists(st.integers(0, 11), min_size=1, max_size=10),
+    )
+    def test_inherited_independence_matches_a_fresh_rank(self, kn, walk):
+        seed = grassmannian_initial_seed(*kn)
+        for step in walk:
+            seed = mutate_seed(seed, step % seed.n_mut)
+            assert "_independent" in seed.__dict__  # carried, not computed
+            contents = np.array([t.content().ravel() for t in seed.labels])
+            assert seed._independent == (rank_int(contents) == seed.m)
+
+    @pytest.mark.parametrize("name, reachable", [
+        ("dependent labels", 1),
+        ("label a sum of two others", 1),
+        ("mutable label of a dependent triple", 2),
+    ])
+    def test_dependent_seeds_and_their_mutations_stay_dependent(self, name, reachable):
+        # every seed mutate_seed reaches from a dependent one stays dependent
+        assert FAILING_SEEDS[name][1] is NonUniqueSolution
+        seeds = [FAILING_SEEDS[name][0]]
+        for s in seeds:  # grows while it is walked
+            seeds += [c for c in (outcome(mutate_seed, s, r) for r in range(s.n_mut))
+                      if isinstance(c, Seed) and c not in seeds]
+        assert len(seeds) == reachable
+        for s in seeds:
+            assert s._independent is False
+            got = outcome(explore, s, 3, 50)
+            assert got[0] is NonUniqueSolution and "linearly dependent" in got[1]
 
     def test_seed_json_round_trip(self, seed36):
         assert Seed.from_json(seed36.to_json()).labels == seed36.labels
