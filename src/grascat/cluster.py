@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import index
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     json_fields,
     list_of,
 )
-from .linalg import rank_int
+from .linalg import ExactSolver, rank_int
 from .tableaux import Dominance, Tableau
 
 __all__ = [
@@ -49,8 +49,8 @@ class Quiver:
     """A loop-free quiver with the first n_mut vertices mutable.
 
     Arrows are stored as a sorted tuple of (source, target) pairs; parallel
-    arrows simply repeat.  Each end is taken by ``operator.index``, so an
-    arrow that is not a pair of integers raises BadParameters.  Arrows
+    arrows simply repeat.  ``m``, ``n_mut`` and each arrow end are taken by
+    ``operator.index``, so anything else raises BadParameters.  Arrows
     between frozen vertices are kept for display but never created or
     consulted by mutation.  ``coords``, when given, holds one grid point per
     vertex.
@@ -62,6 +62,8 @@ class Quiver:
     coords: tuple | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("m", self.m))
+        object.__setattr__(self, "n_mut", _integer("n_mut", self.n_mut))
         if not 0 <= self.n_mut <= self.m:
             raise BadParameters(f"need 0 <= n_mut <= m, got n_mut={self.n_mut}, m={self.m}")
         if self.coords is not None and len(self.coords) != self.m:
@@ -143,6 +145,14 @@ class Quiver:
         )
 
 
+def _integer(name: str, value) -> int:
+    """value by ``operator.index``, else BadParameters naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise BadParameters(f"{name} must be an integer, got {value!r}") from None
+
+
 def _arrow(a) -> tuple[int, int]:
     """An arrow as a pair of ints, each end by ``operator.index``."""
     try:
@@ -185,6 +195,7 @@ def mutate_quiver(q: Quiver, r: int) -> Quiver:
     come from a 2-cycle i<->r.  A q with a 2-cycle goes through the checked
     constructor, which raises BadParameters for such a loop.
     """
+    r = _integer("mutation vertex", r)
     if not q.is_mutable(r):
         raise FrozenVertex(f"vertex {r} is frozen")
     into = [s for s, t in q.arrows if t == r]
@@ -236,6 +247,19 @@ class Seed:
         contents = [t.content().ravel() for t in self.labels]
         return len({c.size for c in contents}) == 1 and rank_int(np.array(contents)) == self.m
 
+    @cached_property
+    def solver(self) -> ExactSolver:
+        """The exact solver over the contents of the labels, built once per seed.
+
+        Raises NonUniqueSolution when the contents are linearly dependent.
+        """
+        return ExactSolver([t.content().ravel().tolist() for t in self.labels])
+
+    @cached_property
+    def vertex_names(self) -> tuple[str, ...]:
+        """The Plücker label of each mutable vertex, as the Jacobian algebra names it."""
+        return tuple(str(t.to_subset()) for t in self.mutable_labels())
+
     def to_json(self) -> dict:
         return {
             "quiver": self.quiver.to_json(),
@@ -260,7 +284,7 @@ def exchange_label(seed: Seed, r: int) -> Tableau:
     neighbours, in fields wide enough for either, and `_exchange` does the
     rest.
     """
-    q = seed.quiver
+    q, r = seed.quiver, _integer("mutation vertex", r)
     if not q.is_mutable(r):
         raise FrozenVertex(f"vertex {r} is frozen")
     labels = seed.labels
@@ -304,7 +328,7 @@ def mutate_seed(seed: Seed, r: int) -> Seed:
     union's parts (r is not among them) minus its own, a unimodular row
     operation, so the rank of the contents over Q is the same.
     """
-    label = exchange_label(seed, r)
+    label = exchange_label(seed, r)  # reads r by operator.index
     child = Seed(mutate_quiver(seed.quiver, r), seed.labels[:r] + (label,) + seed.labels[r + 1 :])
     child.__dict__["_independent"] = seed._independent
     return child
@@ -326,12 +350,16 @@ def _grid_subset(k: int, n: int, a: int, b: int) -> KSubset:
     return KSubset(n, tuple(range(1, k - b + 1)) + tuple(range(k - b + 1 + a, k + a + 1)))
 
 
+@lru_cache(maxsize=32, typed=True)
 def grassmannian_initial_seed(k: int, n: int) -> Seed:
-    """The triangular initial seed of the Grassmannian Gr(k, n).
+    """The triangular initial seed of the Grassmannian Gr(k, n), built once per (k, n).
 
     Arrows run right, up and diagonally down-left on the grid, apart from
-    the corner: (0,0) -> (1,1) takes the place of (1,1) -> (0,0).
+    the corner: (0,0) -> (1,1) takes the place of (1,1) -> (0,0).  Every
+    caller shares the seed, and with it its solver.  k and n are taken by
+    ``operator.index``; the cache is typed, so 3.0 never finds the entry of 3.
     """
+    k, n = _integer("k", k), _integer("n", n)
     if not 2 <= k <= n - 2:
         raise BadParameters(f"need 2 <= k <= n-2, got (k,n)=({k},{n})")
 
@@ -400,9 +428,9 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     trivial column it loses.  In a seed reached from
     `grassmannian_initial_seed` every trivial column is a frozen label, of
     unit vector; a reduction that takes off any other is solved over the
-    start seed by `tableaux.label_solver`, as `gvec.g_vector` solves it.
+    start seed by `Seed.solver`, as `gvec.g_vector` solves it.
     """
-    max_depth, max_seeds = _budget("max_depth", max_depth), _budget("max_seeds", max_seeds)
+    max_depth, max_seeds = _integer("max_depth", max_depth), _integer("max_seeds", max_seeds)
     if max_depth < 0:
         raise BadParameters(f"max_depth must be >= 0, got {max_depth}")
     if max_seeds < 1:
@@ -413,20 +441,13 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     if any((t.k, t.n) != (k, n) for t in seed.labels):
         raise DimensionMismatch("seed labels must share one (k, n)")
     if not seed._independent:
-        tb.label_solver(seed.labels)  # raises NonUniqueSolution unless independent over Q
+        seed.solver  # raises NonUniqueSolution unless independent over Q
     packing = tb.Packing.fitting(k, n, 0)
     while True:
         try:
             return _explore_packed(seed, max_depth, max_seeds, packing)
         except FieldOverflow:  # the next packing holds this one's limit: twice the bits
             packing = tb.Packing.fitting(k, n, packing.limit)
-
-
-def _budget(name: str, value) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise BadParameters(f"{name} must be an integer, got {value!r}") from None
 
 
 def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Packing) -> ExploreResult:
@@ -459,7 +480,7 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
                 j = start_index.get(column)
                 if j is None:  # not a label: solve the reduced label, as g_vector does
                     content = packing.tableau(red).content().ravel().tolist()
-                    found[red] = tuple(tb.label_solver(seed.labels).solve_integer(content))
+                    found[red] = tuple(seed.solver.solve_integer(content))
                     return
                 g[j] -= mult
         found[red] = tuple(g)

@@ -284,7 +284,9 @@ def complex_from_gvector(g: GVector, algebra: Algebra) -> tuple[tuple[str, ...],
     Frozen coordinates are dropped: projectives vanish in the stable
     category, matching the truncated vectors used in the worked examples.
     """
-    names = _vertex_names(g.seed.labels[: g.seed.n_mut], algebra.vertices)
+    names = g.seed.vertex_names
+    if set(names) != set(algebra.vertices):
+        raise AlgebraMismatch("the seed's mutable labels must be exactly the algebra's vertices")
     neg: list[str] = []
     pos: list[str] = []
     for name, coord in zip(names, g.mutable):
@@ -293,17 +295,6 @@ def complex_from_gvector(g: GVector, algebra: Algebra) -> tuple[tuple[str, ...],
         elif coord > 0:
             pos.extend([name] * coord)
     return tuple(neg), tuple(pos)
-
-
-@lru_cache(maxsize=256)
-def _vertex_names(labels: tuple, vertices: tuple[str, ...]) -> tuple[str, ...]:
-    """The vertex name of each label; they must be exactly ``vertices``."""
-    names = tuple(str(t.to_subset()) for t in labels)
-    if set(names) != set(vertices):
-        raise AlgebraMismatch(
-            "the seed's mutable labels must be exactly the algebra's vertices"
-        )
-    return names
 
 
 def random_complex(

@@ -64,7 +64,7 @@ def g_vector(t: Tableau, seed: Seed) -> GVector:
     if (t.k, t.n) != (label.k, label.n):
         raise DimensionMismatch(f"tableau is ({t.k},{t.n}), seed labels are ({label.k},{label.n})")
     content = tb.reduce(t).content().ravel().tolist()
-    return GVector(seed, tuple(tb.label_solver(seed.labels).solve_integer(content)))
+    return GVector(seed, tuple(seed.solver.solve_integer(content)))
 
 
 def cone_presentation(g: GVector) -> ConePresentation:

@@ -118,8 +118,7 @@ def initial_qp(k: int, n: int) -> QuiverWithPotential:
         area = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
         return (area > 0) - (area < 0)
 
-    names = [str(t.to_subset()) for t in seed.mutable_labels()]
-    return triangle_qp(names, [(t, s) for s, t in q.arrows], orientation)
+    return triangle_qp(seed.vertex_names, [(t, s) for s, t in q.arrows], orientation)
 
 
 def potential_relations(qp: QuiverWithPotential) -> dict[str, list[tuple[int, Path]]]:

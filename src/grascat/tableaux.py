@@ -49,7 +49,6 @@ __all__ = [
     "tableau_to_monomial",
     "bender_knuth",
     "promote",
-    "label_solver",
 ]
 
 
@@ -72,17 +71,6 @@ class Tableau:
             raise NotSemistandard("every row must be a list of integers") from None
         object.__setattr__(self, "rows", rows)
         self.validate()
-
-    def __hash__(self) -> int:
-        # Cached: the label tuples of a seed key the `label_solver` and
-        # `einv._vertex_names` caches, so every g_vector call hashes each label.
-        # Over 49 Gr(3,9) variables a call took 20.4 us cached against 24.9 us
-        # uncached (best of 7, Python 3.11, 2 vCPUs).
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.k, self.n, self.rows))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def validate(self) -> None:
         width = len(self.rows[0]) if self.rows else 0
@@ -496,15 +484,6 @@ def monomial_to_tableau(mono: DominantMonomial) -> Tableau:
     return reduce(union_all(parts, k=mono.k, n=n))
 
 
-@lru_cache(maxsize=64)
-def label_solver(labels: tuple[Tableau, ...]) -> ExactSolver:
-    """The exact solver over the contents of a seed's labels, built once per tuple.
-
-    Raises NonUniqueSolution when the contents are linearly dependent.
-    """
-    return ExactSolver([t.content().ravel().tolist() for t in labels])
-
-
 @lru_cache(maxsize=None)
 def _dictionary_basis(k: int, n: int):
     """The fundamental (i, s) of (k, n), and the solver over their columns and the trivial ones.
@@ -515,7 +494,7 @@ def _dictionary_basis(k: int, n: int):
     fundamentals = [(i, i - 2 - 2 * r) for i in range(1, k) for r in range(n - k)]
     columns = [Tableau.from_subset(fundamental_subset(i, s, k, n)) for i, s in fundamentals]
     columns += [trivial_column(a, k, n) for a in range(1, n - k + 2)]
-    return label_solver(tuple(columns)), fundamentals
+    return ExactSolver([t.content().ravel().tolist() for t in columns]), fundamentals
 
 
 def tableau_to_monomial(t: Tableau) -> DominantMonomial:

@@ -94,8 +94,8 @@ class TestEPair:
             complex_from_gvector(g, alg39)
 
     def test_vertex_mismatch_after_a_cached_match(self, alg39, alg48, seed39, seed36):
-        # the names are cached per label tuple and vertex tuple; the check
-        # still runs for every algebra, and a mismatch raises every time
+        # the names are cached on the seed; the check still runs for every
+        # algebra, and a mismatch raises every time
         g = nonreal_g39(seed39)
         assert complex_from_gvector(g, alg39) == (("125", "126", "134"), ("128", "156", "167"))
         for _ in range(2):

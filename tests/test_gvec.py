@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_tableau
-from grascat import fixtures
+from grascat import cluster, fixtures
 from grascat.cluster import Quiver, Seed, explore, grassmannian_initial_seed
+from grascat.einv import complex_from_gvector
 from grascat.errors import (
+    AlgebraMismatch,
     BadParameters,
     DimensionMismatch,
     NoIntegerSolution,
@@ -15,7 +17,7 @@ from grascat.errors import (
     NotSemistandard,
 )
 from grascat.gvec import GVector, cone_presentation, g_vector
-from grascat.tableaux import Tableau, label_solver, quotient, reduce as treduce, union, union_all
+from grascat.tableaux import Tableau, quotient, reduce as treduce, union, union_all
 
 
 def check_cone_roundtrip(t: Tableau, g: GVector) -> bool:
@@ -159,12 +161,55 @@ class TestGVector:
         labels = tuple(Tableau.make(1, 3, [row]) for row in ([1], [1, 2], [3]))
         seed = Seed(Quiver(3, 1, ((0, 1), (1, 0))), labels)
         t = Tableau.make(1, 3, [[1, 2, 2, 3]])
-        solve = label_solver(labels).solve_integer(treduce(t).content().ravel().tolist())
+        solve = seed.solver.solve_integer(treduce(t).content().ravel().tolist())
         assert g_vector(t, seed).coords == tuple(solve) == (0, 0, 0)
         result = explore(seed, 3, 10)
         assert (result.seeds_seen, result.complete) == (1, True)
         assert result.variables == {v: g_vector(v, seed).coords for v in result.variables}
         assert list(result.variables) == [Tableau.empty(1, 3)]
+
+
+class TestSeedOwnsItsSolver:
+    """The solver and the vertex names are cached on the seed, not keyed on its labels."""
+
+    @staticmethod
+    def fresh(seed: Seed) -> Seed:
+        # built by hand: a shared initial seed already holds its solver
+        return Seed(seed.quiver, seed.labels)
+
+    def test_one_solver_for_many_g_vectors(self, seed39, monkeypatch):
+        built = []
+        solver = cluster.ExactSolver
+        monkeypatch.setattr(cluster, "ExactSolver", lambda rows: built.append(rows) or solver(rows))
+        seed = self.fresh(seed39)
+        tableaux = [Tableau.from_json(p["tableau"]) for p in fixtures.rigid_pairs("gr39_rank4")]
+        for idx in range(100):
+            g_vector(tableaux[idx % len(tableaux)], seed)
+        assert len(built) == 1
+
+    def test_g_vector_and_complex_hash_no_tableau(self, seed39, alg39, monkeypatch):
+        hashed = []
+        tableau_hash = Tableau.__hash__
+        monkeypatch.setattr(Tableau, "__hash__", lambda t: hashed.append(t) or tableau_hash(t))
+        seed = self.fresh(seed39)
+        g = g_vector(Tableau.make(3, 9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]), seed)
+        assert complex_from_gvector(g, alg39) == (("125", "126", "134"), ("128", "156", "167"))
+        assert hashed == []
+
+    def test_hash_is_the_dataclass_hash(self):
+        for t in [Tableau.make(3, 9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]), Tableau.empty(2, 5)]:
+            assert hash(t) == hash((t.k, t.n, t.rows))
+
+    def test_labels_that_are_not_the_algebra_vertices(self, seed39, alg39):
+        # the first mutable and the first frozen label change places: the
+        # solve still holds, the vertex names do not match
+        labels = list(seed39.labels)
+        n_mut = seed39.n_mut
+        labels[0], labels[n_mut] = labels[n_mut], labels[0]
+        seed = Seed(seed39.quiver, tuple(labels))
+        g = g_vector(Tableau.make(3, 9, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]), seed)
+        with pytest.raises(AlgebraMismatch, match="exactly the algebra's vertices"):
+            complex_from_gvector(g, alg39)
 
 
 class TestConePresentation:
