@@ -17,10 +17,12 @@ into the operator's slot vector and scatters them into an int64 matrix, or
 into exact Python ints when an entry could reach 2^63.  The matrix goes to
 the rank kernel as an array.
 
-Sample idx draws from the stream (master seed, idx, stream id).  The four
-seed words PCG64 takes from each stream's seed sequence are cached, and
-each draw gets a fresh PCG64 generator seeded from them: the same bits as
-``np.random.default_rng``.
+Sample idx draws once from the stream (master seed, idx, stream id): the
+first ``integers(low, high, size=width)`` of ``np.random.default_rng`` on
+that key.  Calls with one master seed read the same streams again and
+again, so that first draw is cached per (key, low, high, width): read-only,
+with its values as a tuple and their largest |x|.  No stream is drawn from
+twice, so no generator is kept.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from operator import index
 import numpy as np
 
 from . import modp
-from .errors import AlgebraMismatch, BadParameters
+from .errors import AlgebraMismatch, BadParameters, DimensionMismatch
 from .gvec import GVector
 from .linalg import rank_int
 from .qpa import Algebra
@@ -284,7 +286,11 @@ def complex_from_gvector(g: GVector, algebra: Algebra) -> tuple[tuple[str, ...],
     Frozen coordinates are dropped: projectives vanish in the stable
     category, matching the truncated vectors used in the worked examples.
     """
-    names = g.seed.vertex_names
+    try:
+        names = g.seed.vertex_names
+    except DimensionMismatch:  # a label of two or more columns names no vertex
+        raise AlgebraMismatch("the seed's mutable labels must be exactly the algebra's "
+                              "vertices, but one has more than one column") from None
     if set(names) != set(algebra.vertices):
         raise AlgebraMismatch("the seed's mutable labels must be exactly the algebra's vertices")
     neg: list[str] = []
@@ -301,13 +307,14 @@ def random_complex(
     algebra: Algebra,
     neg: tuple[str, ...],
     pos: tuple[str, ...],
-    rng: np.random.Generator,
+    rng: np.random.Generator | _OneDraw,
     field: str = RATIONAL,
 ) -> TwoTermComplex:
     """Random map with uniform coefficients ([-10, 10] or F_p).
 
-    One draw covers every nonzero block, split in block order (t outer, s
-    inner).  Each of these bounded draws takes its own 32-bit outputs of the
+    `rng` is a numpy Generator, or a sample's one-draw stream.  One draw
+    covers every nonzero block, split in block order (t outer, s inner).
+    Each of these bounded draws takes its own 32-bit outputs of the
     generator in turn, so the blocks are those of one draw per block.  The
     draw is in slot order with ints already in range, so it is kept as the
     complex's `_slot_vector` over `field`, with the draw's largest |x|.
@@ -315,13 +322,10 @@ def random_complex(
     _check_field(field)
     spans, total = _block_layout(algebra, neg, pos)
     low, high = (-10, 11) if field == RATIONAL else (0, modp.PRIME)
-    draw = rng.integers(low, high, size=total)
-    draw.flags.writeable = False
-    coeffs = draw.tolist()
-    blocks = {key: tuple(coeffs[start:end]) for key, start, end in spans}
+    draw, coeffs, top = _ints(rng, low, high, total)
+    blocks = {key: coeffs[start:end] for key, start, end in spans}
     # Each block has hom_dim ints, so the constructor's checks would pass.
-    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field,
-                                     (draw, max(map(abs, coeffs), default=0)))
+    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, (draw, top))
 
 
 def resolve_master_seed(master_seed: int | None = None) -> int:
@@ -342,32 +346,43 @@ def resolve_master_seed(master_seed: int | None = None) -> int:
     return seed
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence with the four uint64 words that PCG64 takes from it
-    computed once.  Any other request goes to the real sequence.  It does
-    not spawn: one object serves every generator on its stream."""
+class _OneDraw:
+    """The stream (master seed, idx, sid), for the one draw a sample takes
+    from it; a second draw raises instead of repeating the first."""
 
-    def __init__(self, seq: np.random.SeedSequence):
-        self.seq = seq
-        self.words = seq.generate_state(4, np.uint64)
-        self.words.flags.writeable = False
+    __slots__ = ("key",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words == 4 and dtype is np.uint64:
-            return self.words
-        return self.seq.generate_state(n_words, dtype)
+    def __init__(self, master_seed: int, idx: int, sid: int):
+        self.key = (master_seed, idx, sid)
 
-
-@lru_cache(maxsize=4096)
-def _seed_words(master_seed: int, *path: int) -> _SeedWords:
-    return _SeedWords(np.random.SeedSequence([master_seed, *path]))
+    def draw(self, low: int, high: int, width: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+        """`_draw` of this stream."""
+        if self.key is None:
+            raise RuntimeError("a one-draw stream was drawn from twice")
+        key, self.key = self.key, None
+        return _draw(*key, low, high, width)
 
 
-def _stream(master_seed: int, *path: int) -> np.random.Generator:
-    """A fresh generator on the stream (master seed, *path), with the bits of
-    ``np.random.default_rng([master_seed, *path])``.  Only the stream's seed
-    words are cached; each call seeds a new PCG64 from them."""
-    return np.random.Generator(np.random.PCG64(_seed_words(master_seed, *path)))
+def _ints(rng, low: int, high: int, width: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """rng's next `width` ints in [low, high): a read-only array, its values
+    as a tuple and their largest |x|.  A one-draw stream reads them from
+    `_draw`."""
+    if isinstance(rng, _OneDraw):
+        return rng.draw(low, high, width)
+    draw = rng.integers(low, high, size=width)
+    draw.flags.writeable = False
+    coeffs = tuple(draw.tolist())
+    return draw, coeffs, max(map(abs, coeffs), default=0)
+
+
+@lru_cache(maxsize=1024)
+def _draw(
+    master_seed: int, idx: int, sid: int, low: int, high: int, width: int
+) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """The first draw of the stream (master seed, idx, sid): `_ints` of
+    ``np.random.default_rng([master_seed, idx, sid])``, so the bits of
+    ``default_rng(...).integers(low, high, size=width)``."""
+    return _ints(np.random.default_rng([master_seed, idx, sid]), low, high, width)
 
 
 def _sampled_minimum(
@@ -382,17 +397,22 @@ def _sampled_minimum(
 
     Sample idx draws one complex per (neg, pos) in `streams`, from the stream
     (master seed, idx, stream id); the first complex is the witness.
+    Raises BadParameters unless `samples` is an integer >= 1.
     """
-    if samples <= 0:
-        raise BadParameters("sample count must be positive")
+    try:
+        count = index(samples)
+    except TypeError:
+        count = 0
+    if count <= 0:
+        raise BadParameters(f"sample count must be an integer >= 1, got {samples!r}")
     _check_field(field)
     master_seed = resolve_master_seed(master_seed)
     best: int | None = None
     witness = None
     used = 0
-    for idx in range(samples):
+    for idx in range(count):
         drawn = [
-            random_complex(algebra, neg, pos, _stream(master_seed, idx, sid), field)
+            random_complex(algebra, neg, pos, _OneDraw(master_seed, idx, sid), field)
             for sid, (neg, pos) in streams.items()
         ]
         value = evaluate(*drawn)

@@ -166,7 +166,7 @@ def test_criterion_04_e_invariants(alg39, alg48, seed39, seed48):
 
 
 def test_criterion_05_rigidity_of_listed_variables(alg39, alg48, seed39, seed48):
-    with Budget(5, "rigidity of listed variables", 1.0):
+    with Budget(5, "rigidity of listed variables", 0.3):
         sweeps = [
             ("gr39_rank4", seed39, alg39, 34),
             ("gr48_rank3", seed48, alg48, 25),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import compose_vectors, from_table, oracle_qp
 from grascat import einv, hl, modp
-from grascat.cluster import grassmannian_initial_seed
+from grascat.cluster import grassmannian_initial_seed, mutate_seed
 from grascat.einv import (
     TwoTermComplex,
     _hom_coordinates,
@@ -106,6 +106,14 @@ class TestEPair:
         for _ in range(2):
             with pytest.raises(AlgebraMismatch, match="exactly the algebra's vertices"):
                 complex_from_gvector(g36, alg39)
+
+    def test_multi_column_label_is_an_algebra_mismatch(self, alg39, seed39):
+        # it once leaked the label's own DimensionMismatch
+        g = nonreal_g39(mutate_seed(seed39, 6))
+        assert max(t.width for t in g.seed.mutable_labels()) >= 2
+        for _ in range(2):
+            with pytest.raises(AlgebraMismatch, match="more than one column"):
+                complex_from_gvector(g, alg39)
 
     def test_huge_fp_coefficient_reduced_before_int64(self, alg39, seed39):
         # entries are reduced mod p as Python ints, so 2^63 neither overflows
@@ -226,10 +234,10 @@ class TestGenericValues:
     @pytest.mark.parametrize("fld", ["Q", "F_p"])
     def test_unknown_field_fails_before_sampling(self, alg39, seed39, fld, monkeypatch):
         # "Q" used to rank over F_p while the report named the field "Q"
-        def no_stream(*path):
+        def no_draw(*key):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(einv, "_stream", no_stream)
+        monkeypatch.setattr(einv, "_draw", no_draw)
         g = nonreal_g39(seed39)
         parts = complex_from_gvector(g, alg39)
         calls = [
@@ -244,10 +252,10 @@ class TestGenericValues:
 
     def test_bad_master_seed_fails_before_sampling(self, alg39, seed39, monkeypatch):
         # a negative seed once ended in numpy's ValueError, not a GrascatError
-        def no_stream(*path):
+        def no_draw(*key):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(einv, "_stream", no_stream)
+        monkeypatch.setattr(einv, "_draw", no_draw)
         g = nonreal_g39(seed39)
         for seed in (-1, 1.0, "3"):
             with pytest.raises(BadParameters, match="master_seed"):
@@ -260,6 +268,29 @@ class TestGenericValues:
                 generic_e(g, alg39, samples=2)
         monkeypatch.setenv("GRASCAT_SEED", "17")
         assert einv.resolve_master_seed() == 17 and einv.resolve_master_seed(0) == 0
+
+    @pytest.mark.parametrize("samples", [0, -2, 2.5, 1.0, "3", None])
+    def test_bad_sample_count_fails_before_sampling(self, alg39, seed39, samples, monkeypatch):
+        # 2.5, "3" and None once ended in a bare TypeError from range()
+        def no_draw(*key):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(einv, "_draw", no_draw)
+        g = nonreal_g39(seed39)
+        parts = complex_from_gvector(g, alg39)
+        calls = [
+            lambda: generic_e(g, alg39, samples=samples, master_seed=0),
+            lambda: generic_e_pair_parts(alg39, parts, parts, samples=samples, master_seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameters, match="sample count"):
+                call()
+
+    def test_integer_like_sample_count(self, alg39, seed39):
+        g = nonreal_g39(seed39)
+        report = generic_e(g, alg39, samples=np.int64(3), field="fp", master_seed=0)
+        assert report.samples == 3 and type(report.samples) is int
+        assert report == generic_e(g, alg39, samples=3, field="fp", master_seed=0)
 
     def test_deterministic_for_fixed_seed(self, alg39, seed39):
         g = nonreal_g39(seed39)
@@ -353,85 +384,112 @@ class TestOneDrawPerComplex:
 
 
 STREAM_KEYS = [(0, 0, 0), (0, 5, 2), (7, 19, 1), (2**32, 0, 1), (2**40, 3, 1)]
+RANGES = [(0, modp.PRIME), (-10, 11)]
 
 
 class TestStreams:
-    """Sample streams come from cached seed sequences, with default_rng's bits."""
+    """A sample's stream gives one cached draw, with default_rng's bits."""
 
     @pytest.mark.parametrize("key", STREAM_KEYS)
     def test_same_bits_as_default_rng(self, key):
-        ours, theirs = einv._stream(*key), np.random.default_rng(list(key))
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        for low, high in ((0, modp.PRIME), (-10, 11)):
-            assert (ours.integers(low, high, size=16).tolist()
-                    == theirs.integers(low, high, size=16).tolist())
+        for low, high in RANGES:
+            for width in range(41):
+                want = np.random.default_rng(list(key)).integers(low, high, size=width)
+                draw, coeffs, top = einv._OneDraw(*key).draw(low, high, width)
+                assert draw.dtype == want.dtype and draw.tolist() == want.tolist()
+                assert coeffs == tuple(want.tolist())
+                assert top == max(map(abs, coeffs), default=0)
+                assert einv._draw(*key, low, high, width)[0] is draw
 
     def test_repeated_calls_give_equal_independent_streams(self):
-        a, b = einv._stream(3, 1, 2), einv._stream(3, 1, 2)
-        assert a is not b and a.bit_generator is not b.bit_generator
-        first = a.integers(0, modp.PRIME, size=8).tolist()
+        a, b = einv._OneDraw(3, 1, 2), einv._OneDraw(3, 1, 2)
+        assert a is not b
+        first = a.draw(0, modp.PRIME, 8)[0].tolist()
         # drawing from one leaves the other, and a third, at the start
-        assert b.integers(0, modp.PRIME, size=8).tolist() == first
-        assert einv._stream(3, 1, 2).integers(0, modp.PRIME, size=8).tolist() == first
-        assert a.integers(0, modp.PRIME, size=8).tolist() != first
+        assert b.draw(0, modp.PRIME, 8)[0].tolist() == first
+        assert einv._OneDraw(3, 1, 2).draw(0, modp.PRIME, 8)[0].tolist() == first
+
+    def test_second_draw_raises(self, alg39, seed39):
+        stream = einv._OneDraw(3, 1, 2)
+        stream.draw(0, modp.PRIME, 8)
+        # a second draw would repeat the first, not continue the stream
+        with pytest.raises(RuntimeError, match="twice"):
+            stream.draw(0, modp.PRIME, 8)
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        stream = einv._OneDraw(3, 1, 2)
+        random_complex(alg39, neg, pos, stream, "fp")
+        with pytest.raises(RuntimeError, match="twice"):
+            random_complex(alg39, neg, pos, stream, "fp")
 
     def test_first_draws_pinned(self):
-        assert einv._stream(0, 0, 0).integers(0, modp.PRIME, size=4).tolist() == [
+        assert einv._OneDraw(0, 0, 0).draw(0, modp.PRIME, 4)[0].tolist() == [
             1826701614, 1367864806, 1097657231, 579362555,
         ]
-        assert einv._stream(2**40, 3, 1).integers(0, modp.PRIME, size=4).tolist() == [
+        assert einv._OneDraw(2**40, 3, 1).draw(0, modp.PRIME, 4)[0].tolist() == [
             185072710, 1890875872, 843134018, 149229599,
         ]
 
+    @pytest.mark.parametrize("field", ["rational", "fp"])
+    def test_draws_are_read_only_and_complexes_their_own(self, alg39, seed39, field):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        a, b = (random_complex(alg39, neg, pos, einv._OneDraw(5, 0, 0), field) for _ in range(2))
+        draw = einv._slot_vector(a, field)[0]
+        assert einv._slot_vector(b, field)[0] is draw  # the one cached draw
+        with pytest.raises(ValueError):
+            draw[0] = 0
+        assert a == b and a.blocks is not b.blocks
+        # a vector made over the other field is kept on b alone
+        other = "fp" if field == "rational" else "rational"
+        einv._slot_vector(b, other)
+        assert other not in a.__dict__["_slots"]
 
-class CountingSeedSequence(np.random.SeedSequence):
-    """A SeedSequence that counts its generate_state calls."""
 
-    calls = 0
+class CountingRng:
+    """np.random.default_rng, recording the seed of every generator it makes."""
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        type(self).calls += 1
-        return super().generate_state(n_words, dtype)
+    def __init__(self):
+        self.seeds = []
+        self.make = np.random.default_rng
+
+    def __call__(self, seed=None):
+        self.seeds.append(tuple(seed))
+        return self.make(seed)
+
+
+@pytest.fixture
+def counting_rng(monkeypatch):
+    counter = CountingRng()
+    monkeypatch.setattr(np.random, "default_rng", counter)
+    einv._draw.cache_clear()
+    yield counter
+    # keep no draw made under the patch in the cache for later tests
+    einv._draw.cache_clear()
 
 
 class TestSeedWords:
-    """Each stream's PCG64 seed words are derived once and then reused."""
+    """A stream's seed is expanded into a generator once per draw (range and
+    width): repeated draws read the cache."""
 
     @pytest.mark.parametrize("key", STREAM_KEYS)
-    def test_repeated_stream_derives_no_state(self, monkeypatch, key):
-        theirs = np.random.default_rng(list(key)).bit_generator.state
-        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        monkeypatch.setattr(CountingSeedSequence, "calls", 0)
-        einv._seed_words.cache_clear()
-        try:
-            assert einv._stream(*key).bit_generator.state == theirs
-            assert CountingSeedSequence.calls == 1
-            for _ in range(3):
-                assert einv._stream(*key).bit_generator.state == theirs
-            assert CountingSeedSequence.calls == 1
-        finally:
-            # keep no counting sequence in the cache for later tests
-            einv._seed_words.cache_clear()
+    def test_repeated_stream_derives_no_state(self, counting_rng, key):
+        want = counting_rng.make(list(key)).integers(0, modp.PRIME, size=5).tolist()
+        assert einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0].tolist() == want
+        assert counting_rng.seeds == [key]
+        for _ in range(3):
+            assert einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0].tolist() == want
+        assert counting_rng.seeds == [key]
+        # another width or range is another draw of the stream
+        einv._OneDraw(*key).draw(0, modp.PRIME, 6)
+        einv._OneDraw(*key).draw(-10, 11, 5)
+        assert counting_rng.seeds == [key] * 3
 
-    @pytest.mark.parametrize("key", STREAM_KEYS)
-    @pytest.mark.parametrize("n_words, dtype", [
-        (4, np.uint32), (2, np.uint64), (8, np.uint64), (1, np.uint32), (4, "u8"), (4, None),
-    ])
-    def test_other_requests_go_to_the_sequence(self, key, n_words, dtype):
-        words = einv._seed_words(*key)
-        args = (n_words,) if dtype is None else (n_words, dtype)
-        got = words.generate_state(*args)
-        want = np.random.SeedSequence(list(key)).generate_state(*args)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-
-    def test_pcg64_request_returns_the_cached_words(self):
-        words = einv._seed_words(7, 19, 1)
-        assert isinstance(words, np.random.bit_generator.ISeedSequence)
-        want = np.random.SeedSequence([7, 19, 1]).generate_state(4, np.uint64)
-        assert words.generate_state(4, np.uint64).tolist() == want.tolist()
-        assert words.generate_state(4, np.uint64) is words.generate_state(4, np.uint64)
-        with pytest.raises(ValueError):
-            words.generate_state(4, np.uint64)[0] = 0
+    def test_one_generator_per_distinct_key(self, counting_rng, alg39, seed39):
+        g = nonreal_g39(seed39)
+        reports = [generic_e(g, alg39, samples=4, field="fp", master_seed=call % 5)
+                   for call in range(50)]
+        assert all(r.samples == 4 for r in reports)
+        # one shape, five master seeds, four samples of one stream each
+        assert sorted(counting_rng.seeds) == [(m, idx, 0) for m in range(5) for idx in range(4)]
 
 
 def oracle_int_blocks(h: TwoTermComplex, field: str) -> dict[tuple[int, int], list[int]]:
