@@ -449,11 +449,13 @@ class CountingRng:
 
     def __init__(self):
         self.seeds = []
+        self.made = []
         self.make = np.random.default_rng
 
     def __call__(self, seed=None):
         self.seeds.append(tuple(seed))
-        return self.make(seed)
+        self.made.append(self.make(seed))
+        return self.made[-1]
 
 
 @pytest.fixture
@@ -482,6 +484,22 @@ class TestSeedWords:
         einv._OneDraw(*key).draw(0, modp.PRIME, 6)
         einv._OneDraw(*key).draw(-10, 11, 5)
         assert counting_rng.seeds == [key] * 3
+
+    @pytest.mark.parametrize("key", STREAM_KEYS)
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (2, np.uint64), (8, np.uint64), (1, np.uint32), (4, "u8"), (4, None),
+    ])
+    def test_other_requests_go_to_the_sequence(self, counting_rng, key, n_words, dtype):
+        # the stream's generator is seeded by numpy's own SeedSequence, so
+        # every request to it (PCG64's four words and any other) is numpy's
+        einv._OneDraw(*key).draw(0, modp.PRIME, 5)
+        (gen,) = counting_rng.made
+        seq = gen.bit_generator.seed_seq
+        assert type(seq) is np.random.SeedSequence
+        args = (n_words,) if dtype is None else (n_words, dtype)
+        got = seq.generate_state(*args)
+        want = np.random.SeedSequence(list(key)).generate_state(*args)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_one_generator_per_distinct_key(self, counting_rng, alg39, seed39):
         g = nonreal_g39(seed39)
