@@ -13,9 +13,13 @@ dropped at compile time, which keeps both ranks.  Each complex carries its
 slot vector: its coefficients in block order, cleared of denominators (over
 Q) or reduced mod p, made once per field and kept on it; a sampled complex's
 one draw is already that vector.  A pair concatenates g's and f's vectors
-into the operator's slot vector and scatters them into an int64 matrix, or
-into exact Python ints when an entry could reach 2^63.  The matrix goes to
-the rank kernel as an array.
+into the operator's slot vector.  A small operator, at most `_SMALL_MAX`
+(12) rows or columns, as nearly all of those the sampled predicates meet
+are, builds its matrix as lists of Python ints from terms kept at compile
+time, and ranks it in Python ints: a numpy build and elimination would cost
+more than the arithmetic.  A larger one is scattered into an int64 array,
+or into exact Python ints when an entry could reach 2^63, and goes to the
+rank kernel as an array.
 
 Sample idx draws once from the stream (master seed, idx, stream id): the
 first ``integers(low, high, size=width)`` of ``np.random.default_rng`` on
@@ -130,15 +134,16 @@ def _block_layout(alg: Algebra, neg, pos) -> tuple[tuple, int]:
     return tuple(spans), width
 
 
-def _slot_vector(h: TwoTermComplex, field: str) -> tuple[np.ndarray, int]:
-    """h's int coefficients in slot order, and their largest |x|; kept on h.
+def _slot_vector(h: TwoTermComplex, field: str) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """h's int coefficients in slot order, as an array and as a tuple of
+    Python ints, and their largest |x|; kept on h.
 
     Slot order is that of `_block_layout`, with zeros for a missing block.
     Over Q the coefficients are multiplied by the lcm of h's denominators,
     which scales whole columns of the homotopy matrix and so keeps its rank.
     Over F_p each is its numerator times its inverse denominator, reduced
     into [0, p); a denominator divisible by p raises ValueError.  The
-    read-only vector is int64 when every |x| is below 2^63, and exact Python
+    read-only array is int64 when every |x| is below 2^63, and exact Python
     ints (dtype object) otherwise.
     """
     kept = h.__dict__.setdefault("_slots", {})
@@ -157,8 +162,28 @@ def _slot_vector(h: TwoTermComplex, field: str) -> tuple[np.ndarray, int]:
         top = max(map(abs, x), default=0)
         vec = np.array(x, dtype=np.int64 if top < 2**63 else object)
         vec.flags.writeable = False
-        kept[field] = vec, top
+        kept[field] = vec, tuple(x), top
     return kept[field]
+
+
+# Operators with at most this many rows or columns are assembled and ranked
+# in Python ints; larger ones by a numpy scatter and the numpy kernels.  Time
+# per e_pair call on the operators of seed-1 `einv` and `reachability`
+# rounds, Python ints against numpy (best of five runs, 2 vCPUs, Python
+# 3.11, numpy 2.4):
+#   rows x cols   over F_p                over Q
+#   1 x 2         3.0 against 9.2 us      -
+#   2 x 3         4.7 against 16.8 us     -
+#   4 x 4         7.8 against 32 us       6.4 against 7.3 us
+#   5 x 8         14 against 41 us        -
+#   7 x 10        20 against 58 us        23 against 21 us
+#   8 x 8         26 against 67 us        22 against 20 us
+#   12 x 12       60 against 107 us       55 against 51 us
+#   16 x 16       127 against 135 us      115 against 108 us
+# Over Q the Python build loses a little from 7 x 10 on, where `rank_int`
+# reading its rows entry by entry costs more than the scatter; over F_p it
+# wins by far more up to 12 x 12 and ties at 16 x 16.
+_SMALL_MAX = 12
 
 
 @dataclass(frozen=True)
@@ -171,6 +196,9 @@ class _Operator:
     coeff is an int structure constant of the algebra.  No entry takes more
     than `bound` (the largest sum of |coeff| into one entry) times max|x|.
     Column j is column ``columns[j]`` of the full map; the others are zero.
+    A small operator (`_SMALL_MAX`) also has `terms`, the same terms in
+    Python ints grouped by column: terms[j] holds a (row, slot, coeff)
+    triple for each term of column j.  It is None for the others.
     """
 
     rows: int
@@ -180,6 +208,7 @@ class _Operator:
     slot: np.ndarray
     coeff: np.ndarray
     bound: int
+    terms: tuple[tuple[tuple[int, int, int], ...], ...] | None
 
 
 @lru_cache(maxsize=256)
@@ -220,9 +249,16 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     flat, slot, coeff = coo[:, 0] * cols + kept, coo[:, 2].copy(), coo[:, 3].copy()
     load = np.zeros(rows * cols, dtype=np.int64)
     np.add.at(load, flat, np.abs(coeff))
+    small = None
+    if rows and cols and min(rows, cols) <= _SMALL_MAX:
+        by_column = [[] for _ in range(cols)]
+        for k, s, c in zip(flat.tolist(), slot.tolist(), coeff.tolist()):
+            i, j = divmod(k, cols)
+            by_column[j].append((i, s, c))
+        small = tuple(map(tuple, by_column))
     for arr in (columns, flat, slot, coeff):
         arr.flags.writeable = False  # every caller of the cache shares them
-    return _Operator(rows, cols, columns, flat, slot, coeff, int(load.max(initial=0)))
+    return _Operator(rows, cols, columns, flat, slot, coeff, int(load.max(initial=0)), small)
 
 
 def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -232,20 +268,38 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     (by identity, so two algebras never share an operator) and the four
     summand tuples.  Its slot vector x is g's `_slot_vector` followed by
     f's, each made once per complex and field (over F_p, reduced into
-    [0, p)), and one np.add.at scatters coeff * x[slot] into a zeroed
-    rows × cols matrix.  The matrix is int64 when max|x| times the
-    operator's bound is below 2^63, and exact Python ints (dtype object)
-    otherwise, so nothing overflows.  Over F_p the matrix mod p goes to
-    `modp.rank_mod_p`; over Q its transpose goes to `rank_int`, as an array.
+    [0, p)).
+
+    An operator with at most `_SMALL_MAX` rows or columns is small: at its
+    size numpy's per-call overhead costs more than the arithmetic.  Its
+    `terms` build the transposed matrix, one list of Python ints per column
+    of the map, which goes over Q to `rank_int` (Bareiss at these sizes)
+    and over F_p to `modp.rank_rows_mod_p`, which reads it mod p.  Any
+    other is scattered by one np.add.at of coeff * x[slot] into a zeroed
+    rows × cols array: int64 when max|x| times the operator's bound is
+    below 2^63, and exact Python ints (dtype object) otherwise, so nothing
+    overflows.  Over F_p the array mod p goes to `modp.rank_mod_p`; over Q
+    its transpose goes to `rank_int`.
     """
     _check_field(field)
     if f.algebra is not g.algebra:
         raise AlgebraMismatch("complexes live over different algebras")
     op = _operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
-    gx, g_top = _slot_vector(g, field)
-    fx, f_top = _slot_vector(f, field)
+    gx, g_ints, g_top = _slot_vector(g, field)
+    fx, f_ints, f_top = _slot_vector(f, field)
     if op.rows == 0 or op.cols == 0:
         return op.rows
+    if op.terms is not None:
+        x = g_ints + f_ints
+        m = []
+        for column in op.terms:
+            row = [0] * op.rows
+            for i, s, c in column:
+                row[i] += c * x[s]
+            m.append(row)
+        if field == RATIONAL:
+            return op.rows - rank_int(m)
+        return op.rows - modp.rank_rows_mod_p(m)
     dtype = np.int64 if max(g_top, f_top) * op.bound < 2**63 else object
     x = np.concatenate((gx, fx)).astype(dtype, copy=False)
     m = np.zeros(op.rows * op.cols, dtype=dtype)
@@ -325,7 +379,7 @@ def random_complex(
     draw, coeffs, top = _ints(rng, low, high, total)
     blocks = {key: coeffs[start:end] for key, start, end in spans}
     # Each block has hom_dim ints, so the constructor's checks would pass.
-    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, (draw, top))
+    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, (draw, coeffs, top))
 
 
 def resolve_master_seed(master_seed: int | None = None) -> int:

@@ -1,13 +1,21 @@
 """Elimination over a prime field F_p, the prime a parameter.
 
-One kernel: row-vectorised Gaussian elimination in numpy int64.  It serves
-both fields of the E-invariants.  Over F_p, p = PRIME = 2^31 - 1, the prime
-that the sampled streams fix, `rank_mod_p` is the number of pivots it
-finds; a matrix of one row or one column it answers without it.  Over Q,
-`linalg.rank_int` runs it once, as Gauss-Jordan with the transform, at a
-smaller lifting prime; that one pass gives the rank mod p, the pivot rows
-and columns, and the inverse of the pivot block, which the lifted kernel
-certificate needs.
+Two kernels for two sizes, as `linalg.rank_int` has Bareiss beside its
+modular rank; the caller picks by size (`einv` by its operator's shape).
+A small matrix, given as rows of Python ints, is ranked by
+`rank_rows_mod_p`: one Gaussian elimination in Python ints, which at those
+sizes is done before numpy's per-call overhead would be (a vector is its
+one-pivot case).  Any other goes to `echelon_mod_p`, row-vectorised
+Gaussian elimination in numpy int64, which serves both fields of the
+E-invariants.
+Over F_p, p = PRIME = 2^31 - 1, the prime that the sampled streams fix,
+`rank_mod_p` is the number of pivots it finds.  Over Q, `linalg.rank_int`
+runs it once, as Gauss-Jordan with the transform, at a smaller lifting
+prime; that one pass gives the rank mod p, the pivot rows and columns, and
+the inverse of the pivot block, which the lifted kernel certificate needs.
+Both paths read integer entries exactly: Python ints of any size are
+reduced mod p before they meet int64, and a float raises BadParameters
+rather than being truncated.
 
 Reduction is deferred.  Entries start in [0, p), and each row update
 subtracts a product of two reduced numbers, at most (p-1)^2.  So after s
@@ -22,9 +30,25 @@ touched.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
+from .errors import BadParameters, DimensionMismatch
+
 PRIME = 2**31 - 1
+
+
+def _residues(rows, p: int) -> list[list[int]]:
+    """Each entry of `rows` reduced into [0, p), in Python ints.
+
+    Entries are ints or numpy integers, exact at any size; any other entry
+    (a float, say) raises BadParameters rather than being truncated.
+    """
+    try:
+        return [[index(x) % p for x in row] for row in rows]
+    except TypeError:
+        raise BadParameters("a rank mod p needs integer entries") from None
 
 
 def echelon_mod_p(
@@ -50,10 +74,15 @@ def echelon_mod_p(
     """
     if p >= 2**31:
         raise ValueError(f"the int64 kernel takes a prime below 2^31, got {p}")
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a)
     nrows, ncols = a.shape
     m = np.zeros((nrows, ncols + nrows * transform), dtype=np.int64)
-    np.mod(a, p, out=m[:, :ncols])
+    if a.dtype.kind == "i" or a.dtype.kind in "bu" and a.dtype.itemsize < 8:
+        np.mod(a.astype(np.int64, copy=False), p, out=m[:, :ncols])
+    elif a.size:
+        # Exact Python ints (dtype object or uint64) are reduced before they
+        # meet int64; anything else is refused rather than truncated.
+        m[:, :ncols] = _residues(a.tolist(), p)
     # Updates an entry can take unreduced: p + s (p-1)^2 < 2^63.  A bulk
     # reduction covers every live row, updated or not, so two (at 2^31 - 1)
     # are not worth it: there each update reduces just the rows it touched.
@@ -111,17 +140,46 @@ def echelon_mod_p(
 
 
 def rank_mod_p(a: np.ndarray) -> int:
-    """Rank of an integer matrix over F_p, p = PRIME.
-
-    A matrix with no entries has rank 0, and one with a single row or
-    column has rank 1 exactly when some entry is nonzero mod p; those are
-    answered here, in Python ints.  Any other goes to `echelon_mod_p`.
-    """
-    if a.size == 0:
-        return 0
-    if 1 in a.shape:
-        return int(any(x % PRIME for x in a.ravel().tolist()))
+    """Rank of an integer matrix over F_p, p = PRIME: `echelon_mod_p`'s
+    pivot count."""
     return len(echelon_mod_p(a)[1])
+
+
+def rank_rows_mod_p(rows: list[list[int]]) -> int:
+    """Rank over F_p, p = PRIME, of a small matrix given as rows of ints.
+
+    One Gaussian elimination in Python ints, for the matrices too small to
+    repay `echelon_mod_p`'s numpy calls; a vector is its one-pivot case.
+    The entries are first reduced mod p, exactly at any size; a non-integer
+    entry raises BadParameters, and rows of different lengths
+    DimensionMismatch.
+    """
+    p = PRIME
+    m = _residues(rows, p)
+    if len({len(r) for r in m}) > 1:
+        raise DimensionMismatch("matrix rows have different lengths")
+    nrows = len(m)
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        for piv in range(rank, nrows):
+            if m[piv][col]:
+                break
+        else:
+            continue
+        # Row `rank` is never read again, so the pivot row need not move
+        # there; the row it holds moves to the pivot's place.
+        top = m[piv]
+        m[piv] = m[rank]
+        a = top[col]
+        for r in range(rank + 1, nrows):
+            f = m[r][col]
+            if f:
+                # a * row - f * top: nonzero multiples keep the row space.
+                m[r] = [(a * x - f * y) % p for x, y in zip(m[r], top)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def backend() -> str:

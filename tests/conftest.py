@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from grascat import fixtures
+from grascat import einv, fixtures
 from grascat.cluster import grassmannian_initial_seed
 from grascat.errors import is_int, json_fields, list_of
 from grascat.qpa import Algebra, QuiverWithPotential, _integral
@@ -184,3 +184,17 @@ def random_tableau(rng: np.random.Generator, k: int, n: int, max_cols: int = 4) 
         for _ in range(ncols)
     ]
     return union_all(cols, k=k, n=n)
+
+
+def self_pairs_of_every_side(alg: Algebra, field: str, count: int = 200):
+    """(operator, complex) for `count` random summand lists over `alg`, one
+    to four of each, with the homotopy operator of the complex against
+    itself.  Over Gr(3,9) the fixed stream reaches every min(rows, cols)
+    from 0 to 16."""
+    pick = np.random.default_rng([28, 1])
+    vertices = list(alg.vertices)
+    for idx in range(count):
+        neg = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(1, 5)))
+        pos = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(1, 5)))
+        f = einv.random_complex(alg, neg, pos, np.random.default_rng([idx]), field)
+        yield einv._operator(alg, neg, pos, neg, pos), f

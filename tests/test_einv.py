@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_vectors, from_table, oracle_qp
-from grascat import einv, hl, modp
+from conftest import compose_vectors, from_table, oracle_qp, self_pairs_of_every_side
+from grascat import einv, hl, linalg, modp
 from grascat.cluster import grassmannian_initial_seed, mutate_seed
 from grascat.einv import (
     TwoTermComplex,
@@ -540,11 +540,12 @@ def oracle_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
 
 
 def assert_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
-    """Check h's slot vector against the oracle, its dtype and that it is
-    kept on h; return it."""
+    """Check h's slot vector, as an array and as Python ints, against the
+    oracle, its dtype and that it is kept on h; return it."""
     want = oracle_slot_vector(h, field)
-    vec, top = einv._slot_vector(h, field)
+    vec, ints, top = einv._slot_vector(h, field)
     assert vec.tolist() == want and top == max(map(abs, want), default=0)
+    assert ints == tuple(want) and all(type(x) is int for x in ints)
     assert vec.dtype == (np.int64 if top < 2**63 else object) and not vec.flags.writeable
     assert einv._slot_vector(h, field)[0] is vec
     return want
@@ -712,6 +713,23 @@ def assert_dropped_columns_zero(f: TwoTermComplex, g: TwoTermComplex, dense: lis
     return [dense[c] for c in columns]
 
 
+def handed_rows(f: TwoTermComplex, g: TwoTermComplex, m, field: str) -> list:
+    """The rows of the matrix `m` that e_pair handed a rank kernel, after
+    checking its form: lists of Python ints for an operator with a side of
+    at most `_SMALL_MAX`, an array otherwise (int64 over F_p).  Over F_p the
+    rows of a small operator are returned mod p, as the kernel reads them."""
+    op = einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
+    if min(op.rows, op.cols) <= einv._SMALL_MAX:
+        assert type(m) is list and all(type(r) is list for r in m)
+        assert all(type(x) is int for r in m for x in r)
+        return [[x % modp.PRIME for x in r] for r in m] if field == "fp" else m
+    assert isinstance(m, np.ndarray)
+    if field == "fp":
+        assert m.dtype == np.int64
+        return m.T.tolist()  # the kernel gets the matrix itself over F_p
+    return m.tolist()
+
+
 def weighted_algebra(weights) -> Algebra:
     """A table algebra on vertices x, y whose structure constants cycle
     through `weights`: every product of two basis maps is a sum over the
@@ -727,6 +745,30 @@ def weighted_algebra(weights) -> Algebra:
                             (c, weights[(a + b + c) % len(weights)]) for c in range(dims[(i, l)])
                         ]
     return from_table(("x", "y"), dims, entries)
+
+
+def recording(seen: list, kernel):
+    """`kernel`, appending each matrix it is handed to `seen`."""
+    def recorded(m):
+        seen.append(m)
+        return kernel(m)
+    return recorded
+
+
+def complex_at_the_guard(neg, pos, above: bool):
+    """(complex, operator, oracle rows, oracle columns) on (neg, pos) over a
+    weighted algebra, every coefficient one constant c.  The constants are
+    positive, so the largest entry of the homotopy matrix is exactly
+    c * bound, and c is the largest below the int64 guard, or one past it."""
+    alg = weighted_algebra((2, 3, 1))
+    op = einv._operator(alg, neg, pos, neg, pos)
+    c = (2**63 - 1) // op.bound + above
+    f = random_complex(alg, neg, pos, np.random.default_rng(57))
+    f = TwoTermComplex(alg, neg, pos, {key: (c,) * len(v) for key, v in f.blocks.items()})
+    rows, cols = oracle_homotopy_matrix(f, f)
+    dense = oracle_dense(rows, cols, "rational")
+    assert (max(max(map(abs, col)) for col in dense) >= 2**63) == above
+    return f, op, rows, cols
 
 
 @pytest.fixture(scope="module")
@@ -802,35 +844,32 @@ class TestAgainstFractionOracle:
     @given(data=st.data(), fld=st.sampled_from(["rational", "fp"]))
     def test_same_matrix_for_integral_blocks(self, oracle_algebras, data, fld):
         f, g = draw_pair(data, oracle_algebras, INTEGRAL)
-        seen = []
-
-        def record(kernel):
-            def recorded(m):
-                seen.append(m)
-                return kernel(m)
-            return recorded
-
+        seen = {name: [] for name in ("rank_int", "rank_mod_p", "rank_rows_mod_p")}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(einv, "rank_int", record(rank_int))
-            mp.setattr(modp, "rank_mod_p", record(modp.rank_mod_p))
+            mp.setattr(einv, "rank_int", recording(seen["rank_int"], rank_int))
+            for name in ("rank_mod_p", "rank_rows_mod_p"):
+                mp.setattr(modp, name, recording(seen[name], getattr(modp, name)))
             e_pair(f, g, fld)
+        handed = [(name, m) for name, ms in seen.items() for m in ms]
         rows, cols = oracle_homotopy_matrix(f, g)
         if rows == 0 or not cols:
-            assert seen == []
+            assert handed == []
             return
         want = oracle_dense(rows, cols, fld)
         if fld == "fp":
             want = want.T.tolist()  # one list per column, as over Q
         kept = assert_dropped_columns_zero(f, g, want)
         if not kept:
-            assert seen == []
-        elif fld == "rational":
-            # the transpose, one row per kept column, as an array
-            [m] = seen
-            assert isinstance(m, np.ndarray) and m.tolist() == kept
+            assert handed == []
         else:
-            [m] = seen
-            assert m.dtype == np.int64 and m.T.tolist() == kept
+            # the transpose, one row per kept column, as Python int rows for
+            # a small operator and as an array otherwise, to its field's kernel
+            [(name, m)] = handed
+            op = einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
+            small = min(op.rows, op.cols) <= einv._SMALL_MAX
+            fp_kernel = "rank_rows_mod_p" if small else "rank_mod_p"
+            assert name == ("rank_int" if fld == "rational" else fp_kernel)
+            assert handed_rows(f, g, m, fld) == kept
 
     @pytest.mark.parametrize("mult, shape", [(1, (8, 8)), (2, (32, 32))])
     def test_structural_zero_columns_dropped(self, alg39, seed39, mult, shape, monkeypatch):
@@ -852,7 +891,7 @@ class TestAgainstFractionOracle:
         monkeypatch.setattr(einv, "rank_int", recorded)
         assert e_pair(f, f) == oracle_e(f, f, "rational")
         [m] = seen
-        assert m.shape == shape[::-1] and m.tolist() == kept
+        assert (len(m), len(m[0])) == shape[::-1] and handed_rows(f, f, m, "rational") == kept
 
     @pytest.mark.parametrize("fld", ["rational", "fp"])
     def test_large_stratum_with_fractions(self, alg39, seed39, fld):
@@ -870,28 +909,59 @@ class TestAgainstFractionOracle:
 
     @pytest.mark.parametrize("above", [False, True])
     def test_int64_guard_boundary(self, above, monkeypatch):
-        # positive constants: with every coefficient c the largest entry is
-        # exactly c * bound, so c one past the guard overflows int64
-        alg = weighted_algebra((2, 3, 1))
-        neg, pos = ("x", "x"), ("y", "x", "y")
-        bound = einv._operator(alg, neg, pos, neg, pos).bound
-        c = (2**63 - 1) // bound + above
-        f = random_complex(alg, neg, pos, np.random.default_rng(57))
-        f = TwoTermComplex(alg, neg, pos, {key: (c,) * len(v) for key, v in f.blocks.items()})
-        rows, cols = oracle_homotopy_matrix(f, f)
+        # this operator, 18 x 46, is past `_SMALL_MAX` and takes the numpy path
+        f, op, rows, cols = complex_at_the_guard(("x", "x", "x"), ("y", "x", "y", "x"), above)
+        assert min(op.rows, op.cols) > einv._SMALL_MAX
         want = oracle_dense(rows, cols, "rational")
-        assert (max(max(map(abs, col)) for col in want) >= 2**63) == above
         kept = assert_dropped_columns_zero(f, f, want)
         seen = []
-
-        def recorded(m):
-            seen.append(m)
-            return rank_int(m)
-
-        monkeypatch.setattr(einv, "rank_int", recorded)
+        monkeypatch.setattr(einv, "rank_int", recording(seen, rank_int))
         assert e_pair(f, f) == rows - rank_int(want)
         [m] = seen
         assert m.dtype == (object if above else np.int64) and m.tolist() == kept
+
+    @pytest.mark.parametrize("fld", ["rational", "fp"])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_int64_guard_boundary_small(self, above, fld, monkeypatch):
+        # the same boundary on an 8 x 24 operator, at most `_SMALL_MAX` on a
+        # side: its rows are exact Python ints on both sides of 2^63
+        f, op, rows, cols = complex_at_the_guard(("x", "x"), ("y", "x", "y"), above)
+        assert min(op.rows, op.cols) <= einv._SMALL_MAX
+        want = oracle_dense(rows, cols, fld)
+        kept = assert_dropped_columns_zero(f, f, want if fld == "rational" else want.T.tolist())
+        seen = []
+        monkeypatch.setattr(einv, "rank_int", recording(seen, rank_int))
+        monkeypatch.setattr(modp, "rank_rows_mod_p", recording(seen, modp.rank_rows_mod_p))
+        assert e_pair(f, f, fld) == oracle_e(f, f, fld)
+        [m] = seen
+        assert handed_rows(f, f, m, fld) == kept
+        if fld == "rational":
+            assert (max(abs(x) for r in m for x in r) >= 2**63) == above
+
+    @pytest.mark.parametrize("fld", ["rational", "fp"])
+    def test_small_operator_builds_no_array(self, alg39, fld, monkeypatch):
+        # with the operator compiled and the slot vectors kept, a small
+        # operator's E-value touches no numpy function; a large one does
+        class NoNumpy:
+            ndarray = np.ndarray  # for isinstance checks, which build nothing
+
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} was used")
+
+        sides = set()
+        for op, f in self_pairs_of_every_side(alg39, fld):
+            want = e_pair(f, f, fld)
+            side = min(op.rows, op.cols)
+            sides.add(min(side, einv._SMALL_MAX + 1))
+            with pytest.MonkeyPatch.context() as mp:
+                for module in (einv, modp, linalg):
+                    mp.setattr(module, "np", NoNumpy())
+                if side <= einv._SMALL_MAX:
+                    assert e_pair(f, f, fld) == want
+                else:
+                    with pytest.raises(AssertionError, match="numpy"):
+                        e_pair(f, f, fld)
+        assert sides == set(range(einv._SMALL_MAX + 2))
 
     def test_generic_e_compiles_once(self, alg39, seed39, compiles):
         # T1 is not rigid, so all five samples are drawn

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_det, fraction_rref
-from grascat import modp
+from conftest import fraction_det, fraction_rref, self_pairs_of_every_side
+from grascat import einv, modp
 from grascat.errors import BadParameters, DimensionMismatch, NoIntegerSolution, NonUniqueSolution
 from grascat import linalg
+from grascat.einv import _SMALL_MAX
 from grascat.linalg import (
     _LIFT_PRIME,
     _MODULAR_MIN,
@@ -160,16 +161,34 @@ VECTOR_ENTRIES = st.one_of(
     st.integers(-3, 3),
     st.integers(-(2**32), 2**32).map(lambda q: q * P if abs(q * P) < 2**63 else P),
 )
+# Entries for the Python-int rank: the vectors' entries, ±(2^63 - 1) and
+# entries past int64, multiples of p among them.
+ROW_ENTRIES = st.one_of(
+    VECTOR_ENTRIES,
+    st.sampled_from([2**63 - 1, -(2**63) + 1, 2**63, -(2**63), 2**64 + 5, P * 2**40, -P * 2**33]),
+    st.integers(-(2**80), 2**80),
+    st.integers(-(2**50), 2**50).map(lambda q: q * P),
+)
+
+
+def shape_of(rows: list[list[int]]) -> tuple[int, int]:
+    return len(rows), len(rows[0]) if rows else 0
+
+
+def residue_array(rows: list[list[int]]) -> np.ndarray:
+    return np.array([[x % P for x in r] for r in rows], dtype=np.int64).reshape(shape_of(rows))
 
 
 def assert_vector_rank(entries: list[int]) -> int:
-    """rank_mod_p of the row and of the column vector against echelon_mod_p's
-    pivot count and rank_int of the residues; return the rank."""
+    """rank_rows_mod_p of the row and of the column vector against
+    echelon_mod_p's pivot count, rank_mod_p and rank_int of the residues;
+    return the rank."""
     want = rank_int([[x % P for x in entries]])
-    for a in (np.array([entries], dtype=np.int64), np.array([entries], dtype=np.int64).T):
-        got = modp.rank_mod_p(a)
+    for rows in ([entries], [[x] for x in entries]):
+        got = modp.rank_rows_mod_p(rows)
+        a = np.array(rows, dtype=np.int64)
         assert type(got) is int
-        assert got == len(modp.echelon_mod_p(a)[1]) == want
+        assert got == len(modp.echelon_mod_p(a)[1]) == modp.rank_mod_p(a) == want
     return want
 
 
@@ -197,15 +216,125 @@ class TestVectorRankModP:
     def test_hypothesis_vectors(self, entries):
         assert_vector_rank(entries)
 
-    def test_no_elimination_for_vectors(self, monkeypatch):
+    def test_no_elimination_for_vectors(self, alg39, monkeypatch):
+        # rank_rows_mod_p never calls the numpy kernel, rank_mod_p always
+        # does, and an F_p E-value calls it for an operator with both sides
+        # past `_SMALL_MAX` alone, once
         calls = []
         kernel = modp.echelon_mod_p
         monkeypatch.setattr(modp, "echelon_mod_p", lambda a: calls.append(a.shape) or kernel(a))
-        for shape in [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1)]:
-            assert modp.rank_mod_p(np.ones(shape, dtype=np.int64)) == 1
+        for shape in [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (_SMALL_MAX + 2, _SMALL_MAX + 2)]:
+            assert modp.rank_rows_mod_p(np.ones(shape, dtype=np.int64).tolist()) == 1
         assert calls == []
+        assert modp.rank_mod_p(np.ones((1, 2), dtype=np.int64)) == 1
         assert modp.rank_mod_p(np.eye(2, dtype=np.int64)) == 2
-        assert calls == [(2, 2)]
+        assert calls == [(1, 2), (2, 2)]
+        sides = set()
+        for op, f in self_pairs_of_every_side(alg39, "fp"):
+            calls.clear()
+            einv.e_pair(f, f, "fp")
+            side = min(op.rows, op.cols)
+            sides.add(min(side, _SMALL_MAX + 1))
+            assert calls == ([] if side <= _SMALL_MAX else [(op.rows, op.cols)])
+        assert sides == set(range(_SMALL_MAX + 2))
+
+
+@st.composite
+def small_rows(draw):
+    """Rows of ROW_ENTRIES with 0 to _SMALL_MAX + 2 on each side, or 1 x k and
+    k x 1 up to 40; some rows zero or combinations of earlier ones."""
+    kind = draw(st.sampled_from(["box", "box", "row", "column"]))
+    if kind == "box":
+        nrows, ncols = draw(st.integers(0, _SMALL_MAX + 2)), draw(st.integers(0, _SMALL_MAX + 2))
+    else:
+        k = draw(st.integers(1, 40))
+        nrows, ncols = (1, k) if kind == "row" else (k, 1)
+    rows = [draw(st.lists(ROW_ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        how = draw(st.sampled_from(["keep", "keep", "zero", "combine"]))
+        if how == "zero":
+            rows[i] = [0] * ncols
+        elif how == "combine":
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(0, i - 1))
+            rows[i] = [a * x + y for x, y in zip(rows[b], rows[draw(st.integers(0, i - 1))])]
+    return rows
+
+
+class TestRankRowsModP:
+    """The Python-int rank mod p against the numpy kernel and planted ranks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_rows())
+    def test_matches_echelon_pivot_count(self, rows):
+        got = modp.rank_rows_mod_p(rows)
+        assert type(got) is int
+        want = len(modp.echelon_mod_p(residue_array(rows))[1])
+        obj = np.array(rows, dtype=object).reshape(shape_of(rows))
+        assert got == want == modp.rank_mod_p(obj)
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(1, 1), (3, 5), (8, 8), (_SMALL_MAX, _SMALL_MAX), (14, 9), (2, 40)]
+    )
+    def test_planted_ranks(self, rows, cols):
+        rng = np.random.default_rng([203, rows, cols])
+        for r in range(min(rows, cols) + 1):
+            m = known_rank_matrix(rng, rows, cols, r).tolist()
+            want = rank_int(m)
+            assert want == r  # generic products achieve the nominal rank
+            assert modp.rank_rows_mod_p(m) == modp.rank_rows_mod_p([list(c) for c in zip(*m)]) == r
+            # shifted by multiples of p, past int64: the same matrix over F_p
+            big = [[x + P * 2**40 * (i - j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+            assert modp.rank_rows_mod_p(big) == r
+
+    def test_input_is_left_as_it_is(self):
+        rows = [[2, 4], [1, 2], [P + 1, 5]]
+        copy = [list(r) for r in rows]
+        assert modp.rank_rows_mod_p(rows) == 2 and rows == copy
+
+    @pytest.mark.parametrize("rows", [[[0.5]], [[1, 2.0]], [[Fraction(1, 2)]], [[1], ["2"]]])
+    def test_non_integer_entry_rejected(self, rows):
+        with pytest.raises(BadParameters, match="integer entries"):
+            modp.rank_rows_mod_p(rows)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            modp.rank_rows_mod_p([[1, 2], [3]])
+
+    def test_empty(self):
+        assert modp.rank_rows_mod_p([]) == modp.rank_rows_mod_p([[]]) == 0
+        assert modp.rank_rows_mod_p([[], []]) == 0
+
+
+class TestArrayRankModPEntries:
+    """rank_mod_p reads an array's entries as integers, exactly."""
+
+    @pytest.mark.parametrize("a", [
+        np.array([[0.5, 1.5], [1.0, 2.0]]),  # truncated to [[0, 1], [1, 2]], rank 2
+        np.array([[0.5]]),  # nonzero under float %, rank 1
+        np.array([[1, 0.5]], dtype=object),
+        np.ones((3, 3), dtype=np.complex128),
+    ])
+    def test_non_integer_dtype_rejected(self, a):
+        with pytest.raises(BadParameters, match="integer entries"):
+            modp.rank_mod_p(a)
+
+    def test_python_ints_past_int64_are_reduced(self):
+        # used to end in a bare OverflowError
+        a = np.array([[2**63, 1], [P * 2**40, 2**64 + 5]], dtype=object)
+        want = modp.rank_rows_mod_p(a.tolist())
+        assert want == 2 and modp.rank_mod_p(a) == want
+        assert modp.rank_mod_p(np.array([[P * 2**40, -(2**70) * P]], dtype=object)) == 0
+
+    def test_unsigned_and_small_integer_dtypes(self):
+        u = np.array([[2**64 - 1, 1], [1, 1]], dtype=np.uint64)
+        assert modp.rank_mod_p(u) == modp.rank_rows_mod_p(u.tolist()) == 2
+        assert modp.rank_mod_p(np.array([[2**64 - P, 0]], dtype=np.uint64)) == 1
+        for dtype in (np.int8, np.uint8, np.int32, np.bool_):
+            assert modp.rank_mod_p(np.eye(3, dtype=dtype)) == 3
+
+    def test_empty_float_array_has_rank_zero(self):
+        # no entry to misread, as rank_int reads it
+        assert modp.rank_mod_p(np.zeros((0, 3))) == rank_int(np.zeros((0, 3))) == 0
 
 
 def bareiss_rank(m):
