@@ -140,10 +140,6 @@ class VectorTuple:
     def d(self) -> int:
         return gcd(self.k, self.n)
 
-    def vec(self, i: int) -> Vector:
-        """1-based cyclic access."""
-        return self.vectors[(i - 1) % self.n]
-
     def window_minor(self, start: int) -> Fraction:
         """det(v_start, ..., v_{start+k-1}) with cyclic indices."""
         return self.window_minors[(start - 1) % self.n]

@@ -7,25 +7,25 @@ an exact certificate while positive sampled minima are only high-confidence
 estimates (the paper's positivity arguments are symbolic).
 
 The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos)
-into COO arrays over the algebra's int structure constants, and cached.
+into COO terms over the algebra's int structure constants, and cached.
 Columns that no term touches are zero for every pair of complexes; they are
 dropped at compile time, which keeps both ranks.  Each complex carries its
-slot vector: its coefficients in block order, cleared of denominators (over
-Q) or reduced mod p, made once per field and kept on it; a sampled complex's
-one draw is already that vector.  A pair concatenates g's and f's vectors
-into the operator's slot vector.  A small operator, at most `_SMALL_MAX`
-(12) rows or columns, as nearly all of those the sampled predicates meet
-are, builds its matrix as lists of Python ints from terms kept at compile
-time, and ranks it in Python ints: a numpy build and elimination would cost
-more than the arithmetic.  A larger one is scattered into an int64 array,
-or into exact Python ints when an entry could reach 2^63, and goes to the
-rank kernel as an array.
+slot vector: its coefficients in block order as a tuple of Python ints,
+cleared of denominators (over Q) or reduced mod p, with their largest |x|,
+made once per field and kept on it; a sampled complex's one draw is already
+that vector.  A pair concatenates g's and f's vectors into the operator's
+slot vector.  A small operator, at most `_SMALL_MAX` (12) rows or columns,
+as nearly all of those the sampled predicates meet are, builds its matrix
+as lists of Python ints and ranks it in Python ints: a numpy build and
+elimination would cost more than the arithmetic.  So does any operator
+whose entries could reach 2^63.  Every other one is scattered into an
+int64 array, so numpy sees only int64 matrices.
 
 Sample idx draws once from the stream (master seed, idx, stream id): the
 first ``integers(low, high, size=width)`` of ``np.random.default_rng`` on
 that key.  Calls with one master seed read the same streams again and
-again, so that first draw is cached per (key, low, high, width): read-only,
-with its values as a tuple and their largest |x|.  No stream is drawn from
+again, so that first draw is cached per (key, low, high, width), as a
+tuple of Python ints with their largest |x|.  No stream is drawn from
 twice, so no generator is kept.
 """
 
@@ -85,7 +85,15 @@ class TwoTermComplex:
     blocks: dict[tuple[int, int], tuple[Rational, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for (t, s), coeffs in self.blocks.items():
+        _check_summands(self.algebra, self.neg, self.pos)
+        for key, coeffs in self.blocks.items():
+            try:
+                t, s = map(index, key)
+            except (TypeError, ValueError):
+                t = s = -1
+            if not (0 <= t < len(self.pos) and 0 <= s < len(self.neg)):
+                raise BadParameters(f"block key {key!r} is not a pair (t, s) of ints with "
+                                    f"0 <= t < {len(self.pos)} and 0 <= s < {len(self.neg)}")
             want = self.algebra.hom_dim(self.neg[s], self.pos[t])
             if len(coeffs) != want:
                 raise BadParameters(
@@ -114,6 +122,13 @@ def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int
     ]
 
 
+def _check_summands(alg: Algebra, neg, pos) -> None:
+    """Raise AlgebraMismatch, naming it, for a summand that is not a vertex of alg."""
+    for name in (*neg, *pos):
+        if name not in alg.vertices:
+            raise AlgebraMismatch(f"summand {name!r} is not a vertex of the algebra")
+
+
 def _check_field(field: str) -> None:
     if field not in (RATIONAL, FP):
         raise BadParameters(f"field must be {RATIONAL!r} or {FP!r}, got {field!r}")
@@ -123,7 +138,8 @@ def _check_field(field: str) -> None:
 def _block_layout(alg: Algebra, neg, pos) -> tuple[tuple, int]:
     """Slot order of a complex on (neg, pos): (key, start, end) of each block
     (t, s) with a nonzero hom basis, t over pos and s over neg inside it, and
-    the total width."""
+    the total width.  A summand that is no vertex of alg raises AlgebraMismatch."""
+    _check_summands(alg, neg, pos)
     spans, width = [], 0
     for t, tp in enumerate(pos):
         for s, sn in enumerate(neg):
@@ -134,17 +150,15 @@ def _block_layout(alg: Algebra, neg, pos) -> tuple[tuple, int]:
     return tuple(spans), width
 
 
-def _slot_vector(h: TwoTermComplex, field: str) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """h's int coefficients in slot order, as an array and as a tuple of
-    Python ints, and their largest |x|; kept on h.
+def _slot_vector(h: TwoTermComplex, field: str) -> tuple[tuple[int, ...], int]:
+    """h's int coefficients in slot order, as a tuple of Python ints, and
+    their largest |x|; kept on h.
 
     Slot order is that of `_block_layout`, with zeros for a missing block.
     Over Q the coefficients are multiplied by the lcm of h's denominators,
     which scales whole columns of the homotopy matrix and so keeps its rank.
     Over F_p each is its numerator times its inverse denominator, reduced
-    into [0, p); a denominator divisible by p raises ValueError.  The
-    read-only array is int64 when every |x| is below 2^63, and exact Python
-    ints (dtype object) otherwise.
+    into [0, p); a denominator divisible by p raises ValueError.
     """
     kept = h.__dict__.setdefault("_slots", {})
     if field not in kept:
@@ -159,15 +173,12 @@ def _slot_vector(h: TwoTermComplex, field: str) -> tuple[np.ndarray, tuple[int, 
                 x[start:end] = [int(c.numerator) * factor[c.denominator] for c in coeffs]
         if field == FP:
             x = [v % modp.PRIME for v in x]
-        top = max(map(abs, x), default=0)
-        vec = np.array(x, dtype=np.int64 if top < 2**63 else object)
-        vec.flags.writeable = False
-        kept[field] = vec, tuple(x), top
+        kept[field] = tuple(x), max(map(abs, x), default=0)
     return kept[field]
 
 
 # Operators with at most this many rows or columns are assembled and ranked
-# in Python ints; larger ones by a numpy scatter and the numpy kernels.  Time
+# in Python ints; larger ones by an int64 scatter and the numpy kernels.  Time
 # per e_pair call on the operators of seed-1 `einv` and `reachability`
 # rounds, Python ints against numpy (best of five runs, 2 vCPUs, Python
 # 3.11, numpy 2.4):
@@ -194,11 +205,11 @@ class _Operator:
     f's (`_slot_vector`).  Entry flat[k] of the
     row-major rows × cols matrix gets coeff[k] * x[slot[k]], summed over k;
     coeff is an int structure constant of the algebra.  No entry takes more
-    than `bound` (the largest sum of |coeff| into one entry) times max|x|.
-    Column j is column ``columns[j]`` of the full map; the others are zero.
-    A small operator (`_SMALL_MAX`) also has `terms`, the same terms in
-    Python ints grouped by column: terms[j] holds a (row, slot, coeff)
-    triple for each term of column j.  It is None for the others.
+    than `bound` (the largest sum of |coeff| into one entry, and at least 1)
+    times max|x|.  Column j is column ``columns[j]`` of the full map; the
+    others are zero.  `terms` holds the same terms in Python ints, grouped
+    by column: terms[j] holds a (row, slot, coeff) triple for each term of
+    column j.
     """
 
     rows: int
@@ -208,7 +219,7 @@ class _Operator:
     slot: np.ndarray
     coeff: np.ndarray
     bound: int
-    terms: tuple[tuple[tuple[int, int, int], ...], ...] | None
+    terms: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 @lru_cache(maxsize=256)
@@ -249,16 +260,15 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     flat, slot, coeff = coo[:, 0] * cols + kept, coo[:, 2].copy(), coo[:, 3].copy()
     load = np.zeros(rows * cols, dtype=np.int64)
     np.add.at(load, flat, np.abs(coeff))
-    small = None
-    if rows and cols and min(rows, cols) <= _SMALL_MAX:
-        by_column = [[] for _ in range(cols)]
-        for k, s, c in zip(flat.tolist(), slot.tolist(), coeff.tolist()):
-            i, j = divmod(k, cols)
-            by_column[j].append((i, s, c))
-        small = tuple(map(tuple, by_column))
+    by_column = [[] for _ in range(cols)]
+    for k, s, c in zip(flat.tolist(), slot.tolist(), coeff.tolist()):
+        i, j = divmod(k, cols)
+        by_column[j].append((i, s, c))
     for arr in (columns, flat, slot, coeff):
         arr.flags.writeable = False  # every caller of the cache shares them
-    return _Operator(rows, cols, columns, flat, slot, coeff, int(load.max(initial=0)), small)
+    # At least 1, so that the int64 guard of `e_pair` also bounds every |x|.
+    bound = int(load.max(initial=1))
+    return _Operator(rows, cols, columns, flat, slot, coeff, bound, tuple(map(tuple, by_column)))
 
 
 def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -270,27 +280,28 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     f's, each made once per complex and field (over F_p, reduced into
     [0, p)).
 
-    An operator with at most `_SMALL_MAX` rows or columns is small: at its
-    size numpy's per-call overhead costs more than the arithmetic.  Its
-    `terms` build the transposed matrix, one list of Python ints per column
-    of the map, which goes over Q to `rank_int` (Bareiss at these sizes)
-    and over F_p to `modp.rank_rows_mod_p`, which reads it mod p.  Any
-    other is scattered by one np.add.at of coeff * x[slot] into a zeroed
-    rows × cols array: int64 when max|x| times the operator's bound is
-    below 2^63, and exact Python ints (dtype object) otherwise, so nothing
-    overflows.  Over F_p the array mod p goes to `modp.rank_mod_p`; over Q
-    its transpose goes to `rank_int`.
+    The matrix is built in one of two ways.  An operator with at most
+    `_SMALL_MAX` rows or columns, where numpy's per-call overhead costs
+    more than the arithmetic, and any operator whose entries could reach
+    2^63 (max|x| times its bound), build the transposed matrix from
+    `terms`, one list of Python ints per column of the map.  It goes over
+    Q to `rank_int` and over F_p to `modp.rank_rows_mod_p`, which reads it
+    mod p, both exact at any size.  Every other operator is scattered by
+    one np.add.at of coeff * x[slot] into a zeroed int64 rows × cols
+    array, which cannot overflow.  Over F_p the array goes to
+    `modp.rank_mod_p`, which reduces it mod p on entry; over Q its
+    transpose goes to `rank_int`.
     """
     _check_field(field)
     if f.algebra is not g.algebra:
         raise AlgebraMismatch("complexes live over different algebras")
     op = _operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
-    gx, g_ints, g_top = _slot_vector(g, field)
-    fx, f_ints, f_top = _slot_vector(f, field)
+    g_ints, g_top = _slot_vector(g, field)
+    f_ints, f_top = _slot_vector(f, field)
     if op.rows == 0 or op.cols == 0:
         return op.rows
-    if op.terms is not None:
-        x = g_ints + f_ints
+    x = g_ints + f_ints
+    if min(op.rows, op.cols) <= _SMALL_MAX or max(g_top, f_top) * op.bound >= 2**63:
         m = []
         for column in op.terms:
             row = [0] * op.rows
@@ -300,14 +311,12 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
         if field == RATIONAL:
             return op.rows - rank_int(m)
         return op.rows - modp.rank_rows_mod_p(m)
-    dtype = np.int64 if max(g_top, f_top) * op.bound < 2**63 else object
-    x = np.concatenate((gx, fx)).astype(dtype, copy=False)
-    m = np.zeros(op.rows * op.cols, dtype=dtype)
-    np.add.at(m, op.flat, op.coeff * x[op.slot])
+    m = np.zeros(op.rows * op.cols, dtype=np.int64)
+    np.add.at(m, op.flat, op.coeff * np.array(x, dtype=np.int64)[op.slot])
     m = m.reshape(op.rows, op.cols)
     if field == RATIONAL:
         return op.rows - rank_int(m.T)
-    return op.rows - modp.rank_mod_p((m % modp.PRIME).astype(np.int64, copy=False))
+    return op.rows - modp.rank_mod_p(m)
 
 
 def ee_symmetrized(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -370,16 +379,17 @@ def random_complex(
     covers every nonzero block, split in block order (t outer, s inner).
     Each of these bounded draws takes its own 32-bit outputs of the
     generator in turn, so the blocks are those of one draw per block.  The
-    draw is in slot order with ints already in range, so it is kept as the
-    complex's `_slot_vector` over `field`, with the draw's largest |x|.
+    draw, a tuple of Python ints in slot order and already in range, is
+    kept with its largest |x| as the complex's `_slot_vector` over `field`.
+    A summand that is not a vertex of the algebra raises AlgebraMismatch.
     """
     _check_field(field)
     spans, total = _block_layout(algebra, neg, pos)
     low, high = (-10, 11) if field == RATIONAL else (0, modp.PRIME)
-    draw, coeffs, top = _ints(rng, low, high, total)
+    coeffs, top = _ints(rng, low, high, total)
     blocks = {key: coeffs[start:end] for key, start, end in spans}
     # Each block has hom_dim ints, so the constructor's checks would pass.
-    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, (draw, coeffs, top))
+    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, (coeffs, top))
 
 
 def resolve_master_seed(master_seed: int | None = None) -> int:
@@ -409,7 +419,7 @@ class _OneDraw:
     def __init__(self, master_seed: int, idx: int, sid: int):
         self.key = (master_seed, idx, sid)
 
-    def draw(self, low: int, high: int, width: int) -> tuple[np.ndarray, tuple[int, ...], int]:
+    def draw(self, low: int, high: int, width: int) -> tuple[tuple[int, ...], int]:
         """`_draw` of this stream."""
         if self.key is None:
             raise RuntimeError("a one-draw stream was drawn from twice")
@@ -417,22 +427,19 @@ class _OneDraw:
         return _draw(*key, low, high, width)
 
 
-def _ints(rng, low: int, high: int, width: int) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """rng's next `width` ints in [low, high): a read-only array, its values
-    as a tuple and their largest |x|.  A one-draw stream reads them from
-    `_draw`."""
+def _ints(rng, low: int, high: int, width: int) -> tuple[tuple[int, ...], int]:
+    """rng's next `width` ints in [low, high), as a tuple of Python ints, and
+    their largest |x|.  A one-draw stream reads them from `_draw`."""
     if isinstance(rng, _OneDraw):
         return rng.draw(low, high, width)
-    draw = rng.integers(low, high, size=width)
-    draw.flags.writeable = False
-    coeffs = tuple(draw.tolist())
-    return draw, coeffs, max(map(abs, coeffs), default=0)
+    coeffs = tuple(rng.integers(low, high, size=width).tolist())
+    return coeffs, max(map(abs, coeffs), default=0)
 
 
 @lru_cache(maxsize=1024)
 def _draw(
     master_seed: int, idx: int, sid: int, low: int, high: int, width: int
-) -> tuple[np.ndarray, tuple[int, ...], int]:
+) -> tuple[tuple[int, ...], int]:
     """The first draw of the stream (master seed, idx, sid): `_ints` of
     ``np.random.default_rng([master_seed, idx, sid])``, so the bits of
     ``default_rng(...).integers(low, high, size=width)``."""

@@ -109,17 +109,11 @@ class Tableau:
     def width(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    # The paper calls the column count the rank of the tableau.
-    rank = width
-
     def is_empty(self) -> bool:
         return self.width == 0
 
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(self.rows[r][c] for r in range(self.k))
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(c) for c in range(self.width)]
 
     def to_subset(self) -> KSubset:
         if self.width != 1:

@@ -39,6 +39,11 @@ def leibniz_det(rows):
     return total
 
 
+def vec(t, i):
+    """Vector i of the tuple t (a VectorTuple or a FracTuple), 1-based and cyclic."""
+    return t.vectors[(i - 1) % t.n]
+
+
 def frac_tuple(k, n, rows):
     return VectorTuple(k, n, tuple(tuple(Fraction(x) for x in r) for r in rows))
 
@@ -59,9 +64,6 @@ class FracTuple:
     @property
     def d(self):
         return gcd(self.k, self.n)
-
-    def vec(self, i):
-        return self.vectors[(i - 1) % self.n]
 
     def window_minor(self, start):
         return self.window_minors[(start - 1) % self.n]
@@ -94,10 +96,10 @@ def oracle_sigma(i, t):
     for j in range(t.n // d):
         base = i + j * d
         denominator = t.window_minor(base + 1)
-        numerator = fraction_det([t.vec(base)] + [t.vec(base + s) for s in range(2, t.k + 1)])
+        numerator = fraction_det([vec(t, base)] + [vec(t, base + s) for s in range(2, t.k + 1)])
         ratio = numerator / denominator
-        w = tuple(ratio * a - b for a, b in zip(t.vec(base + 1), t.vec(base)))
-        new_vectors[(base - 1) % t.n] = t.vec(base + 1)
+        w = tuple(ratio * a - b for a, b in zip(vec(t, base + 1), vec(t, base)))
+        new_vectors[(base - 1) % t.n] = vec(t, base + 1)
         new_vectors[base % t.n] = w
         minors[base % t.n] = t.window_minor(base) * t.window_minor(base + 2) / denominator
     return FracTuple(t.k, t.n, tuple(new_vectors), tuple(minors))
@@ -241,7 +243,7 @@ class TestGenericity:
                 images += [sigma(i, sigma(j, once)) for j in range(1, d) if j != i]
             for x in images:  # sigma images have Fraction entries
                 want = tuple(
-                    leibniz_det([x.vec(i + s) for s in range(k)]) for i in range(1, n + 1)
+                    leibniz_det([vec(x, i + s) for s in range(k)]) for i in range(1, n + 1)
                 )
                 assert x.window_minors == want, (k, n)
                 assert [x.window_minor(i) for i in range(1, n + 1)] == list(want)
@@ -295,28 +297,28 @@ class TestSigma:
         rng = np.random.default_rng(65)
         t = random_tuple(3, 9, rng)
         out = sigma(1, t)
-        num = fraction_det([t.vec(1), t.vec(3), t.vec(4)])
-        den = fraction_det([t.vec(2), t.vec(3), t.vec(4)])
-        w1 = tuple(num / den * a - b for a, b in zip(t.vec(2), t.vec(1)))
-        assert out.vectors[0] == t.vec(2)
+        num = fraction_det([vec(t, 1), vec(t, 3), vec(t, 4)])
+        den = fraction_det([vec(t, 2), vec(t, 3), vec(t, 4)])
+        w1 = tuple(num / den * a - b for a, b in zip(vec(t, 2), vec(t, 1)))
+        assert out.vectors[0] == vec(t, 2)
         assert out.vectors[1] == w1
-        assert out.vectors[2] == t.vec(3)
+        assert out.vectors[2] == vec(t, 3)
         # second generator touches positions 2, 3 of each window
         out2 = sigma(2, t)
-        assert out2.vectors[0] == t.vec(1)
-        assert out2.vectors[1] == t.vec(3)
+        assert out2.vectors[0] == vec(t, 1)
+        assert out2.vectors[1] == vec(t, 3)
 
     def test_vanishing_numerator_collapses(self):
         # arrange det(v_1, v_3, v_4) = 0 while keeping the tuple generic
         rng = np.random.default_rng(66)
         while True:
             t = random_tuple(3, 9, rng)
-            v1 = tuple(a + b for a, b in zip(t.vec(3), t.vec(4)))
+            v1 = tuple(a + b for a, b in zip(vec(t, 3), vec(t, 4)))
             cand = VectorTuple(3, 9, (v1,) + t.vectors[1:])
             if is_consecutively_generic(cand):
                 break
         out = sigma(1, cand)
-        assert out.vectors[1] == tuple(-x for x in cand.vec(1))
+        assert out.vectors[1] == tuple(-x for x in vec(cand, 1))
 
     def test_window_structure_preserved(self):
         rng = np.random.default_rng(67)

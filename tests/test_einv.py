@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -138,6 +139,40 @@ class TestEPair:
         for coeffs in (f.blocks[key] + (1,), f.blocks[key][:-1]):
             with pytest.raises(BadParameters, match="coefficients, expected"):
                 TwoTermComplex(alg39, neg, pos, {**f.blocks, key: coeffs})
+
+    def test_unknown_summand_is_an_algebra_mismatch(self, alg39):
+        # "zzz" names no vertex; it once read as a summand with no hom
+        # basis, so its complex built and certified E = 0
+        neg, pos = ("zzz",), ("128",)
+        calls = [
+            lambda: TwoTermComplex(alg39, neg, pos, {}),
+            lambda: TwoTermComplex(alg39, pos, neg, {}),
+            lambda: random_complex(alg39, neg, pos, np.random.default_rng(1), "fp"),
+            lambda: random_complex(alg39, pos, neg, einv._OneDraw(1, 0, 0), "rational"),
+            lambda: generic_e_parts(alg39, neg, pos, samples=3, field="fp", master_seed=1),
+            lambda: generic_e_pair_parts(alg39, (neg, pos), (pos, pos), samples=3, field="fp",
+                                         master_seed=1),
+        ]
+        for call in calls:
+            for _ in range(2):  # the layout cache keeps no answer for the shape
+                with pytest.raises(AlgebraMismatch, match="'zzz'"):
+                    call()
+
+    @pytest.mark.parametrize("fld", ["rational", "fp"])
+    def test_block_keys_are_checked(self, alg39, seed39, fld):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        ones = witness(alg39, neg, pos, [[1, 1, 0], [1, 1, 1], [1, 1, 1]])
+        assert e_pair(ones, ones, fld) == 3
+        # numpy integers index a block as ints do
+        f = TwoTermComplex(alg39, neg, pos,
+                           {(np.int64(t), np.int32(s)): c for (t, s), c in ones.blocks.items()})
+        assert e_pair(f, f, fld) == 3
+        coeffs = ones.blocks[(0, 0)]
+        rest = {key: c for key, c in ones.blocks.items() if key != (0, 0)}
+        # (-3, 0) once wrapped to (0, 0) in the checks, then was dropped: E = 2
+        for key in [(-3, 0), (0, -1), (5, 0), (0, 3), 0, (0,), (0, 0, 0), ("0", 0), (0.0, 0)]:
+            with pytest.raises(BadParameters, match=re.escape(f"block key {key!r}")):
+                TwoTermComplex(alg39, neg, pos, {**rest, key: coeffs})
 
     @pytest.mark.parametrize("fld", ["Q", "F_p", "", "RATIONAL"])
     def test_unknown_field_is_an_error(self, alg39, seed39, fld):
@@ -395,19 +430,18 @@ class TestStreams:
         for low, high in RANGES:
             for width in range(41):
                 want = np.random.default_rng(list(key)).integers(low, high, size=width)
-                draw, coeffs, top = einv._OneDraw(*key).draw(low, high, width)
-                assert draw.dtype == want.dtype and draw.tolist() == want.tolist()
-                assert coeffs == tuple(want.tolist())
+                coeffs, top = einv._OneDraw(*key).draw(low, high, width)
+                assert coeffs == tuple(want.tolist()) and all(type(x) is int for x in coeffs)
                 assert top == max(map(abs, coeffs), default=0)
-                assert einv._draw(*key, low, high, width)[0] is draw
+                assert einv._draw(*key, low, high, width)[0] is coeffs
 
     def test_repeated_calls_give_equal_independent_streams(self):
         a, b = einv._OneDraw(3, 1, 2), einv._OneDraw(3, 1, 2)
         assert a is not b
-        first = a.draw(0, modp.PRIME, 8)[0].tolist()
+        first = a.draw(0, modp.PRIME, 8)[0]
         # drawing from one leaves the other, and a third, at the start
-        assert b.draw(0, modp.PRIME, 8)[0].tolist() == first
-        assert einv._OneDraw(3, 1, 2).draw(0, modp.PRIME, 8)[0].tolist() == first
+        assert b.draw(0, modp.PRIME, 8)[0] == first
+        assert einv._OneDraw(3, 1, 2).draw(0, modp.PRIME, 8)[0] == first
 
     def test_second_draw_raises(self, alg39, seed39):
         stream = einv._OneDraw(3, 1, 2)
@@ -422,12 +456,12 @@ class TestStreams:
             random_complex(alg39, neg, pos, stream, "fp")
 
     def test_first_draws_pinned(self):
-        assert einv._OneDraw(0, 0, 0).draw(0, modp.PRIME, 4)[0].tolist() == [
+        assert einv._OneDraw(0, 0, 0).draw(0, modp.PRIME, 4)[0] == (
             1826701614, 1367864806, 1097657231, 579362555,
-        ]
-        assert einv._OneDraw(2**40, 3, 1).draw(0, modp.PRIME, 4)[0].tolist() == [
+        )
+        assert einv._OneDraw(2**40, 3, 1).draw(0, modp.PRIME, 4)[0] == (
             185072710, 1890875872, 843134018, 149229599,
-        ]
+        )
 
     @pytest.mark.parametrize("field", ["rational", "fp"])
     def test_draws_are_read_only_and_complexes_their_own(self, alg39, seed39, field):
@@ -435,7 +469,7 @@ class TestStreams:
         a, b = (random_complex(alg39, neg, pos, einv._OneDraw(5, 0, 0), field) for _ in range(2))
         draw = einv._slot_vector(a, field)[0]
         assert einv._slot_vector(b, field)[0] is draw  # the one cached draw
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             draw[0] = 0
         assert a == b and a.blocks is not b.blocks
         # a vector made over the other field is kept on b alone
@@ -475,10 +509,10 @@ class TestSeedWords:
     @pytest.mark.parametrize("key", STREAM_KEYS)
     def test_repeated_stream_derives_no_state(self, counting_rng, key):
         want = counting_rng.make(list(key)).integers(0, modp.PRIME, size=5).tolist()
-        assert einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0].tolist() == want
+        assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0]) == want
         assert counting_rng.seeds == [key]
         for _ in range(3):
-            assert einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0].tolist() == want
+            assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0]) == want
         assert counting_rng.seeds == [key]
         # another width or range is another draw of the stream
         einv._OneDraw(*key).draw(0, modp.PRIME, 6)
@@ -540,14 +574,13 @@ def oracle_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
 
 
 def assert_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
-    """Check h's slot vector, as an array and as Python ints, against the
-    oracle, its dtype and that it is kept on h; return it."""
+    """Check h's slot vector, a tuple of Python ints, and its largest |x|
+    against the oracle, and that it is kept on h; return it."""
     want = oracle_slot_vector(h, field)
-    vec, ints, top = einv._slot_vector(h, field)
-    assert vec.tolist() == want and top == max(map(abs, want), default=0)
+    ints, top = einv._slot_vector(h, field)
     assert ints == tuple(want) and all(type(x) is int for x in ints)
-    assert vec.dtype == (np.int64 if top < 2**63 else object) and not vec.flags.writeable
-    assert einv._slot_vector(h, field)[0] is vec
+    assert top == max(map(abs, want), default=0)
+    assert einv._slot_vector(h, field)[0] is ints
     return want
 
 
@@ -617,7 +650,7 @@ class TestKeptSlotVector:
                 for a, b, a2, b2 in ((f, g, f2, g2), (g, f, g2, f2), (f, f, f2, f2)):
                     assert e_pair(a, b, fld) == e_pair(a2, b2, fld)
                 for h, h2 in zip(drawn, checked):
-                    assert einv._slot_vector(h, fld)[0].tolist() == assert_slot_vector(h2, fld)
+                    assert list(einv._slot_vector(h, fld)[0]) == assert_slot_vector(h2, fld)
             for h, h2, (text, blocks) in zip(drawn, checked, before):
                 assert h == h2 and repr(h) == repr(h2) == text
                 assert h.blocks == h2.blocks == blocks
@@ -713,21 +746,28 @@ def assert_dropped_columns_zero(f: TwoTermComplex, g: TwoTermComplex, dense: lis
     return [dense[c] for c in columns]
 
 
+def python_build(f: TwoTermComplex, g: TwoTermComplex, field: str) -> bool:
+    """Whether e_pair builds the homotopy matrix of (f, g) in Python ints:
+    its operator has a side of at most `_SMALL_MAX`, or an entry could
+    reach 2^63."""
+    op = einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
+    top = max(einv._slot_vector(h, field)[1] for h in (f, g))
+    return min(op.rows, op.cols) <= einv._SMALL_MAX or top * op.bound >= 2**63
+
+
 def handed_rows(f: TwoTermComplex, g: TwoTermComplex, m, field: str) -> list:
     """The rows of the matrix `m` that e_pair handed a rank kernel, after
-    checking its form: lists of Python ints for an operator with a side of
-    at most `_SMALL_MAX`, an array otherwise (int64 over F_p).  Over F_p the
-    rows of a small operator are returned mod p, as the kernel reads them."""
-    op = einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
-    if min(op.rows, op.cols) <= einv._SMALL_MAX:
+    checking its form: lists of Python ints for a Python-int build
+    (`python_build`), an int64 array otherwise.  Over F_p the rows are
+    returned mod p, as the kernel reads them."""
+    if python_build(f, g, field):
         assert type(m) is list and all(type(r) is list for r in m)
         assert all(type(x) is int for r in m for x in r)
-        return [[x % modp.PRIME for x in r] for r in m] if field == "fp" else m
-    assert isinstance(m, np.ndarray)
-    if field == "fp":
-        assert m.dtype == np.int64
-        return m.T.tolist()  # the kernel gets the matrix itself over F_p
-    return m.tolist()
+        rows = m
+    else:
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64
+        rows = (m.T if field == "fp" else m).tolist()  # over F_p the matrix itself
+    return [[x % modp.PRIME for x in r] for r in rows] if field == "fp" else rows
 
 
 def weighted_algebra(weights) -> Algebra:
@@ -865,9 +905,7 @@ class TestAgainstFractionOracle:
             # the transpose, one row per kept column, as Python int rows for
             # a small operator and as an array otherwise, to its field's kernel
             [(name, m)] = handed
-            op = einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
-            small = min(op.rows, op.cols) <= einv._SMALL_MAX
-            fp_kernel = "rank_rows_mod_p" if small else "rank_mod_p"
+            fp_kernel = "rank_rows_mod_p" if python_build(f, g, fld) else "rank_mod_p"
             assert name == ("rank_int" if fld == "rational" else fp_kernel)
             assert handed_rows(f, g, m, fld) == kept
 
@@ -909,16 +947,44 @@ class TestAgainstFractionOracle:
 
     @pytest.mark.parametrize("above", [False, True])
     def test_int64_guard_boundary(self, above, monkeypatch):
-        # this operator, 18 x 46, is past `_SMALL_MAX` and takes the numpy path
+        # this operator, 18 x 46, is past `_SMALL_MAX`: below the guard it
+        # is scattered into an int64 array, past it built in Python ints
         f, op, rows, cols = complex_at_the_guard(("x", "x", "x"), ("y", "x", "y", "x"), above)
-        assert min(op.rows, op.cols) > einv._SMALL_MAX
+        assert (op.rows, op.cols) == (18, 46) and python_build(f, f, "rational") == above
         want = oracle_dense(rows, cols, "rational")
         kept = assert_dropped_columns_zero(f, f, want)
         seen = []
         monkeypatch.setattr(einv, "rank_int", recording(seen, rank_int))
         assert e_pair(f, f) == rows - rank_int(want)
         [m] = seen
-        assert m.dtype == (object if above else np.int64) and m.tolist() == kept
+        if above:
+            assert type(m) is list and all(type(x) is int for r in m for x in r)
+            assert m == kept
+        else:
+            assert isinstance(m, np.ndarray) and m.dtype == np.int64 and m.tolist() == kept
+        # over F_p the same build goes to the kernel for its form
+        want = oracle_dense(rows, cols, "fp")
+        kept = assert_dropped_columns_zero(f, f, want.T.tolist())
+        expected = oracle_e(f, f, "fp")
+        seen.clear()
+        kernel = "rank_rows_mod_p" if python_build(f, f, "fp") else "rank_mod_p"
+        monkeypatch.setattr(modp, kernel, recording(seen, getattr(modp, kernel)))
+        assert e_pair(f, f, "fp") == expected
+        [m] = seen
+        assert handed_rows(f, f, m, "fp") == kept
+
+    @pytest.mark.parametrize("fld", ["rational", "fp"])
+    def test_zero_structure_constants_past_int64(self, fld):
+        # every term of this 18 x 46 operator has coefficient 0, so its load
+        # is 0; the guard still bounds |x| and sends 2^70 to the Python-int
+        # build (an int64 scatter once raised OverflowError here)
+        alg = weighted_algebra((0, 0, 0))
+        neg, pos = ("x", "x", "x"), ("y", "x", "y", "x")
+        f = random_complex(alg, neg, pos, np.random.default_rng(57))
+        f = TwoTermComplex(alg, neg, pos, {key: (2**70,) * len(v) for key, v in f.blocks.items()})
+        op = einv._operator(alg, neg, pos, neg, pos)
+        assert (op.rows, op.cols) == (18, 46) and python_build(f, f, fld) == (fld == "rational")
+        assert e_pair(f, f, fld) == oracle_e(f, f, fld) == 18
 
     @pytest.mark.parametrize("fld", ["rational", "fp"])
     @pytest.mark.parametrize("above", [False, True])

@@ -9,7 +9,8 @@ a name removes its import.  No library module imports or reads another
 module's `_` names, so that modules meet only at public names.
 Every function, method and class the library defines must have a caller in
 the library or the benchmark, so that a name only the tests reach moves
-into the tests.  The exact kernels of `linalg` build no `Fraction`.
+into the tests.  The exact kernels of `linalg` build no `Fraction`, and
+`einv` hands numpy no object dtype.
 """
 
 import ast
@@ -222,3 +223,50 @@ def test_fraction_calls_are_found():
 
 def test_linalg_builds_no_fraction():
     assert fraction_calls((PACKAGE / "linalg.py").read_text()) == []
+
+
+def object_dtypes(source: str) -> list[int]:
+    """Line numbers where `source` names numpy's object dtype.
+
+    That is any use of the name `object` but `object.__new__`, such as
+    ``dtype=object``, ``astype(object)`` or ``int64 if small else object``;
+    ``np.object_``; and the strings "O" and "object" given as a dtype, by a
+    ``dtype=`` keyword or as the argument of ``astype``.
+    """
+    tree = ast.parse(source)
+    allowed = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+    }
+    strings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "dtype":
+            strings.append(node.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype":
+            strings += node.args[:1]
+    return sorted(
+        [node.lineno for node in ast.walk(tree)
+         if isinstance(node, ast.Name) and node.id == "object" and id(node) not in allowed]
+        + [node.lineno for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and node.attr == "object_"]
+        + [node.lineno for node in strings
+           if isinstance(node, ast.Constant) and node.value in ("O", "object")]
+    )
+
+
+def test_object_dtypes_are_found():
+    source = (
+        "h = object.__new__(cls)\n"
+        "np.zeros(3, dtype=object)\n"
+        "m.astype(object, copy=False)\n"
+        "np.array(x, dtype=np.int64 if top < 2**63 else object)\n"
+        "np.array(x, dtype='O')\nm.astype('object')\nnp.object_\n"
+        "np.array(x, dtype=np.int64)\nm.astype(np.int64)\nlabel = 'O'\n"
+    )
+    assert object_dtypes(source) == [2, 3, 4, 5, 6, 7]
+
+
+def test_einv_builds_no_object_array():
+    # numpy sees only int64 matrices; an entry that could pass 2^63 is
+    # built and ranked in Python ints instead
+    assert object_dtypes((PACKAGE / "einv.py").read_text()) == []
