@@ -40,10 +40,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import BadParameters, DimensionMismatch, NotGeneric
+from .errors import BadParameters, DimensionMismatch, NotGeneric, integer
 from .linalg import det, rank_int
 
 __all__ = [
@@ -61,10 +62,12 @@ __all__ = [
 Vector = tuple[Fraction, ...]
 
 
-def check_shape(k: int, n: int) -> None:
-    """Vector tuples need 1 <= k <= n: with k > n every window repeats a vector."""
+def check_shape(k: int, n: int) -> tuple[int, int]:
+    """(k, n) as ints; vector tuples need 1 <= k <= n (k > n repeats a vector in every window)."""
+    k, n = integer("k", k), integer("n", n)
     if not 1 <= k <= n:
         raise BadParameters(f"vector tuples need 1 <= k <= n, got k={k}, n={n}")
+    return k, n
 
 
 def _canonical(v) -> tuple[tuple[int, ...], int]:
@@ -97,7 +100,7 @@ class VectorTuple:
     _vectors: tuple[Vector, ...] | None = field(compare=False, repr=False)
 
     def __init__(self, k: int, n: int, vectors):
-        check_shape(k, n)
+        k, n = check_shape(k, n)
         if len(vectors) != n:
             raise DimensionMismatch(f"expected {n} vectors, got {len(vectors)}")
         forms = [_canonical(v) for v in vectors]
@@ -252,15 +255,15 @@ def plucker_proportional(a: VectorTuple, b: VectorTuple) -> bool:
 class BraidCheckReport:
     """Per-relation verdicts for one tuple; reported, never asserted.
 
-    ``genericity_preserved`` is always True and kept so that reports keep
+    ``genericity_preserved`` is a constant True, kept so that reports keep
     their form: `sigma` accepts only a consecutively generic tuple, and each
     window minor of its image is one of the input's or
     Delta_b Delta_{b+2} / Delta_{b+1}, a quotient of nonzero minors, so
     every image is consecutively generic again.
     """
 
+    genericity_preserved: ClassVar[bool] = True
     d: int
-    genericity_preserved: bool
     periodicity: dict[int, bool]
     commutation: dict[tuple[int, int], bool]
     braid_tuple_equal: dict[tuple[int, int], bool]
@@ -313,7 +316,7 @@ def braid_property_check(t: VectorTuple) -> BraidCheckReport:
         braid_tuple[(i, j)] = left == right
         braid_pluck[(i, j)] = plucker_proportional(left, right)
 
-    return BraidCheckReport(d, True, periodicity, commutation, braid_tuple, braid_pluck)
+    return BraidCheckReport(d, periodicity, commutation, braid_tuple, braid_pluck)
 
 
 # Draws before random_tuple gives up, so that a request no draw can meet
@@ -327,7 +330,7 @@ def random_tuple(k: int, n: int, rng: np.random.Generator, bound: int = 9) -> Ve
     Needs 1 <= k <= n (`check_shape`).  Raises NotGeneric if
     RANDOM_TUPLE_ATTEMPTS draws all have a vanishing window.
     """
-    check_shape(k, n)
+    k, n = check_shape(k, n)
     for _ in range(RANDOM_TUPLE_ATTEMPTS):
         vecs = tuple(tuple(rng.integers(-bound, bound + 1, size=k).tolist()) for _ in range(n))
         t = VectorTuple(k, n, vecs)

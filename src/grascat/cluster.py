@@ -25,6 +25,7 @@ from .errors import (
     FrozenVertex,
     IncomparableExchange,
     MalformedInput,
+    integer,
     is_int,
     json_fields,
     list_of,
@@ -62,8 +63,8 @@ class Quiver:
     coords: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _integer("m", self.m))
-        object.__setattr__(self, "n_mut", _integer("n_mut", self.n_mut))
+        object.__setattr__(self, "m", integer("m", self.m))
+        object.__setattr__(self, "n_mut", integer("n_mut", self.n_mut))
         if not 0 <= self.n_mut <= self.m:
             raise BadParameters(f"need 0 <= n_mut <= m, got n_mut={self.n_mut}, m={self.m}")
         if self.coords is not None and len(self.coords) != self.m:
@@ -145,14 +146,6 @@ class Quiver:
         )
 
 
-def _integer(name: str, value) -> int:
-    """value by ``operator.index``, else BadParameters naming it."""
-    try:
-        return index(value)
-    except TypeError:
-        raise BadParameters(f"{name} must be an integer, got {value!r}") from None
-
-
 def _arrow(a) -> tuple[int, int]:
     """An arrow as a pair of ints, each end by ``operator.index``."""
     try:
@@ -195,7 +188,7 @@ def mutate_quiver(q: Quiver, r: int) -> Quiver:
     come from a 2-cycle i<->r.  A q with a 2-cycle goes through the checked
     constructor, which raises BadParameters for such a loop.
     """
-    r = _integer("mutation vertex", r)
+    r = integer("mutation vertex", r)
     if not q.is_mutable(r):
         raise FrozenVertex(f"vertex {r} is frozen")
     into = [s for s, t in q.arrows if t == r]
@@ -284,7 +277,7 @@ def exchange_label(seed: Seed, r: int) -> Tableau:
     neighbours, in fields wide enough for either, and `_exchange` does the
     rest.
     """
-    q, r = seed.quiver, _integer("mutation vertex", r)
+    q, r = seed.quiver, integer("mutation vertex", r)
     if not q.is_mutable(r):
         raise FrozenVertex(f"vertex {r} is frozen")
     labels = seed.labels
@@ -359,7 +352,7 @@ def grassmannian_initial_seed(k: int, n: int) -> Seed:
     caller shares the seed, and with it its solver.  k and n are taken by
     ``operator.index``; the cache is typed, so 3.0 never finds the entry of 3.
     """
-    k, n = _integer("k", k), _integer("n", n)
+    k, n = integer("k", k), integer("n", n)
     if not 2 <= k <= n - 2:
         raise BadParameters(f"need 2 <= k <= n-2, got (k,n)=({k},{n})")
 
@@ -379,7 +372,7 @@ class ExploreResult:
 
     ``stopped_by`` names what left the closure incomplete: "max_seeds" when
     the seed budget ended the call, "depth" when the first unseen cluster
-    past the depth horizon ended it, and None when the result is complete.
+    past the depth horizon ended it, and None when the result is ``complete``.
     Either cut ends the call at once.  A queued seed's quiver is built only
     when the seed is expanded, so a seed still queued at a cut has neither
     its exchanges nor its quiver mutation run, and raises nothing.
@@ -387,8 +380,11 @@ class ExploreResult:
 
     variables: dict[Tableau, tuple[int, ...]] = field(default_factory=dict)
     seeds_seen: int = 0
-    complete: bool = True
     stopped_by: str | None = None
+
+    @property
+    def complete(self) -> bool:
+        return self.stopped_by is None
 
     def variable_count(self) -> int:
         return len(self.variables)
@@ -430,7 +426,7 @@ def explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
     unit vector; a reduction that takes off any other is solved over the
     start seed by `Seed.solver`, as `gvec.g_vector` solves it.
     """
-    max_depth, max_seeds = _integer("max_depth", max_depth), _integer("max_seeds", max_seeds)
+    max_depth, max_seeds = integer("max_depth", max_depth), integer("max_seeds", max_seeds)
     if max_depth < 0:
         raise BadParameters(f"max_depth must be >= 0, got {max_depth}")
     if max_seeds < 1:
@@ -519,11 +515,9 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
             if key in seen:
                 continue
             if depth == max_depth:  # unseen cluster beyond the horizon
-                result.complete = False
                 result.stopped_by = "depth"
                 return finish(result)
             if result.seeds_seen >= max_seeds:
-                result.complete = False
                 result.stopped_by = "max_seeds"
                 return finish(result)
             seen.add(key)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameters, DimensionMismatch, NotTwoIntervals
+from .errors import BadParameters, DimensionMismatch, NotTwoIntervals, integer
 
 __all__ = [
     "KSubset",
@@ -29,18 +29,19 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class KSubset:
-    """A sorted k-element subset of [n], n taken cyclically."""
+    """A sorted k-element subset of [n], n taken cyclically; n and the elements are ints."""
 
     n: int
     elems: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.elems)) != len(self.elems):
+        object.__setattr__(self, "n", integer("n", self.n))
+        elems = tuple(sorted(integer("subset element", x) for x in self.elems))
+        if len(set(elems)) != len(elems):
             raise BadParameters(f"repeated elements in {self.elems}")
-        if tuple(sorted(self.elems)) != self.elems:
-            object.__setattr__(self, "elems", tuple(sorted(self.elems)))
-        if self.elems and not (1 <= self.elems[0] and self.elems[-1] <= self.n):
-            raise BadParameters(f"elements of {self.elems} outside [1, {self.n}]")
+        object.__setattr__(self, "elems", elems)
+        if elems and not (1 <= elems[0] and elems[-1] <= self.n):
+            raise BadParameters(f"elements of {elems} outside [1, {self.n}]")
 
     @property
     def k(self) -> int:

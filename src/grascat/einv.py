@@ -10,23 +10,23 @@ The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos)
 into COO terms over the algebra's int structure constants, and cached.
 Columns that no term touches are zero for every pair of complexes; they are
 dropped at compile time, which keeps both ranks.  Each complex carries its
-slot vector: its coefficients in block order as a tuple of Python ints,
-cleared of denominators (over Q) or reduced mod p, with their largest |x|,
-made once per field and kept on it; a sampled complex's one draw is already
-that vector.  A pair concatenates g's and f's vectors into the operator's
-slot vector.  A small operator, at most `_SMALL_MAX` (12) rows or columns,
-as nearly all of those the sampled predicates meet are, builds its matrix
-as lists of Python ints and ranks it in Python ints: a numpy build and
-elimination would cost more than the arithmetic.  So does any operator
-whose entries could reach 2^63.  Every other one is scattered into an
-int64 array, so numpy sees only int64 matrices.
+slot vector: its coefficients in block order as a plain tuple of Python
+ints, cleared of denominators (over Q) or reduced mod p, made once per
+field and kept on it; a sampled complex's one draw is already that vector.
+A pair concatenates g's and f's vectors into the operator's slot vector.
+A small operator, at most `_SMALL_MAX` (12) rows or columns, as nearly all
+of those the sampled predicates meet are, builds its matrix as lists of
+Python ints and ranks it in Python ints: a numpy build and elimination
+would cost more than the arithmetic.  So does any other operator whose
+entries could reach 2^63 (max|x| times its bound).  Every other one is
+scattered into an int64 array, so numpy sees only int64 matrices.
 
 Sample idx draws once from the stream (master seed, idx, stream id): the
 first ``integers(low, high, size=width)`` of ``np.random.default_rng`` on
 that key.  Calls with one master seed read the same streams again and
 again, so that first draw is cached per (key, low, high, width), as a
-tuple of Python ints with their largest |x|.  No stream is drawn from
-twice, so no generator is kept.
+tuple of Python ints.  No stream is drawn from twice, so no generator is
+kept.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from functools import lru_cache
 from math import lcm
 from numbers import Rational
 from operator import index
+from typing import ClassVar
 
 import numpy as np
 
 from . import modp
-from .errors import AlgebraMismatch, BadParameters, DimensionMismatch
+from .errors import AlgebraMismatch, BadParameters, DimensionMismatch, integer
 from .gvec import GVector
 from .linalg import rank_int
 from .qpa import Algebra
@@ -72,8 +73,9 @@ FP = "fp"
 class TwoTermComplex:
     """A map between sums of projectives, P(neg_0)+... -> P(pos_0)+...
 
-    blocks[(t, s)] holds the coefficients of the (s -> t) component over the
-    hom basis of (neg[s], pos[t]); missing entries mean zero.  Coefficients
+    neg and pos are kept as tuples of vertex names.  blocks[(t, s)] holds
+    the coefficients of the (s -> t) component over the hom basis of
+    (neg[s], pos[t]); missing entries mean zero.  Coefficients
     are ints or Fractions; a float is rejected, so none reaches a certificate.
     The blocks are read once per field, into a slot vector kept on the
     complex outside its fields (`_slot_vector`), so they must not change.
@@ -85,6 +87,7 @@ class TwoTermComplex:
     blocks: dict[tuple[int, int], tuple[Rational, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.__dict__.update(neg=tuple(self.neg), pos=tuple(self.pos))
         _check_summands(self.algebra, self.neg, self.pos)
         for key, coeffs in self.blocks.items():
             try:
@@ -150,9 +153,8 @@ def _block_layout(alg: Algebra, neg, pos) -> tuple[tuple, int]:
     return tuple(spans), width
 
 
-def _slot_vector(h: TwoTermComplex, field: str) -> tuple[tuple[int, ...], int]:
-    """h's int coefficients in slot order, as a tuple of Python ints, and
-    their largest |x|; kept on h.
+def _slot_vector(h: TwoTermComplex, field: str) -> tuple[int, ...]:
+    """h's int coefficients in slot order, as a tuple of Python ints; kept on h.
 
     Slot order is that of `_block_layout`, with zeros for a missing block.
     Over Q the coefficients are multiplied by the lcm of h's denominators,
@@ -173,7 +175,7 @@ def _slot_vector(h: TwoTermComplex, field: str) -> tuple[tuple[int, ...], int]:
                 x[start:end] = [int(c.numerator) * factor[c.denominator] for c in coeffs]
         if field == FP:
             x = [v % modp.PRIME for v in x]
-        kept[field] = tuple(x), max(map(abs, x), default=0)
+        kept[field] = tuple(x)
     return kept[field]
 
 
@@ -283,8 +285,9 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     The matrix is built in one of two ways.  An operator with at most
     `_SMALL_MAX` rows or columns, where numpy's per-call overhead costs
     more than the arithmetic, and any operator whose entries could reach
-    2^63 (max|x| times its bound), build the transposed matrix from
-    `terms`, one list of Python ints per column of the map.  It goes over
+    2^63 (max|x| times its bound, read only for an operator that is not
+    small), build the transposed matrix from `terms`, one list of Python
+    ints per column of the map.  It goes over
     Q to `rank_int` and over F_p to `modp.rank_rows_mod_p`, which reads it
     mod p, both exact at any size.  Every other operator is scattered by
     one np.add.at of coeff * x[slot] into a zeroed int64 rows × cols
@@ -296,12 +299,10 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     if f.algebra is not g.algebra:
         raise AlgebraMismatch("complexes live over different algebras")
     op = _operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
-    g_ints, g_top = _slot_vector(g, field)
-    f_ints, f_top = _slot_vector(f, field)
+    x = _slot_vector(g, field) + _slot_vector(f, field)
     if op.rows == 0 or op.cols == 0:
         return op.rows
-    x = g_ints + f_ints
-    if min(op.rows, op.cols) <= _SMALL_MAX or max(g_top, f_top) * op.bound >= 2**63:
+    if min(op.rows, op.cols) <= _SMALL_MAX or max(map(abs, x)) * op.bound >= 2**63:
         m = []
         for column in op.terms:
             row = [0] * op.rows
@@ -333,10 +334,13 @@ class EValueReport:
     """
 
     value: int
-    certified: bool
     samples: int
     field: str
     witness: TwoTermComplex | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.value == 0
 
     def describe(self) -> str:
         kind = "certified" if self.certified else "high-confidence estimate"
@@ -375,21 +379,23 @@ def random_complex(
 ) -> TwoTermComplex:
     """Random map with uniform coefficients ([-10, 10] or F_p).
 
-    `rng` is a numpy Generator, or a sample's one-draw stream.  One draw
-    covers every nonzero block, split in block order (t outer, s inner).
-    Each of these bounded draws takes its own 32-bit outputs of the
-    generator in turn, so the blocks are those of one draw per block.  The
-    draw, a tuple of Python ints in slot order and already in range, is
-    kept with its largest |x| as the complex's `_slot_vector` over `field`.
-    A summand that is not a vertex of the algebra raises AlgebraMismatch.
+    neg and pos may be any sequences of vertex names.  `rng` is a numpy
+    Generator, or a sample's one-draw stream.  One draw covers every
+    nonzero block, split in block order (t outer, s inner).  Each of these
+    bounded draws takes its own 32-bit outputs of the generator in turn, so
+    the blocks are those of one draw per block.  The draw, a tuple of
+    Python ints in slot order and already in range, is kept as the
+    complex's `_slot_vector` over `field`.  A summand that is not a vertex
+    of the algebra raises AlgebraMismatch.
     """
     _check_field(field)
+    neg, pos = tuple(neg), tuple(pos)
     spans, total = _block_layout(algebra, neg, pos)
     low, high = (-10, 11) if field == RATIONAL else (0, modp.PRIME)
-    coeffs, top = _ints(rng, low, high, total)
+    coeffs = _ints(rng, low, high, total)
     blocks = {key: coeffs[start:end] for key, start, end in spans}
     # Each block has hom_dim ints, so the constructor's checks would pass.
-    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, (coeffs, top))
+    return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, coeffs)
 
 
 def resolve_master_seed(master_seed: int | None = None) -> int:
@@ -419,7 +425,7 @@ class _OneDraw:
     def __init__(self, master_seed: int, idx: int, sid: int):
         self.key = (master_seed, idx, sid)
 
-    def draw(self, low: int, high: int, width: int) -> tuple[tuple[int, ...], int]:
+    def draw(self, low: int, high: int, width: int) -> tuple[int, ...]:
         """`_draw` of this stream."""
         if self.key is None:
             raise RuntimeError("a one-draw stream was drawn from twice")
@@ -427,19 +433,15 @@ class _OneDraw:
         return _draw(*key, low, high, width)
 
 
-def _ints(rng, low: int, high: int, width: int) -> tuple[tuple[int, ...], int]:
-    """rng's next `width` ints in [low, high), as a tuple of Python ints, and
-    their largest |x|.  A one-draw stream reads them from `_draw`."""
+def _ints(rng, low: int, high: int, width: int) -> tuple[int, ...]:
+    """rng's next `width` ints in [low, high) as Python ints; a one-draw stream reads `_draw`."""
     if isinstance(rng, _OneDraw):
         return rng.draw(low, high, width)
-    coeffs = tuple(rng.integers(low, high, size=width).tolist())
-    return coeffs, max(map(abs, coeffs), default=0)
+    return tuple(rng.integers(low, high, size=width).tolist())
 
 
 @lru_cache(maxsize=1024)
-def _draw(
-    master_seed: int, idx: int, sid: int, low: int, high: int, width: int
-) -> tuple[tuple[int, ...], int]:
+def _draw(master_seed: int, idx: int, sid: int, low: int, high: int, width: int) -> tuple[int, ...]:
     """The first draw of the stream (master seed, idx, sid): `_ints` of
     ``np.random.default_rng([master_seed, idx, sid])``, so the bits of
     ``default_rng(...).integers(low, high, size=width)``."""
@@ -460,10 +462,7 @@ def _sampled_minimum(
     (master seed, idx, stream id); the first complex is the witness.
     Raises BadParameters unless `samples` is an integer >= 1.
     """
-    try:
-        count = index(samples)
-    except TypeError:
-        count = 0
+    count = integer("sample count", samples)
     if count <= 0:
         raise BadParameters(f"sample count must be an integer >= 1, got {samples!r}")
     _check_field(field)
@@ -482,7 +481,7 @@ def _sampled_minimum(
             best, witness = value, drawn[0]
         if best == 0:
             break
-    return EValueReport(best, best == 0, used, field, witness)
+    return EValueReport(best, used, field, witness)
 
 
 def generic_e_parts(
@@ -494,9 +493,8 @@ def generic_e_parts(
     master_seed: int | None = None,
 ) -> EValueReport:
     """Sampled generic self-E-invariant for explicit summand lists."""
-    return _sampled_minimum(
-        algebra, {0: (neg, pos)}, lambda f: e_pair(f, f, field), samples, field, master_seed
-    )
+    return _sampled_minimum(algebra, {0: (tuple(neg), tuple(pos))},
+                            lambda f: e_pair(f, f, field), samples, field, master_seed)
 
 
 def generic_e(
@@ -521,7 +519,7 @@ def generic_e_pair_parts(
 ) -> EValueReport:
     """Sampled generic symmetrized E-invariant for explicit summand lists."""
     # Canonical argument order keeps the sampled streams symmetric.
-    first, second = sorted((parts1, parts2))
+    first, second = sorted((tuple(neg), tuple(pos)) for neg, pos in (parts1, parts2))
     return _sampled_minimum(
         algebra, {1: first, 2: second}, lambda f1, f2: ee_symmetrized(f1, f2, field),
         samples, field, master_seed,
@@ -556,9 +554,9 @@ class ConjecturalBool:
     numeric value is exact, not that the conjecture is a theorem.
     """
 
+    conjectural: ClassVar[bool] = True
     verdict: bool
     report: EValueReport
-    conjectural: bool = True
 
     def __bool__(self) -> bool:
         return self.verdict

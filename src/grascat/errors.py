@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all grascat modules, and the JSON input checks."""
+"""Exception hierarchy shared by all grascat modules, and the integer and JSON input checks."""
 
+from operator import index
 from typing import Callable
 
 
@@ -69,6 +70,14 @@ class NotGeneric(GrascatError):
 
 class MalformedInput(GrascatError):
     """A JSON payload is not an object whose fields have the expected kinds."""
+
+
+def integer(name: str, value) -> int:
+    """value by ``operator.index``, else BadParameters naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise BadParameters(f"{name} must be an integer, got {value!r}") from None
 
 
 def is_int(x) -> bool:

@@ -18,7 +18,7 @@ from . import fixtures
 from .cluster import Quiver, grassmannian_initial_seed, mutate_quiver
 from .cmcat import KSubset
 from .einv import ConjecturalBool, generic_e_pair, generic_e_pair_parts
-from .errors import BadParameters, OutOfRange
+from .errors import BadParameters, OutOfRange, integer
 from .gvec import g_vector
 from .qpa import Algebra, QuiverWithPotential, build_algebra, triangle_qp
 from .tableaux import Tableau
@@ -46,6 +46,7 @@ def _column_levels(i: int, s: int) -> list[int]:
 
 def gamma_vertices(k: int, s: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """(mutable, frozen) vertices of the truncated quiver, column by column."""
+    k, s = integer("k", k), integer("s", s)
     if k < 2 or s >= 0:
         raise BadParameters(f"need k >= 2 and s < 0, got (k,s)=({k},{s})")
     mutable, frozen = [], []
@@ -77,6 +78,7 @@ def gamma_qp(k: int, s: int) -> QuiverWithPotential:
 
 def q_ell_quiver(k: int, ell: int) -> Quiver:
     """Initial quiver with (k-1)(ell+1) vertices and three arrow families."""
+    k, ell = integer("k", k), integer("ell", ell)
     if k < 2 or ell < 0:
         raise BadParameters(f"need k >= 2 and ell >= 0, got ({k},{ell})")
     return Quiver.on_grid(
@@ -194,13 +196,16 @@ def quivers_isomorphic(q1: Quiver, q2: Quiver) -> bool:
 # --- subset formulas ---------------------------------------------------------
 
 
-def _check_gamma_vertex(i: int, m: int, k: int, ell: int) -> None:
+def _gamma_vertex(i: int, m: int, k: int, ell: int) -> tuple[int, int, int, int]:
+    """(i, m, k, ell) as ints, (i, m) a vertex of the truncation at -2 ell - 2."""
+    i, m, k, ell = integer("i", i), integer("m", m), integer("k", k), integer("ell", ell)
     if not 1 <= i <= k - 1:
         raise OutOfRange(f"i={i} outside [1, {k - 1}]")
     if (i + m) % 2 == 0:
         raise OutOfRange(f"(i,m)=({i},{m}) violates the parity rule")
     if not (-2 * ell - 2 <= m <= -1):
         raise OutOfRange(f"m={m} outside the truncation [-2*ell-2, -1]")
+    return i, m, k, ell
 
 
 def _kernel_label(i: int, m: int, v: int, k: int, ell: int) -> KSubset:
@@ -225,23 +230,23 @@ def kr_subset(i: int, m: int, k: int, ell: int) -> KSubset:
     at m0 = 1 - (i mod 2), so the label is the kernel label at
     (i, m0, (m0 - m)/2).
     """
-    _check_gamma_vertex(i, m, k, ell)
+    i, m, k, ell = _gamma_vertex(i, m, k, ell)
     m0 = 1 - i % 2
     return _kernel_label(i, m0, (m0 - m) // 2, k, ell)
 
 
-def _check_kernel_params(i: int, m: int, v: int, k: int, ell: int) -> None:
-    _check_gamma_vertex(i, m, k, ell)
+@lru_cache(maxsize=1024, typed=True)
+def _kernel_params(i: int, m: int, v: int, k: int, ell: int) -> tuple[int, int, int, int, int]:
+    """(i, m, v, k, ell) as ints, checked; typed, so 1.0 never finds the entry of 1."""
+    (i, m, k, ell), v = _gamma_vertex(i, m, k, ell), integer("v", v)
     if v < 1 or 2 * v > m + 2 * ell + (-1) ** (i + 1):
-        raise OutOfRange(
-            f"v={v} outside [1, (m+2*ell+(-1)^(i+1))/2] for (i,m)=({i},{m})"
-        )
+        raise OutOfRange(f"v={v} outside [1, (m+2*ell+(-1)^(i+1))/2] for (i,m)=({i},{m})")
+    return i, m, v, k, ell
 
 
 def kernel_subset(i: int, m: int, v: int, k: int, ell: int) -> KSubset:
     """Label of the generic kernel of I(i,m) -> I(i,m-2v)."""
-    _check_kernel_params(i, m, v, k, ell)
-    return _kernel_label(i, m, v, k, ell)
+    return _kernel_label(*_kernel_params(i, m, v, k, ell))
 
 
 def tau_kernel_subset(i: int, m: int, v: int, k: int, n: int) -> KSubset:
@@ -331,8 +336,8 @@ def kr_compatible_gamma(
     (i, m, v) presents as P(i, m-2v) -> P(i, m); the truncation depth follows
     the stated bound s <= m - 2v - 2.
     """
-    _check_kernel_params(i1, m1, v1, k, ell)
-    _check_kernel_params(i2, m2, v2, k, ell)
+    i1, m1, v1, k, ell = _kernel_params(i1, m1, v1, k, ell)
+    i2, m2, v2, k, ell = _kernel_params(i2, m2, v2, k, ell)
     alg = _gamma_algebra(k, ell, m1, v1, m2, v2)
     parts1 = ((f"{i1},{m1 - 2 * v1}",), (f"{i1},{m1}",))
     parts2 = ((f"{i2},{m2 - 2 * v2}",), (f"{i2},{m2}",))

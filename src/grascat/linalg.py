@@ -138,8 +138,8 @@ _LIFT_LIMIT = 2**31
 # A bound on |partial sums| below this keeps an int64 product exact.
 _INT64_LIMIT = 2**63
 # The largest prime below 2^24.  A mod-p product of r rows sums r (p-1)^2 <
-# 2^63 for r < 2^15 without splitting, and the elimination defers its
-# reduction past 2^15 pivots.
+# 2^63 for r < 2^15 without splitting, and `modp.echelon_mod_p` defers its
+# reduction on any matrix with a side below 2^15.
 _LIFT_PRIME = 2**24 - 3
 
 

@@ -17,15 +17,16 @@ Both paths read integer entries exactly: Python ints of any size are
 reduced mod p before they meet int64, and a float raises BadParameters
 rather than being truncated.
 
-Reduction is deferred.  Entries start in [0, p), and each row update
-subtracts a product of two reduced numbers, at most (p-1)^2.  So after s
-unreduced updates every entry is below p + s (p-1)^2 in absolute value, and
-the bulk is reduced only before that would reach 2^63: past 2^15 pivots at
-a prime below 2^24, so never for the matrices `einv` builds.  The pivot
-column and the pivot row, which feed the products, are reduced at every
-step.  At 2^31 - 1 the bound allows only two updates, which a reduction of
-every live row does not repay, so there each update reduces the rows it
-touched.
+Reduction is deferred when the input allows it.  Entries start in [0, p),
+each row update subtracts a product of two reduced numbers, at most
+(p-1)^2, and a row takes at most one update per pivot, so no entry passes
+p + min(nrows, ncols) (p-1)^2 in absolute value.  When that is below 2^63,
+only the pivot column and the pivot row, which feed the products, are
+reduced at each step, and the rest once at the end: at a prime below 2^24
+that holds for a matrix with a side below 2^15, so for every one
+`linalg.rank_int` hands over.  Otherwise each update reduces the rows it
+touched: at 2^31 - 1 that is every matrix with both sides at least 3, so
+every one `einv` hands over.
 """
 
 from __future__ import annotations
@@ -83,13 +84,9 @@ def echelon_mod_p(
         # Exact Python ints (dtype object or uint64) are reduced before they
         # meet int64; anything else is refused rather than truncated.
         m[:, :ncols] = _residues(a.tolist(), p)
-    # Updates an entry can take unreduced: p + s (p-1)^2 < 2^63.  A bulk
-    # reduction covers every live row, updated or not, so two (at 2^31 - 1)
-    # are not worth it: there each update reduces just the rows it touched.
-    lazy = (2**63 - 1 - p) // (p - 1) ** 2
-    if lazy < 3:
-        lazy = 1
-    stale = 0
+    # A row takes at most one update per pivot, each adding less than
+    # (p-1)^2 in absolute value.
+    defer = p + min(nrows, ncols) * (p - 1) ** 2 < 2**63
     order = list(range(nrows))
     pivots: list[int] = []
     for col in range(ncols):
@@ -100,7 +97,7 @@ def echelon_mod_p(
         # and for the products.
         first = 0 if transform else rank
         column = m[first:, col]
-        if stale:
+        if defer:
             np.mod(column, p, out=column)
         nz = column[rank - first :].nonzero()[0]
         if nz.size == 0:
@@ -117,24 +114,17 @@ def echelon_mod_p(
         else:
             hi = ncols
         top = m[rank, col:hi]
-        if stale:
+        if defer:
             np.mod(top, p, out=top)
         top *= pow(int(top[0]), -1, p)
         np.mod(top, p, out=top)
         if rows.size:
             block = m[rows, col:hi] - m[rows, col, None] * top
-            if lazy == 1:
+            if not defer:
                 np.mod(block, p, out=block)
             m[rows, col:hi] = block
-            if lazy > 1:
-                stale += 1
-                if stale == lazy:
-                    # Every entry a later update can reach; the rest is final.
-                    bulk = m[first:, col + 1 : hi]
-                    np.mod(bulk, p, out=bulk)
-                    stale = 0
         pivots.append(col)
-    if stale:
+    if defer:
         np.mod(m, p, out=m)
     return m, pivots, order
 

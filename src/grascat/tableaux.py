@@ -444,9 +444,6 @@ class DominantMonomial:
     def n(self) -> int:
         return self.k + self.ell + 1
 
-    def degree(self) -> int:
-        return sum(m for _, _, m in self.factors)
-
     def to_json(self) -> dict:
         return {"k": self.k, "ell": self.ell, "factors": [list(f) for f in self.factors]}
 

@@ -161,7 +161,7 @@ def oracle_braid_check(t):
         right = oracle_sigma(j, oracle_sigma(i, oracle_sigma(j, t)))
         braid_tuple[(i, j)] = left.vectors == right.vectors
         braid_pluck[(i, j)] = minors_proportional(left, right)
-    return BraidCheckReport(d, True, periodicity, commutation, braid_tuple, braid_pluck)
+    return BraidCheckReport(d, periodicity, commutation, braid_tuple, braid_pluck)
 
 
 def same_images(got, want):
@@ -259,6 +259,21 @@ class TestGenericity:
         # an empty or overlong window used to pass construction and fail later
         with pytest.raises(BadParameters, match=f"k={k}, n={n}"):
             frac_tuple(k, n, rows)
+
+    @pytest.mark.parametrize("k, n", [(3, 9.0), (3.0, 9), (2.5, 9), (3, "9")])
+    def test_non_integer_shape_rejected(self, k, n):
+        with pytest.raises(BadParameters, match="must be an integer"):
+            braid.check_shape(k, n)
+        with pytest.raises(BadParameters, match="must be an integer"):
+            random_tuple(k, n, np.random.default_rng(0))
+        with pytest.raises(BadParameters, match="must be an integer"):
+            VectorTuple(k, n, ((1, 0, 0),) * 9)
+
+    def test_integer_kinds_accepted(self):
+        assert braid.check_shape(np.int64(3), np.uint8(9)) == (3, 9)
+        got = random_tuple(np.int64(3), np.int32(9), np.random.default_rng(5))
+        assert got == random_tuple(3, 9, np.random.default_rng(5))
+        assert type(got.k) is int and type(got.n) is int
 
     def test_empty_tuple_never_reaches_the_braid_check(self):
         with pytest.raises(BadParameters):

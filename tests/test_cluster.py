@@ -155,10 +155,10 @@ def oracle_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult:
             if key(neighbour) in seen:
                 continue
             if depth == max_depth:
-                result.complete = False
+                result.stopped_by = "depth"
                 return result
             if result.seeds_seen >= max_seeds:
-                result.complete = False
+                result.stopped_by = "max_seeds"
                 return result
             seen.add(key(neighbour))
             result.seeds_seen += 1
@@ -203,10 +203,10 @@ def tableau_explore(seed: Seed, max_depth: int, max_seeds: int) -> ExploreResult
             if key in seen:
                 continue
             if depth == max_depth:
-                result.complete = False
+                result.stopped_by = "depth"
                 return result
             if result.seeds_seen >= max_seeds:
-                result.complete = False
+                result.stopped_by = "max_seeds"
                 return result
             seen.add(key)
             result.seeds_seen += 1

@@ -12,7 +12,7 @@ from grascat.cmcat import (
     tau_inverse_two_interval,
     tau_two_interval,
 )
-from grascat.errors import DimensionMismatch, NotTwoIntervals
+from grascat.errors import BadParameters, DimensionMismatch, NotTwoIntervals
 
 
 def ks(n, *elems):
@@ -126,3 +126,30 @@ class TestCyclicShift:
         p = Profile((ks(9, 1, 2, 6), ks(9, 4, 5, 9)))
         for a in range(1, 9):
             assert cyclic_shift_profile(cyclic_shift_profile(p, a), 9 - a) == p
+
+
+class TestValidation:
+    @pytest.mark.parametrize("n, elems", [(9, (1.0, 2, 3)), (9.0, (1, 2, 3)), (9, ("1", 2, 3))])
+    def test_non_integer_parameters_rejected(self, n, elems):
+        with pytest.raises(BadParameters, match="must be an integer"):
+            KSubset(n, elems)
+
+    def test_integer_kinds_become_ints(self):
+        subset = KSubset(np.int64(9), (np.int64(3), np.uint8(1), 2))
+        assert subset == ks(9, 1, 2, 3) and str(subset) == "123"
+        assert type(subset.n) is int and all(type(e) is int for e in subset.elems)
+
+    @pytest.mark.parametrize("elems", [(1, 2, 2), (3, 1, 3)])
+    def test_repeated_elements_rejected(self, elems):
+        with pytest.raises(BadParameters, match="repeated"):
+            KSubset(9, elems)
+
+    @pytest.mark.parametrize("elems", [(0, 1, 2), (1, 2, 10), (-1, 5)])
+    def test_elements_outside_n_rejected(self, elems):
+        with pytest.raises(BadParameters, match="outside"):
+            KSubset(9, elems)
+
+    @pytest.mark.parametrize("other", [ks(8, 1, 2, 3), ks(9, 1, 2)])
+    def test_profile_factors_of_mixed_shape_rejected(self, other):
+        with pytest.raises(DimensionMismatch):
+            Profile((ks(9, 1, 2, 3), other))

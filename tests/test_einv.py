@@ -430,18 +430,17 @@ class TestStreams:
         for low, high in RANGES:
             for width in range(41):
                 want = np.random.default_rng(list(key)).integers(low, high, size=width)
-                coeffs, top = einv._OneDraw(*key).draw(low, high, width)
+                coeffs = einv._OneDraw(*key).draw(low, high, width)
                 assert coeffs == tuple(want.tolist()) and all(type(x) is int for x in coeffs)
-                assert top == max(map(abs, coeffs), default=0)
-                assert einv._draw(*key, low, high, width)[0] is coeffs
+                assert einv._draw(*key, low, high, width) is coeffs
 
     def test_repeated_calls_give_equal_independent_streams(self):
         a, b = einv._OneDraw(3, 1, 2), einv._OneDraw(3, 1, 2)
         assert a is not b
-        first = a.draw(0, modp.PRIME, 8)[0]
+        first = a.draw(0, modp.PRIME, 8)
         # drawing from one leaves the other, and a third, at the start
-        assert b.draw(0, modp.PRIME, 8)[0] == first
-        assert einv._OneDraw(3, 1, 2).draw(0, modp.PRIME, 8)[0] == first
+        assert b.draw(0, modp.PRIME, 8) == first
+        assert einv._OneDraw(3, 1, 2).draw(0, modp.PRIME, 8) == first
 
     def test_second_draw_raises(self, alg39, seed39):
         stream = einv._OneDraw(3, 1, 2)
@@ -456,10 +455,10 @@ class TestStreams:
             random_complex(alg39, neg, pos, stream, "fp")
 
     def test_first_draws_pinned(self):
-        assert einv._OneDraw(0, 0, 0).draw(0, modp.PRIME, 4)[0] == (
+        assert einv._OneDraw(0, 0, 0).draw(0, modp.PRIME, 4) == (
             1826701614, 1367864806, 1097657231, 579362555,
         )
-        assert einv._OneDraw(2**40, 3, 1).draw(0, modp.PRIME, 4)[0] == (
+        assert einv._OneDraw(2**40, 3, 1).draw(0, modp.PRIME, 4) == (
             185072710, 1890875872, 843134018, 149229599,
         )
 
@@ -467,8 +466,8 @@ class TestStreams:
     def test_draws_are_read_only_and_complexes_their_own(self, alg39, seed39, field):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
         a, b = (random_complex(alg39, neg, pos, einv._OneDraw(5, 0, 0), field) for _ in range(2))
-        draw = einv._slot_vector(a, field)[0]
-        assert einv._slot_vector(b, field)[0] is draw  # the one cached draw
+        draw = einv._slot_vector(a, field)
+        assert einv._slot_vector(b, field) is draw  # the one cached draw
         with pytest.raises(TypeError):
             draw[0] = 0
         assert a == b and a.blocks is not b.blocks
@@ -509,10 +508,10 @@ class TestSeedWords:
     @pytest.mark.parametrize("key", STREAM_KEYS)
     def test_repeated_stream_derives_no_state(self, counting_rng, key):
         want = counting_rng.make(list(key)).integers(0, modp.PRIME, size=5).tolist()
-        assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0]) == want
+        assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)) == want
         assert counting_rng.seeds == [key]
         for _ in range(3):
-            assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)[0]) == want
+            assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)) == want
         assert counting_rng.seeds == [key]
         # another width or range is another draw of the stream
         einv._OneDraw(*key).draw(0, modp.PRIME, 6)
@@ -574,13 +573,12 @@ def oracle_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
 
 
 def assert_slot_vector(h: TwoTermComplex, field: str) -> list[int]:
-    """Check h's slot vector, a tuple of Python ints, and its largest |x|
-    against the oracle, and that it is kept on h; return it."""
+    """Check h's slot vector, a plain tuple of Python ints, against the
+    oracle, and that it is kept on h; return it."""
     want = oracle_slot_vector(h, field)
-    ints, top = einv._slot_vector(h, field)
-    assert ints == tuple(want) and all(type(x) is int for x in ints)
-    assert top == max(map(abs, want), default=0)
-    assert einv._slot_vector(h, field)[0] is ints
+    ints = einv._slot_vector(h, field)
+    assert type(ints) is tuple and ints == tuple(want) and all(type(x) is int for x in ints)
+    assert einv._slot_vector(h, field) is ints
     return want
 
 
@@ -650,10 +648,36 @@ class TestKeptSlotVector:
                 for a, b, a2, b2 in ((f, g, f2, g2), (g, f, g2, f2), (f, f, f2, f2)):
                     assert e_pair(a, b, fld) == e_pair(a2, b2, fld)
                 for h, h2 in zip(drawn, checked):
-                    assert list(einv._slot_vector(h, fld)[0]) == assert_slot_vector(h2, fld)
+                    assert list(einv._slot_vector(h, fld)) == assert_slot_vector(h2, fld)
             for h, h2, (text, blocks) in zip(drawn, checked, before):
                 assert h == h2 and repr(h) == repr(h2) == text
                 assert h.blocks == h2.blocks == blocks
+
+
+class TestListSummands:
+    """Summands given as lists act as the tuples of the same names."""
+
+    @pytest.mark.parametrize("field", ["rational", "fp"])
+    def test_reports_match_the_tuple_call(self, alg39, seed39, field):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        for args in ((["125"], ["128"]), (list(neg), list(pos))):
+            got = generic_e_parts(alg39, *args, samples=3, field=field, master_seed=1)
+            want = generic_e_parts(alg39, *map(tuple, args), samples=3, field=field, master_seed=1)
+            assert got == want and type(got.witness.neg) is tuple
+        got = generic_e_pair_parts(alg39, [list(neg), list(pos)], (["125"], ["128"]),
+                                   samples=3, field=field, master_seed=1)
+        want = generic_e_pair_parts(alg39, (neg, pos), (("125",), ("128",)),
+                                    samples=3, field=field, master_seed=1)
+        assert got == want
+
+    def test_list_built_complexes(self, alg39, seed39):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        f = random_complex(alg39, neg, pos, np.random.default_rng(3))
+        listed = TwoTermComplex(alg39, list(neg), list(pos), dict(f.blocks))
+        drawn = random_complex(alg39, list(neg), list(pos), np.random.default_rng(3))
+        assert listed == drawn == f and type(listed.neg) is type(drawn.pos) is tuple
+        for field in ("rational", "fp"):
+            assert e_pair(listed, drawn, field) == e_pair(f, f, field)
 
 
 class TestPredicates:
@@ -751,7 +775,7 @@ def python_build(f: TwoTermComplex, g: TwoTermComplex, field: str) -> bool:
     its operator has a side of at most `_SMALL_MAX`, or an entry could
     reach 2^63."""
     op = einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos)
-    top = max(einv._slot_vector(h, field)[1] for h in (f, g))
+    top = max((abs(x) for h in (f, g) for x in einv._slot_vector(h, field)), default=0)
     return min(op.rows, op.cols) <= einv._SMALL_MAX or top * op.bound >= 2**63
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from grascat import hl
@@ -132,6 +133,29 @@ class TestQuivers:
         with pytest.raises(BadParameters):
             q_ell_quiver(4, -1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: gamma_vertices(3, -4.0),
+        lambda: gamma_quiver(3.0, -4),
+        lambda: q_ell_quiver(3, 1.5),
+        lambda: hl_mutation_sequence(5.0, 3),
+        lambda: kr_subset(1.5, -2, 3, 5),
+        lambda: kr_subset(1, -2, 3, 5.0),
+        lambda: kernel_subset(1, -2, 1.0, 3, 5),
+        lambda: kr_compatible_gamma(1, -2, 1, 1.0, -2, 1, 3, 5),
+    ])
+    def test_non_integer_parameters_rejected(self, call):
+        with pytest.raises(BadParameters, match="must be an integer"):
+            call()
+
+    def test_integer_kinds_accepted(self):
+        k, s, ell = np.int64(5), np.int32(-8), np.int64(3)
+        assert gamma_vertices(k, s) == gamma_vertices(5, -8)
+        assert gamma_quiver(k, s) == gamma_quiver(5, -8)
+        assert q_ell_quiver(k, ell) == q_ell_quiver(5, 3)
+        assert hl_mutation_sequence(k, ell) == hl_mutation_sequence(5, 3)
+        assert kr_subset(np.int8(3), -2, k, ell) == kr_subset(3, -2, 5, 3)
+        assert kernel_subset(3, -2, np.int64(2), 4, ell) == kernel_subset(3, -2, 2, 4, 3)
+
 
 class TestMutationSequence:
     def test_figure_caption_sequence(self):
@@ -235,6 +259,23 @@ class TestSubsets:
             kernel_subset(3, -2, 0, 4, 3)
         with pytest.raises(OutOfRange):
             kr_subset(3, -1, 4, 3)  # parity violation
+
+    @pytest.mark.parametrize("i, m, v, k, n, message", [
+        (0, -1, 1, 3, 9, "outside"),
+        (3, -2, 1, 3, 9, "outside"),
+        (1, -1, 1, 3, 9, "parity"),
+        (1, -2, 0, 3, 9, "positive"),
+        (1, -2, 1, 3, 3, "too small"),
+        (1, -2, 2, 3, 4, "overlap"),
+    ])
+    def test_tau_kernel_out_of_range(self, i, m, v, k, n, message):
+        with pytest.raises(OutOfRange, match=message):
+            tau_kernel_subset(i, m, v, k, n)
+
+    def test_tau_kernel_needs_an_integer_n(self):
+        # a float n would give float elements; the subset refuses them
+        with pytest.raises(BadParameters, match="must be an integer"):
+            tau_kernel_subset(1, -2, 1, 3, 9.0)
 
     def test_tau_agrees_with_two_interval_translate(self):
         # the displayed formula against the closed form on the kernel's two runs

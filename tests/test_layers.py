@@ -9,7 +9,8 @@ a name removes its import.  No library module imports or reads another
 module's `_` names, so that modules meet only at public names.
 Every function, method and class the library defines must have a caller in
 the library or the benchmark, so that a name only the tests reach moves
-into the tests.  The exact kernels of `linalg` build no `Fraction`, and
+into the tests; a method is called only where code reads it as an
+attribute.  The exact kernels of `linalg` build no `Fraction`, and
 `einv` hands numpy no object dtype.
 """
 
@@ -139,13 +140,16 @@ def test_no_module_reaches_into_another():
     assert private_reaches(library) == []
 
 
-def names_read(tree: ast.AST):
-    """Every identifier, attribute name and `__all__` string in `tree`."""
+def names_read(tree: ast.AST, attributes_only: bool = False):
+    """Every identifier, attribute name and `__all__` string in `tree`; with
+    `attributes_only`, the attribute names alone."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            yield node.id
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
@@ -156,23 +160,31 @@ def uncalled(library: dict[str, str], callers: dict[str, str]) -> list[str]:
     """Names that a `def` or `class` in `library` defines and no code names.
 
     Both arguments map a path to its source; `library` is searched for
-    definitions, and both for names.  A definition's own body does not
-    count, and dunder names are skipped.  The match is by name alone, so a
-    definition whose name other code uses for something else (such as
-    `Algebra.total_dim`, beside a local `total_dim`, or `VectorTuple.to_json`
-    beside every other `to_json`) passes unseen.
+    definitions, and both for names.  A method (a `def` in a class body)
+    counts as named only where some code reads it as an attribute
+    (``x.name``); any other definition, where code reads its name in any
+    way.  A definition's own body does not count, and dunder names are
+    skipped.  The match is by name alone, so a definition whose name other
+    code uses for something else (such as `VectorTuple.to_json` beside
+    every other `to_json`) passes unseen.
     """
     trees = {path: ast.parse(source) for path, source in {**callers, **library}.items()}
     named = Counter(name for tree in trees.values() for name in names_read(tree))
+    read = Counter(name for tree in trees.values() for name in names_read(tree, True))
     found = []
     for path in library:
+        methods = {
+            id(item) for node in ast.walk(trees[path]) if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
         for node in ast.walk(trees[path]):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if named[name] == Counter(names_read(node))[name]:
+            method = id(node) in methods
+            if (read if method else named)[name] == Counter(names_read(node, method))[name]:
                 found.append(f"{path}:{name}")
     return found
 
@@ -187,6 +199,12 @@ def test_uncalled_names_are_found():
     }
     assert uncalled(library, {"b.py": "helper()\n"}) == ["a.py:recursive", "a.py:C", "a.py:method"]
     assert uncalled(library, {"b.py": "helper(); x.method(); C()\n"}) == ["a.py:recursive"]
+    # a method is called only through an attribute: a local of its name is
+    # no caller, and nor is a read of it in its own body
+    library["a.py"] += "    def degree(self): return self.degree\n"
+    callers = {"b.py": "helper(); x.method(); C()\ndef f():\n    degree = 0\n    return degree\n"}
+    assert uncalled(library, callers) == ["a.py:recursive", "a.py:degree"]
+    assert uncalled(library, {"b.py": callers["b.py"] + "C().degree()\n"}) == ["a.py:recursive"]
 
 
 def test_every_library_name_has_a_caller():

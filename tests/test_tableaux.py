@@ -10,6 +10,7 @@ from grascat.errors import (
     DimensionMismatch,
     FieldOverflow,
     GrascatError,
+    NoDecomposition,
     NotAFactor,
     NotSemistandard,
     OutOfRange,
@@ -54,6 +55,17 @@ class TestUnionQuotient:
     def test_union_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             union(Tableau.empty(3, 6), Tableau.empty(3, 7))
+
+    def test_empty_union_needs_its_shape(self):
+        for shape in ({}, {"k": 3}, {"n": 6}):
+            with pytest.raises(DimensionMismatch, match="explicit"):
+                union_all([], **shape)
+        assert union_all([], k=3, n=6) == Tableau.empty(3, 6)
+
+    @pytest.mark.parametrize("a", [0, -1, 5, 9])
+    def test_trivial_column_start_out_of_range(self, a):
+        with pytest.raises(OutOfRange, match=f"start {a} outside"):
+            trivial_column(a, 3, 6)
 
     def test_quotient_short_exact_sequence_example(self):
         total = union_all([col(c, 6) for c in [(1, 2, 6), (1, 4, 5), (2, 3, 4)]])
@@ -156,6 +168,17 @@ class TestDominance:
         assert hits > 0
 
 
+class ContentOnly:
+    """The shape and content grid of something that is no tableau: what
+    `tableau_to_monomial` reads of its argument."""
+
+    def __init__(self, k, n, grid):
+        self.k, self.n, self.grid = k, n, grid
+
+    def content(self):
+        return self.grid
+
+
 class TestDictionary:
     def test_fundamental_columns(self):
         assert fundamental_subset(1, -5, 3).elems == (3, 4, 6)
@@ -193,6 +216,24 @@ class TestDictionary:
             DominantMonomial(3, 2, ((1, -9, 1),))
         with pytest.raises(OutOfRange):
             DominantMonomial(3, 2, ((1, -3, 0),))
+
+    def test_no_fundamental_columns(self):
+        with pytest.raises(OutOfRange, match="no fundamental columns"):
+            tableau_to_monomial(col((1, 2, 3), 4))
+
+    def test_content_outside_the_integer_span(self):
+        # every tableau decomposes; a grid with one box in a middle row
+        # alone is outside the span of the column contents
+        grid = np.zeros((3, 6), dtype=np.int64)
+        grid[1, 0] = 1
+        with pytest.raises(NoDecomposition, match="integer span"):
+            tableau_to_monomial(ContentOnly(3, 6, grid))
+
+    def test_negative_fundamental_exponent(self):
+        # a trivial column less a fundamental one: exponent -1
+        grid = trivial_column(1, 3, 6).content() - col((1, 3, 4), 6).content()
+        with pytest.raises(NoDecomposition, match="negative"):
+            tableau_to_monomial(ContentOnly(3, 6, grid))
 
     def test_round_trip_random_monomials(self):
         rng = np.random.default_rng(13)
@@ -269,6 +310,16 @@ class TestJson:
             Tableau.make(2, 4, [[1, 2], [1, 3]])
         with pytest.raises(NotSemistandard):
             Tableau.make(2, 4, [[1, 2], [2]])
+
+    @pytest.mark.parametrize("rows", [[[1], [2]], [[1], [2], [3], [4]], []])
+    def test_wrong_row_count_rejected(self, rows):
+        with pytest.raises(NotSemistandard, match=f"expected 3 rows, got {len(rows)}"):
+            Tableau.make(3, 6, rows)
+
+    @pytest.mark.parametrize("rows", [[[0], [2], [3]], [[1], [2], [7]], [[1, 2], [3, 4], [5, 9]]])
+    def test_entries_outside_n_rejected(self, rows):
+        with pytest.raises(NotSemistandard, match=r"outside \[1, 6\]"):
+            Tableau.make(3, 6, rows)
 
     def test_numpy_entries_become_ints(self):
         t = Tableau.make(2, 4, np.array([[1], [3]]))
