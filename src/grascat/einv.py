@@ -3,8 +3,15 @@
 E(f, g) counts homotopy classes of maps f -> shift(g): the dimension of
 Hom(F_-1, G_0) minus the rank of (u, v) |-> g∘u + v∘f.  The generic value
 over a g-vector stratum is the minimum over all maps, so a sampled zero is
-an exact certificate while positive sampled minima are only high-confidence
-estimates (the paper's positivity arguments are symbolic).
+an exact certificate.  Every entry of the homotopy matrix that no compiled
+term touches is zero for every pair of complexes, so its rank is at most ν,
+the maximum matching of the operator's (row, column) support, and
+E >= rows - ν on every sample, over Q and over F_p: the term-rank floor.
+A sampled minimum that meets its floor is exact too; any other positive
+minimum is a high-confidence estimate (the paper's positivity arguments
+are symbolic).  Sampling stops at the first sample that meets the floor:
+at a zero, or at a positive floor, computed once the first sample comes
+back positive.
 
 The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos)
 into COO terms over the algebra's int structure constants, and cached.
@@ -32,7 +39,7 @@ kept.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import lcm
 from numbers import Rational
@@ -273,6 +280,58 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     return _Operator(rows, cols, columns, flat, slot, coeff, bound, tuple(map(tuple, by_column)))
 
 
+def _matching_size(rows: int, adjacency) -> int:
+    """Size of a maximum matching between columns and rows, where column j
+    may take the rows in adjacency[j].
+
+    Each column in turn looks for an augmenting path, depth first, with an
+    explicit stack rather than recursion, so no operator size reaches the
+    recursion limit.  A row seen in one column's search is not entered again
+    in it.
+    """
+    owner = [-1] * rows  # the column matched to each row
+    seen = [-1] * rows  # the last column whose search entered each row
+    size = 0
+    for root, first in enumerate(adjacency):
+        columns, taken, stack = [root], [], [iter(first)]
+        while stack:
+            for i in stack[-1]:
+                if seen[i] != root:
+                    seen[i] = root
+                    break
+            else:  # no unseen row left from this column: step back
+                stack.pop()
+                columns.pop()
+                if taken:
+                    taken.pop()
+                continue
+            if owner[i] < 0:  # a free row: flip the path
+                for j, r in zip(columns, taken + [i]):
+                    owner[r] = j
+                size += 1
+                break
+            taken.append(i)
+            columns.append(owner[i])
+            stack.append(iter(adjacency[owner[i]]))
+    return size
+
+
+@lru_cache(maxsize=256)
+def _floor(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> int:
+    """The term-rank floor of `_operator` on the same key: rows - ν, where ν
+    is the maximum matching of the (row, column) support of its terms.
+
+    No rank of the operator's matrix exceeds ν, so e_pair(f, g) >= rows - ν
+    for every f, g on these shapes, over Q and over F_p.  An operator
+    without kept columns has floor `rows`, with no matching run.
+    """
+    op = _operator(alg, f_neg, f_pos, g_neg, g_pos)
+    if op.cols == 0:
+        return op.rows
+    support = [sorted({i for i, _, _ in column}) for column in op.terms]
+    return op.rows - _matching_size(op.rows, support)
+
+
 def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
     """dim Hom(F_-1, G_0) minus the rank of (u, v) -> g∘u + v∘f.
 
@@ -330,17 +389,26 @@ class EValueReport:
     """Outcome of a sampled generic-value computation.
 
     value 0 is certified exact (the generic value is a minimum, so one
-    witness suffices); positive values are estimates bounded below by 0.
+    witness suffices).  `lower_bound` is the term-rank floor of the shapes
+    (0 for a value of 0, with no matching run); the generic value lies in
+    [lower_bound, value], so a value that meets it is exact too, and any
+    other positive value is an estimate.  `samples` counts the samples
+    drawn: up to the first that made the value exact, else all of them.
     """
 
     value: int
     samples: int
     field: str
     witness: TwoTermComplex | None = None
+    lower_bound: int = 0
 
     @property
     def certified(self) -> bool:
         return self.value == 0
+
+    @property
+    def exact(self) -> bool:
+        return self.value == self.lower_bound
 
     def describe(self) -> str:
         kind = "certified" if self.certified else "high-confidence estimate"
@@ -452,14 +520,21 @@ def _sampled_minimum(
     algebra: Algebra,
     streams: dict[int, tuple[tuple[str, ...], tuple[str, ...]]],
     evaluate,
+    floor,
     samples: int,
     field: str,
     master_seed: int | None,
 ) -> EValueReport:
-    """Minimum of `evaluate` over random complexes, stopping at the first zero.
+    """Minimum of `evaluate` over random complexes, stopping at the first
+    sample that meets the floor.
 
     Sample idx draws one complex per (neg, pos) in `streams`, from the stream
-    (master seed, idx, stream id); the first complex is the witness.
+    (master seed, idx, stream id); the witness is the first complex of the
+    first sample that reaches the minimum.  `floor()` is a lower bound on
+    every value of `evaluate` on these shapes.  It is called only when the
+    first sample is positive, so a run whose first sample is 0 never calls
+    it.  The run ends at the first sample whose minimum is exact: a zero, or
+    a value on the floor.
     Raises BadParameters unless `samples` is an integer >= 1.
     """
     count = integer("sample count", samples)
@@ -467,21 +542,20 @@ def _sampled_minimum(
         raise BadParameters(f"sample count must be an integer >= 1, got {samples!r}")
     _check_field(field)
     master_seed = resolve_master_seed(master_seed)
-    best: int | None = None
-    witness = None
-    used = 0
+    report = None
     for idx in range(count):
         drawn = [
             random_complex(algebra, neg, pos, _OneDraw(master_seed, idx, sid), field)
             for sid, (neg, pos) in streams.items()
         ]
         value = evaluate(*drawn)
-        used += 1
-        if best is None or value < best:
-            best, witness = value, drawn[0]
-        if best == 0:
-            break
-    return EValueReport(best, used, field, witness)
+        if report is None:
+            report = EValueReport(value, 1, field, drawn[0], floor() if value else 0)
+        elif value < report.value:
+            report = EValueReport(value, idx + 1, field, drawn[0], report.lower_bound)
+        if report.exact:
+            return report
+    return replace(report, samples=count)
 
 
 def generic_e_parts(
@@ -493,8 +567,10 @@ def generic_e_parts(
     master_seed: int | None = None,
 ) -> EValueReport:
     """Sampled generic self-E-invariant for explicit summand lists."""
-    return _sampled_minimum(algebra, {0: (tuple(neg), tuple(pos))},
-                            lambda f: e_pair(f, f, field), samples, field, master_seed)
+    neg, pos = tuple(neg), tuple(pos)
+    return _sampled_minimum(algebra, {0: (neg, pos)}, lambda f: e_pair(f, f, field),
+                            lambda: _floor(algebra, neg, pos, neg, pos),
+                            samples, field, master_seed)
 
 
 def generic_e(
@@ -522,6 +598,7 @@ def generic_e_pair_parts(
     first, second = sorted((tuple(neg), tuple(pos)) for neg, pos in (parts1, parts2))
     return _sampled_minimum(
         algebra, {1: first, 2: second}, lambda f1, f2: ee_symmetrized(f1, f2, field),
+        lambda: _floor(algebra, *first, *second) + _floor(algebra, *second, *first),
         samples, field, master_seed,
     )
 

@@ -1,7 +1,8 @@
 """Exact g-vector extraction and cone presentations over a fixed seed.
 
 A tableau decomposes uniquely as a signed union of the seed labels; the
-exponent vector is its g-vector.  Negative coordinates name the sub term and
+exponent vector is its g-vector (the tropical one at an initial seed only;
+see `g_vector`).  Negative coordinates name the sub term and
 positive ones the quotient term of the presenting short exact sequence.
 """
 
@@ -59,7 +60,16 @@ class ConePresentation:
 
 
 def g_vector(t: Tableau, seed: Seed) -> GVector:
-    """Unique integer g with content(reduce(t)) = sum_j g_j * content(S_j)."""
+    """Unique integer g with content(reduce(t)) = sum_j g_j * content(S_j).
+
+    This is the content decomposition of t over the labels S_j of the given
+    seed.  It is the tropical g-vector only at a Grassmannian initial seed:
+    both sides of an exchange relation have the same content, so content
+    alone cannot pick the side that tropical mutation picks.  Over the
+    Gr(3,6) initial seed mutated at vertex 0 (124 -> 135), Δ124 decomposes
+    as -135 + 125 + 134, while its tropical g-vector there is
+    -135 + 145 + 123.
+    """
     label = seed.labels[0]
     if (t.k, t.n) != (label.k, label.n):
         raise DimensionMismatch(f"tableau is ({t.k},{t.n}), seed labels are ({label.k},{label.n})")

@@ -26,6 +26,7 @@ from .errors import (
     NotAFactor,
     NotSemistandard,
     OutOfRange,
+    integer,
     is_int,
     json_fields,
     list_of,
@@ -61,14 +62,18 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise BadParameters(f"a tableau needs 1 <= k <= n, got k={self.k}, n={self.n}")
-        if len(self.rows) != self.k:
-            raise NotSemistandard(f"expected {self.k} rows, got {len(self.rows)}")
+        k, n = integer("k", self.k), integer("n", self.n)
+        if not 1 <= k <= n:
+            raise BadParameters(f"a tableau needs 1 <= k <= n, got k={k}, n={n}")
+        if len(self.rows) != k:
+            raise NotSemistandard(f"expected {k} rows, got {len(self.rows)}")
         try:
             rows = tuple(tuple(sorted(map(operator.index, r))) for r in self.rows)
         except TypeError:
             raise NotSemistandard("every row must be a list of integers") from None
+        if k is not self.k or n is not self.n:  # a numpy or other index-able integer
+            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
         self.validate()
 
@@ -189,6 +194,7 @@ def quotient(t: Tableau, s: Tableau) -> Tableau:
 
 def trivial_column(a: int, k: int, n: int) -> Tableau:
     """The trivial column with entries a, a+1, ..., a+k-1."""
+    a, k, n = integer("a", a), integer("k", k), integer("n", n)
     if not (1 <= a <= n - k + 1):
         raise OutOfRange(f"trivial column start {a} outside [1, {n - k + 1}]")
     return Tableau.from_column(range(a, a + k), n)
@@ -425,6 +431,8 @@ class DominantMonomial:
     factors: tuple[tuple[int, int, int], ...]  # (i, s, multiplicity)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", integer("k", self.k))
+        object.__setattr__(self, "ell", integer("ell", self.ell))
         merged: dict[tuple[int, int], int] = {}
         for i, s, mult in self.factors:
             if mult <= 0:

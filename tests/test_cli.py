@@ -168,6 +168,18 @@ class TestBasicCommands:
         assert code == code2 == 0 and out1 == out2
         assert json.loads(out1)["value"] == 1
 
+    def test_einv_pair_on_its_floor_stops_at_one_sample(self, capsys):
+        # the g-vectors of Plücker coordinates 124 and 135 cross: E = 1, which is
+        # their term-rank floor, so the first sample is exact and the last drawn
+        d135 = json.dumps([-1, 1, 0, 0, 0, 1] + [0] * 13)
+        code, out, _ = run(capsys, "einv", "--g", json.dumps(H39), "--pair", d135,
+                           "--samples", "4", "--master-seed", "0")
+        assert code == 0
+        assert json.loads(out) == {
+            "value": 1, "certified": False, "samples": 1, "field": "rational",
+            "note": "zero values are exact; positive values are sampled estimates",
+        }
+
     def test_hl_commands(self, capsys):
         code, out, _ = run(
             capsys, "hl", "kr", "--i", "3", "--m", "-2", "--k", "4", "--ell", "3"

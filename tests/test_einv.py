@@ -2,6 +2,7 @@ import dataclasses
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -378,9 +379,191 @@ class TestSampledStreams:
         verdict = hl.kr_compatible_gamma(1, -4, 1, 1, -1, 2, 4, 3, samples=4, field="fp",
                                          master_seed=2)
         report = verdict.report
-        assert (report.value, report.samples, report.certified) == (1, 4, False)
+        assert (report.value, report.samples, report.certified) == (1, 1, False)
         assert (report.witness.neg, report.witness.pos) == (("1,-6",), ("1,-4",))
         assert blocks_of(report) == {(0, 0): (904358331,)}
+        # its first sample meets the floor, so sampling stops there
+        assert report.lower_bound == 1 and report.exact
+
+    @pytest.mark.parametrize("field", ["rational", "fp"])
+    def test_floor_zero_stratum_draws_every_sample(self, alg39, seed39, field):
+        # T1 is positive on every sample, but its floor is 0: nothing stops early
+        report = generic_e(nonreal_g39(seed39), alg39, samples=4, field=field, master_seed=2)
+        assert (report.value, report.samples, report.lower_bound) == (1, 4, 0)
+        assert report.exact is False
+
+
+def brute_matching(adjacency) -> int:
+    """Largest number of columns given distinct rows, by trying every choice."""
+    best = 0
+    for choice in product(*[(None, *rows) for rows in adjacency]):
+        taken = [i for i in choice if i is not None]
+        if len(taken) == len(set(taken)):
+            best = max(best, len(taken))
+    return best
+
+
+SUPPORTS = st.integers(1, 5).flatmap(lambda rows: st.tuples(
+    st.just(rows),
+    st.lists(st.lists(st.integers(0, rows - 1), unique=True).map(sorted), max_size=5),
+))
+
+
+def support_of(op) -> list[list[int]]:
+    return [sorted({i for i, _, _ in column}) for column in op.terms]
+
+
+def sample_values(alg, streams, evaluate, count, field, master_seed) -> list[int]:
+    """The value of every sample of `_sampled_minimum`, drawn as it draws them."""
+    return [
+        evaluate(*(random_complex(alg, neg, pos, einv._OneDraw(master_seed, idx, sid), field)
+                   for sid, (neg, pos) in streams.items()))
+        for idx in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def floor_algebras(alg39, alg48):
+    return {"gr39": alg39, "gr48": alg48, "gamma38": hl._gamma_algebra_at(3, -8)}
+
+
+@pytest.fixture
+def floors(monkeypatch):
+    """(requests, computations) of the term-rank floor from here on, by a fresh cache."""
+    requests, computations = [], []
+    floor = einv._floor.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def compute(*key):
+        computations.append(key)
+        return floor(*key)
+
+    def requested(*key):
+        requests.append(key)
+        return compute(*key)
+
+    monkeypatch.setattr(einv, "_floor", requested)
+    return requests, computations
+
+
+class TestTermRankFloor:
+    """rows - ν, ν the maximum matching of an operator's support, bounds E below."""
+
+    @settings(max_examples=150)
+    @given(support=SUPPORTS)
+    def test_matcher_agrees_with_brute_force(self, support):
+        rows, adjacency = support
+        assert einv._matching_size(rows, adjacency) == brute_matching(adjacency)
+
+    @settings(max_examples=100)
+    @given(support=SUPPORTS, data=st.data())
+    def test_planted_term_can_only_raise_the_matching(self, support, data):
+        rows, adjacency = support
+        empty = [(i, j) for j, col in enumerate(adjacency) for i in range(rows) if i not in col]
+        if not empty:
+            return
+        i, j = data.draw(st.sampled_from(empty))
+        planted = [sorted({*col, i}) if c == j else col for c, col in enumerate(adjacency)]
+        before = einv._matching_size(rows, adjacency)
+        assert before <= einv._matching_size(rows, planted) <= before + 1
+
+    def test_planted_term_on_an_operator_support(self, alg39, seed39):
+        neg, pos = complex_from_gvector(nonreal_g39(seed39).scale(2), alg39)
+        op = einv._operator(alg39, neg, pos, neg, pos)
+        adjacency = support_of(op)
+        before = einv._matching_size(op.rows, adjacency)
+        assert op.rows - before == einv._floor(alg39, neg, pos, neg, pos)
+        empty = [(i, j) for j, col in enumerate(adjacency) for i in range(op.rows) if i not in col]
+        rng = np.random.default_rng(5)
+        for k in rng.choice(len(empty), size=40, replace=False):
+            i, j = empty[k]
+            planted = [sorted({*col, i}) if c == j else col for c, col in enumerate(adjacency)]
+            assert before <= einv._matching_size(op.rows, planted) <= before + 1
+
+    def test_long_augmenting_paths_need_no_recursion(self):
+        # column j takes rows j and j + 1, offered in the order that sends
+        # each new column down the whole chain of earlier ones
+        n = 3000
+        adjacency = [[j + 1, j] if j + 1 < n else [j] for j in range(n)]
+        assert einv._matching_size(n, adjacency) == n
+
+    def test_rows_only_direction_has_floor_rows(self, monkeypatch):
+        alg = hl._gamma_algebra_at(4, -8)
+        rows_only, other = (("2,-3",), ("2,-1",)), (("1,-6",), ("1,-4",))
+        op = einv._operator(alg, *rows_only, *other)
+        assert (op.rows, op.cols) == (1, 0)
+        einv._floor.cache_clear()
+        monkeypatch.setattr(einv, "_matching_size", None)  # no matching is run
+        assert einv._floor(alg, *rows_only, *other) == 1
+        einv._floor.cache_clear()
+
+    @settings(max_examples=40)
+    @given(data=st.data(), fld=st.sampled_from(["rational", "fp"]))
+    def test_floor_never_exceeds_a_sample(self, floor_algebras, data, fld):
+        alg = floor_algebras[data.draw(st.sampled_from(sorted(floor_algebras)))]
+        summands = st.lists(st.sampled_from(alg.vertices), max_size=3).map(tuple)
+        one = (data.draw(summands), data.draw(summands))
+        two = (data.draw(summands), data.draw(summands))
+        master_seed = data.draw(st.integers(0, 2**16))
+        count = 3
+        report = generic_e_parts(alg, *one, samples=count, field=fld, master_seed=master_seed)
+        values = sample_values(alg, {0: one}, lambda f: e_pair(f, f, fld), count, fld,
+                               master_seed)
+        floor = einv._floor(alg, *one, *one)
+        assert report.lower_bound <= floor <= min(values)
+        assert report.lower_bound == (floor if report.value else 0)
+        assert report.value == min(values[:report.samples])
+
+        first, second = sorted((one, two))
+        report = generic_e_pair_parts(alg, one, two, samples=count, field=fld,
+                                      master_seed=master_seed)
+        values = sample_values(alg, {1: first, 2: second},
+                               lambda f1, f2: ee_symmetrized(f1, f2, fld), count, fld, master_seed)
+        floor = einv._floor(alg, *first, *second) + einv._floor(alg, *second, *first)
+        assert report.lower_bound <= floor <= min(values)
+        assert report.lower_bound == (floor if report.value else 0)
+        assert report.value == min(values[:report.samples])
+
+    def test_stops_at_the_first_sample_on_the_floor(self, alg39, seed39, monkeypatch):
+        # a planted floor of 1 under T1 (E = 1 on every sample here) ends
+        # the run at its first sample; its true floor, 0, leaves all five
+        neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
+        full = generic_e_parts(alg39, neg, pos, samples=5, field="fp", master_seed=2)
+        monkeypatch.setattr(einv, "_floor", lambda *key: 1)
+        cut = generic_e_parts(alg39, neg, pos, samples=5, field="fp", master_seed=2)
+        assert full.value == cut.value == 1
+        assert (full.samples, full.lower_bound, cut.samples, cut.lower_bound) == (5, 0, 1, 1)
+        assert cut.witness == full.witness
+
+    def test_no_floor_for_a_first_zero(self, alg39, seed39, floors):
+        requests, _ = floors
+        # a rigid gr39 variable: its first sample is 0
+        report = generic_e(g_vector(seed39.labels[0], seed39), alg39, samples=5,
+                           field="fp", master_seed=0)
+        assert (report.value, report.samples, report.lower_bound) == (0, 1, 0)
+        # a weakly separated pair of generic kernels over Gamma(4, -8)
+        verdict = hl.kr_compatible_gamma(1, -2, 1, 1, -4, 3, 4, 3, samples=12, master_seed=1)
+        assert verdict and verdict.report.samples == 1
+        assert requests == []
+
+    def test_floor_computed_once_per_operator(self, alg39, seed39, floors):
+        requests, computations = floors
+        # T1, positive on a floor of 0, and the Plücker pair (124, 135),
+        # which meets its floor of 1 at once
+        g = nonreal_g39(seed39)
+        d124, d135 = (g_vector(Tableau.from_column(c, 9), seed39) for c in ((1, 2, 4), (1, 3, 5)))
+        for field in ("fp", "rational", "fp"):
+            assert generic_e(g, alg39, samples=3, field=field, master_seed=1).lower_bound == 0
+            pair = generic_e_pair(d124, d135, alg39, samples=3, field=field, master_seed=1)
+            assert (pair.value, pair.samples, pair.lower_bound) == (1, 1, 1)
+        neg, pos = complex_from_gvector(g, alg39)
+        first, second = sorted(complex_from_gvector(h, alg39) for h in (d124, d135))
+        assert len(requests) == 3 * 3  # one self floor and two directions a call
+        assert sorted(computations) == sorted([
+            (alg39, neg, pos, neg, pos),
+            (alg39, *first, *second),
+            (alg39, *second, *first),
+        ])
 
 
 def per_block_complex(algebra, neg, pos, rng, field):

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from grascat import hl
+from grascat import einv, hl
 from grascat.cmcat import KSubset, cyclic_interval, tau_two_interval
 from grascat.einv import generic_e_pair_parts
 from grascat.errors import BadParameters, OutOfRange
@@ -51,6 +53,13 @@ def kernel_params(k, ell):
         vmax = (m + 2 * ell + (-1) ** (i + 1)) // 2
         for v in range(1, vmax + 1):
             yield i, m, v
+
+
+def weakly_separated(a, b, n) -> bool:
+    """Going round [n], the elements of a - b and of b - a form two arcs."""
+    only_a, only_b = set(a) - set(b), set(b) - set(a)
+    sides = [x in only_a for x in range(1, n + 1) if x in only_a or x in only_b]
+    return sum(x != y for x, y in zip(sides, sides[1:] + sides[:1])) <= 2
 
 
 GAMMA_58_FIGURE = [
@@ -352,6 +361,29 @@ class TestCompatibility:
         via_gamma = kr_compatible_gamma(*args, samples=4, master_seed=0)
         assert bool(via_kr) == bool(via_gamma)
         assert via_kr.report == via_gamma.report
+
+    def test_crossing_kernel_pairs_meet_their_floor(self, monkeypatch):
+        # every pair of generic kernels at these shapes: a crossing pair has a
+        # positive E on its term-rank floor, so its report is exact, and
+        # with the floor held at 0 all twelve samples give the same answer
+        counts = {True: 0, False: 0}
+        for k, ell in [(4, 3), (3, 4), (5, 2), (3, 3), (4, 2)]:
+            for a, b in combinations(kernel_params(k, ell), 2):
+                args = (a[2], a[1], a[0], b[2], b[1], b[0], k, ell)
+                got = kr_compatible_gamma(*args, samples=12, master_seed=1)
+                separated = weakly_separated(kernel_subset(*a, k, ell).elems,
+                                             kernel_subset(*b, k, ell).elems, k + ell + 1)
+                counts[separated] += 1
+                assert got.report.exact and bool(got) == separated == (got.report.value == 0)
+                if separated:
+                    continue
+                with monkeypatch.context() as patched:
+                    patched.setattr(einv, "_floor", lambda *key: 0)
+                    full = kr_compatible_gamma(*args, samples=12, master_seed=1)
+                assert full.report.samples == 12 and got.report.samples == 1
+                assert (got.verdict, got.report.value, got.report.field, got.report.witness) == (
+                    full.verdict, full.report.value, full.report.field, full.report.witness)
+        assert counts == {True: 102, False: 24}
 
     def test_gamma_algebra_built_once_per_k_s(self, monkeypatch):
         # two label pairs over the same truncation Gamma(4, -8)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_tableau
 from grascat.errors import (
+    BadParameters,
     DimensionMismatch,
     FieldOverflow,
     GrascatError,
@@ -320,6 +321,27 @@ class TestJson:
     def test_entries_outside_n_rejected(self, rows):
         with pytest.raises(NotSemistandard, match=r"outside \[1, 6\]"):
             Tableau.make(3, 6, rows)
+
+    @pytest.mark.parametrize("k, n", [(3, 9.0), (3, 9.5), (3.0, 9), ("3", 9)])
+    def test_tableau_shape_must_be_integers(self, k, n):
+        with pytest.raises(BadParameters, match="must be an integer"):
+            Tableau(k, n, ((1,), (2,), (3,)))
+        t = Tableau(np.int64(3), np.int64(9), ((1,), (2,), (3,)))
+        assert type(t.k) is type(t.n) is int and t == col((1, 2, 3), 9)
+
+    @pytest.mark.parametrize("k, ell", [(3.0, 5), (3, 5.0), (None, 5)])
+    def test_monomial_window_must_be_integers(self, k, ell):
+        with pytest.raises(BadParameters, match="must be an integer"):
+            DominantMonomial(k, ell, ((1, -1, 1),))
+        mono = DominantMonomial(np.int64(3), np.int64(5), ((1, -1, 1),))
+        assert type(mono.k) is type(mono.ell) is int
+        assert mono == DominantMonomial(3, 5, ((1, -1, 1),))
+
+    @pytest.mark.parametrize("a, k, n", [(1.0, 3, 9), (1, 3.0, 9), (1, 3, 9.0)])
+    def test_trivial_column_arguments_must_be_integers(self, a, k, n):
+        with pytest.raises(BadParameters, match="must be an integer"):
+            trivial_column(a, k, n)
+        assert trivial_column(np.int64(1), np.int64(3), np.int64(9)) == col((1, 2, 3), 9)
 
     def test_numpy_entries_become_ints(self):
         t = Tableau.make(2, 4, np.array([[1], [3]]))
