@@ -195,9 +195,12 @@ def _cmd_einv(args) -> None:
     payload = {
         "value": report.value,
         "certified": report.certified,
+        "exact": report.exact,
+        "lower_bound": report.lower_bound,
         "samples": report.samples,
         "field": report.field,
-        "note": "zero values are exact; positive values are sampled estimates",
+        "note": "zero values are exact, and so are values on lower_bound, the term-rank "
+                "floor; other positive values are sampled estimates",
     }
     _emit(payload, args.format, report.describe())
 

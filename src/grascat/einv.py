@@ -13,13 +13,14 @@ are symbolic).  Sampling stops at the first sample that meets the floor:
 at a zero, or at a positive floor, computed once the first sample comes
 back positive.
 
-The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos)
-into COO terms over the algebra's int structure constants, and cached.
-Columns that no term touches are zero for every pair of complexes; they are
-dropped at compile time, which keeps both ranks.  Each complex carries its
-slot vector: its coefficients in block order as a plain tuple of Python
-ints, cleared of denominators (over Q) or reduced mod p, made once per
-field and kept on it; a sampled complex's one draw is already that vector.
+The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos),
+in one pass, into the (row, slot, coeff) terms of each of its columns, and
+cached with its floor.  Columns that no term touches are zero for every
+pair of complexes; they are dropped at compile time, which keeps both
+ranks.  Each complex carries its slot vector: its coefficients in block
+order as a plain tuple of Python ints, cleared of denominators (over Q) or
+reduced mod p, made once per field and kept on it; a sampled complex's
+draw is already that vector.
 A pair concatenates g's and f's vectors into the operator's slot vector.
 A small operator, at most `_SMALL_MAX` (12) rows or columns, as nearly all
 of those the sampled predicates meet are, builds its matrix as lists of
@@ -28,19 +29,18 @@ would cost more than the arithmetic.  So does any other operator whose
 entries could reach 2^63 (max|x| times its bound).  Every other one is
 scattered into an int64 array, so numpy sees only int64 matrices.
 
-Sample idx draws once from the stream (master seed, idx, stream id): the
-first ``integers(low, high, size=width)`` of ``np.random.default_rng`` on
-that key.  Calls with one master seed read the same streams again and
-again, so that first draw is cached per (key, low, high, width), as a
-tuple of Python ints.  No stream is drawn from twice, so no generator is
-kept.
+A stream is its key (master seed, sample index, stream id), and sample
+idx reads each stream once: the first ``integers(low, high, size=width)``
+of ``np.random.default_rng`` on that key.  Calls with one master seed read
+the same streams again and again, so that draw is cached per (key, low,
+high, width), as a tuple of Python ints, and no generator is kept.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from numbers import Rational
 from operator import index
@@ -211,14 +211,15 @@ class _Operator:
     """The homotopy map (u, v) -> g∘u + v∘f, compiled for one pair of shapes.
 
     A pair of complexes is one flat int vector x: g's slot vector, then
-    f's (`_slot_vector`).  Entry flat[k] of the
-    row-major rows × cols matrix gets coeff[k] * x[slot[k]], summed over k;
-    coeff is an int structure constant of the algebra.  No entry takes more
-    than `bound` (the largest sum of |coeff| into one entry, and at least 1)
-    times max|x|.  Column j is column ``columns[j]`` of the full map; the
-    others are zero.  `terms` holds the same terms in Python ints, grouped
-    by column: terms[j] holds a (row, slot, coeff) triple for each term of
-    column j.
+    f's (`_slot_vector`).  `terms` holds the map in Python ints, one tuple
+    per kept column: terms[j] holds a (row, slot, coeff) triple for each
+    term of column j, which adds coeff * x[slot] to entry (row, j) of the
+    rows × cols matrix; coeff is an int structure constant of the algebra.
+    Column j is column ``columns[j]`` of the full map; the others are zero.
+    flat, slot and coeff are the same terms as int64 arrays, flat[k] the
+    row-major index of the k-th term's entry.  No entry takes more than
+    `bound` (the largest sum of |coeff| into one entry, and at least 1)
+    times max|x|.
     """
 
     rows: int
@@ -230,15 +231,29 @@ class _Operator:
     bound: int
     terms: tuple[tuple[tuple[int, int, int], ...], ...]
 
+    @cached_property
+    def floor(self) -> int:
+        """The term-rank floor rows - ν, ν the maximum matching of the
+        (row, column) support of the terms; `rows`, with no matching run,
+        when no column is kept.
 
-@lru_cache(maxsize=256)
+        No rank of the matrix exceeds ν, so e_pair(f, g) >= rows - ν for
+        every f, g on these shapes, over Q and over F_p.
+        """
+        if self.cols == 0:
+            return self.rows
+        support = [sorted({i for i, _, _ in column}) for column in self.terms]
+        return self.rows - _matching_size(self.rows, support)
+
+
+@lru_cache(maxsize=1024)
 def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     """Compile (u, v) -> g∘u + v∘f for f on (f_neg, f_pos) and g on (g_neg, g_pos).
 
     Row (s, t, c) is the c-th basis map of Hom(F_-1[s], G_0[t]).  The columns
     are the basis maps u of Hom(F_-1[s], G_-1[r]), then those v of
     Hom(F_0[u], G_0[t]), in `_hom_coordinates` order; only those that some
-    term touches are kept, renumbered in that order.
+    term touches are kept, in that order.
     """
     row0, rows = {}, 0
     for s, sn in enumerate(f_neg):
@@ -247,37 +262,36 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     g_spans, g_width = _block_layout(alg, g_neg, g_pos)
     g_start = {key: start for key, start, _ in g_spans}
     f_start = {key: g_width + start for key, start, _ in _block_layout(alg, f_neg, f_pos)[0]}
-    terms = []  # (row, col, slot, coeff)
-    col = 0
+    full = []  # the (row, slot, coeff) terms of each column of the full map
     for s, r, c in _hom_coordinates(alg, f_neg, g_neg):
+        full.append([])
         for t, tp in enumerate(g_pos):
             table = alg.comp_table(f_neg[s], g_neg[r], tp)
             for b in range(alg.hom_dim(g_neg[r], tp)):
                 for out, coeff in table.get((c, b), ()):
-                    terms.append((row0[(s, t)] + out, col, g_start[(t, r)] + b, coeff))
-        col += 1
+                    full[-1].append((row0[(s, t)] + out, g_start[(t, r)] + b, coeff))
     for u, t, c in _hom_coordinates(alg, f_pos, g_pos):
+        full.append([])
         for s, sn in enumerate(f_neg):
             table = alg.comp_table(sn, f_pos[u], g_pos[t])
             for a in range(alg.hom_dim(sn, f_pos[u])):
                 for out, coeff in table.get((a, c), ()):
-                    terms.append((row0[(s, t)] + out, col, f_start[(u, s)] + a, coeff))
-        col += 1
-    coo = np.array(terms, dtype=np.int64).reshape(-1, 4)
-    columns, kept = np.unique(coo[:, 1], return_inverse=True)
-    cols = len(columns)
-    flat, slot, coeff = coo[:, 0] * cols + kept, coo[:, 2].copy(), coo[:, 3].copy()
-    load = np.zeros(rows * cols, dtype=np.int64)
-    np.add.at(load, flat, np.abs(coeff))
-    by_column = [[] for _ in range(cols)]
-    for k, s, c in zip(flat.tolist(), slot.tolist(), coeff.tolist()):
-        i, j = divmod(k, cols)
-        by_column[j].append((i, s, c))
-    for arr in (columns, flat, slot, coeff):
+                    full[-1].append((row0[(s, t)] + out, f_start[(u, s)] + a, coeff))
+    columns = [j for j, column in enumerate(full) if column]
+    terms = tuple(tuple(full[j]) for j in columns)
+    cols = len(terms)
+    flat, slot, coeff, load = [], [], [], {}
+    for j, column in enumerate(terms):
+        for i, at, c in column:
+            flat.append(i * cols + j)
+            slot.append(at)
+            coeff.append(c)
+            load[flat[-1]] = load.get(flat[-1], 0) + abs(c)
+    arrays = [np.array(a, dtype=np.int64) for a in (columns, flat, slot, coeff)]
+    for arr in arrays:
         arr.flags.writeable = False  # every caller of the cache shares them
     # At least 1, so that the int64 guard of `e_pair` also bounds every |x|.
-    bound = int(load.max(initial=1))
-    return _Operator(rows, cols, columns, flat, slot, coeff, bound, tuple(map(tuple, by_column)))
+    return _Operator(rows, cols, *arrays, max([1, *load.values()]), terms)
 
 
 def _matching_size(rows: int, adjacency) -> int:
@@ -314,22 +328,6 @@ def _matching_size(rows: int, adjacency) -> int:
             columns.append(owner[i])
             stack.append(iter(adjacency[owner[i]]))
     return size
-
-
-@lru_cache(maxsize=256)
-def _floor(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> int:
-    """The term-rank floor of `_operator` on the same key: rows - ν, where ν
-    is the maximum matching of the (row, column) support of its terms.
-
-    No rank of the operator's matrix exceeds ν, so e_pair(f, g) >= rows - ν
-    for every f, g on these shapes, over Q and over F_p.  An operator
-    without kept columns has floor `rows`, with no matching run.
-    """
-    op = _operator(alg, f_neg, f_pos, g_neg, g_pos)
-    if op.cols == 0:
-        return op.rows
-    support = [sorted({i for i, _, _ in column}) for column in op.terms]
-    return op.rows - _matching_size(op.rows, support)
 
 
 def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
@@ -391,9 +389,10 @@ class EValueReport:
     value 0 is certified exact (the generic value is a minimum, so one
     witness suffices).  `lower_bound` is the term-rank floor of the shapes
     (0 for a value of 0, with no matching run); the generic value lies in
-    [lower_bound, value], so a value that meets it is exact too, and any
-    other positive value is an estimate.  `samples` counts the samples
-    drawn: up to the first that made the value exact, else all of them.
+    [lower_bound, value], so a value that meets it is exact too (`describe`
+    says so), and any other positive value is an estimate.  `samples` counts
+    the samples drawn: up to the first that made the value exact, else all
+    of them.
     """
 
     value: int
@@ -411,7 +410,8 @@ class EValueReport:
         return self.value == self.lower_bound
 
     def describe(self) -> str:
-        kind = "certified" if self.certified else "high-confidence estimate"
+        kind = ("certified" if self.certified else "exact" if self.exact
+                else "high-confidence estimate")
         return f"{self.value} ({kind}; {self.samples} sample(s) over {self.field})"
 
 
@@ -442,25 +442,30 @@ def random_complex(
     algebra: Algebra,
     neg: tuple[str, ...],
     pos: tuple[str, ...],
-    rng: np.random.Generator | _OneDraw,
+    stream: tuple[int, int, int],
     field: str = RATIONAL,
 ) -> TwoTermComplex:
     """Random map with uniform coefficients ([-10, 10] or F_p).
 
-    neg and pos may be any sequences of vertex names.  `rng` is a numpy
-    Generator, or a sample's one-draw stream.  One draw covers every
-    nonzero block, split in block order (t outer, s inner).  Each of these
-    bounded draws takes its own 32-bit outputs of the generator in turn, so
-    the blocks are those of one draw per block.  The draw, a tuple of
-    Python ints in slot order and already in range, is kept as the
-    complex's `_slot_vector` over `field`.  A summand that is not a vertex
-    of the algebra raises AlgebraMismatch.
+    neg and pos may be any sequences of vertex names.  `stream` is the key
+    (master seed, sample index, stream id), three integers >= 0, else
+    BadParameters.  The coefficients are the stream's one draw (`_draw`),
+    which covers every nonzero block, split in block order (t outer, s
+    inner).  Each of these bounded draws takes its own 32-bit outputs of
+    the generator in turn, so the blocks are those of one draw per block.
+    The draw, a tuple of Python ints in slot order and already in range, is
+    kept as the complex's `_slot_vector` over `field`.  A summand that is
+    not a vertex of the algebra raises AlgebraMismatch.
     """
     _check_field(field)
     neg, pos = tuple(neg), tuple(pos)
     spans, total = _block_layout(algebra, neg, pos)
     low, high = (-10, 11) if field == RATIONAL else (0, modp.PRIME)
-    coeffs = _ints(rng, low, high, total)
+    try:
+        coeffs = _draw(*stream, low, high, total)
+    except (TypeError, ValueError):
+        raise BadParameters("stream must be (master seed, sample index, stream id), "
+                            f"three integers >= 0, got {stream!r}") from None
     blocks = {key: coeffs[start:end] for key, start, end in spans}
     # Each block has hom_dim ints, so the constructor's checks would pass.
     return TwoTermComplex._unchecked(algebra, neg, pos, blocks, field, coeffs)
@@ -484,57 +489,38 @@ def resolve_master_seed(master_seed: int | None = None) -> int:
     return seed
 
 
-class _OneDraw:
-    """The stream (master seed, idx, sid), for the one draw a sample takes
-    from it; a second draw raises instead of repeating the first."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, master_seed: int, idx: int, sid: int):
-        self.key = (master_seed, idx, sid)
-
-    def draw(self, low: int, high: int, width: int) -> tuple[int, ...]:
-        """`_draw` of this stream."""
-        if self.key is None:
-            raise RuntimeError("a one-draw stream was drawn from twice")
-        key, self.key = self.key, None
-        return _draw(*key, low, high, width)
-
-
-def _ints(rng, low: int, high: int, width: int) -> tuple[int, ...]:
-    """rng's next `width` ints in [low, high) as Python ints; a one-draw stream reads `_draw`."""
-    if isinstance(rng, _OneDraw):
-        return rng.draw(low, high, width)
-    return tuple(rng.integers(low, high, size=width).tolist())
-
-
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def _draw(master_seed: int, idx: int, sid: int, low: int, high: int, width: int) -> tuple[int, ...]:
-    """The first draw of the stream (master seed, idx, sid): `_ints` of
-    ``np.random.default_rng([master_seed, idx, sid])``, so the bits of
-    ``default_rng(...).integers(low, high, size=width)``."""
-    return _ints(np.random.default_rng([master_seed, idx, sid]), low, high, width)
+    """The one draw of the stream (master seed, idx, sid), as Python ints:
+    ``np.random.default_rng([master_seed, idx, sid]).integers(low, high,
+    size=width)``.  The key is checked on a miss only: TypeError unless it
+    is three integers, ValueError if one is negative.  The cache is typed,
+    so a float equal to an int of a cached key is a miss, and fails."""
+    if min(map(index, (master_seed, idx, sid))) < 0:
+        raise ValueError(f"negative stream key {(master_seed, idx, sid)!r}")
+    rng = np.random.default_rng([master_seed, idx, sid])
+    return tuple(rng.integers(low, high, size=width).tolist())
 
 
 def _sampled_minimum(
     algebra: Algebra,
-    streams: dict[int, tuple[tuple[str, ...], tuple[str, ...]]],
-    evaluate,
-    floor,
+    shapes: list[tuple[tuple[str, ...], tuple[str, ...]]],
     samples: int,
     field: str,
     master_seed: int | None,
 ) -> EValueReport:
-    """Minimum of `evaluate` over random complexes, stopping at the first
-    sample that meets the floor.
+    """Generic value of one shape's self-E, or of two shapes' `ee_symmetrized`,
+    as the minimum over samples, stopping at the first sample that meets the
+    floor.
 
-    Sample idx draws one complex per (neg, pos) in `streams`, from the stream
-    (master seed, idx, stream id); the witness is the first complex of the
-    first sample that reaches the minimum.  `floor()` is a lower bound on
-    every value of `evaluate` on these shapes.  It is called only when the
-    first sample is positive, so a run whose first sample is 0 never calls
-    it.  The run ends at the first sample whose minimum is exact: a zero, or
-    a value on the floor.
+    Sample idx draws a complex on each (neg, pos) in `shapes` from the
+    stream (master seed, idx, stream id), stream id 0 for one shape and 1
+    and 2 for two; its value is e_pair(f, f), or ee_symmetrized(f1, f2).
+    The witness is the first complex of the first sample that reaches the
+    minimum.  The floor, the sum of `_Operator.floor` over the directions
+    (f, f), or (f1, f2) and (f2, f1), bounds every value below; it is read
+    only when the first sample is positive.  The run ends at the first
+    sample whose minimum is exact: a zero, or a value on the floor.
     Raises BadParameters unless `samples` is an integer >= 1.
     """
     count = integer("sample count", samples)
@@ -542,15 +528,17 @@ def _sampled_minimum(
         raise BadParameters(f"sample count must be an integer >= 1, got {samples!r}")
     _check_field(field)
     master_seed = resolve_master_seed(master_seed)
+    sids = (0,) if len(shapes) == 1 else (1, 2)
     report = None
     for idx in range(count):
-        drawn = [
-            random_complex(algebra, neg, pos, _OneDraw(master_seed, idx, sid), field)
-            for sid, (neg, pos) in streams.items()
-        ]
-        value = evaluate(*drawn)
+        drawn = [random_complex(algebra, neg, pos, (master_seed, idx, sid), field)
+                 for sid, (neg, pos) in zip(sids, shapes)]
+        value = (e_pair(drawn[0], drawn[0], field) if len(drawn) == 1
+                 else ee_symmetrized(*drawn, field))
         if report is None:
-            report = EValueReport(value, 1, field, drawn[0], floor() if value else 0)
+            floor = sum(_operator(algebra, *f, *g).floor
+                        for f, g in zip(shapes, shapes[::-1])) if value else 0
+            report = EValueReport(value, 1, field, drawn[0], floor)
         elif value < report.value:
             report = EValueReport(value, idx + 1, field, drawn[0], report.lower_bound)
         if report.exact:
@@ -567,10 +555,7 @@ def generic_e_parts(
     master_seed: int | None = None,
 ) -> EValueReport:
     """Sampled generic self-E-invariant for explicit summand lists."""
-    neg, pos = tuple(neg), tuple(pos)
-    return _sampled_minimum(algebra, {0: (neg, pos)}, lambda f: e_pair(f, f, field),
-                            lambda: _floor(algebra, neg, pos, neg, pos),
-                            samples, field, master_seed)
+    return _sampled_minimum(algebra, [(tuple(neg), tuple(pos))], samples, field, master_seed)
 
 
 def generic_e(
@@ -595,12 +580,8 @@ def generic_e_pair_parts(
 ) -> EValueReport:
     """Sampled generic symmetrized E-invariant for explicit summand lists."""
     # Canonical argument order keeps the sampled streams symmetric.
-    first, second = sorted((tuple(neg), tuple(pos)) for neg, pos in (parts1, parts2))
-    return _sampled_minimum(
-        algebra, {1: first, 2: second}, lambda f1, f2: ee_symmetrized(f1, f2, field),
-        lambda: _floor(algebra, *first, *second) + _floor(algebra, *second, *first),
-        samples, field, master_seed,
-    )
+    shapes = sorted((tuple(neg), tuple(pos)) for neg, pos in (parts1, parts2))
+    return _sampled_minimum(algebra, shapes, samples, field, master_seed)
 
 
 def generic_e_pair(

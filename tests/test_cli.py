@@ -176,9 +176,14 @@ class TestBasicCommands:
                            "--samples", "4", "--master-seed", "0")
         assert code == 0
         assert json.loads(out) == {
-            "value": 1, "certified": False, "samples": 1, "field": "rational",
-            "note": "zero values are exact; positive values are sampled estimates",
+            "value": 1, "certified": False, "exact": True, "lower_bound": 1, "samples": 1,
+            "field": "rational",
+            "note": "zero values are exact, and so are values on lower_bound, the term-rank "
+                    "floor; other positive values are sampled estimates",
         }
+        code, out, _ = run(capsys, "einv", "--g", json.dumps(H39), "--pair", d135,
+                           "--samples", "4", "--master-seed", "0", "--format", "table")
+        assert code == 0 and out == "1 (exact; 1 sample(s) over rational)\n"
 
     def test_hl_commands(self, capsys):
         code, out, _ = run(

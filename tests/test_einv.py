@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose_vectors, from_table, oracle_qp, self_pairs_of_every_side
-from grascat import einv, hl, linalg, modp
+from conftest import DATA, compose_vectors, from_table, oracle_qp, self_pairs_of_every_side
+from grascat import einv, fixtures, hl, linalg, modp
 from grascat.cluster import grassmannian_initial_seed, mutate_seed
 from grascat.einv import (
     TwoTermComplex,
@@ -51,7 +52,7 @@ def witness(alg, neg, pos, mat):
 def t1_with_first_coefficient(alg, seed39, coeff):
     """A random F_p complex on the T1 stratum with one coefficient replaced."""
     neg, pos = complex_from_gvector(nonreal_g39(seed39), alg)
-    f = random_complex(alg, neg, pos, np.random.default_rng(54), "fp")
+    f = random_complex(alg, neg, pos, (54, 0, 0), "fp")
     key = min(f.blocks)
     blocks = dict(f.blocks)
     blocks[key] = (coeff,) + f.blocks[key][1:]
@@ -77,10 +78,9 @@ class TestEPair:
         g = nonreal_g39(seed39)
         neg, pos = complex_from_gvector(g, alg39)
         bound = sum(alg39.hom_dim(s, t) for s in neg for t in pos)
-        rng = np.random.default_rng(51)
-        for _ in range(20):
-            f = random_complex(alg39, neg, pos, rng)
-            h = random_complex(alg39, neg, pos, rng)
+        for i in range(20):
+            f = random_complex(alg39, neg, pos, (51, i, 0))
+            h = random_complex(alg39, neg, pos, (51, i, 1))
             val = e_pair(f, h)
             assert 0 <= val <= bound
 
@@ -135,7 +135,7 @@ class TestEPair:
 
     def test_block_of_the_wrong_size_is_rejected(self, alg39, seed39):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
-        f = random_complex(alg39, neg, pos, np.random.default_rng(54))
+        f = random_complex(alg39, neg, pos, (54, 0, 0))
         key = min(f.blocks)
         for coeffs in (f.blocks[key] + (1,), f.blocks[key][:-1]):
             with pytest.raises(BadParameters, match="coefficients, expected"):
@@ -148,8 +148,8 @@ class TestEPair:
         calls = [
             lambda: TwoTermComplex(alg39, neg, pos, {}),
             lambda: TwoTermComplex(alg39, pos, neg, {}),
-            lambda: random_complex(alg39, neg, pos, np.random.default_rng(1), "fp"),
-            lambda: random_complex(alg39, pos, neg, einv._OneDraw(1, 0, 0), "rational"),
+            lambda: random_complex(alg39, neg, pos, (1, 0, 0), "fp"),
+            lambda: random_complex(alg39, pos, neg, (1, 0, 0), "rational"),
             lambda: generic_e_parts(alg39, neg, pos, samples=3, field="fp", master_seed=1),
             lambda: generic_e_pair_parts(alg39, (neg, pos), (pos, pos), samples=3, field="fp",
                                          master_seed=1),
@@ -178,25 +178,24 @@ class TestEPair:
     @pytest.mark.parametrize("fld", ["Q", "F_p", "", "RATIONAL"])
     def test_unknown_field_is_an_error(self, alg39, seed39, fld):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
-        f = random_complex(alg39, neg, pos, np.random.default_rng(55))
+        f = random_complex(alg39, neg, pos, (55, 0, 0))
         with pytest.raises(BadParameters, match="field"):
             e_pair(f, f, fld)
         with pytest.raises(BadParameters, match="field"):
-            random_complex(alg39, neg, pos, np.random.default_rng(55), fld)
+            random_complex(alg39, neg, pos, (55, 0, 0), fld)
 
     def test_random_complexes_carry_ints(self, alg39, seed39):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
         for fld in ("rational", "fp"):
-            f = random_complex(alg39, neg, pos, np.random.default_rng(55), fld)
+            f = random_complex(alg39, neg, pos, (55, 0, 0), fld)
             assert all(type(x) is int for coeffs in f.blocks.values() for x in coeffs)
 
     def test_symmetrized_definition(self, alg39, seed39):
         g = nonreal_g39(seed39)
         neg, pos = complex_from_gvector(g, alg39)
-        rng = np.random.default_rng(52)
-        for _ in range(10):
-            f = random_complex(alg39, neg, pos, rng)
-            h = random_complex(alg39, neg, pos, rng)
+        for i in range(10):
+            f = random_complex(alg39, neg, pos, (52, i, 0))
+            h = random_complex(alg39, neg, pos, (52, i, 1))
             assert ee_symmetrized(f, h) == ee_symmetrized(h, f)
             assert ee_symmetrized(f, f) == 2 * e_pair(f, f)
 
@@ -342,6 +341,29 @@ class TestGenericValues:
         assert values == sorted(values, reverse=True)
 
 
+# Reports of four samples at master seeds 1 and 2 over both fields, kept in
+# tests/data/sampled_streams.json: two self-E strata of T1 on Gr(3,9), one
+# of Gr(4,8), a rigid Gr(3,9) variable (first sample 0), and a crossing and
+# a weakly separated pair of generic kernels over Gamma(4, -8).
+PINNED_STREAMS = json.loads((DATA / "sampled_streams.json").read_text())
+STREAM_CASES = {
+    "gr39 T1 x1": lambda fixture, fld, m: generic_e(
+        nonreal_g39(fixture("seed39")), fixture("alg39"), 4, fld, m),
+    "gr39 T1 x2": lambda fixture, fld, m: generic_e(
+        nonreal_g39(fixture("seed39")).scale(2), fixture("alg39"), 4, fld, m),
+    "gr48 T1 x1": lambda fixture, fld, m: generic_e(
+        g_vector(Tableau.make(4, 8, [[1, 2], [3, 4], [5, 6], [7, 8]]), fixture("seed48")),
+        fixture("alg48"), 4, fld, m),
+    "gr39 rigid": lambda fixture, fld, m: generic_e(
+        g_vector(Tableau.from_json(fixtures.rigid_pairs("gr39_rank4")[0]["tableau"]),
+                 fixture("seed39")), fixture("alg39"), 4, fld, m),
+    "gamma48 crossing": lambda fixture, fld, m: hl.kr_compatible_gamma(
+        1, -4, 1, 1, -1, 2, 4, 3, 4, fld, m).report,
+    "gamma48 separated": lambda fixture, fld, m: hl.kr_compatible_gamma(
+        1, -2, 1, 1, -4, 3, 4, 3, 4, fld, m).report,
+}
+
+
 def blocks_of(report):
     return {key: tuple(int(c) for c in coeffs) for key, coeffs in report.witness.blocks.items()}
 
@@ -392,6 +414,18 @@ class TestSampledStreams:
         assert (report.value, report.samples, report.lower_bound) == (1, 4, 0)
         assert report.exact is False
 
+    @pytest.mark.parametrize("master_seed", [1, 2])
+    @pytest.mark.parametrize("field", ["fp", "rational"])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_reports_pinned(self, request, case, field, master_seed):
+        report = STREAM_CASES[case](request.getfixturevalue, field, master_seed)
+        w = report.witness
+        assert {
+            "value": report.value, "samples": report.samples, "lower_bound": report.lower_bound,
+            "neg": list(w.neg), "pos": list(w.pos),
+            "blocks": [[t, s, [int(c) for c in w.blocks[(t, s)]]] for t, s in sorted(w.blocks)],
+        } == PINNED_STREAMS[f"{case} {field} {master_seed}"]
+
 
 def brute_matching(adjacency) -> int:
     """Largest number of columns given distinct rows, by trying every choice."""
@@ -416,7 +450,7 @@ def support_of(op) -> list[list[int]]:
 def sample_values(alg, streams, evaluate, count, field, master_seed) -> list[int]:
     """The value of every sample of `_sampled_minimum`, drawn as it draws them."""
     return [
-        evaluate(*(random_complex(alg, neg, pos, einv._OneDraw(master_seed, idx, sid), field)
+        evaluate(*(random_complex(alg, neg, pos, (master_seed, idx, sid), field)
                    for sid, (neg, pos) in streams.items()))
         for idx in range(count)
     ]
@@ -429,21 +463,18 @@ def floor_algebras(alg39, alg48):
 
 @pytest.fixture
 def floors(monkeypatch):
-    """(requests, computations) of the term-rank floor from here on, by a fresh cache."""
-    requests, computations = [], []
-    floor = einv._floor.__wrapped__
+    """(rows, adjacency) of every maximum matching run from here on, each
+    operator compiled afresh: one per term-rank floor computed."""
+    calls = []
+    matching_size = einv._matching_size
 
-    @lru_cache(maxsize=None)
-    def compute(*key):
-        computations.append(key)
-        return floor(*key)
+    def counted(rows, adjacency):
+        calls.append((rows, adjacency))
+        return matching_size(rows, adjacency)
 
-    def requested(*key):
-        requests.append(key)
-        return compute(*key)
-
-    monkeypatch.setattr(einv, "_floor", requested)
-    return requests, computations
+    monkeypatch.setattr(einv, "_matching_size", counted)
+    einv._operator.cache_clear()
+    return calls
 
 
 class TestTermRankFloor:
@@ -472,7 +503,7 @@ class TestTermRankFloor:
         op = einv._operator(alg39, neg, pos, neg, pos)
         adjacency = support_of(op)
         before = einv._matching_size(op.rows, adjacency)
-        assert op.rows - before == einv._floor(alg39, neg, pos, neg, pos)
+        assert op.rows - before == op.floor
         empty = [(i, j) for j, col in enumerate(adjacency) for i in range(op.rows) if i not in col]
         rng = np.random.default_rng(5)
         for k in rng.choice(len(empty), size=40, replace=False):
@@ -490,12 +521,10 @@ class TestTermRankFloor:
     def test_rows_only_direction_has_floor_rows(self, monkeypatch):
         alg = hl._gamma_algebra_at(4, -8)
         rows_only, other = (("2,-3",), ("2,-1",)), (("1,-6",), ("1,-4",))
-        op = einv._operator(alg, *rows_only, *other)
+        op = einv._operator.__wrapped__(alg, *rows_only, *other)  # its floor not yet read
         assert (op.rows, op.cols) == (1, 0)
-        einv._floor.cache_clear()
         monkeypatch.setattr(einv, "_matching_size", None)  # no matching is run
-        assert einv._floor(alg, *rows_only, *other) == 1
-        einv._floor.cache_clear()
+        assert op.floor == 1
 
     @settings(max_examples=40)
     @given(data=st.data(), fld=st.sampled_from(["rational", "fp"]))
@@ -509,7 +538,7 @@ class TestTermRankFloor:
         report = generic_e_parts(alg, *one, samples=count, field=fld, master_seed=master_seed)
         values = sample_values(alg, {0: one}, lambda f: e_pair(f, f, fld), count, fld,
                                master_seed)
-        floor = einv._floor(alg, *one, *one)
+        floor = einv._operator(alg, *one, *one).floor
         assert report.lower_bound <= floor <= min(values)
         assert report.lower_bound == (floor if report.value else 0)
         assert report.value == min(values[:report.samples])
@@ -519,7 +548,7 @@ class TestTermRankFloor:
                                       master_seed=master_seed)
         values = sample_values(alg, {1: first, 2: second},
                                lambda f1, f2: ee_symmetrized(f1, f2, fld), count, fld, master_seed)
-        floor = einv._floor(alg, *first, *second) + einv._floor(alg, *second, *first)
+        floor = einv._operator(alg, *first, *second).floor + einv._operator(alg, *second, *first).floor
         assert report.lower_bound <= floor <= min(values)
         assert report.lower_bound == (floor if report.value else 0)
         assert report.value == min(values[:report.samples])
@@ -529,14 +558,21 @@ class TestTermRankFloor:
         # the run at its first sample; its true floor, 0, leaves all five
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
         full = generic_e_parts(alg39, neg, pos, samples=5, field="fp", master_seed=2)
-        monkeypatch.setattr(einv, "_floor", lambda *key: 1)
+        monkeypatch.setattr(einv._Operator, "floor", property(lambda op: 1))
         cut = generic_e_parts(alg39, neg, pos, samples=5, field="fp", master_seed=2)
         assert full.value == cut.value == 1
         assert (full.samples, full.lower_bound, cut.samples, cut.lower_bound) == (5, 0, 1, 1)
         assert cut.witness == full.witness
 
+    def test_describe_names_a_value_on_its_floor_exact(self):
+        reports = [einv.EValueReport(0, 1, "fp"), einv.EValueReport(1, 1, "fp", lower_bound=1),
+                   einv.EValueReport(2, 4, "fp", lower_bound=1)]
+        assert [r.describe() for r in reports] == [
+            "0 (certified; 1 sample(s) over fp)", "1 (exact; 1 sample(s) over fp)",
+            "2 (high-confidence estimate; 4 sample(s) over fp)",
+        ]
+
     def test_no_floor_for_a_first_zero(self, alg39, seed39, floors):
-        requests, _ = floors
         # a rigid gr39 variable: its first sample is 0
         report = generic_e(g_vector(seed39.labels[0], seed39), alg39, samples=5,
                            field="fp", master_seed=0)
@@ -544,10 +580,9 @@ class TestTermRankFloor:
         # a weakly separated pair of generic kernels over Gamma(4, -8)
         verdict = hl.kr_compatible_gamma(1, -2, 1, 1, -4, 3, 4, 3, samples=12, master_seed=1)
         assert verdict and verdict.report.samples == 1
-        assert requests == []
+        assert floors == []
 
     def test_floor_computed_once_per_operator(self, alg39, seed39, floors):
-        requests, computations = floors
         # T1, positive on a floor of 0, and the Plücker pair (124, 135),
         # which meets its floor of 1 at once
         g = nonreal_g39(seed39)
@@ -558,12 +593,12 @@ class TestTermRankFloor:
             assert (pair.value, pair.samples, pair.lower_bound) == (1, 1, 1)
         neg, pos = complex_from_gvector(g, alg39)
         first, second = sorted(complex_from_gvector(h, alg39) for h in (d124, d135))
-        assert len(requests) == 3 * 3  # one self floor and two directions a call
-        assert sorted(computations) == sorted([
-            (alg39, neg, pos, neg, pos),
-            (alg39, *first, *second),
-            (alg39, *second, *first),
-        ])
+        # one self floor and two directions a call, nine floors read: one
+        # matching per operator with kept columns (the pair's have none)
+        ops = [einv._operator(alg39, *key) for key in (
+            (neg, pos, neg, pos), (*first, *second), (*second, *first))]
+        assert [(op.floor, op.cols > 0) for op in ops] == [(0, True), (0, False), (1, False)]
+        assert floors == [(ops[0].rows, support_of(ops[0]))]
 
 
 def per_block_complex(algebra, neg, pos, rng, field):
@@ -592,13 +627,11 @@ class TestOneDrawPerComplex:
             for idx in range(8):
                 neg = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(0, 4)))
                 pos = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(1, 5)))
-                one, per_block = np.random.default_rng([master, idx]), np.random.default_rng([master, idx])
-                got = random_complex(alg, neg, pos, one, field)
+                got = random_complex(alg, neg, pos, (master, idx, 0), field)
+                per_block = np.random.default_rng([master, idx, 0])
                 # built without the constructor's checks, equal to one built with them
                 assert got == per_block_complex(alg, neg, pos, per_block, field)
                 assert got == TwoTermComplex(alg, got.neg, got.pos, got.blocks)
-                # the two leave the stream at the same place
-                assert one.integers(0, 2**31, size=3).tolist() == per_block.integers(0, 2**31, size=3).tolist()
 
 
 STREAM_KEYS = [(0, 0, 0), (0, 5, 2), (7, 19, 1), (2**32, 0, 1), (2**40, 3, 1)]
@@ -613,42 +646,43 @@ class TestStreams:
         for low, high in RANGES:
             for width in range(41):
                 want = np.random.default_rng(list(key)).integers(low, high, size=width)
-                coeffs = einv._OneDraw(*key).draw(low, high, width)
+                coeffs = einv._draw(*key, low, high, width)
                 assert coeffs == tuple(want.tolist()) and all(type(x) is int for x in coeffs)
                 assert einv._draw(*key, low, high, width) is coeffs
 
     def test_repeated_calls_give_equal_independent_streams(self):
-        a, b = einv._OneDraw(3, 1, 2), einv._OneDraw(3, 1, 2)
-        assert a is not b
-        first = a.draw(0, modp.PRIME, 8)
-        # drawing from one leaves the other, and a third, at the start
-        assert b.draw(0, modp.PRIME, 8) == first
-        assert einv._OneDraw(3, 1, 2).draw(0, modp.PRIME, 8) == first
+        first = einv._draw(3, 1, 2, 0, modp.PRIME, 8)
+        # reading the key again, from the cache or afresh, starts the stream again
+        assert einv._draw(3, 1, 2, 0, modp.PRIME, 8) == first
+        einv._draw.cache_clear()
+        assert einv._draw(3, 1, 2, 0, modp.PRIME, 8) == first
 
-    def test_second_draw_raises(self, alg39, seed39):
-        stream = einv._OneDraw(3, 1, 2)
-        stream.draw(0, modp.PRIME, 8)
-        # a second draw would repeat the first, not continue the stream
-        with pytest.raises(RuntimeError, match="twice"):
-            stream.draw(0, modp.PRIME, 8)
+    @pytest.mark.parametrize("stream", [
+        (1, 0), (1, 0, 0, 0), (-1, 0, 0), (0, -2, 0), (0, 0, -1), (1.5, 0, 0), (1.0, 0, 0),
+        ("1", 0, 0), ([1], 0, 0), None, 5, "abc", np.random.default_rng(1),
+    ])
+    def test_a_stream_is_three_integers_at_least_zero(self, alg39, seed39, stream):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
-        stream = einv._OneDraw(3, 1, 2)
-        random_complex(alg39, neg, pos, stream, "fp")
-        with pytest.raises(RuntimeError, match="twice"):
-            random_complex(alg39, neg, pos, stream, "fp")
+        random_complex(alg39, neg, pos, (1, 0, 0), "fp")  # a cached draw equal to (1.0, 0, 0)'s
+        for _ in range(2):  # the draw cache keeps nothing for a bad key
+            with pytest.raises(BadParameters, match="stream must be"):
+                random_complex(alg39, neg, pos, stream, "fp")
+        # numpy integers name the same stream as ints do
+        assert random_complex(alg39, neg, pos, (np.int64(4), np.int32(1), 0), "fp") == \
+            random_complex(alg39, neg, pos, (4, 1, 0), "fp")
 
     def test_first_draws_pinned(self):
-        assert einv._OneDraw(0, 0, 0).draw(0, modp.PRIME, 4) == (
+        assert einv._draw(0, 0, 0, 0, modp.PRIME, 4) == (
             1826701614, 1367864806, 1097657231, 579362555,
         )
-        assert einv._OneDraw(2**40, 3, 1).draw(0, modp.PRIME, 4) == (
+        assert einv._draw(2**40, 3, 1, 0, modp.PRIME, 4) == (
             185072710, 1890875872, 843134018, 149229599,
         )
 
     @pytest.mark.parametrize("field", ["rational", "fp"])
     def test_draws_are_read_only_and_complexes_their_own(self, alg39, seed39, field):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
-        a, b = (random_complex(alg39, neg, pos, einv._OneDraw(5, 0, 0), field) for _ in range(2))
+        a, b = (random_complex(alg39, neg, pos, (5, 0, 0), field) for _ in range(2))
         draw = einv._slot_vector(a, field)
         assert einv._slot_vector(b, field) is draw  # the one cached draw
         with pytest.raises(TypeError):
@@ -691,14 +725,14 @@ class TestSeedWords:
     @pytest.mark.parametrize("key", STREAM_KEYS)
     def test_repeated_stream_derives_no_state(self, counting_rng, key):
         want = counting_rng.make(list(key)).integers(0, modp.PRIME, size=5).tolist()
-        assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)) == want
+        assert list(einv._draw(*key, 0, modp.PRIME, 5)) == want
         assert counting_rng.seeds == [key]
         for _ in range(3):
-            assert list(einv._OneDraw(*key).draw(0, modp.PRIME, 5)) == want
+            assert list(einv._draw(*key, 0, modp.PRIME, 5)) == want
         assert counting_rng.seeds == [key]
         # another width or range is another draw of the stream
-        einv._OneDraw(*key).draw(0, modp.PRIME, 6)
-        einv._OneDraw(*key).draw(-10, 11, 5)
+        einv._draw(*key, 0, modp.PRIME, 6)
+        einv._draw(*key, -10, 11, 5)
         assert counting_rng.seeds == [key] * 3
 
     @pytest.mark.parametrize("key", STREAM_KEYS)
@@ -708,7 +742,7 @@ class TestSeedWords:
     def test_other_requests_go_to_the_sequence(self, counting_rng, key, n_words, dtype):
         # the stream's generator is seeded by numpy's own SeedSequence, so
         # every request to it (PCG64's four words and any other) is numpy's
-        einv._OneDraw(*key).draw(0, modp.PRIME, 5)
+        einv._draw(*key, 0, modp.PRIME, 5)
         (gen,) = counting_rng.made
         seq = gen.bit_generator.seed_seq
         assert type(seq) is np.random.SeedSequence
@@ -822,7 +856,7 @@ class TestKeptSlotVector:
             for _ in range(2):
                 neg = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(0, 4)))
                 pos = tuple(str(v) for v in pick.choice(vertices, size=pick.integers(1, 5)))
-                h = random_complex(alg, neg, pos, np.random.default_rng([idx, len(drawn)]), field)
+                h = random_complex(alg, neg, pos, (idx, len(drawn), 0), field)
                 drawn.append(h)
                 checked.append(TwoTermComplex(alg, h.neg, h.pos, dict(h.blocks)))
             before = [(repr(h), dict(h.blocks)) for h in drawn]
@@ -855,9 +889,9 @@ class TestListSummands:
 
     def test_list_built_complexes(self, alg39, seed39):
         neg, pos = complex_from_gvector(nonreal_g39(seed39), alg39)
-        f = random_complex(alg39, neg, pos, np.random.default_rng(3))
+        f = random_complex(alg39, neg, pos, (3, 0, 0))
         listed = TwoTermComplex(alg39, list(neg), list(pos), dict(f.blocks))
-        drawn = random_complex(alg39, list(neg), list(pos), np.random.default_rng(3))
+        drawn = random_complex(alg39, list(neg), list(pos), (3, 0, 0))
         assert listed == drawn == f and type(listed.neg) is type(drawn.pos) is tuple
         for field in ("rational", "fp"):
             assert e_pair(listed, drawn, field) == e_pair(f, f, field)
@@ -1010,7 +1044,7 @@ def complex_at_the_guard(neg, pos, above: bool):
     alg = weighted_algebra((2, 3, 1))
     op = einv._operator(alg, neg, pos, neg, pos)
     c = (2**63 - 1) // op.bound + above
-    f = random_complex(alg, neg, pos, np.random.default_rng(57))
+    f = random_complex(alg, neg, pos, (57, 0, 0))
     f = TwoTermComplex(alg, neg, pos, {key: (c,) * len(v) for key, v in f.blocks.items()})
     rows, cols = oracle_homotopy_matrix(f, f)
     dense = oracle_dense(rows, cols, "rational")
@@ -1122,7 +1156,7 @@ class TestAgainstFractionOracle:
         # them touched by no term: zero for every complex
         t2 = g_vector(Tableau.make(3, 9, [[1, 2, 5], [3, 4, 8], [6, 7, 9]]), seed39)
         neg, pos = complex_from_gvector(t2.scale(mult), alg39)
-        f = random_complex(alg39, neg, pos, np.random.default_rng(58))
+        f = random_complex(alg39, neg, pos, (58, 0, 0))
         rows, cols = oracle_homotopy_matrix(f, f)
         assert (rows, len(cols)) == (shape[0], 3 * shape[1] // 2)
         kept = assert_dropped_columns_zero(f, f, oracle_dense(rows, cols, "rational"))
@@ -1144,7 +1178,7 @@ class TestAgainstFractionOracle:
         # switches to the certified modular rank
         neg, pos = complex_from_gvector(nonreal_g39(seed39).scale(3), alg39)
         rng = np.random.default_rng(56)
-        f = random_complex(alg39, neg, pos, rng, fld)
+        f = random_complex(alg39, neg, pos, (56, 0, 0), fld)
         blocks = {
             key: tuple(Fraction(int(x), int(rng.integers(1, 5))) for x in coeffs)
             for key, coeffs in f.blocks.items()
@@ -1187,7 +1221,7 @@ class TestAgainstFractionOracle:
         # build (an int64 scatter once raised OverflowError here)
         alg = weighted_algebra((0, 0, 0))
         neg, pos = ("x", "x", "x"), ("y", "x", "y", "x")
-        f = random_complex(alg, neg, pos, np.random.default_rng(57))
+        f = random_complex(alg, neg, pos, (57, 0, 0))
         f = TwoTermComplex(alg, neg, pos, {key: (2**70,) * len(v) for key, v in f.blocks.items()})
         op = einv._operator(alg, neg, pos, neg, pos)
         assert (op.rows, op.cols) == (18, 46) and python_build(f, f, fld) == (fld == "rational")
@@ -1243,13 +1277,24 @@ class TestAgainstFractionOracle:
         assert report.samples == 5
         assert compiles == [(alg39, neg, pos, neg, pos)]
 
+    def test_operator_cache_holds_more_than_256_shapes(self, alg39):
+        # a 20 s seed-1 reachability run meets 535 distinct operators; a
+        # cache of 256 compiled most of them again and again
+        vertices = alg39.vertices
+        shapes = [((a,), (b, c)) for a in vertices for b in vertices for c in vertices][:300]
+        einv._operator.cache_clear()
+        for _ in range(2):
+            for neg, pos in shapes:
+                einv._operator(alg39, neg, pos, neg, pos)
+        assert einv._operator.cache_info().misses == len(shapes)
+
     def test_distinct_algebras_never_share_an_operator(self, compiles):
         # same vertex names, same Hom dimensions, different constants
         weighted, unit = weighted_algebra((2, -3, 1)), weighted_algebra((1, 1, 1))
         neg, pos = ("x", "y"), ("y", "x")
         values = []
         for alg in (weighted, unit, weighted):
-            f = random_complex(alg, neg, pos, np.random.default_rng(3))
+            f = random_complex(alg, neg, pos, (3, 0, 0))
             values.append(e_pair(f, f))
             assert values[-1] == oracle_e(f, f, "rational")
         assert values == [0, 3, 0]

@@ -378,7 +378,7 @@ class TestCompatibility:
                 if separated:
                     continue
                 with monkeypatch.context() as patched:
-                    patched.setattr(einv, "_floor", lambda *key: 0)
+                    patched.setattr(einv._Operator, "floor", property(lambda op: 0))
                     full = kr_compatible_gamma(*args, samples=12, master_seed=1)
                 assert full.report.samples == 12 and got.report.samples == 1
                 assert (got.verdict, got.report.value, got.report.field, got.report.witness) == (
