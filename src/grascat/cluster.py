@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import index
 
-import numpy as np
-
 from . import tableaux as tb
 from .cmcat import KSubset
 from .errors import (
@@ -235,10 +233,11 @@ class Seed:
 
     @cached_property
     def _independent(self) -> bool:
-        """Whether the labels share one (k, n) and their contents are
-        independent over Q; False only sends `explore` to the solver."""
-        contents = [t.content().ravel() for t in self.labels]
-        return len({c.size for c in contents}) == 1 and rank_int(np.array(contents)) == self.m
+        """Whether the labels' contents share one length and are independent
+        over Q, ranked as rows by `rank_int`; False only sends `explore` to
+        the solver."""
+        contents = [t.content() for t in self.labels]
+        return len(set(map(len, contents))) == 1 and rank_int(contents) == self.m
 
     @cached_property
     def solver(self) -> ExactSolver:
@@ -246,7 +245,7 @@ class Seed:
 
         Raises NonUniqueSolution when the contents are linearly dependent.
         """
-        return ExactSolver([t.content().ravel().tolist() for t in self.labels])
+        return ExactSolver([t.content() for t in self.labels])
 
     @cached_property
     def vertex_names(self) -> tuple[str, ...]:
@@ -475,8 +474,7 @@ def _explore_packed(seed: Seed, max_depth: int, max_seeds: int, packing: tb.Pack
             if mult:
                 j = start_index.get(column)
                 if j is None:  # not a label: solve the reduced label, as g_vector does
-                    content = packing.tableau(red).content().ravel().tolist()
-                    found[red] = tuple(seed.solver.solve_integer(content))
+                    found[red] = tuple(seed.solver.solve_integer(packing.tableau(red).content()))
                     return
                 g[j] -= mult
         found[red] = tuple(g)

@@ -11,8 +11,7 @@ inverse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import BadParameters, DimensionMismatch, NotTwoIntervals, integer
 
@@ -96,13 +95,13 @@ def cyclic_interval(n: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(sorted((a + t - 1) % n + 1 for t in range(length)))
 
 
-def rim_height(subset: KSubset) -> np.ndarray:
-    """Height profile h(0..n) of the rim: h(i) = h(i-1) - 1 iff i is in the subset."""
-    h = np.zeros(subset.n + 1, dtype=np.int64)
+def rim_height(subset: KSubset) -> tuple[int, ...]:
+    """Height profile (h(0), ..., h(n)) of the rim, as Python ints.
+
+    h(0) = 0 and h(i) = h(i-1) - 1 iff i is in the subset, else h(i-1) + 1.
+    """
     s = set(subset.elems)
-    for i in range(1, subset.n + 1):
-        h[i] = h[i - 1] + (-1 if i in s else 1)
-    return h
+    return tuple(accumulate((-1 if i in s else 1 for i in range(1, subset.n + 1)), initial=0))
 
 
 def _two_runs(subset: KSubset) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -147,14 +146,10 @@ def profile_balance_check(profile: Profile, sub, quot) -> bool:
     n = every[0].n
     if any(f.n != n for f in every):
         raise DimensionMismatch("profile and presentation must share n")
-    total = np.zeros(n + 1, dtype=np.int64)
-    for f in factors:
-        total += rim_height(f)
-    for f in sub:
-        total += rim_height(f)
-    for f in quot:
-        total -= rim_height(f)
-    return bool(np.all(total == total[0]) and total[0] % 2 == 0)
+    heights = [rim_height(f) for f in factors + sub]
+    heights += [[-h for h in rim_height(f)] for f in quot]
+    totals = {sum(column) for column in zip(*heights)}
+    return len(totals) == 1 and totals.pop() % 2 == 0
 
 
 def cyclic_shift_profile(profile: Profile, a: int) -> Profile:

@@ -215,8 +215,8 @@ class _Operator:
     per kept column: terms[j] holds a (row, slot, coeff) triple for each
     term of column j, which adds coeff * x[slot] to entry (row, j) of the
     rows × cols matrix; coeff is an int structure constant of the algebra.
-    Column j is column ``columns[j]`` of the full map; the others are zero.
-    flat, slot and coeff are the same terms as int64 arrays, flat[k] the
+    The full map's other columns, touched by no term, are zero.  flat,
+    slot and coeff are the same terms as int64 arrays, flat[k] the
     row-major index of the k-th term's entry.  No entry takes more than
     `bound` (the largest sum of |coeff| into one entry, and at least 1)
     times max|x|.
@@ -224,7 +224,6 @@ class _Operator:
 
     rows: int
     cols: int
-    columns: np.ndarray
     flat: np.ndarray
     slot: np.ndarray
     coeff: np.ndarray
@@ -277,8 +276,7 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
             for a in range(alg.hom_dim(sn, f_pos[u])):
                 for out, coeff in table.get((a, c), ()):
                     full[-1].append((row0[(s, t)] + out, f_start[(u, s)] + a, coeff))
-    columns = [j for j, column in enumerate(full) if column]
-    terms = tuple(tuple(full[j]) for j in columns)
+    terms = tuple(tuple(column) for column in full if column)
     cols = len(terms)
     flat, slot, coeff, load = [], [], [], {}
     for j, column in enumerate(terms):
@@ -287,7 +285,7 @@ def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
             slot.append(at)
             coeff.append(c)
             load[flat[-1]] = load.get(flat[-1], 0) + abs(c)
-    arrays = [np.array(a, dtype=np.int64) for a in (columns, flat, slot, coeff)]
+    arrays = [np.array(a, dtype=np.int64) for a in (flat, slot, coeff)]
     for arr in arrays:
         arr.flags.writeable = False  # every caller of the cache shares them
     # At least 1, so that the int64 guard of `e_pair` also bounds every |x|.

@@ -73,8 +73,7 @@ def g_vector(t: Tableau, seed: Seed) -> GVector:
     label = seed.labels[0]
     if (t.k, t.n) != (label.k, label.n):
         raise DimensionMismatch(f"tableau is ({t.k},{t.n}), seed labels are ({label.k},{label.n})")
-    content = tb.reduce(t).content().ravel().tolist()
-    return GVector(seed, tuple(seed.solver.solve_integer(content)))
+    return GVector(seed, tuple(seed.solver.solve_integer(tb.reduce(t).content())))
 
 
 def cone_presentation(g: GVector) -> ConePresentation:

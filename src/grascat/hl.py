@@ -305,11 +305,6 @@ def kr_compatible(
     return kr_compatible_gamma(v1, m1, i1, v2, m2, i2, k, ell, samples, field, master_seed)
 
 
-def _gamma_algebra(k: int, ell: int, m1: int, v1: int, m2: int, v2: int) -> Algebra:
-    s = min(m1 - 2 * v1 - 2, m2 - 2 * v2 - 2, -2 * ell - 2)
-    return _gamma_algebra_at(k, s)
-
-
 @lru_cache(maxsize=16)
 def _gamma_algebra_at(k: int, s: int) -> Algebra:
     """Jacobian algebra of Gamma(k, s), built once per (k, s); Algebra is immutable."""
@@ -338,7 +333,7 @@ def kr_compatible_gamma(
     """
     i1, m1, v1, k, ell = _kernel_params(i1, m1, v1, k, ell)
     i2, m2, v2, k, ell = _kernel_params(i2, m2, v2, k, ell)
-    alg = _gamma_algebra(k, ell, m1, v1, m2, v2)
+    alg = _gamma_algebra_at(k, min(m1 - 2 * v1 - 2, m2 - 2 * v2 - 2, -2 * ell - 2))
     parts1 = ((f"{i1},{m1 - 2 * v1}",), (f"{i1},{m1}",))
     parts2 = ((f"{i2},{m2 - 2 * v2}",), (f"{i2},{m2}",))
     report = generic_e_pair_parts(alg, parts1, parts2, samples, field, master_seed)

@@ -14,8 +14,6 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .cmcat import KSubset
 from .errors import (
     BadParameters,
@@ -125,13 +123,18 @@ class Tableau:
             raise DimensionMismatch("only one-column tableaux map to k-subsets")
         return KSubset(self.n, self.column(0))
 
-    def content(self) -> np.ndarray:
-        """k x n grid; entry [r, v-1] counts the boxes of value v in row r."""
-        grid = np.zeros((self.k, self.n), dtype=np.int64)
+    def content(self) -> tuple[int, ...]:
+        """The k n per-row value counts, row-major, as Python ints.
+
+        Entry r n + v - 1 counts the boxes of value v in row r: the fields
+        of `Packing`'s C grid, lowest first.
+        """
+        n = self.n
+        counts = [0] * (self.k * n)
         for r, row in enumerate(self.rows):
             for v in row:
-                grid[r, v - 1] += 1
-        return grid
+                counts[r * n + v - 1] += 1
+        return tuple(counts)
 
     def to_json(self) -> dict:
         return {"k": self.k, "n": self.n, "rows": [list(r) for r in self.rows]}
@@ -493,13 +496,13 @@ def _dictionary_basis(k: int, n: int):
     fundamentals = [(i, i - 2 - 2 * r) for i in range(1, k) for r in range(n - k)]
     columns = [Tableau.from_subset(fundamental_subset(i, s, k, n)) for i, s in fundamentals]
     columns += [trivial_column(a, k, n) for a in range(1, n - k + 2)]
-    return ExactSolver([t.content().ravel().tolist() for t in columns]), fundamentals
+    return ExactSolver([t.content() for t in columns]), fundamentals
 
 
 def tableau_to_monomial(t: Tableau) -> DominantMonomial:
     """Fundamental decomposition of a tableau, inverse to monomial_to_tableau.
 
-    Solved as an exact integer system on content grids: the tableau content
+    Solved as an exact integer system on contents: the tableau content
     must equal a nonnegative combination of fundamental-column contents plus
     an arbitrary integer combination of trivial-column contents.
     """
@@ -507,7 +510,7 @@ def tableau_to_monomial(t: Tableau) -> DominantMonomial:
         raise OutOfRange(f"no fundamental columns exist for (k,n)=({t.k},{t.n})")
     solver, fundamentals = _dictionary_basis(t.k, t.n)
     try:
-        sol = solver.solve_integer(t.content().ravel().tolist())
+        sol = solver.solve_integer(t.content())
     except NoIntegerSolution as exc:
         raise NoDecomposition(str(exc)) from exc
     exps = sol[: len(fundamentals)]

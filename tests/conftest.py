@@ -176,6 +176,11 @@ def check_associative(alg: Algebra) -> bool:
     return True
 
 
+def content_grid(t: Tableau) -> np.ndarray:
+    """The content of t as a k x n grid: entry [r, v-1] counts the boxes of value v in row r."""
+    return np.array(t.content(), dtype=np.int64).reshape(t.k, t.n)
+
+
 def random_tableau(rng: np.random.Generator, k: int, n: int, max_cols: int = 4) -> Tableau:
     """Union of random strict columns; covers all of SSYT(k, [n])."""
     ncols = int(rng.integers(0, max_cols + 1))

@@ -893,7 +893,7 @@ class TestExplore:
         for step in walk:
             seed = mutate_seed(seed, step % seed.n_mut)
             assert "_independent" in seed.__dict__  # carried, not computed
-            contents = np.array([t.content().ravel() for t in seed.labels])
+            contents = np.array([t.content() for t in seed.labels])
             assert seed._independent == (rank_int(contents) == seed.m)
 
     @pytest.mark.parametrize("name, reachable", [

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_tableau
+from conftest import content_grid, random_tableau
 from grascat import cluster, fixtures
 from grascat.cluster import Quiver, Seed, explore, grassmannian_initial_seed
 from grascat.einv import complex_from_gvector
@@ -37,21 +37,21 @@ def check_cone_roundtrip(t: Tableau, g: GVector) -> bool:
 class TestContentGrid:
     def test_direct_count(self):
         t = Tableau.make(3, 6, [[1, 2], [3, 4], [5, 6]])
-        grid = t.content()
+        grid = content_grid(t)
         assert grid.sum() == 6
         for r, v in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]:
             assert grid[r, v - 1] == 1
 
     def test_empty(self):
-        assert Tableau.empty(3, 6).content().sum() == 0
+        assert Tableau.empty(3, 6).content() == (0,) * 18
 
     def test_union_additive(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             s = random_tableau(rng, 3, 8)
             t = random_tableau(rng, 3, 8)
-            assert np.array_equal(
-                union(s, t).content(), s.content() + t.content()
+            assert union(s, t).content() == tuple(
+                a + b for a, b in zip(s.content(), t.content())
             )
 
 
@@ -161,7 +161,7 @@ class TestGVector:
         labels = tuple(Tableau.make(1, 3, [row]) for row in ([1], [1, 2], [3]))
         seed = Seed(Quiver(3, 1, ((0, 1), (1, 0))), labels)
         t = Tableau.make(1, 3, [[1, 2, 2, 3]])
-        solve = seed.solver.solve_integer(treduce(t).content().ravel().tolist())
+        solve = seed.solver.solve_integer(treduce(t).content())
         assert g_vector(t, seed).coords == tuple(solve) == (0, 0, 0)
         result = explore(seed, 3, 10)
         assert (result.seeds_seen, result.complete) == (1, True)

@@ -11,7 +11,8 @@ Every function, method and class the library defines must have a caller in
 the library or the benchmark, so that a name only the tests reach moves
 into the tests; a method is called only where code reads it as an
 attribute.  The exact kernels of `linalg` build no `Fraction`, and
-`einv` hands numpy no object dtype.
+`einv` hands numpy no object dtype.  Numpy arrays are built only in
+`linalg`, `modp` and `einv`; elsewhere numpy serves only seeded draws.
 """
 
 import ast
@@ -288,3 +289,54 @@ def test_einv_builds_no_object_array():
     # numpy sees only int64 matrices; an entry that could pass 2^63 is
     # built and ranked in Python ints instead
     assert object_dtypes((PACKAGE / "einv.py").read_text()) == []
+
+
+def numpy_uses(source: str) -> list[int]:
+    """Line numbers where `source` uses numpy other than through ``.random``.
+
+    A use is a read of the name that ``import numpy [as np]`` binds, except
+    as the value of a ``.random`` attribute, and any ``from numpy... import``
+    but ``from numpy.random import``.
+    """
+    tree = ast.parse(source)
+    bound = {
+        a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "numpy"
+    }
+    allowed = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "random"
+    }
+    return sorted(
+        [node.lineno for node in ast.walk(tree)
+         if isinstance(node, ast.Name) and node.id in bound and id(node) not in allowed]
+        + [node.lineno for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+           and node.module != "numpy.random"]
+    )
+
+
+def test_numpy_uses_are_found():
+    source = (
+        "import numpy as np\n"
+        "rng = np.random.default_rng([1, 2])\n"
+        "def draw(rng: np.random.Generator) -> np.ndarray: pass\n"
+        "grid = np.zeros((3, 6), dtype=np.int64)\n"
+        "from numpy import array\nfrom numpy.random import default_rng\n"
+        "alias = np\nnumpy.zeros(2)\n"
+    )
+    assert numpy_uses(source) == [3, 4, 4, 5, 7]
+    assert numpy_uses("import numpy\nnumpy.random.default_rng(0)\nnumpy.eye(2)\n") == [3]
+
+
+# the exact kernels and the homotopy operators they rank
+NUMPY_MODULES = {"linalg.py", "modp.py", "einv.py"}
+
+
+def test_numpy_stays_in_the_exact_kernels():
+    # a label's content, a rim height or a g-vector is a tuple of Python ints
+    found = {
+        path.name: numpy_uses(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name not in NUMPY_MODULES
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

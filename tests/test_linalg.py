@@ -658,7 +658,7 @@ class TestAgainstFractionOracle:
     @pytest.mark.parametrize("key", ["seed39", "seed48"])
     def test_initial_seed_solvers(self, request, key):
         seed = request.getfixturevalue(key)
-        columns = [t.content().ravel().tolist() for t in seed.labels]
+        columns = [t.content() for t in seed.labels]
         solver = ExactSolver(columns)
         assert (solver.denom, solver.transform) == fraction_solver(columns)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tableau
+from conftest import content_grid, random_tableau
 from grascat.errors import (
     BadParameters,
     DimensionMismatch,
@@ -177,7 +177,7 @@ class ContentOnly:
         self.k, self.n, self.grid = k, n, grid
 
     def content(self):
-        return self.grid
+        return tuple(self.grid.ravel().tolist())
 
 
 class TestDictionary:
@@ -232,7 +232,7 @@ class TestDictionary:
 
     def test_negative_fundamental_exponent(self):
         # a trivial column less a fundamental one: exponent -1
-        grid = trivial_column(1, 3, 6).content() - col((1, 3, 4), 6).content()
+        grid = content_grid(trivial_column(1, 3, 6)) - content_grid(col((1, 3, 4), 6))
         with pytest.raises(NoDecomposition, match="negative"):
             tableau_to_monomial(ContentOnly(3, 6, grid))
 
@@ -281,8 +281,8 @@ class TestBenderKnuthPromotion:
         rng = np.random.default_rng(15)
         for _ in range(100):
             t = random_tableau(rng, 3, 9)
-            before = t.content().sum(axis=0)
-            after = promote(t).content().sum(axis=0)
+            before = content_grid(t).sum(axis=0)
+            after = content_grid(promote(t)).sum(axis=0)
             assert list(after) == [before[-1]] + list(before[:-1])
 
     def test_promote_order_divides_n_up_to_equivalence(self):
@@ -364,7 +364,7 @@ class TestJson:
 
 def grid_reduce(t):
     """Reduction one trivial column at a time, read off the content grid."""
-    counts = t.content()
+    counts = content_grid(t)
     out = t
     for a in range(1, t.n - t.k + 2):
         mult = min(int(counts[r, a + r - 1]) for r in range(t.k))
@@ -385,7 +385,7 @@ def _grid_dominates(lam, mu):
 
 def grid_dominance_compare(s, t):
     """Dominance of restriction shapes from cumulative numpy content grids."""
-    cs, ct = s.content(), t.content()
+    cs, ct = content_grid(s), content_grid(t)
     if not np.array_equal(cs.sum(axis=0), ct.sum(axis=0)):
         return Dominance.DIFFERENT_CONTENT
     shapes_s = np.cumsum(cs, axis=1)
@@ -530,6 +530,16 @@ class TestPackedAgainstTableaux:
 
         assert packing.ge(grid(a), grid(b)) == all(x >= y for x, y in zip(a, b))
 
+    @given(shaped_columns(max_cols=6))
+    def test_content_is_the_packed_c_grid(self, shaped):
+        # the C grid is the lowest section: field r n + v - 1 counts v in row r
+        k, n, columns = shaped
+        t = from_columns(k, n, columns)
+        packing = Packing.fitting(k, n, k * t.width)
+        x = packing.pack(t)
+        fields = tuple((x >> (f * packing.bits)) & packing.fmask for f in range(k * n))
+        assert t.content() == fields and all(type(c) is int for c in t.content())
+
     @given(shaped_columns(max_cols=6), st.integers(0, 6), FIELD_BITS)
     def test_pack_round_trip_and_union(self, shaped, split, bits):
         k, n, columns = shaped
@@ -604,7 +614,7 @@ class TestPackedAgainstTableaux:
         assume(x is not None)
         red, mults = packing.reduce(x)
         assert packing.tableau(red) == grid_reduce(t)
-        counts = t.content()
+        counts = content_grid(t)
         assert mults == [min(int(counts[r, a + r - 1]) for r in range(k)) for a in range(1, n - k + 2)]
 
     @given(same_content_pairs(), FIELD_BITS)
