@@ -15,7 +15,8 @@ A tuple built from raw vectors computes its n cyclic window minors, as
 Fractions, once, when it is built; the genericity checks and the
 denominators of ``sigma`` read them from there.  ``twisted_shift`` hands
 them on rotated, and ``sigma`` derives its image's minors from its input's,
-so neither recomputes them.
+so neither recomputes them.  The check's rho^d is built in one step, a
+rotation by d with the signs of the d wrapped vectors, not d shifts.
 
 Write Delta_s for the minor of the window starting at s, and b for the
 first position of a pair that sigma moves.  An image window starting
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+from numbers import Rational
 from typing import ClassVar
 
 import numpy as np
@@ -71,12 +73,23 @@ def check_shape(k: int, n: int) -> tuple[int, int]:
 
 
 def _canonical(v) -> tuple[tuple[int, ...], int]:
-    """(a, q) with q > 0 the lcm of the denominators of v's entries and a = q v."""
+    """(a, q) with q > 0 the lcm of the denominators of v's entries and a = q v.
+
+    Entries are ``numbers.Rational``: ints, numpy integers or Fractions.  Any
+    other entry (a float, a Decimal, a string) raises BadParameters rather
+    than being read as the rational it seems to stand for.  Numerators and
+    denominators are read as Python ints, so that no numpy integer reaches
+    the products of ``sigma``, where it would overflow.
+    """
     if all(type(x) is int for x in v):
         return tuple(v), 1
-    entries = [x if type(x) is Fraction else Fraction(x) for x in v]
-    q = lcm(*(x.denominator for x in entries))
-    return tuple(x.numerator * (q // x.denominator) for x in entries), q
+    parts = []
+    for x in v:
+        if not isinstance(x, Rational):
+            raise BadParameters(f"vector entries must be rational numbers, got {x!r}")
+        parts.append((int(x.numerator), int(x.denominator)))
+    q = lcm(*(b for _, b in parts))
+    return tuple(a * (q // b) for a, b in parts), q
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -161,15 +174,25 @@ def is_consecutively_generic(t: VectorTuple) -> bool:
 
 def twisted_shift(t: VectorTuple) -> VectorTuple:
     """rho: rotate left, the wrapped vector picking up the sign (-1)^(k-1)."""
+    return _rho_power(t, 1)
+
+
+def _rho_power(t: VectorTuple, m: int) -> VectorTuple:
+    """rho^m for 1 <= m <= n in one step: rotate left by m, each of the m
+    wrapped vectors picking up the sign (-1)^(k-1)."""
     k, n, rows, w = t.k, t.n, t.rows, t.window_minors
-    # Window i of the image is window i+1 of t, with v_1 scaled by the sign
-    # in the last k windows, the ones that wrap past position n.
+    # Window i of the image is window i+m of t, with v_1, ..., v_m scaled by
+    # the sign: for even k a window minor changes sign once for every
+    # wrapped vector it holds, image positions n-m, ..., n-1.
+    minors = w[m:] + w[:m]
     if k % 2:
-        first, minors = rows[0], w[1:] + w[:1]
+        wrapped = rows[:m]
     else:
-        first = tuple(-x for x in rows[0])
-        minors = w[1 : n - k + 1] + tuple(-x for x in w[n - k + 1 :] + w[:1])
-    return VectorTuple._of(k, n, rows[1:] + (first,), t.dens[1:] + t.dens[:1], minors)
+        wrapped = tuple(tuple(-x for x in r) for r in rows[:m])
+        held = [0] * (n - m) + [1] * m
+        held += held[: k - 1]  # windows run cyclically past position n
+        minors = tuple(-x if sum(held[i : i + k]) % 2 else x for i, x in enumerate(minors))
+    return VectorTuple._of(k, n, rows[m:] + wrapped, t.dens[m:] + t.dens[:m], minors)
 
 
 def sigma(i: int, t: VectorTuple) -> VectorTuple:
@@ -184,6 +207,7 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
     Delta_b Delta_{b+2} / Delta_{b+1} (the Plücker relation, see the module
     docstring) and every other window minor is the input's.
     """
+    i = integer("i", i)
     d = t.d
     if d < 2 or not 1 <= i <= d - 1:
         raise BadParameters(f"need 1 <= i <= gcd(k,n)-1 = {d - 1}, got {i}")
@@ -191,23 +215,23 @@ def sigma(i: int, t: VectorTuple) -> VectorTuple:
         raise NotGeneric("sigma requires a consecutively generic tuple")
     k, n, rows, dens, window = t.k, t.n, t.rows, t.dens, t.window_minors
     new_rows, new_dens, minors = list(rows), list(dens), list(window)
-    for j in range(n // d):
-        b0 = (i + j * d - 1) % n  # 0-based positions of v_b and v_{b+1}
-        b1 = (b0 + 1) % n
-        idx = [b0] + [(b0 + s) % n for s in range(2, k + 1)]
-        numerator = det([rows[s] for s in idx])
-        denominator = window[b1]
-        # ratio = numerator / (prod of idx's dens) / denominator, and
-        # w = ratio a1 / q1 - a0 / q0 = (x a1 - y a0) / (y q0)
+    # b = i + j d for j < n/d, so b0 <= n - 2 and neither position wraps.
+    for b0 in range(i - 1, n, d):  # 0-based positions of v_b and v_{b+1}
+        b1 = b0 + 1
+        shared = [(b0 + s) % n for s in range(2, k + 1)]  # v_{b+2}, ..., v_{b+k}
         (a0, q0), (a1, q1) = (rows[b0], dens[b0]), (rows[b1], dens[b1])
+        numerator = det([a0] + [rows[s] for s in shared])
+        denominator = window[b1]
+        # ratio = numerator / (prod of the numerator's dens) / denominator,
+        # and w = ratio a1 / q1 - a0 / q0 = (x a1 - y a0) / (y q0)
         x = numerator * denominator.denominator * q0
-        y = prod(dens[s] for s in idx) * denominator.numerator * q1
+        y = q0 * prod([dens[s] for s in shared]) * denominator.numerator * q1
         w = [x * u - y * v for u, v in zip(a1, a0)]
         g = gcd(y * q0, *w)
         if y < 0:
             g = -g
         new_rows[b0], new_dens[b0] = a1, q1
-        new_rows[b1], new_dens[b1] = tuple(e // g for e in w), y * q0 // g
+        new_rows[b1], new_dens[b1] = tuple([e // g for e in w]), y * q0 // g
         # the window starting at b + 1; every other window keeps its minor
         p, r = window[b0], window[(b0 + 2) % n]
         minors[b1] = Fraction(
@@ -291,17 +315,12 @@ def braid_property_check(t: VectorTuple) -> BraidCheckReport:
     if d < 2:
         raise BadParameters("braid checks need gcd(k, n) >= 2")
 
-    def rho_d(x: VectorTuple) -> VectorTuple:
-        for _ in range(d):
-            x = twisted_shift(x)
-        return x
-
     # Every relation starts from some sigma_i(t): compute each one once.
     once = {i: sigma(i, t) for i in range(1, d)}
-    shifted = rho_d(t)
+    shifted = _rho_power(t, d)
     periodicity = {}
     for i in range(1, d):
-        periodicity[i] = sigma(i, shifted) == rho_d(once[i])
+        periodicity[i] = sigma(i, shifted) == _rho_power(once[i], d)
 
     commutation = {}
     for i in range(1, d):

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, prod
@@ -269,6 +270,36 @@ class TestGenericity:
         with pytest.raises(BadParameters, match="must be an integer"):
             VectorTuple(k, n, ((1, 0, 0),) * 9)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", Decimal("0.5"), np.float64(2.0)])
+    def test_non_rational_entries_rejected(self, bad):
+        # a float was once stored as the rational it rounds to, and a string
+        # parsed by Fraction
+        rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        with pytest.raises(BadParameters, match="rational numbers"):
+            VectorTuple(3, 3, [(bad, 0, 0)] + rows[1:])
+        with pytest.raises(BadParameters, match="rational numbers"):
+            VectorTuple(3, 3, rows[:2] + [(Fraction(1, 2), 0, bad)])
+
+    def test_rational_entry_kinds_accepted(self):
+        ints = VectorTuple(2, 4, [(1, 2), (3, 4), (5, 6), (7, 9)])
+        mixed = VectorTuple(
+            2, 4, [(np.int64(1), Fraction(4, 2)), (3, np.int32(4)), (Fraction(5), 6), (7, 9)]
+        )
+        assert mixed == ints and mixed.window_minors == ints.window_minors
+        halves = VectorTuple(2, 4, [(Fraction(1, 2), np.int64(1)), (3, 4), (5, 6), (7, 9)])
+        assert halves.rows[0] == (1, 2) and halves.dens[0] == 2
+
+    def test_numpy_entries_are_read_as_python_ints(self):
+        # numpy int64 entries were once kept as they were, and sigma's
+        # products overflowed on them
+        t = random_tuple(3, 9, np.random.default_rng(87))
+        rows = [tuple(10**8 * x for x in v) for v in t.rows]
+        ints = VectorTuple(3, 9, rows)
+        numpy = VectorTuple(3, 9, np.array(rows, dtype=np.int64))
+        assert all(type(x) is int for v in numpy.rows for x in v)
+        assert sigma(1, numpy) == sigma(1, ints)
+        assert braid_property_check(numpy).to_json() == braid_property_check(ints).to_json()
+
     def test_integer_kinds_accepted(self):
         assert braid.check_shape(np.int64(3), np.uint8(9)) == (3, 9)
         got = random_tuple(np.int64(3), np.int32(9), np.random.default_rng(5))
@@ -291,6 +322,20 @@ class TestTwistedShift:
             sign = (-1) ** (k - 1)
             expect = tuple(tuple(sign * x for x in v) for v in t.vectors)
             assert out.vectors == expect
+
+    @pytest.mark.parametrize("k, n", [(3, 9), (4, 8), (2, 6), (6, 12)])
+    def test_rho_power_is_repeated_shifts(self, k, n):
+        t = random_tuple(k, n, np.random.default_rng([84, k, n]))
+        shifted, oracle = t, oracle_tuple(k, n, t.vectors)
+        for m in range(1, n + 1):
+            shifted, oracle = twisted_shift(shifted), oracle_twisted_shift(oracle)
+            got = braid._rho_power(t, m)
+            assert (got.rows, got.dens) == (shifted.rows, shifted.dens), m
+            assert got.window_minors == shifted.window_minors, m
+            assert same_images(got, oracle), m
+        # rho^n in one step is the global sign, as n single shifts are
+        sign = (-1) ** (k - 1)
+        assert got.vectors == tuple(tuple(sign * x for x in v) for v in t.vectors)
 
     def test_odd_k_identity(self):
         rng = np.random.default_rng(63)
@@ -363,6 +408,18 @@ class TestSigma:
             sigma(3, t)
         with pytest.raises(BadParameters):
             sigma(0, t)
+
+    @pytest.mark.parametrize("i", [1.0, "1", 1.5, None])
+    def test_non_integer_index_rejected(self, i):
+        # once a bare TypeError from indexing or from comparing with 1
+        t = random_tuple(3, 9, np.random.default_rng(85))
+        with pytest.raises(BadParameters, match="must be an integer"):
+            sigma(i, t)
+
+    def test_integer_kinds_of_index_accepted(self):
+        t = random_tuple(4, 8, np.random.default_rng(86))
+        assert sigma(np.int64(1), t) == sigma(1, t)
+        assert sigma(np.uint8(3), t) == sigma(3, t)
 
     def test_rejects_degenerate_input(self):
         t = frac_tuple(2, 4, [(1, 0), (1, 0), (1, 1), (1, -1)])

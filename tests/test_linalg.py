@@ -109,6 +109,29 @@ def square_int_matrices():
     return st.integers(0, 6).flatmap(lambda n: int_matrices(st.just(n), st.just(n)))
 
 
+@st.composite
+def cofactor_matrices(draw):
+    """3 x 3 and 4 x 4 integer matrices, the sizes `det` expands by cofactors.
+
+    Entries reach 4, 2^63 or 2^70, and each is an int, an integral Fraction or,
+    when it fits, a numpy int64; the last row is sometimes a combination of
+    the first two.
+    """
+    n = draw(st.sampled_from([3, 4]))
+    bound = draw(st.sampled_from([4, 2**63, 2**70]))
+    entry = st.integers(-bound, bound)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+
+    def kind(x):
+        fits = -(2**63) <= x < 2**63
+        return draw(st.sampled_from([int, Fraction, np.int64] if fits else [int, Fraction]))(x)
+
+    return [[kind(x) for x in r] for r in rows]
+
+
 def known_rank_matrix(rng, rows, cols, rank, bound=4):
     a = rng.integers(-bound, bound + 1, size=(rows, rank))
     b = rng.integers(-bound, bound + 1, size=(rank, cols))
@@ -625,6 +648,27 @@ class TestMalformed:
         with pytest.raises(BadParameters, match="integer entries"):
             kernel([[1, 0], [0, bad]])
 
+    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2)])
+    def test_non_integer_entry_at_cofactor_sizes(self, size, bad):
+        m = [[int(i == j) for j in range(size)] for i in range(size)]
+        m[size - 1][0] = bad
+        with pytest.raises(BadParameters, match="integer entries"):
+            det(m)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2, 3], [4, 5], [6, 7, 8]], [[1, 2, 3], [4, 5, 6], [7, 8, 9, 1]]]
+    )
+    def test_ragged_rows_at_cofactor_sizes(self, rows):
+        with pytest.raises(DimensionMismatch, match="different lengths"):
+            det(rows)
+
+    @pytest.mark.parametrize("nrows, ncols", [(3, 4), (4, 3), (4, 5)])
+    def test_non_square_at_cofactor_sizes(self, nrows, ncols):
+        rows = [[i + j for j in range(ncols)] for i in range(nrows)]
+        with pytest.raises(DimensionMismatch, match=f"square matrix, got {nrows} x {ncols}"):
+            det(rows)
+
     @pytest.mark.parametrize("kernel", [det, rref, rank_int])
     @pytest.mark.parametrize("rows", [[1, 2], [[1, 2], 3], 5, np.array([1, 2])])
     def test_non_iterable_row(self, kernel, rows):
@@ -639,6 +683,19 @@ class TestAgainstFractionOracle:
         got = det(m)
         assert type(got) is int
         assert got == fraction_det(m)
+
+    @given(cofactor_matrices())
+    def test_det_by_cofactors(self, m):
+        got = det(m)
+        assert type(got) is int
+        # the oracle reads Python ints: numpy int64 products would wrap
+        assert got == fraction_det([[int(x) for x in r] for r in m])
+
+    def test_det_by_cofactors_past_int64(self):
+        big = 2**63
+        assert det([[big, 1, 0], [0, big, 1], [1, 0, big]]) == big**3 + 1
+        rows = [[big, 1, 0, 0], [0, big, 1, 0], [0, 0, big, 1], [1, 0, 0, np.int64(-1)]]
+        assert det(rows) == -(big**3) - 1
 
     @given(int_matrices(st.integers(0, 6), st.integers(1, 7)))
     def test_rref(self, m):
