@@ -359,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("hl", help="Hernandez-Leclerc quivers and subsets")
     p.add_argument("op", choices=["kr", "kernel", "tau", "compat", "mutseq", "gamma", "qell"])
     p.add_argument("--i", type=int, default=1)
-    p.add_argument("--m", type=int, default=-1)
+    p.add_argument("--m", type=int, default=-2)
     p.add_argument("--v", type=int, default=1)
     p.add_argument("--i2", type=int, default=1)
-    p.add_argument("--m2", type=int, default=-1)
+    p.add_argument("--m2", type=int, default=-2)
     p.add_argument("--v2", type=int, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, default=0)

@@ -14,13 +14,15 @@ at a zero, or at a positive floor, computed once the first sample comes
 back positive.
 
 The homotopy map is compiled once per (algebra, f.neg, f.pos, g.neg, g.pos),
-in one pass, into the (row, slot, coeff) terms of each of its columns, and
-cached with its floor.  Columns that no term touches are zero for every
-pair of complexes; they are dropped at compile time, which keeps both
-ranks.  Each complex carries its slot vector: its coefficients in block
-order as a plain tuple of Python ints, cleared of denominators (over Q) or
-reduced mod p, made once per field and kept on it; a sampled complex's
-draw is already that vector.
+in one pass over its row blocks, into the (row, slot, coeff) terms of each
+of its columns, and cached with its floor.  `_block_layout` is the one order
+of Hom blocks, target outer and source inner, for rows, columns and slots
+alike.  Columns that no term touches are zero for every pair of complexes;
+they are dropped at compile time, which keeps both ranks.  Each complex
+carries its slot vector: its coefficients in block order as a plain tuple
+of Python ints, cleared of denominators (over Q) or reduced mod p, made
+once per field and kept on it; a sampled complex's draw is already that
+vector.
 A pair concatenates g's and f's vectors into the operator's slot vector.
 A small operator, at most `_SMALL_MAX` (12) rows or columns, as nearly all
 of those the sampled predicates meet are, builds its matrix as lists of
@@ -95,7 +97,8 @@ class TwoTermComplex:
 
     def __post_init__(self):
         self.__dict__.update(neg=tuple(self.neg), pos=tuple(self.pos))
-        _check_summands(self.algebra, self.neg, self.pos)
+        size = {key: end - start
+                for key, start, end in _block_layout(self.algebra, self.neg, self.pos)[0]}
         for key, coeffs in self.blocks.items():
             try:
                 t, s = map(index, key)
@@ -104,7 +107,7 @@ class TwoTermComplex:
             if not (0 <= t < len(self.pos) and 0 <= s < len(self.neg)):
                 raise BadParameters(f"block key {key!r} is not a pair (t, s) of ints with "
                                     f"0 <= t < {len(self.pos)} and 0 <= s < {len(self.neg)}")
-            want = self.algebra.hom_dim(self.neg[s], self.pos[t])
+            want = size.get((t, s), 0)
             if len(coeffs) != want:
                 raise BadParameters(
                     f"block ({t},{s}) has {len(coeffs)} coefficients, expected {want}"
@@ -123,22 +126,6 @@ class TwoTermComplex:
         return h
 
 
-def _hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int]]:
-    return [
-        (s, t, c)
-        for s in range(len(sources))
-        for t in range(len(targets))
-        for c in range(alg.hom_dim(sources[s], targets[t]))
-    ]
-
-
-def _check_summands(alg: Algebra, neg, pos) -> None:
-    """Raise AlgebraMismatch, naming it, for a summand that is not a vertex of alg."""
-    for name in (*neg, *pos):
-        if name not in alg.vertices:
-            raise AlgebraMismatch(f"summand {name!r} is not a vertex of the algebra")
-
-
 def _check_field(field: str) -> None:
     if field not in (RATIONAL, FP):
         raise BadParameters(f"field must be {RATIONAL!r} or {FP!r}, got {field!r}")
@@ -146,10 +133,14 @@ def _check_field(field: str) -> None:
 
 @lru_cache(maxsize=1024)
 def _block_layout(alg: Algebra, neg, pos) -> tuple[tuple, int]:
-    """Slot order of a complex on (neg, pos): (key, start, end) of each block
-    (t, s) with a nonzero hom basis, t over pos and s over neg inside it, and
-    the total width.  A summand that is no vertex of alg raises AlgebraMismatch."""
-    _check_summands(alg, neg, pos)
+    """Order of the Hom blocks from the summands neg to pos, the slot order of
+    a complex on (neg, pos): (key, start, end) of each block (t, s) with a
+    nonzero hom basis, t over pos and s over neg inside it, and the total
+    width.  A summand that is no vertex of alg raises AlgebraMismatch,
+    naming it."""
+    for name in (*neg, *pos):
+        if name not in alg.vertices:
+            raise AlgebraMismatch(f"summand {name!r} is not a vertex of the algebra")
     spans, width = [], 0
     for t, tp in enumerate(pos):
         for s, sn in enumerate(neg):
@@ -211,8 +202,9 @@ class _Operator:
     """The homotopy map (u, v) -> g∘u + v∘f, compiled for one pair of shapes.
 
     A pair of complexes is one flat int vector x: g's slot vector, then
-    f's (`_slot_vector`).  `terms` holds the map in Python ints, one tuple
-    per kept column: terms[j] holds a (row, slot, coeff) triple for each
+    f's (`_slot_vector`).  Rows and columns are in `_block_layout` order
+    (`_operator`).  `terms` holds the map in Python ints, one tuple per
+    kept column: terms[j] holds a (row, slot, coeff) triple for each
     term of column j, which adds coeff * x[slot] to entry (row, j) of the
     rows × cols matrix; coeff is an int structure constant of the algebra.
     The full map's other columns, touched by no term, are zero.  flat,
@@ -249,34 +241,34 @@ class _Operator:
 def _operator(alg: Algebra, f_neg, f_pos, g_neg, g_pos) -> _Operator:
     """Compile (u, v) -> g∘u + v∘f for f on (f_neg, f_pos) and g on (g_neg, g_pos).
 
-    Row (s, t, c) is the c-th basis map of Hom(F_-1[s], G_0[t]).  The columns
-    are the basis maps u of Hom(F_-1[s], G_-1[r]), then those v of
-    Hom(F_0[u], G_0[t]), in `_hom_coordinates` order; only those that some
-    term touches are kept, in that order.
+    Every offset comes from `_block_layout`.  The rows are its blocks (t, s)
+    of Hom(F_-1[s], G_0[t]).  The columns are its blocks (r, s) of the maps
+    u in Hom(F_-1[s], G_-1[r]), then its blocks (t, u) of the maps v in
+    Hom(F_0[u], G_0[t]); the slots are g's blocks, then f's.  One pass over
+    the row blocks adds, to each, the u-terms of g's block (t, r) and the
+    v-terms of f's block (u, s).  Only the columns that some term touches
+    are kept, in layout order.
     """
-    row0, rows = {}, 0
-    for s, sn in enumerate(f_neg):
-        for t, tp in enumerate(g_pos):
-            row0[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
+    row_spans, rows = _block_layout(alg, f_neg, g_pos)
+    u_spans, u_width = _block_layout(alg, f_neg, g_neg)
+    u_start = {key: start for key, start, _ in u_spans}
+    v_start = {key: u_width + start for key, start, _ in _block_layout(alg, f_pos, g_pos)[0]}
     g_spans, g_width = _block_layout(alg, g_neg, g_pos)
     g_start = {key: start for key, start, _ in g_spans}
     f_start = {key: g_width + start for key, start, _ in _block_layout(alg, f_neg, f_pos)[0]}
-    full = []  # the (row, slot, coeff) terms of each column of the full map
-    for s, r, c in _hom_coordinates(alg, f_neg, g_neg):
-        full.append([])
-        for t, tp in enumerate(g_pos):
-            table = alg.comp_table(f_neg[s], g_neg[r], tp)
-            for b in range(alg.hom_dim(g_neg[r], tp)):
-                for out, coeff in table.get((c, b), ()):
-                    full[-1].append((row0[(s, t)] + out, g_start[(t, r)] + b, coeff))
-    for u, t, c in _hom_coordinates(alg, f_pos, g_pos):
-        full.append([])
-        for s, sn in enumerate(f_neg):
-            table = alg.comp_table(sn, f_pos[u], g_pos[t])
-            for a in range(alg.hom_dim(sn, f_pos[u])):
-                for out, coeff in table.get((a, c), ()):
-                    full[-1].append((row0[(s, t)] + out, f_start[(u, s)] + a, coeff))
-    terms = tuple(tuple(column) for column in full if column)
+    full = {}  # the (row, slot, coeff) terms of each touched column of the full map
+    for (t, s), row, _ in row_spans:
+        for r, rn in enumerate(g_neg):
+            for (c, b), outs in alg.comp_table(f_neg[s], rn, g_pos[t]).items():
+                column = full.setdefault(u_start[(r, s)] + c, [])
+                for out, coeff in outs:
+                    column.append((row + out, g_start[(t, r)] + b, coeff))
+        for u, up in enumerate(f_pos):
+            for (a, c), outs in alg.comp_table(f_neg[s], up, g_pos[t]).items():
+                column = full.setdefault(v_start[(t, u)] + c, [])
+                for out, coeff in outs:
+                    column.append((row + out, f_start[(u, s)] + a, coeff))
+    terms = tuple(tuple(full[j]) for j in sorted(full) if full[j])
     cols = len(terms)
     flat, slot, coeff, load = [], [], [], {}
     for j, column in enumerate(terms):
@@ -333,7 +325,7 @@ def e_pair(f: TwoTermComplex, g: TwoTermComplex, field: str = RATIONAL) -> int:
 
     The map comes from `_operator`, an lru_cache keyed on the Algebra object
     (by identity, so two algebras never share an operator) and the four
-    summand tuples.  Its slot vector x is g's `_slot_vector` followed by
+    summand tuples, with its rows and columns in `_block_layout` order.  Its slot vector x is g's `_slot_vector` followed by
     f's, each made once per complex and field (over F_p, reduced into
     [0, p)).
 

@@ -86,9 +86,16 @@ def from_table(vertices, dims, comp_entries) -> Algebra:
 # `linalg` are checked against ---------------------------------------------
 
 
+def exact(x) -> Fraction:
+    """x as a Fraction.  A numpy integer is read as a Python int first:
+    Fraction(np.int64(x)) keeps an int64 numerator, whose products wrap."""
+    return Fraction(int(x) if isinstance(x, np.integer) else x)
+
+
 def fraction_det(rows):
-    """Determinant by elimination over Q; the rows may hold ints or Fractions."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Determinant by elimination over Q; the rows may hold ints, numpy ints
+    or Fractions."""
+    m = [[exact(x) for x in r] for r in rows]
     n = len(m)
     sign = 1
     result = Fraction(1)
@@ -109,8 +116,9 @@ def fraction_det(rows):
 
 
 def fraction_rref(rows):
-    """(reduced row echelon form over Q, pivot columns) of int or Fraction rows."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """(reduced row echelon form over Q, pivot columns) of int, numpy int or
+    Fraction rows."""
+    m = [[exact(x) for x in r] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []

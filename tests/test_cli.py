@@ -75,6 +75,10 @@ def compat_payload(verdict) -> dict:
     }
 
 
+def subset_payload(subset) -> str:
+    return dumped({"subset": list(subset.elems), "n": subset.n})
+
+
 def gr39_pair_report():
     seed = grassmannian_initial_seed(3, 9)
     return einv.generic_e_pair(
@@ -108,6 +112,16 @@ VERB_CASES = {
          "--v2", "1", "--k", "3", "--ell", "5", "--samples", "4", "--master-seed", "0"),
         lambda: dumped(compat_payload(
             hl.kr_compatible(1, -2, 1, 1, -1, 2, 3, 5, samples=4, master_seed=0)))),
+    # the defaults (i, m) = (i2, m2) = (1, -2) name the top of column 1;
+    # m = -1 broke the parity rule, so each of these once exited 1
+    "hl-kr-defaults": (
+        ("hl", "kr", "--k", "3"), lambda: subset_payload(hl.kr_subset(1, -2, 3, 0))),
+    "hl-tau-defaults": (
+        ("hl", "tau", "--k", "3", "--ell", "2"),
+        lambda: subset_payload(hl.tau_kernel_subset(1, -2, 1, 3, 6))),
+    "hl-compat-defaults": (
+        ("hl", "compat", "--k", "3", "--ell", "2"),
+        lambda: dumped(compat_payload(hl.kr_compatible(1, -2, 1, 1, -2, 1, 3, 2)))),
     "hl-mutseq": (
         ("hl", "mutseq", "--k", "5", "--ell", "3"),
         lambda: dumped({"sequence": [list(c) for c in hl.hl_mutation_sequence(5, 3)]})),

@@ -16,7 +16,6 @@ from grascat import einv, fixtures, hl, linalg, modp
 from grascat.cluster import grassmannian_initial_seed, mutate_seed
 from grascat.einv import (
     TwoTermComplex,
-    _hom_coordinates,
     are_compatible,
     complex_from_gvector,
     e_pair,
@@ -921,12 +920,24 @@ class TestPredicates:
 # --- the sparse-Fraction assembly that e_pair replaced, kept as an oracle ----
 
 
+def hom_coordinates(alg: Algebra, sources, targets) -> list[tuple[int, int, int]]:
+    """(source, target, basis index) of each basis map of the Hom blocks from
+    `sources` to `targets`: target outer, source inner, then the basis index."""
+    return [
+        (s, t, c)
+        for t in range(len(targets))
+        for s in range(len(sources))
+        for c in range(alg.hom_dim(sources[s], targets[t]))
+    ]
+
+
 def oracle_homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
-    """Sparse Fraction columns of (u, v) -> g∘u + v∘f, plus the row count."""
+    """Sparse Fraction columns of (u, v) -> g∘u + v∘f, plus the row count;
+    rows and columns in `hom_coordinates` order."""
     alg = f.algebra
     start, rows = {}, 0
-    for s, sn in enumerate(f.neg):
-        for t, tp in enumerate(g.pos):
+    for t, tp in enumerate(g.pos):
+        for s, sn in enumerate(f.neg):
             start[(s, t)], rows = rows, rows + alg.hom_dim(sn, tp)
     f_blocks, g_blocks = (
         {key: {b: Fraction(x) for b, x in enumerate(coeffs) if x}
@@ -934,7 +945,7 @@ def oracle_homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
         for h in (f, g)
     )
     cols = []
-    for s, r, c in _hom_coordinates(alg, f.neg, g.neg):
+    for s, r, c in hom_coordinates(alg, f.neg, g.neg):
         col = {}
         for t, tp in enumerate(g.pos):
             block = g_blocks.get((t, r))
@@ -942,7 +953,7 @@ def oracle_homotopy_matrix(f: TwoTermComplex, g: TwoTermComplex):
                 composed = compose_vectors(alg, f.neg[s], g.neg[r], tp, {c: 1}, block)
                 col.update((start[(s, t)] + idx, x) for idx, x in composed.items())
         cols.append(col)
-    for u, t, c in _hom_coordinates(alg, f.pos, g.pos):
+    for u, t, c in hom_coordinates(alg, f.pos, g.pos):
         col = {}
         for s, sn in enumerate(f.neg):
             block = f_blocks.get((u, s))
@@ -978,18 +989,18 @@ def oracle_e(f: TwoTermComplex, g: TwoTermComplex, field: str) -> int:
 
 
 def kept_columns(f: TwoTermComplex, g: TwoTermComplex) -> list[int]:
-    """The columns of the full map, in `_hom_coordinates` order, that some
+    """The columns of the full map, in `hom_coordinates` order, that some
     composition term of the algebra touches, checked to number the
     operator's columns."""
     alg = f.algebra
     touched = [
         any(terms for tp in g.pos
             for (a, _), terms in alg.comp_table(f.neg[s], g.neg[r], tp).items() if a == c)
-        for s, r, c in _hom_coordinates(alg, f.neg, g.neg)
+        for s, r, c in hom_coordinates(alg, f.neg, g.neg)
     ] + [
         any(terms for sn in f.neg
             for (_, b), terms in alg.comp_table(sn, f.pos[u], g.pos[t]).items() if b == c)
-        for u, t, c in _hom_coordinates(alg, f.pos, g.pos)
+        for u, t, c in hom_coordinates(alg, f.pos, g.pos)
     ]
     columns = [j for j, hit in enumerate(touched) if hit]
     assert len(columns) == einv._operator(f.algebra, f.neg, f.pos, g.neg, g.pos).cols

@@ -688,14 +688,22 @@ class TestAgainstFractionOracle:
     def test_det_by_cofactors(self, m):
         got = det(m)
         assert type(got) is int
-        # the oracle reads Python ints: numpy int64 products would wrap
-        assert got == fraction_det([[int(x) for x in r] for r in m])
+        assert got == fraction_det(m)
 
     def test_det_by_cofactors_past_int64(self):
         big = 2**63
         assert det([[big, 1, 0], [0, big, 1], [1, 0, big]]) == big**3 + 1
         rows = [[big, 1, 0, 0], [0, big, 1, 0], [0, 0, big, 1], [1, 0, 0, np.int64(-1)]]
         assert det(rows) == -(big**3) - 1
+
+    def test_oracle_reads_numpy_ints_exactly(self):
+        # Fraction(np.int64(x)) keeps an int64 numerator: this determinant
+        # once read -8781566834339100884 in the oracle
+        a = 3037000499
+        m = np.array([[a, 1, 0], [0, a, 1], [1, 0, a]], dtype=np.int64)
+        want = 28011385460385661648235251500
+        assert want == a**3 + 1
+        assert fraction_det(m) == det(m) == want
 
     @given(int_matrices(st.integers(0, 6), st.integers(1, 7)))
     def test_rref(self, m):
