@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=int, default=-2)
     p.add_argument("--v2", type=int, default=1)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=int, default=2)
     p.add_argument("--s", type=int, default=-2)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--master-seed", type=int, default=None)

@@ -90,6 +90,9 @@ class Profile:
 
 def cyclic_interval(n: int, a: int, b: int) -> tuple[int, ...]:
     """Elements of the cyclic interval [a, b] in [n], e.g. [7,1] in [9] = {7,8,9,1}."""
+    n, a, b = integer("n", n), integer("a", a), integer("b", b)
+    if n < 1:
+        raise BadParameters(f"need n >= 1, got n={n}")
     a = (a - 1) % n + 1
     length = (b - a) % n + 1
     return tuple(sorted((a + t - 1) % n + 1 for t in range(length)))

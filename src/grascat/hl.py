@@ -2,16 +2,20 @@
 
 The semi-infinite quiver of type A_{k-1} is truncated at a level s < 0; its
 vertices (i, m) carry KR modules, and the displayed subset formulas attach a
-Plücker label to each vertex and to each generic kernel.  One formula in
+Plücker label to each vertex and to each generic kernel.  The column sweep
+of `hl_mutation_sequence` turns Q_ell into the truncation at -2 ell - 2,
+which `quivers_isomorphic` checks up to relabelling.  One formula in
 (i, m, v) gives both labels: the KR label at (i, m) is the kernel label at
 (i, m0, (m0 - m)/2) with m0 = 1 - (i mod 2).  The translate of a kernel
-keeps the paper's own displayed formula, which `cmcat.tau_two_interval`
-checks from the runs alone.  Intervals wrap cyclically: [7, 1] inside [9]
-means {7, 8, 9, 1}.
+keeps the paper's own displayed formula on the kernel's own checked
+parameters (ell = n - k - 1), and `cmcat.tau_two_interval` checks it from
+the runs alone.  Intervals wrap cyclically: [7, 1] inside [9] means
+{7, 8, 9, 1}.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from . import fixtures
@@ -106,91 +110,73 @@ def hl_mutation_sequence(k: int, ell: int) -> list[tuple[int, int]]:
 
 
 def apply_mutation_sequence(q: Quiver, seq) -> Quiver:
-    """Mutate at the listed coordinates in order."""
+    """Mutate at the listed coordinates in order; an unknown one is BadParameters."""
     if q.coords is None:
         raise BadParameters("quiver carries no coordinates")
     pos = {c: idx for idx, c in enumerate(q.coords)}
     out = q
     for c in seq:
-        out = mutate_quiver(out, pos[tuple(c)])
+        try:
+            r = pos[tuple(c)]
+        except (KeyError, TypeError):
+            raise BadParameters(f"{c!r} is not a coordinate of the quiver") from None
+        out = mutate_quiver(out, r)
     return out
 
 
-def _wl_colors(n: int, adj_out, adj_in) -> list:
-    colors = [0] * n
-    for _ in range(n):
-        signatures = [
-            (
-                colors[v],
-                tuple(sorted(colors[w] for w in adj_out[v])),
-                tuple(sorted(colors[w] for w in adj_in[v])),
-            )
-            for v in range(n)
-        ]
-        palette = {sig: idx for idx, sig in enumerate(sorted(set(signatures)))}
-        new = [palette[sig] for sig in signatures]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
 def quivers_isomorphic(q1: Quiver, q2: Quiver) -> bool:
-    """Directed-multigraph isomorphism via colour refinement plus backtracking."""
+    """Is there a bijection of the vertices carrying q1's arrows onto q2's?
+
+    An exact decision for directed multigraphs: parallel arrows are counted,
+    frozen marks and coords are ignored.  One backtracking search visits q1's
+    vertices in breadth-first order, so every vertex but the first of its
+    component has a neighbour matched before it.  Each vertex goes to an
+    unused vertex of q2 with the same out- and in-degree whose arrow counts
+    to and from every vertex matched so far agree.
+    """
     if q1.m != q2.m or len(q1.arrows) != len(q2.arrows):
         return False
-    n = q1.m
+    arrows1, arrows2 = Counter(q1.arrows), Counter(q2.arrows)
 
-    def adj(q):
-        out = [[] for _ in range(n)]
-        into = [[] for _ in range(n)]
-        for s, t in q.arrows:
-            out[s].append(t)
-            into[t].append(s)
-        return out, into
+    def degrees(q: Quiver) -> list[tuple[int, int]]:
+        out, into = Counter(s for s, _ in q.arrows), Counter(t for _, t in q.arrows)
+        return [(out[v], into[v]) for v in range(q.m)]
 
-    out1, in1 = adj(q1)
-    out2, in2 = adj(q2)
-    c1 = _wl_colors(n, out1, in1)
-    c2 = _wl_colors(n, out2, in2)
-    if sorted(c1) != sorted(c2):
-        return False
-    arrows1 = {}
-    for s, t in q1.arrows:
-        arrows1[(s, t)] = arrows1.get((s, t), 0) + 1
-    arrows2 = {}
-    for s, t in q2.arrows:
-        arrows2[(s, t)] = arrows2.get((s, t), 0) + 1
+    deg1, deg2 = degrees(q1), degrees(q2)
+    neighbours: list[set[int]] = [set() for _ in range(q1.m)]
+    for s, t in arrows1:
+        neighbours[s].add(t)
+        neighbours[t].add(s)
+    order: list[int] = []  # breadth-first, one component after another
+    for root in range(q1.m):
+        if root not in order:
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                order += sorted(neighbours[order[head]] - set(order))
+                head += 1
+    images: list[int] = []  # images[j] is the match of order[j]
 
-    candidates = [[w for w in range(n) if c2[w] == c1[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: len(candidates[v]))
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
+    def fits(v: int, w: int) -> bool:
+        return w not in images and deg2[w] == deg1[v] and all(
+            arrows1[v, u] == arrows2[w, x] and arrows1[u, v] == arrows2[x, w]
+            for u, x in zip(order, images)
+        )
 
-    def consistent(v, w):
-        for u, x in assignment.items():
-            if arrows1.get((v, u), 0) != arrows2.get((w, x), 0):
-                return False
-            if arrows1.get((u, v), 0) != arrows2.get((x, w), 0):
-                return False
-        return arrows1.get((v, v), 0) == arrows2.get((w, w), 0)
-
-    def search(idx):
-        if idx == n:
-            return True
-        v = order[idx]
-        for w in candidates[v]:
-            if w in used or not consistent(v, w):
-                continue
-            assignment[v] = w
-            used.add(w)
-            if search(idx + 1):
-                return True
-            del assignment[v]
-            used.remove(w)
-        return False
-
-    return search(0)
+    # one iterator over q2's vertices per matched vertex, and one for the
+    # next: a loop, not recursion, so the depth is not bounded by the stack
+    tries = [iter(range(q2.m))]
+    while len(images) < len(order):
+        w = next((w for w in tries[-1] if fits(order[len(images)], w)), None)
+        if w is not None:
+            images.append(w)
+            tries.append(iter(range(q2.m)))
+        elif len(tries) == 1:
+            return False
+        else:
+            tries.pop()
+            images.pop()
+    return True
 
 
 # --- subset formulas ---------------------------------------------------------
@@ -203,6 +189,8 @@ def _gamma_vertex(i: int, m: int, k: int, ell: int) -> tuple[int, int, int, int]
         raise OutOfRange(f"i={i} outside [1, {k - 1}]")
     if (i + m) % 2 == 0:
         raise OutOfRange(f"(i,m)=({i},{m}) violates the parity rule")
+    if ell < 0:
+        raise OutOfRange(f"n={k + ell + 1} too small for k={k}: need ell = n-k-1 >= 0, got {ell}")
     if not (-2 * ell - 2 <= m <= -1):
         raise OutOfRange(f"m={m} outside the truncation [-2*ell-2, -1]")
     return i, m, k, ell
@@ -252,22 +240,15 @@ def kernel_subset(i: int, m: int, v: int, k: int, ell: int) -> KSubset:
 def tau_kernel_subset(i: int, m: int, v: int, k: int, n: int) -> KSubset:
     """Translate of the generic-kernel module, by the two displayed cases.
 
-    The case split on (1-i-m)/2 <= 0 folds into one cyclic computation: the
-    second case is the first one read modulo n.
+    The parameters are those of `kernel_subset` at ell = n - k - 1, checked
+    the same way.  The case split on (1-i-m)/2 <= 0 folds into one cyclic
+    computation: the second case is the first one read modulo n.
     """
-    if not 1 <= i <= k - 1:
-        raise OutOfRange(f"i={i} outside [1, {k - 1}]")
-    if (i + m) % 2 == 0:
-        raise OutOfRange(f"(i,m)=({i},{m}) violates the parity rule")
-    if v < 1:
-        raise OutOfRange("v must be positive")
-    if n <= k:
-        raise OutOfRange(f"n={n} too small for k={k}: two intervals and a gap need n >= k + 1")
+    i, m, v, k, ell = _kernel_params(i, m, v, k, integer("n", n) - integer("k", k) - 1)
+    n = k + ell + 1
     lo1, hi1 = (1 - i - m) // 2, (i - m - 1) // 2
     lo2, hi2 = (i - m + 2 * v + 1) // 2, (i - m + 2 * v - 1) // 2 + k - i
     elems = {(x - 1) % n + 1 for x in (*range(lo1, hi1 + 1), *range(lo2, hi2 + 1))}
-    if len(elems) != k:
-        raise OutOfRange(f"intervals overlap for (i,m,v)=({i},{m},{v})")
     return KSubset(n, tuple(sorted(elems)))
 
 

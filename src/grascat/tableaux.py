@@ -409,6 +409,7 @@ def fundamental_subset(i: int, s: int, k: int, n: int | None = None) -> KSubset:
     With the linear height function (xi(i) = i - 2) this is the interval
     [(i-s)/2, k+(i-s)/2] with k-(i+s)/2 removed.
     """
+    i, s, k = integer("i", i), integer("s", s), integer("k", k)
     if not 1 <= i <= k - 1:
         raise OutOfRange(f"Dynkin index i={i} outside [1, {k - 1}]")
     if (i - s) % 2 != 0:
@@ -417,8 +418,7 @@ def fundamental_subset(i: int, s: int, k: int, n: int | None = None) -> KSubset:
     if lo < 1:
         raise OutOfRange(f"(i,s)=({i},{s}) needs s <= i-2")
     hi = k + lo
-    if n is None:
-        n = hi
+    n = hi if n is None else integer("n", n)
     if hi > n:
         raise OutOfRange(f"column for (i,s)=({i},{s}) leaves [1, {n}]")
     entries = tuple(v for v in range(lo, hi + 1) if v != k - (i + s) // 2)
@@ -438,6 +438,7 @@ class DominantMonomial:
         object.__setattr__(self, "ell", integer("ell", self.ell))
         merged: dict[tuple[int, int], int] = {}
         for i, s, mult in self.factors:
+            i, s, mult = integer("i", i), integer("s", s), integer("multiplicity", mult)
             if mult <= 0:
                 raise OutOfRange("multiplicities must be positive")
             self._check_window(i, s)
@@ -527,6 +528,7 @@ def tableau_to_monomial(t: Tableau) -> DominantMonomial:
 
 def bender_knuth(t: Tableau, i: int) -> Tableau:
     """Swap the free entries i and i+1; fixed pairs share a column."""
+    i = integer("i", i)
     if not 1 <= i <= t.n - 1:
         raise OutOfRange(f"Bender-Knuth index {i} outside [1, {t.n - 1}]")
     fixed_low = [0] * t.k  # per row: occurrences of i sitting directly above an i+1

@@ -115,7 +115,7 @@ VERB_CASES = {
     # the defaults (i, m) = (i2, m2) = (1, -2) name the top of column 1;
     # m = -1 broke the parity rule, so each of these once exited 1
     "hl-kr-defaults": (
-        ("hl", "kr", "--k", "3"), lambda: subset_payload(hl.kr_subset(1, -2, 3, 0))),
+        ("hl", "kr", "--k", "3"), lambda: subset_payload(hl.kr_subset(1, -2, 3, 2))),
     "hl-tau-defaults": (
         ("hl", "tau", "--k", "3", "--ell", "2"),
         lambda: subset_payload(hl.tau_kernel_subset(1, -2, 1, 3, 6))),
@@ -214,6 +214,13 @@ class TestBasicCommands:
             "--k", "4", "--ell", "3",
         )
         assert code == 0 and json.loads(out)["subset"] == [1, 2, 5, 8]
+
+    @pytest.mark.parametrize("op", ["kr", "kernel", "tau", "compat", "mutseq", "gamma", "qell"])
+    def test_hl_defaults_succeed(self, capsys, op):
+        # --ell defaults to 2, the least ell at which the default kernel
+        # (i, m, v) = (1, -2, 1) exists; with 0 or 1 kernel, tau and compat exited 1
+        code, out, err = run(capsys, "hl", op, "--k", "3")
+        assert (code, err) == (0, "") and json.loads(out)
 
     def test_braid_check(self, capsys):
         code, out, _ = run(

@@ -475,6 +475,13 @@ class TestPackedExplore:
         seed, error, message = FAILING_SEEDS["2-cycle through a mutable vertex"]
         assert outcome(explore, seed, depth, 50) == (error, message)
 
+    def test_seed_without_mutable_vertex(self):
+        # nothing to exchange: the start cluster is the whole closure, and it has no variable
+        seed = hand_seed(4, 0, ((0, 1),), [[[1], [3]], [[2], [4]]])
+        result = explore(seed, 3, 50)
+        assert explore_answer(result) == ([], 1, True)
+        assert explore_answer(oracle_explore(seed, 3, 50)) == explore_answer(result)
+
     def test_depth_cut_ends_before_a_failing_exchange(self):
         # at depth 0 the exchange at vertex 0 meets an unseen cluster and
         # cuts; the exchange at vertex 1 would raise NotAFactor

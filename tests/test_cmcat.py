@@ -6,6 +6,7 @@ import pytest
 from grascat.cmcat import (
     KSubset,
     Profile,
+    cyclic_interval,
     cyclic_shift_profile,
     profile_balance_check,
     rim_height,
@@ -122,6 +123,10 @@ class TestCyclicShift:
         shifted = cyclic_shift_profile(p, 1)
         assert shifted.factors == (ks(9, 1, 4, 7), ks(9, 3, 6, 9), ks(9, 2, 5, 8))
 
+    def test_str(self):
+        assert str(Profile((ks(9, 1, 2, 6), ks(9, 4, 5, 9)))) == "126|459"
+        assert str(Profile(())) == ""
+
     def test_inverse_shifts(self):
         p = Profile((ks(9, 1, 2, 6), ks(9, 4, 5, 9)))
         for a in range(1, 9):
@@ -133,6 +138,17 @@ class TestValidation:
     def test_non_integer_parameters_rejected(self, n, elems):
         with pytest.raises(BadParameters, match="must be an integer"):
             KSubset(n, elems)
+
+    @pytest.mark.parametrize("n, a, b, message", [
+        (9, 7.0, 1, "a must be an integer, got 7.0"),
+        (9.0, 7, 1, "n must be an integer, got 9.0"),
+        (9, 7, "1", "b must be an integer, got '1'"),
+        (0, 7, 1, "need n >= 1, got n=0"),
+    ])
+    def test_cyclic_interval_arguments(self, n, a, b, message):
+        with pytest.raises(BadParameters, match=message):
+            cyclic_interval(n, a, b)
+        assert cyclic_interval(np.int64(9), np.int8(7), 1) == (1, 7, 8, 9)
 
     def test_integer_kinds_become_ints(self):
         subset = KSubset(np.int64(9), (np.int64(3), np.uint8(1), 2))

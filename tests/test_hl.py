@@ -1,9 +1,15 @@
-from itertools import combinations
+import inspect
+import sys
+import time
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grascat import einv, hl
+from grascat.cluster import Quiver
 from grascat.cmcat import KSubset, cyclic_interval, tau_two_interval
 from grascat.einv import generic_e_pair_parts
 from grascat.errors import BadParameters, OutOfRange
@@ -60,6 +66,55 @@ def weakly_separated(a, b, n) -> bool:
     only_a, only_b = set(a) - set(b), set(b) - set(a)
     sides = [x in only_a for x in range(1, n + 1) if x in only_a or x in only_b]
     return sum(x != y for x, y in zip(sides, sides[1:] + sides[:1])) <= 2
+
+
+def relabel(q, perm):
+    """q with vertex v renamed perm[v]."""
+    return Quiver(q.m, q.n_mut, tuple((perm[s], perm[t]) for s, t in q.arrows))
+
+
+def cycles(*lengths):
+    """Disjoint directed cycles of the given lengths, on consecutive vertices."""
+    arrows, start = [], 0
+    for length in lengths:
+        arrows += [(start + j, start + (j + 1) % length) for j in range(length)]
+        start += length
+    return Quiver(start, start, tuple(arrows))
+
+
+def isomorphic_oracle(q1, q2):
+    """Try every bijection of the vertices."""
+    target = sorted(q2.arrows)
+    return q1.m == q2.m and any(
+        sorted((p[s], p[t]) for s, t in q1.arrows) == target for p in permutations(range(q1.m))
+    )
+
+
+def directed_triangles(q):
+    """Number of directed 3-cycles, parallel arrows counted once."""
+    a = set(q.arrows)
+    return sum((y, z) in a and (z, x) in a for x, y in a for z in range(q.m)) // 3
+
+
+@st.composite
+def quiver_pairs(draw):
+    """A quiver with parallel arrows, and a relabelling of it that may swap two arrow targets.
+
+    The swap keeps every out- and in-degree, so only the search can tell the two apart.
+    """
+    m = draw(st.integers(1, 6))
+    ends = st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, max(m - 1, 1))),
+                    max_size=10 if m > 1 else 0)
+    arrows = [(s, (s + d) % m) for s, d in draw(ends)]
+    perm = draw(st.permutations(range(m)))
+    other = [(perm[s], perm[t]) for s, t in arrows]
+    if len(other) >= 2 and draw(st.booleans()):
+        x = draw(st.integers(0, len(other) - 1))
+        y = (x + draw(st.integers(1, len(other) - 1))) % len(other)
+        (s1, t1), (s2, t2) = other[x], other[y]
+        if s1 != t2 and s2 != t1:
+            other[x], other[y] = (s1, t2), (s2, t1)
+    return Quiver(m, m, tuple(arrows)), Quiver(m, m, tuple(other))
 
 
 GAMMA_58_FIGURE = [
@@ -156,6 +211,21 @@ class TestQuivers:
         with pytest.raises(BadParameters, match="must be an integer"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: tau_kernel_subset(1, -2.0, 1, 3, 6), "m must be an integer, got -2.0"),
+        (lambda: tau_kernel_subset(1, -2, 1, "3", 6), "k must be an integer, got '3'"),
+        (lambda: apply_mutation_sequence(q_ell_quiver(4, 3), [(9, 9)]),
+         r"\(9, 9\) is not a coordinate"),
+        (lambda: apply_mutation_sequence(q_ell_quiver(4, 3), [5]), "5 is not a coordinate"),
+    ])
+    def test_bad_arguments_are_named(self, call, message):
+        with pytest.raises(BadParameters, match=message):
+            call()
+
+    def test_empty_column_skipped(self):
+        # at s = -1 column 1 (top level -2) has no vertex, column 2 only its frozen one
+        assert gamma_vertices(3, -1) == ([], [(2, -1)])
+
     def test_integer_kinds_accepted(self):
         k, s, ell = np.int64(5), np.int32(-8), np.int64(3)
         assert gamma_vertices(k, s) == gamma_vertices(5, -8)
@@ -200,6 +270,70 @@ class TestMutationSequence:
             q_ell_quiver(4, 3).mutable_part(),
             gamma_quiver(4, -10).mutable_part(),
         )
+
+
+class TestIsomorphism:
+    @pytest.mark.parametrize("q1, q2", [
+        pytest.param(cycles(6), cycles(3, 3), id="six-cycle vs two three-cycles"),
+        pytest.param(Quiver(3, 3, ((0, 1), (0, 2))), Quiver(3, 3, ((0, 1), (1, 2))),
+                     id="fork vs path"),
+        # the same arrows but for multiplicity; the degrees single out every vertex
+        pytest.param(Quiver(4, 4, ((0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (3, 2), (3, 2))),
+                     Quiver(4, 4, ((0, 1), (0, 2), (0, 2), (0, 3), (1, 2), (3, 1), (3, 1), (3, 2))),
+                     id="parallel arrows counted"),
+        # three sources into one sink: q2 has one vertex of out-degree 1
+        pytest.param(Quiver(4, 4, ((1, 0), (2, 0), (3, 0))), Quiver(4, 4, ((0, 1), (3, 1), (3, 1))),
+                     id="each vertex used once"),
+        # same degrees; only q2 has parallel arrows, met as an arrow back to a matched vertex
+        pytest.param(Quiver(4, 4, ((0, 1), (2, 0), (2, 1), (3, 0))),
+                     Quiver(4, 4, ((0, 2), (1, 0), (1, 0), (3, 2))), id="both directions"),
+    ])
+    def test_hand_built_negatives(self, q1, q2):
+        assert not quivers_isomorphic(q1, q2) and not isomorphic_oracle(q1, q2)
+        assert quivers_isomorphic(q2, relabel(q2, list(reversed(range(q2.m)))))
+
+    def test_relabelled_gamma(self):
+        q = gamma_quiver(5, -8).mutable_part()
+        perm = list(np.random.default_rng(5).permutation(q.m))
+        assert quivers_isomorphic(q, relabel(q, perm))
+
+    def test_swapped_targets_in_gamma(self):
+        # 0 -> 1 and 2 -> 5 become 0 -> 5 and 2 -> 1: every degree stays, but
+        # two of the twelve directed triangles break
+        q = gamma_quiver(5, -8).mutable_part()
+        arrows = [(0, 5) if a == (0, 1) else (2, 1) if a == (2, 5) else a for a in q.arrows]
+        swapped = Quiver(q.m, q.n_mut, tuple(arrows))
+        assert (directed_triangles(q), directed_triangles(swapped)) == (12, 10)
+        assert not quivers_isomorphic(q, swapped)
+
+    @pytest.mark.parametrize("q1, q2, expected", [
+        (cycles(30), cycles(30), True),
+        (cycles(20), cycles(10, 10), False),
+        (cycles(30), cycles(15, 15), False),
+    ], ids=["C30", "C20 vs two C10", "C30 vs two C15"])
+    def test_relabelled_cycles_within_a_second(self, q1, q2, expected):
+        # a search in an order blind to adjacency took minutes on these
+        rng = np.random.default_rng(3)
+        q1, q2 = relabel(q1, list(rng.permutation(q1.m))), relabel(q2, list(rng.permutation(q2.m)))
+        start = time.perf_counter()
+        assert quivers_isomorphic(q1, q2) is expected
+        assert time.perf_counter() - start < 1.0
+
+    def test_depth_not_bounded_by_the_stack(self):
+        # 300 vertices matched one after another, with 50 frames to spare
+        q = Quiver(300, 300, tuple((j, j + 1) for j in range(299)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            assert quivers_isomorphic(q, q)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quiver_pairs())
+    def test_agrees_with_every_bijection(self, pair):
+        q1, q2 = pair
+        assert quivers_isomorphic(q1, q2) == isomorphic_oracle(q1, q2)
 
 
 class TestSubsets:
@@ -273,9 +407,9 @@ class TestSubsets:
         (0, -1, 1, 3, 9, "outside"),
         (3, -2, 1, 3, 9, "outside"),
         (1, -1, 1, 3, 9, "parity"),
-        (1, -2, 0, 3, 9, "positive"),
+        (1, -2, 0, 3, 9, "v=0 outside"),
         (1, -2, 1, 3, 3, "too small"),
-        (1, -2, 2, 3, 4, "overlap"),
+        (1, -2, 2, 3, 4, "v=2 outside"),
     ])
     def test_tau_kernel_out_of_range(self, i, m, v, k, n, message):
         with pytest.raises(OutOfRange, match=message):
@@ -285,6 +419,12 @@ class TestSubsets:
         # a float n would give float elements; the subset refuses them
         with pytest.raises(BadParameters, match="must be an integer"):
             tau_kernel_subset(1, -2, 1, 3, 9.0)
+
+    def test_tau_needs_a_kernel(self):
+        # the kernel label at (1, -2, 1) needs ell >= 2, so n >= 6 for k = 3
+        with pytest.raises(OutOfRange, match="v=1 outside"):
+            tau_kernel_subset(1, -2, 1, 3, 4)
+        assert tau_kernel_subset(1, -2, 1, 3, 6) == tau_two_interval(kernel_subset(1, -2, 1, 3, 2))
 
     def test_tau_agrees_with_two_interval_translate(self):
         # the displayed formula against the closed form on the kernel's two runs

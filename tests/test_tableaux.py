@@ -212,6 +212,10 @@ class TestDictionary:
         assert monomial_to_tableau(DominantMonomial(3, 2, ())).is_empty()
         assert tableau_to_monomial(Tableau.make(3, 6, [[1], [2], [3]])).factors == ()
 
+    def test_monomial_str(self):
+        assert str(DominantMonomial(3, 2, ())) == "1"
+        assert str(DominantMonomial(3, 2, ((2, 0, 1), (1, -3, 1), (1, -3, 1)))) == "Y[1,-3]^2 Y[2,0]"
+
     def test_monomial_window_validation(self):
         with pytest.raises(OutOfRange):
             DominantMonomial(3, 2, ((1, -9, 1),))
@@ -342,6 +346,20 @@ class TestJson:
         with pytest.raises(BadParameters, match="must be an integer"):
             trivial_column(a, k, n)
         assert trivial_column(np.int64(1), np.int64(3), np.int64(9)) == col((1, 2, 3), 9)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: fundamental_subset(1.0, -1, 3), "i must be an integer, got 1.0"),
+        (lambda: fundamental_subset(1, -1, 3, 4.0), "n must be an integer, got 4.0"),
+        (lambda: DominantMonomial(3, 2, ((1.0, -1, 1),)), "i must be an integer, got 1.0"),
+        (lambda: DominantMonomial(3, 2, ((1, "-1", 1),)), "s must be an integer, got '-1'"),
+        (lambda: DominantMonomial(3, 2, ((1, -1, 0.5),)), "multiplicity must be an integer"),
+        (lambda: bender_knuth(col((1, 2, 3), 6), 1.5), "i must be an integer, got 1.5"),
+    ])
+    def test_dictionary_and_bender_knuth_arguments_must_be_integers(self, call, message):
+        with pytest.raises(BadParameters, match=message):
+            call()
+        mono = DominantMonomial(3, 2, ((np.int64(1), np.int32(-1), np.uint8(1)),))
+        assert mono.factors == ((1, -1, 1),) and all(type(x) is int for x in mono.factors[0])
 
     def test_numpy_entries_become_ints(self):
         t = Tableau.make(2, 4, np.array([[1], [3]]))
