@@ -3,12 +3,12 @@
 Paths compose left to right: the word ``a b`` means "arrow a, then arrow b".
 Projectives are right modules P(v) = e_v A, so Hom(P(i), P(j)) is spanned by
 path classes from j to i.  The quotient by the cyclic-derivative ideal is
-computed degree by degree with exact fraction-free row reduction of the
-integer relation rows.  The derivative by an arrow a is a combination of
-paths from t(a) to s(a), all of one degree when the potential is
-homogeneous (all cycles the same length, at least 2); the quotient then
-ends as soon as one degree dies, or is declared infinite-dimensional at
-degree 32.
+computed degree by degree on normal words: each basis path of degree d + 1
+is a basis path of degree d followed by one arrow, and no other path is
+built.  The derivative by an arrow a is a combination of paths from t(a) to
+s(a), all of one degree when the potential is homogeneous (all cycles the
+same length, at least 2); the quotient then ends as soon as one degree dies,
+or is declared infinite-dimensional at degree 32.
 
 Every quiver with potential the library uses is generated: `triangle_qp`
 signs each oriented triangle of a quiver, `initial_qp` applies it to the
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from numbers import Rational
 
 from .cluster import grassmannian_initial_seed
@@ -53,18 +54,18 @@ class QuiverWithPotential:
     potential: tuple[tuple[int, tuple[str, ...]], ...]  # (sign, cycle of arrow ids)
 
     def __post_init__(self):
-        names = [a for a, _, _ in self.arrows]
-        if len(set(names)) != len(names):
-            raise BadParameters("duplicate arrow ids")
         vs = set(self.vertices)
-        for a, s, t in self.arrows:
-            if s not in vs or t not in vs:
-                raise BadParameters(f"arrow {a} uses unknown vertex")
-        ends = {a: (s, t) for a, s, t in self.arrows}
-        for sign, cycle in self.potential:
-            if sign not in (1, -1) or not cycle:
-                raise BadParameters("potential terms need sign +-1 and a nonempty cycle")
-            if not set(cycle) <= ends.keys():
+        for arrow in self.arrows:
+            if not (isinstance(arrow, tuple) and len(arrow) == 3 and {arrow[1], arrow[2]} <= vs):
+                raise BadParameters(f"arrow {arrow!r} is not (id, source, target) on known vertices")
+        ends = self.arrow_ends()
+        if len(ends) != len(self.arrows):
+            raise BadParameters("duplicate arrow ids")
+        for term in self.potential:
+            if not (isinstance(term, tuple) and len(term) == 2 and term[0] in (1, -1)
+                    and isinstance(term[1], tuple) and term[1]):
+                raise BadParameters(f"potential term {term!r} is not (sign +-1, nonempty cycle)")
+            if not set(cycle := term[1]) <= ends.keys():
                 raise BadParameters(f"potential term {cycle} uses an unknown arrow")
             for x, y in zip(cycle, cycle[1:] + cycle[:1]):
                 if ends[x][1] != ends[y][0]:
@@ -130,8 +131,7 @@ def potential_relations(qp: QuiverWithPotential) -> dict[str, list[tuple[int, Pa
     rels: dict[str, list[tuple[int, Path]]] = {a: [] for a, _, _ in qp.arrows}
     for sign, cycle in qp.potential:
         for idx, a in enumerate(cycle):
-            completion = cycle[idx + 1 :] + cycle[:idx]
-            rels[a].append((sign, completion))
+            rels[a].append((sign, cycle[idx + 1 :] + cycle[:idx]))
     return rels
 
 
@@ -163,19 +163,24 @@ class Algebra:
         return self._comp.get((i, j, l), {})
 
 
-def _integral(key: tuple[str, str, str], terms, scale: int = 1) -> list[tuple[int, int]]:
-    """Composition terms (c, coeff / scale) of the triple `key`, with int coefficients."""
-    out = []
-    for c, x in terms:
-        if not isinstance(x, Rational) or x % scale:
-            value = Fraction(x, scale) if isinstance(x, Rational) else x
-            raise BadParameters(f"composition {key} has a non-integral structure constant {value}")
-        out.append((int(c), int(x) // scale))
-    return out
+def _integral(key: tuple[str, str, str], terms) -> list[tuple[int, int]]:
+    """Composition terms (c, coeff) of the triple `key`, with int coefficients."""
+    for _, x in terms:
+        if not isinstance(x, Rational) or x.denominator != 1:
+            raise BadParameters(f"composition {key} has a non-integral structure constant {x}")
+    return [(int(c), int(x)) for c, x in terms]
 
 
 def build_algebra(qp: QuiverWithPotential) -> Algebra:
-    """Graded quotient of the path space by the cyclic-derivative ideal."""
+    """Graded quotient of the path space by the cyclic-derivative ideal, on normal words.
+
+    The candidates of a pair (u, w) at degree d + 1, each a basis path of
+    degree d followed by one arrow, are ordered as an enumeration of every
+    path meets them: by source pair in walk order, then basis path, then
+    arrow.  The walk order of degree d + 1 meets (u, t(a)) for each pair
+    (u, v) of degree d in walk order, with or without basis paths, and each
+    a in ``out_arrows[v]`` in order.  Pairs add their basis paths in sorted order.
+    """
     lengths = {len(c) for _, c in qp.potential}
     if len(lengths) > 1 or 1 in lengths:
         raise BadParameters(
@@ -184,84 +189,77 @@ def build_algebra(qp: QuiverWithPotential) -> Algebra:
         )
 
     ends = qp.arrow_ends()
-    out_arrows: dict[str, list[str]] = {v: [] for v in qp.vertices}
-    for a, s, _ in qp.arrows:
-        out_arrows[s].append(a)
+    out_arrows = {v: [a for a, s, _ in qp.arrows if s == v] for v in qp.vertices}
     # (src, dst, degree, terms): the derivative by a runs from t(a) to s(a)
-    relations = [
-        (ends[a][1], ends[a][0], len(terms[0][1]), terms)
-        for a, terms in potential_relations(qp).items()
-        if terms
-    ]
+    relations = [(ends[a][1], ends[a][0], len(terms[0][1]), terms)
+                 for a, terms in potential_relations(qp).items() if terms]
 
-    # paths[d][(u, v)] -> list of paths of degree d from u to v
-    paths: list[dict[tuple[str, str], list[Path]]] = [{(v, v): [()] for v in qp.vertices}]
+    # basis[(u, v)]: the basis paths u -> v as (degree, path), in one list for every degree
     basis: dict[tuple[str, str], list[tuple[int, Path]]] = {(v, v): [(0, ())] for v in qp.vertices}
-    # expansion of every enumerated path u -> v over the chosen basis of (u, v):
-    # (scale, [(c, coeff)]) for the sum of coeff / scale times basis element c
-    expand: dict[tuple[str, str, Path], tuple[int, list]] = {
-        (v, v, ()): (1, [(0, 1)]) for v in qp.vertices
-    }
+    # levels[d][(u, v)]: the indices into basis[(u, v)] of degree d, the pairs in walk order
+    levels = [{(v, v): [0] for v in qp.vertices}]
+    # expand[path]: a basis path followed by one arrow, over the basis of its pair
+    expand: dict[Path, dict[int, Rational]] = {}
 
-    degree = 0
-    while True:
-        degree += 1
+    def times(u: str, v: str, vec: dict[int, Rational], word: Path) -> dict[int, Rational]:
+        """vec, a combination of basis[(u, v)], followed by the arrows of `word`."""
+        for a in word:
+            out: dict[int, Rational] = {}
+            for idx, x in vec.items():
+                for c, y in expand.get(basis[(u, v)][idx][1] + (a,), {}).items():
+                    out[c] = out.get(c, 0) + x * y
+            v, vec = ends[a][1], {c: x for c, x in out.items() if x}
+        return vec
+
+    while any(levels[-1].values()):
+        degree = len(levels)
         if degree > _DEGREE_CAP:
             raise NotFiniteDimensional(f"degree cap {_DEGREE_CAP} reached with nonzero dimensions")
-        new_paths: dict[tuple[str, str], list[Path]] = {}
-        for (u, v), plist in paths[-1].items():
-            for p in plist:
-                for a in out_arrows[v]:
-                    new_paths.setdefault((u, ends[a][1]), []).append(p + (a,))
-        if not new_paths:
-            break
-
-        total_dim = 0
-        for (u, v), plist in sorted(new_paths.items()):
-            pos = {p: idx for idx, p in enumerate(plist)}
+        candidates: dict[tuple[str, str], list[Path]] = {}
+        for (u, v), idxs in levels[-1].items():
+            for a in out_arrows[v]:
+                candidates.setdefault((u, ends[a][1]), [])
+            for idx, a in product(idxs, out_arrows[v]):
+                candidates[(u, ends[a][1])].append(basis[(u, v)][idx][1] + (a,))
+        levels.append(dict.fromkeys(candidates))
+        for (u, w), cands in sorted(candidates.items()):
+            # rows b ∂_a W, b a basis path of degree `degree` - deg ∂_a W, over the candidates
+            expand.update({p: {col: 1} for col, p in enumerate(cands)})
             rows = []
             for src, dst, rdeg, terms in relations:
-                for la in range(degree - rdeg + 1):
-                    for lp in paths[la].get((u, src), []):
-                        for rp in paths[degree - rdeg - la].get((dst, v), []):
-                            row = [0] * len(plist)
-                            for sign, mid in terms:
-                                row[pos[lp + mid + rp]] += sign
-                            if any(row):
-                                rows.append(row)
+                if dst != w or rdeg > degree:
+                    continue
+                for idx in levels[degree - rdeg].get((u, src), ()):
+                    row = [0] * len(cands)
+                    for sign, mid in terms:
+                        for col, x in times(u, src, {idx: sign}, mid).items():
+                            row[col] += x
+                    lcd = lcm(*(x.denominator for x in row))
+                    rows.append([int(x * lcd) for x in row])
             red, pivots, scale = rref(rows)
-            pivset = set(pivots)
-            free = [idx for idx in range(len(plist)) if idx not in pivset]
-            pair_basis = basis.setdefault((u, v), [])
-            free_pos = {idx: len(pair_basis) + t for t, idx in enumerate(free)}
-            pair_basis += [(degree, plist[idx]) for idx in free]
-            for idx in free:
-                expand[(u, v, plist[idx])] = (1, [(free_pos[idx], 1)])
+            pair_basis = basis.setdefault((u, w), [])
+            free = sorted(set(range(len(cands))) - set(pivots))
+            at = {col: len(pair_basis) + t for t, col in enumerate(free)}
+            levels[degree][(u, w)] = list(at.values())
+            pair_basis += [(degree, cands[col]) for col in free]
+            expand.update({cands[col]: {idx: 1} for col, idx in at.items()})
             for row, piv in zip(red, pivots):
-                expand[(u, v, plist[piv])] = (scale, [(free_pos[c], -row[c]) for c in free if row[c]])
-            total_dim += len(free)
-
-        paths.append(new_paths)
-        if total_dim == 0:
-            break
+                expand[cands[piv]] = {at[c]: Fraction(-row[c], scale) for c in free if row[c]}
 
     # Hom(P(i), P(j)) = path classes j -> i.
     hom_basis = {(v, u): blist for (u, v), blist in basis.items() if blist}
     dims = {pair: len(blist) for pair, blist in hom_basis.items()}
 
     comp: dict[tuple[str, str, str], dict] = {}
-    for i, j in hom_basis:
-        for j2, l in hom_basis:
-            if j2 != j:
-                continue
-            table = {}
-            for a, (_, pa) in enumerate(hom_basis[(i, j)]):
-                for b, (_, pb) in enumerate(hom_basis[(j, l)]):
-                    # b after a: path (l -> j) followed by (j -> i)
-                    scale, terms = expand.get((l, i, pb + pa), (1, ()))
-                    if terms:
-                        table[(a, b)] = _integral((i, j, l), terms, scale)
-            if table:
-                comp[(i, j, l)] = table
+    for (i, j), (j2, l) in product(hom_basis, hom_basis):
+        if j2 != j:
+            continue
+        table = {}
+        for (a, (_, pa)), b in product(enumerate(hom_basis[(i, j)]), range(dims[(j, l)])):
+            # b after a: path (l -> j) followed by (j -> i)
+            if terms := times(l, j, {b: 1}, pa):
+                table[(a, b)] = _integral((i, j, l), sorted(terms.items()))
+        if table:
+            comp[(i, j, l)] = table
 
     return Algebra(qp.vertices, dims, comp, hom_basis)

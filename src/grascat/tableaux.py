@@ -437,8 +437,10 @@ class DominantMonomial:
         object.__setattr__(self, "k", integer("k", self.k))
         object.__setattr__(self, "ell", integer("ell", self.ell))
         merged: dict[tuple[int, int], int] = {}
-        for i, s, mult in self.factors:
-            i, s, mult = integer("i", i), integer("s", s), integer("multiplicity", mult)
+        for f in self.factors if isinstance(self.factors, (tuple, list)) else (self.factors,):
+            if not (isinstance(f, (tuple, list)) and len(f) == 3):
+                raise BadParameters(f"monomial factor {f!r} is not (i, s, multiplicity)")
+            i, s, mult = integer("i", f[0]), integer("s", f[1]), integer("multiplicity", f[2])
             if mult <= 0:
                 raise OutOfRange("multiplicities must be positive")
             self._check_window(i, s)

@@ -8,8 +8,16 @@ from hypothesis import settings
 
 from grascat import einv, fixtures
 from grascat.cluster import grassmannian_initial_seed
-from grascat.errors import is_int, json_fields, list_of
-from grascat.qpa import Algebra, QuiverWithPotential, _integral
+from grascat.errors import BadParameters, NotFiniteDimensional, is_int, json_fields, list_of
+from grascat.linalg import rref
+from grascat.qpa import (
+    _DEGREE_CAP,
+    Algebra,
+    Path as QPath,
+    QuiverWithPotential,
+    _integral,
+    potential_relations,
+)
 from grascat.tableaux import Tableau, union_all
 
 DATA = Path(__file__).parent / "data"
@@ -80,6 +88,103 @@ def from_table(vertices, dims, comp_entries) -> Algebra:
     for (i, j, l, a, b), terms in comp_entries.items():
         comp.setdefault((i, j, l), {})[(a, b)] = _integral((i, j, l), terms)
     return Algebra(tuple(vertices), dict(dims), comp, {})
+
+
+def path_enumeration_algebra(qp: QuiverWithPotential) -> Algebra:
+    """The oracle for `build_algebra`: the graded quotient over every enumerated path.
+
+    Each degree enumerates every path, expands each one over the basis of its
+    pair, and reduces the rows lp ∂W rp over all of them.
+    """
+    lengths = {len(c) for _, c in qp.potential}
+    if len(lengths) > 1 or 1 in lengths:
+        raise BadParameters(
+            "potential must be homogeneous (one cycle length, at least 2); "
+            "the graded degree-by-degree quotient is only valid then"
+        )
+
+    ends = qp.arrow_ends()
+    out_arrows: dict[str, list[str]] = {v: [] for v in qp.vertices}
+    for a, s, _ in qp.arrows:
+        out_arrows[s].append(a)
+    # (src, dst, degree, terms): the derivative by a runs from t(a) to s(a)
+    relations = [
+        (ends[a][1], ends[a][0], len(terms[0][1]), terms)
+        for a, terms in potential_relations(qp).items()
+        if terms
+    ]
+
+    # paths[d][(u, v)] -> list of paths of degree d from u to v
+    paths: list[dict[tuple[str, str], list[QPath]]] = [{(v, v): [()] for v in qp.vertices}]
+    basis: dict[tuple[str, str], list[tuple[int, QPath]]] = {(v, v): [(0, ())] for v in qp.vertices}
+    # expansion of every enumerated path u -> v over the chosen basis of (u, v):
+    # (scale, [(c, coeff)]) for the sum of coeff / scale times basis element c
+    expand: dict[tuple[str, str, QPath], tuple[int, list]] = {
+        (v, v, ()): (1, [(0, 1)]) for v in qp.vertices
+    }
+
+    degree = 0
+    while True:
+        degree += 1
+        if degree > _DEGREE_CAP:
+            raise NotFiniteDimensional(f"degree cap {_DEGREE_CAP} reached with nonzero dimensions")
+        new_paths: dict[tuple[str, str], list[QPath]] = {}
+        for (u, v), plist in paths[-1].items():
+            for p in plist:
+                for a in out_arrows[v]:
+                    new_paths.setdefault((u, ends[a][1]), []).append(p + (a,))
+        if not new_paths:
+            break
+
+        total_dim = 0
+        for (u, v), plist in sorted(new_paths.items()):
+            pos = {p: idx for idx, p in enumerate(plist)}
+            rows = []
+            for src, dst, rdeg, terms in relations:
+                for la in range(degree - rdeg + 1):
+                    for lp in paths[la].get((u, src), []):
+                        for rp in paths[degree - rdeg - la].get((dst, v), []):
+                            row = [0] * len(plist)
+                            for sign, mid in terms:
+                                row[pos[lp + mid + rp]] += sign
+                            if any(row):
+                                rows.append(row)
+            red, pivots, scale = rref(rows)
+            pivset = set(pivots)
+            free = [idx for idx in range(len(plist)) if idx not in pivset]
+            pair_basis = basis.setdefault((u, v), [])
+            free_pos = {idx: len(pair_basis) + t for t, idx in enumerate(free)}
+            pair_basis += [(degree, plist[idx]) for idx in free]
+            for idx in free:
+                expand[(u, v, plist[idx])] = (1, [(free_pos[idx], 1)])
+            for row, piv in zip(red, pivots):
+                expand[(u, v, plist[piv])] = (scale, [(free_pos[c], -row[c]) for c in free if row[c]])
+            total_dim += len(free)
+
+        paths.append(new_paths)
+        if total_dim == 0:
+            break
+
+    # Hom(P(i), P(j)) = path classes j -> i.
+    hom_basis = {(v, u): blist for (u, v), blist in basis.items() if blist}
+    dims = {pair: len(blist) for pair, blist in hom_basis.items()}
+
+    comp: dict[tuple[str, str, str], dict] = {}
+    for i, j in hom_basis:
+        for j2, l in hom_basis:
+            if j2 != j:
+                continue
+            table = {}
+            for a, (_, pa) in enumerate(hom_basis[(i, j)]):
+                for b, (_, pb) in enumerate(hom_basis[(j, l)]):
+                    # b after a: path (l -> j) followed by (j -> i)
+                    scale, terms = expand.get((l, i, pb + pa), (1, ()))
+                    if terms:
+                        table[(a, b)] = _integral((i, j, l), [(c, Fraction(x, scale)) for c, x in terms])
+            if table:
+                comp[(i, j, l)] = table
+
+    return Algebra(qp.vertices, dims, comp, hom_basis)
 
 
 # --- oracles: rational Gaussian elimination, as the integer kernels of

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import (
     compose_vectors,
     from_table,
     oracle_qp,
+    path_enumeration_algebra,
     projective_support,
     total_dim,
 )
@@ -71,6 +73,20 @@ class TestPotentialRelations:
                 (("a", "x", "y"), ("b", "x", "y")),
                 ((1, ("a", "b")),),
             )
+
+    @pytest.mark.parametrize("arrows, potential, named", [
+        ((("a", "x"),), (), r"arrow \('a', 'x'\)"),
+        ((5,), (), "arrow 5 "),
+        ((("a", "x", "z"),), (), r"arrow \('a', 'x', 'z'\)"),
+        ((("a", "x", "y"), ("b", "y", "x")), ((1,),), r"term \(1,\)"),
+        ((("a", "x", "y"), ("b", "y", "x")), (1,), "term 1 "),
+        ((("a", "x", "y"), ("b", "y", "x")), ((1, 5),), r"term \(1, 5\)"),
+        ((("a", "x", "y"), ("b", "y", "x")), ((1, ("a", "b"), 3),), r"term \(1, \('a', 'b'\), 3\)"),
+        ((("a", "x", "y"), ("b", "y", "x")), ((2, ("a", "b")),), r"term \(2, \('a', 'b'\)\)"),
+    ])
+    def test_malformed_arrow_or_term_is_named(self, arrows, potential, named):
+        with pytest.raises(BadParameters, match=named):
+            QuiverWithPotential(("x", "y"), arrows, potential)
 
 
 class TestBuildAlgebra:
@@ -186,10 +202,10 @@ class TestTableMode:
         assert all_ints(alg) and compose_vectors(alg, "x", "x", "x", {0: 1}, {0: 1}) == {0: 2}
         with pytest.raises(BadParameters, match=r"\('x', 'x', 'x'\).*1/2"):
             _integral(("x", "x", "x"), [(0, Fraction(1, 2))])
-        # an int coefficient over a scale, as `build_algebra` expands paths
-        assert _integral(("x", "x", "x"), [(0, -4), (1, 6)], 2) == [(0, -2), (1, 3)]
+        # rational coefficients, as `build_algebra` expands paths
+        assert _integral(("x", "x", "x"), [(0, Fraction(-4, 2)), (1, Fraction(6, 2))]) == [(0, -2), (1, 3)]
         with pytest.raises(BadParameters, match=r"\('x', 'x', 'x'\).*-3/2"):
-            _integral(("x", "x", "x"), [(0, 2), (1, -3)], 2)
+            _integral(("x", "x", "x"), [(0, Fraction(2, 2)), (1, Fraction(-3, 2))])
 
 
 def all_ints(alg: Algebra) -> bool:
@@ -306,3 +322,107 @@ class TestGammaFixture:
         alg = build_algebra(oracle_qp("qp_hl_gamma"))
         assert total_dim(alg) == 45
         assert check_associative(alg)
+
+
+def ordered(x):
+    """x with every dict, at any depth, as the list of its items in order."""
+    if isinstance(x, dict):
+        return [(k, ordered(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [ordered(v) for v in x]
+    return (type(x), x)
+
+
+def cycle_qp(length: int) -> QuiverWithPotential:
+    """One oriented cycle a0 ... a{length-1} through the vertices 0, ..., length - 1."""
+    vs = tuple(str(i) for i in range(length))
+    arrows = tuple((f"a{i}", vs[i], vs[(i + 1) % length]) for i in range(length))
+    return QuiverWithPotential(vs, arrows, ((1, tuple(a for a, _, _ in arrows)),))
+
+
+def shared_arrow_qp(sign: int) -> QuiverWithPotential:
+    """The 4-cycles a b c d and a e f g through the arrow a: 1 -> 2, the second signed `sign`."""
+    arrows = (("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "1"),
+              ("e", "2", "5"), ("f", "5", "6"), ("g", "6", "1"))
+    return QuiverWithPotential(
+        tuple("123456"), arrows, ((1, ("a", "b", "c", "d")), (sign, ("a", "e", "f", "g")))
+    )
+
+
+def parallel_qp(doubled) -> QuiverWithPotential:
+    """Arrows a, p: 1 -> 2 and b, c, d around 2 -> 3 -> 4 -> 1, and the
+    potential abcd + pbcd with the cycles in `doubled` written twice."""
+    cycles = [("a", "b", "c", "d"), ("p", "b", "c", "d")]
+    return QuiverWithPotential(
+        ("1", "2", "3", "4"),
+        (("a", "1", "2"), ("p", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "1")),
+        tuple((1, cycle) for cycle in cycles + [cycles[i] for i in doubled]),
+    )
+
+
+def crossed_qp() -> QuiverWithPotential:
+    """Arrows x, y: 1 -> 2, b, c: 2 -> 3, d: 3 -> 1 and the potential xcd + ybd,
+    whose relation xc + yb picks its pivot by the order of xb, xc, yb, yc."""
+    return QuiverWithPotential(
+        ("1", "2", "3"),
+        (("x", "1", "2"), ("y", "1", "2"), ("b", "2", "3"), ("c", "2", "3"), ("d", "3", "1")),
+        ((1, ("x", "c", "d")), (1, ("y", "b", "d"))),
+    )
+
+
+def detour_qp() -> QuiverWithPotential:
+    """Arrows p: u -> v, p2: v -> u, q: v -> w and r, s, t along u -> z -> y -> w,
+    and the potential p p2: the pair (u, w) is joined at degree 2 by pq = 0
+    alone, and gets its basis path at degree 3."""
+    arrows = (("p", "u", "v"), ("p2", "v", "u"), ("q", "v", "w"),
+              ("r", "u", "z"), ("s", "z", "y"), ("t", "y", "w"))
+    return QuiverWithPotential(tuple("uvwyz"), arrows, ((1, ("p", "p2")),))
+
+
+ORACLE_SHAPES = (
+    [(f"gr{k}{n}", lambda k=k, n=n: initial_qp(k, n)) for n in range(4, 10) for k in range(2, n - 1)]
+    + [(f"gamma{k},{s}", lambda k=k, s=s: hl.gamma_qp(k, s)) for k in range(2, 6) for s in range(-1, -9, -1)]
+    + [(name, lambda name=name: oracle_qp(name)) for name in ("qp_gr39", "qp_gr48", "qp_hl_gamma")]
+    + [(f"doubled{d}", lambda d=d: TestIntegerStructureConstants.doubled_qp(d))
+       for d in ([], [0], [1], [0, 1])]
+    + [(f"cycle{length}", lambda length=length: cycle_qp(length)) for length in range(2, 7)]
+    + [(f"shared{sign:+d}", lambda sign=sign: shared_arrow_qp(sign)) for sign in (1, -1)]
+    + [(f"parallel{d}", lambda d=d: parallel_qp(d)) for d in ([], [0], [1], [0, 1])]
+    + [("crossed", crossed_qp), ("detour", detour_qp)]
+)
+
+
+class TestNormalWords:
+    """`build_algebra` against the path-enumeration oracle it replaced."""
+
+    @pytest.mark.parametrize("make", [m for _, m in ORACLE_SHAPES], ids=[n for n, _ in ORACLE_SHAPES])
+    def test_same_algebra_as_path_enumeration(self, make):
+        qp = make()
+        try:
+            want = path_enumeration_algebra(qp)
+        except BadParameters as exc:
+            with pytest.raises(BadParameters) as got:
+                build_algebra(qp)
+            assert str(got.value) == str(exc)
+            return
+        alg = build_algebra(qp)
+        assert alg.vertices == want.vertices
+        assert ordered(alg._dims) == ordered(want._dims)
+        assert ordered(alg.basis_paths) == ordered(want.basis_paths)
+        assert ordered(alg._comp) == ordered(want._comp)
+
+    def test_non_integral_parallel_term_is_rejected(self):
+        # 2abcd + pbcd makes abcd = -pbcd / 2 at the composition of a and bcd
+        with pytest.raises(BadParameters, match="-1/2"):
+            build_algebra(parallel_qp([0]))
+
+    @pytest.mark.parametrize("make, dim", [
+        (lambda: initial_qp(4, 12), 246),
+        (lambda: hl.gamma_qp(6, -12), 534),
+    ], ids=["gr412", "gamma6,-12"])
+    def test_beyond_the_tame_shapes(self, make, dim):
+        qp = make()
+        start = time.perf_counter()
+        alg = build_algebra(qp)
+        assert time.perf_counter() - start < 2.0
+        assert total_dim(alg) == dim

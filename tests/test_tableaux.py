@@ -341,6 +341,16 @@ class TestJson:
         assert type(mono.k) is type(mono.ell) is int
         assert mono == DominantMonomial(3, 5, ((1, -1, 1),))
 
+    @pytest.mark.parametrize("factors, named", [
+        (((1, -1),), r"factor \(1, -1\) "),
+        (((5,),), r"factor \(5,\) "),
+        (((1, -1, 1, 2),), r"factor \(1, -1, 1, 2\) "),
+        (7, "factor 7 "),
+    ])
+    def test_malformed_monomial_factor_is_named(self, factors, named):
+        with pytest.raises(BadParameters, match=named):
+            DominantMonomial(3, 2, factors)
+
     @pytest.mark.parametrize("a, k, n", [(1.0, 3, 9), (1, 3.0, 9), (1, 3, 9.0)])
     def test_trivial_column_arguments_must_be_integers(self, a, k, n):
         with pytest.raises(BadParameters, match="must be an integer"):
